@@ -13,6 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import optimize
 
+# Largest stack of matrices, in bytes, that one determinant evaluation builds;
+# longer grids are evaluated chunk by chunk.
+BATCH_BYTES = 16 * 2**20
+
+
+def _concatenate(parts):
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
 
 def batched_eval(func, xs: np.ndarray, threads: int = 1):
     """Evaluate func over xs, optionally split across a thread pool.
@@ -25,7 +33,25 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
     chunks = np.array_split(xs, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(func, chunks))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return _concatenate(parts)
+
+
+def chunked(func, point_bytes: int):
+    """func applied to consecutive chunks of xs, each within BATCH_BYTES.
+
+    func maps a 1-D array to a tuple of equally sized 1-D arrays and builds a
+    stack of point_bytes per point. Every point is evaluated on its own, so
+    the result does not depend on where the chunks split.
+    """
+    step = max(1, BATCH_BYTES // max(1, point_bytes))
+
+    def run(xs):
+        xs = np.asarray(xs)
+        if xs.size <= step:
+            return func(xs)
+        return _concatenate([func(xs[i : i + step]) for i in range(0, xs.size, step)])
+
+    return run
 
 
 def grid_count(lo: float, hi: float, tau_min: float, density: float, minimum: int = 16) -> int:

@@ -1,9 +1,23 @@
-"""Assembly of the frequency-dependent network matrix D(omega) and the static stiffness K.
+"""Assembly of the joint matrices D(omega), K and the consistent M from one sparse pattern.
 
-Block structure over joints, in the global aligned frame (e_ba = -e_ab):
+Each of them is a sum of per-rod e e^T blocks in the global aligned frame
+(e_ba = -e_ab), scaled by one factor on the diagonal blocks and one on the
+coupling blocks of rod ab:
 
-    D[a,a] += Lambda * omega * cot(omega*tau) * e e^T     for every rod at a
-    D[a,b]  = -Lambda * omega * csc(omega*tau) * e e^T    for rod ab
+    X[a,a] += diag_r * e e^T    for every rod r at a
+    X[a,b]  = off_r  * e e^T    for rod r = ab
+
+    D(omega)      diag_r = Lambda*omega*cot(omega*tau)   off_r = -Lambda*omega*csc(omega*tau)
+    K             diag_r = Lambda/tau                    off_r = -Lambda/tau
+    consistent M  diag_r = rho*A*L/3                     off_r = rho*A*L/6
+
+So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
+vector [diag_r, off_r] to the structurally nonzero entries, applied to one
+coefficient column per frequency. The pattern is built on first use per truss
+and anchor reduction and kept with the truss; the same path serves one matrix
+or a batch, at every size. Batched determinant sweeps over these matrices run
+in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory does not
+grow with the number of grid points.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -15,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .model import Truss
 
@@ -82,112 +97,112 @@ class StiffnessMatrix:
 
 
 @dataclass(frozen=True)
-class _RodTerm:
-    offset_a: int  # block offset of the first endpoint, -1 if dropped by reduction
-    offset_b: int
-    outer: np.ndarray  # e e^T in global coordinates
-    line_impedance: float
-    transit_time: float
-    rod_id: str
+class _Pattern:
+    """Scatter map from per-rod coefficients to the entries of one joint matrix.
+
+    The coefficient vector is [diag_0 .. diag_{R-1}, off_0 .. off_{R-1}] for R
+    rods. Row k of `scatter` holds the e e^T values whose products with those
+    coefficients sum, in rod order, to the entry at flat position rows[k]
+    (i * size + j). `embedding` gives the positions of this system's degrees
+    of freedom in the unreduced one.
+    """
+
+    index_map: dict
+    size: int
+    rows: np.ndarray
+    scatter: sparse.csr_array
+    embedding: np.ndarray
 
 
-def _layout(truss: Truss, reduce_anchors: bool):
-    """Joint block offsets and per-rod assembly terms."""
+def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     dim = truss.dimension
-    if reduce_anchors:
-        kept = [j.id for j in truss.joints if not j.anchored]
-    else:
-        kept = [j.id for j in truss.joints]
-    index_map = {jid: dim * i for i, jid in enumerate(kept)}
-    terms = []
-    for rod in truss.rods:
-        props = truss.rod_properties(rod)
-        e = props.unit_vector
-        terms.append(
-            _RodTerm(
-                offset_a=index_map.get(rod.joints[0], -1),
-                offset_b=index_map.get(rod.joints[1], -1),
-                outer=np.outer(e, e),
-                line_impedance=props.line_impedance,
-                transit_time=props.transit_time,
-                rod_id=rod.id,
-            )
-        )
-    return index_map, dim * len(kept), terms
+    kept = [i for i, j in enumerate(truss.joints) if not (reduce_anchors and j.anchored)]
+    index_map = {truss.joints[i].id: dim * k for k, i in enumerate(kept)}
+    size = dim * len(kept)
+    n_rods = len(truss.rods)
+    local = np.arange(dim)
+
+    units = np.array([truss.rod_properties(rod).unit_vector for rod in truss.rods])
+    outer = units[:, None, :, None] * units[:, None, None, :]  # (rods, 1, dim, dim)
+    a, b = np.array([[index_map.get(jid, -1) for jid in rod.joints] for rod in truss.rods]).T
+    r = np.arange(n_rods)
+    # blocks (a,a) and (b,b) take diag_r, blocks (a,b) and (b,a) take off_r
+    block_row = np.stack([a, b, a, b], axis=1)[:, :, None, None]
+    block_col = np.stack([a, b, b, a], axis=1)[:, :, None, None]
+    coeff = np.stack([r, r, n_rods + r, n_rods + r], axis=1)[:, :, None, None]
+    shape = (n_rods, 4, dim, dim)
+    positions = (block_row + local[:, None]) * size + (block_col + local[None, :])
+    columns = np.broadcast_to(coeff, shape)
+    values = np.broadcast_to(outer, shape)
+    # blocks of reduced-away joints drop out, as do the exact zeros of e e^T
+    # that axis-aligned rods leave
+    keep = (block_row >= 0) & (block_col >= 0) & (values != 0.0)
+    rows, entry = np.unique(positions[keep], return_inverse=True)
+    scatter = sparse.csr_array((values[keep], (entry, columns[keep])), shape=(rows.size, 2 * n_rods))
+    scatter.sort_indices()
+    embedding = (dim * np.array(kept, dtype=np.intp)[:, None] + local[None, :]).ravel()
+    return _Pattern(index_map, size, rows, scatter, embedding)
+
+
+def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
+    """The truss's scatter pattern, built on first use and kept with it."""
+    return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
+
+
+def _rod_constants(truss: Truss):
+    """Per-rod transit times and line impedances, in rod order."""
+
+    def build():
+        props = [truss.rod_properties(rod) for rod in truss.rods]
+        taus = np.array([p.transit_time for p in props])
+        lams = np.array([p.line_impedance for p in props])
+        taus.setflags(write=False)
+        lams.setflags(write=False)
+        return taus, lams
+
+    return truss._cached("rod_constants", build)
+
+
+def _assemble(pattern: _Pattern, coefficients: np.ndarray) -> np.ndarray:
+    """Joint matrices, one per coefficient column: (2 * rods, m) -> (m, size, size)."""
+    m = coefficients.shape[1]
+    out = np.zeros((m, pattern.size * pattern.size))
+    out[:, pattern.rows] = (pattern.scatter @ coefficients).T
+    return out.reshape(m, pattern.size, pattern.size)
+
+
+def _spectral_coefficients(taus, lams, omegas: np.ndarray) -> np.ndarray:
+    """Lambda*omega*cot(omega*tau) over -Lambda*omega*csc(omega*tau): (2 * rods, m)."""
+    x = taus[:, None] * omegas[None, :]
+    s = np.sin(x)
+    lam_omega = lams[:, None] * omegas[None, :]
+    return np.concatenate([lam_omega * np.cos(x) / s, -lam_omega / s])
 
 
 def check_pole_guard(truss: Truss, omega: float, guard: float = POLE_GUARD):
     """Raise PoleProximityError if any rod resonance n*pi (n >= 1) is too close."""
-    for rod in truss.rods:
-        x = omega * truss.rod_properties(rod).transit_time
-        n = round(x / math.pi)
-        if n >= 1 and abs(x - n * math.pi) < guard:
-            raise PoleProximityError(rod.id, n, omega)
-
-
-def _accumulate(matrix, term, dim, diag_coeff, offdiag_coeff):
-    """Add one rod's blocks; `matrix` may be (d, d) or batched (m, d, d)."""
-    ia, ib = term.offset_a, term.offset_b
-    block = term.outer
-    if np.ndim(diag_coeff) == 0:
-        diag = diag_coeff * block
-        off = offdiag_coeff * block
-    else:
-        diag = np.asarray(diag_coeff)[:, None, None] * block
-        off = np.asarray(offdiag_coeff)[:, None, None] * block
-    if ia >= 0:
-        matrix[..., ia : ia + dim, ia : ia + dim] += diag
-    if ib >= 0:
-        matrix[..., ib : ib + dim, ib : ib + dim] += diag
-    if ia >= 0 and ib >= 0:
-        matrix[..., ia : ia + dim, ib : ib + dim] += off
-        matrix[..., ib : ib + dim, ia : ia + dim] += off
+    taus, _ = _rod_constants(truss)
+    x = omega * taus
+    n = np.round(x / math.pi)
+    near = np.flatnonzero((n >= 1) & (np.abs(x - n * math.pi) < guard))
+    if near.size:
+        r = int(near[0])
+        raise PoleProximityError(truss.rods[r].id, int(n[r]), omega)
 
 
 def laplacian_evaluator(truss: Truss, reduce_anchors: bool = True):
-    """Reusable batched D(omega) builder; layout work is done once up front.
+    """Reusable batched D(omega) builder: the pattern times the rod coefficients.
 
     Sweeps call the returned function thousands of times (grid plus bisection
-    refinement). D(w) = sum_r diag_r(w) P_r + off_r(w) Q_r with constant block
-    patterns P, Q per rod, so for moderate sizes the whole batch collapses to
-    two (n_omega x rods) @ (rods x size^2) products. Larger structures fall
-    back to a per-rod accumulation loop to bound the pattern memory.
+    refinement); it maps a 1-D array of frequencies to the (m, size, size)
+    stack and applies no pole guard.
     """
-    _, size, terms = _layout(truss, reduce_anchors)
-    dim = truss.dimension
-    taus = np.array([t.transit_time for t in terms])
-    lams = np.array([t.line_impedance for t in terms])
+    pattern = _pattern(truss, reduce_anchors)
+    taus, lams = _rod_constants(truss)
 
-    def coefficients(omegas):
-        x = omegas[:, None] * taus[None, :]
-        s = np.sin(x)
-        lam_omega = lams[None, :] * omegas[:, None]
-        return lam_omega * np.cos(x) / s, -lam_omega / s
-
-    if len(terms) * size * size <= 2_000_000:
-        diag_pat = np.zeros((len(terms), size, size))
-        off_pat = np.zeros((len(terms), size, size))
-        for r, term in enumerate(terms):
-            _accumulate(diag_pat[r], term, dim, 1.0, 0.0)
-            _accumulate(off_pat[r], term, dim, 0.0, 1.0)
-        diag_flat = diag_pat.reshape(len(terms), -1)
-        off_flat = off_pat.reshape(len(terms), -1)
-
-        def build(omegas) -> np.ndarray:
-            omegas = np.asarray(omegas, dtype=float)
-            diag, off = coefficients(omegas)
-            flat = diag @ diag_flat + off @ off_flat
-            return flat.reshape(omegas.size, size, size)
-
-    else:
-
-        def build(omegas) -> np.ndarray:
-            omegas = np.asarray(omegas, dtype=float)
-            diag, off = coefficients(omegas)
-            out = np.zeros((omegas.size, size, size))
-            for r, term in enumerate(terms):
-                _accumulate(out, term, dim, diag[:, r], off[:, r])
-            return out
+    def build(omegas) -> np.ndarray:
+        omegas = np.asarray(omegas, dtype=float)
+        return _assemble(pattern, _spectral_coefficients(taus, lams, omegas))
 
     return build
 
@@ -204,26 +219,20 @@ def assemble_laplacian(
         raise ValueError(f"omega must be > 0, got {omega}")
     if check_poles:
         check_pole_guard(truss, omega)
-    index_map, size, terms = _layout(truss, reduce_anchors)
-    entries = np.zeros((size, size))
-    dim = truss.dimension
-    for term in terms:
-        x = omega * term.transit_time
-        s = math.sin(x)
-        lam_omega = term.line_impedance * omega
-        _accumulate(entries, term, dim, lam_omega * math.cos(x) / s, -lam_omega / s)
-    return SpectralMatrix(omega=omega, entries=entries, index_map=index_map, reduced=reduce_anchors)
+    pattern = _pattern(truss, reduce_anchors)
+    entries = laplacian_batch(truss, [omega], reduce_anchors)[0]
+    return SpectralMatrix(
+        omega=omega, entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors
+    )
 
 
 def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> StiffnessMatrix:
     """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit)."""
-    index_map, size, terms = _layout(truss, reduce_anchors)
-    entries = np.zeros((size, size))
-    dim = truss.dimension
-    for term in terms:
-        k = term.line_impedance / term.transit_time
-        _accumulate(entries, term, dim, k, -k)
-    return StiffnessMatrix(entries=entries, index_map=index_map, reduced=reduce_anchors)
+    pattern = _pattern(truss, reduce_anchors)
+    taus, lams = _rod_constants(truss)
+    k = lams / taus
+    entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
+    return StiffnessMatrix(entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors)
 
 
 def laplacian_determinant(
@@ -231,13 +240,6 @@ def laplacian_determinant(
 ) -> float:
     matrix = assemble_laplacian(truss, omega, reduce_anchors, check_poles=check_poles)
     return float(np.linalg.det(matrix.entries))
-
-
-def laplacian_sign_logdet(truss: Truss, omegas, reduce_anchors: bool = True):
-    """Batched (sign, log|det|) of D over a frequency grid, for root bracketing."""
-    stack = laplacian_batch(truss, omegas, reduce_anchors)
-    sign, logabs = np.linalg.slogdet(stack)
-    return sign, logabs
 
 
 def solve_forced_response(truss: Truss, omega: float, forces) -> dict:

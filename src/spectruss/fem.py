@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _roots
-from .assembly import _accumulate, _layout, assemble_stiffness
+from .assembly import _assemble, _pattern, assemble_stiffness
 from .model import Truss, subdivide
 from .spectrum import GRID_DENSITY, FrequencyWindow, _free_basis
 
@@ -38,19 +38,25 @@ class MassMatrix:
 def assemble_mass(truss: Truss, kind: str = "consistent", reduce_anchors: bool = True) -> MassMatrix:
     if kind not in MASS_KINDS:
         raise ValueError(f"mass kind must be one of {MASS_KINDS}, got {kind!r}")
-    index_map, size, terms = _layout(truss, reduce_anchors)
-    entries = np.zeros((size, size))
-    dim = truss.dimension
-    for term, rod in zip(terms, truss.rods):
-        props = truss.rod_properties(rod)
-        mass = truss.materials[rod.material].density * rod.area * props.length
-        if kind == "consistent":
-            _accumulate(entries, term, dim, mass / 3.0, mass / 6.0)
-        else:
-            for off in (term.offset_a, term.offset_b):
-                if off >= 0:
-                    entries[off : off + dim, off : off + dim] += 0.5 * mass * np.eye(dim)
-    return MassMatrix(entries=entries, index_map=index_map, reduced=reduce_anchors, kind=kind)
+    pattern = _pattern(truss, reduce_anchors)
+    masses = np.array([
+        truss.materials[rod.material].density * rod.area * truss.rod_properties(rod).length
+        for rod in truss.rods
+    ])
+    if kind == "consistent":
+        entries = _assemble(pattern, np.concatenate([masses / 3.0, masses / 6.0])[:, None])[0]
+    else:
+        dim = truss.dimension
+        diagonal = np.zeros(pattern.size)
+        for rod, mass in zip(truss.rods, masses):
+            for jid in rod.joints:
+                if jid in pattern.index_map:
+                    off = pattern.index_map[jid]
+                    diagonal[off : off + dim] += 0.5 * mass
+        entries = np.diag(diagonal)
+    return MassMatrix(
+        entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors, kind=kind
+    )
 
 
 def fem_determinant(
@@ -91,6 +97,8 @@ def fem_frequencies(
     def func(omegas):
         stack = k[None, :, :] - np.asarray(omegas)[:, None, None] ** 2 * m[None, :, :]
         return np.linalg.slogdet(stack)
+
+    func = _roots.chunked(func, k.nbytes)
 
     def sigma(omega):
         svals = np.linalg.svd(k - omega**2 * m, compute_uv=False)

@@ -84,6 +84,8 @@ class Truss:
 
     All joints share one global coordinate frame; rod direction vectors obey
     e_ba = -e_ab in that frame. Instances are safe to share across threads.
+    Matrix patterns and bases derived from the structure are built on first
+    use and kept with the instance (see _cached), so they live as long as it.
     """
 
     def __init__(self, dimension, joints, rods, materials, dimensionless=False):
@@ -105,6 +107,7 @@ class Truss:
             self._neighbors[b].append((a, r))
         for jid in self._neighbors:
             self._neighbors[jid].sort(key=lambda pair: pair[0])
+        self._derived = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -228,6 +231,18 @@ class Truss:
     @property
     def tau_min(self) -> float:
         return min(p.transit_time for p in self._properties)
+
+    def _cached(self, key, build):
+        """build() on the first call for key, the stored value afterwards.
+
+        The structure never changes, so nothing derived from it goes stale.
+        Threads that miss at once may each call build(); all of them get the
+        value stored first.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build())
 
     def total_rod_mass(self) -> float:
         return sum(

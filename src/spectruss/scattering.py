@@ -169,10 +169,11 @@ def reverberation_dof(truss: Truss) -> int:
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
     """Frequencies where the matching system is singular, refined from |det| minima."""
     build = matching_evaluator(truss)
+    size = 2 * len(truss.rods)
+    sign_logdet = _roots.chunked(lambda xs: np.linalg.slogdet(build(xs)), 16 * size * size)
 
     def logdet(omegas):
-        _, logabs = np.linalg.slogdet(build(omegas))
-        return logabs
+        return sign_logdet(omegas)[1]
 
     if window.grid_points is not None:
         n_pts = window.grid_points

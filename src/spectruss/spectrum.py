@@ -22,10 +22,12 @@ import numpy as np
 from . import _roots
 from .assembly import (
     POLE_GUARD,
+    _assemble,
+    _pattern,
+    _rod_constants,
+    _spectral_coefficients,
     assemble_laplacian,
-    check_pole_guard,
     laplacian_evaluator,
-    _layout,
 )
 from .model import Truss
 
@@ -130,8 +132,16 @@ def _free_basis(truss: Truss, include_anchored: bool = False):
 
     A free joint whose rods span fewer than `dim` directions makes det(D)
     vanish identically (the transverse motion is a mechanism); those
-    directions are projected out of the swept system.
+    directions are projected out of the swept system. Returns (basis or None,
+    mechanism joint ids); the basis is built once per truss and is read-only.
     """
+    basis, mechanisms = truss._cached(
+        ("free_basis", include_anchored), lambda: _joint_span_basis(truss, include_anchored)
+    )
+    return basis, list(mechanisms)
+
+
+def _joint_span_basis(truss: Truss, include_anchored: bool):
     dim = truss.dimension
     blocks = []
     mechanisms = []
@@ -152,7 +162,7 @@ def _free_basis(truss: Truss, include_anchored: bool = False):
         else:
             blocks.append(np.eye(dim))
     if not deficient:
-        return None, []
+        return None, ()
     size = dim * len(blocks)
     width = sum(b.shape[1] for b in blocks)
     basis = np.zeros((size, width))
@@ -160,10 +170,16 @@ def _free_basis(truss: Truss, include_anchored: bool = False):
     for i, b in enumerate(blocks):
         basis[dim * i : dim * (i + 1), col : col + b.shape[1]] = b
         col += b.shape[1]
-    return basis, mechanisms
+    basis.setflags(write=False)
+    return basis, tuple(mechanisms)
 
 
 def _det_eval(truss: Truss, reduce_anchors: bool, basis):
+    """Batched (sign, log|det|) of the projected D and its (sigma_min, sigma_max) probe.
+
+    Both share one D(omega) builder. The batched function evaluates any number
+    of frequencies in chunks within _roots.BATCH_BYTES.
+    """
     build = laplacian_evaluator(truss, reduce_anchors)
 
     def func(omegas):
@@ -173,12 +189,6 @@ def _det_eval(truss: Truss, reduce_anchors: bool, basis):
         sign, logabs = np.linalg.slogdet(stack)
         return sign, logabs
 
-    return func
-
-
-def _sigma_eval(truss: Truss, reduce_anchors: bool, basis):
-    build = laplacian_evaluator(truss, reduce_anchors)
-
     def sigma(omega):
         matrix = build(np.array([omega]))[0]
         if basis is not None:
@@ -186,7 +196,8 @@ def _sigma_eval(truss: Truss, reduce_anchors: bool, basis):
         svals = np.linalg.svd(matrix, compute_uv=False)
         return float(svals[-1]), float(svals[0])
 
-    return sigma
+    size = _pattern(truss, reduce_anchors).size
+    return _roots.chunked(func, 8 * size * size), sigma
 
 
 def _segments(window: FrequencyWindow, truss: Truss, poles):
@@ -218,8 +229,7 @@ def find_natural_frequencies(
     """
     poles = pole_set(truss, window)
     basis, mechanisms = _free_basis(truss)
-    func = _det_eval(truss, reduce_anchors, basis)
-    sigma = _sigma_eval(truss, reduce_anchors, basis)
+    func, sigma = _det_eval(truss, reduce_anchors, basis)
     tau_min = truss.tau_min
 
     roots = []
@@ -246,7 +256,7 @@ def find_natural_frequencies(
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
     for pole in poles:
         modes.extend(
-            resonant_mode_check(truss, pole.omega, pole.rods, pole.orders, reduce_anchors)
+            resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
         )
     modes.sort(key=lambda m: m.omega)
     return SweepResult(modes=modes, warnings=warnings, mechanisms=mechanisms)
@@ -268,38 +278,29 @@ def _as_joint_dict(truss: Truss, index_map, vec):
     return {jid: vec[off : off + dim].copy() for jid, off in index_map.items()}
 
 
-def _full_vector(truss: Truss, displacements: dict) -> np.ndarray:
-    """Embed free-joint displacements into the unreduced block vector."""
+def _anchor_rows_product(truss: Truss, full, displacements: dict):
+    """Force vectors at anchored joints: rows of the unreduced D times the mode."""
     dim = truss.dimension
-    full = np.zeros(dim * len(truss.joints))
-    full_map, _, _ = _layout(truss, reduce_anchors=False)
-    for jid, vec in displacements.items():
-        off = full_map[jid]
-        full[off : off + dim] = vec
-    return full
-
-
-def _anchor_rows_product(truss: Truss, omega: float, displacements: dict, check_poles=True):
-    """Force vectors at anchored joints: full-matrix anchor rows times the mode."""
-    anchored = truss.anchored_joints
-    if not anchored:
-        return {}
-    full = assemble_laplacian(truss, omega, reduce_anchors=False, check_poles=check_poles)
-    vec = _full_vector(truss, displacements)
+    vec = np.zeros(full.entries.shape[0])
+    for jid, u in displacements.items():
+        vec[full.index_map[jid] : full.index_map[jid] + dim] = u
     product = full.entries @ vec
-    dim = truss.dimension
     return {
         j.id: product[full.index_map[j.id] : full.index_map[j.id] + dim].copy()
-        for j in anchored
+        for j in truss.anchored_joints
     }
 
 
 def extract_modes(truss: Truss, omega_star: float, reduce_anchors: bool = True):
-    """Null-space mode shapes of D(omega*) via singular value decomposition."""
-    check_pole_guard(truss, omega_star)
+    """Null-space mode shapes of D(omega*) via singular value decomposition.
+
+    One unreduced D(omega*) serves both the null space (its free block when
+    reduce_anchors) and the anchor forces.
+    """
     basis, _ = _free_basis(truss)
-    matrix = assemble_laplacian(truss, omega_star, reduce_anchors)
-    entries = matrix.entries
+    full = assemble_laplacian(truss, omega_star, reduce_anchors=False)
+    pattern = _pattern(truss, reduce_anchors)
+    entries = full.entries[np.ix_(pattern.embedding, pattern.embedding)]
     if basis is not None:
         entries = basis.T @ entries @ basis
     _, svals, vt = np.linalg.svd(entries)
@@ -314,13 +315,13 @@ def extract_modes(truss: Truss, omega_star: float, reduce_anchors: bool = True):
         if basis is not None:
             vec = basis @ vec
         vec = _normalize_sign(vec)
-        displacements = _as_joint_dict(truss, matrix.index_map, vec)
+        displacements = _as_joint_dict(truss, pattern.index_map, vec)
         modes.append(
             ModeResult(
                 omega=omega_star,
                 kind="regular",
                 displacements=displacements,
-                anchor_forces=_anchor_rows_product(truss, omega_star, displacements),
+                anchor_forces=_anchor_rows_product(truss, full, displacements),
             )
         )
     return modes
@@ -337,7 +338,10 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
         raise ValueError("mode carries no displacements; extract modes first")
     if mode.kind == "resonant":
         return {} if mode.anchor_forces is None else dict(mode.anchor_forces)
-    return _anchor_rows_product(truss, mode.omega, mode.displacements)
+    if not truss.anchored_joints:
+        return {}
+    full = assemble_laplacian(truss, mode.omega, reduce_anchors=False)
+    return _anchor_rows_product(truss, full, mode.displacements)
 
 
 # -- rod resonance path --------------------------------------------------------
@@ -346,55 +350,36 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
 def _resonant_operators(truss: Truss, omega_pole: float, resonant: dict):
     """Constraint matrix plus force operators split into resonant/non-resonant rods.
 
-    Returns (constraint, finite_op, limit_op, full_map, free_map). finite_op is
-    the unreduced D(omega) restricted to non-resonant rods, with free-joint
-    columns; limit_op maps frequency-derivative parameters at free joints to
-    forces via the per-rod factor Lambda*omega/tau.
+    Returns (constraint, finite_op, limit_op, full, free) with the unreduced
+    and reduced patterns last. finite_op is the unreduced D(omega) restricted
+    to non-resonant rods, with free-joint columns; limit_op maps
+    frequency-derivative parameters at free joints to forces via the per-rod
+    factor Lambda*omega/tau, with coupling -(-1)^n.
     """
     dim = truss.dimension
-    full_map, full_size, terms = _layout(truss, reduce_anchors=False)
-    free_map, free_size, _ = _layout(truss, reduce_anchors=True)
+    full = _pattern(truss, reduce_anchors=False)
+    free = _pattern(truss, reduce_anchors=True)
+    taus, lams = _rod_constants(truss)
 
-    free_cols = np.zeros(full_size, dtype=bool)
-    for jid, off in free_map.items():
-        free_cols[full_map[jid] : full_map[jid] + dim] = True
+    hit = np.array([rod.id in resonant for rod in truss.rods])
+    odd = np.array([resonant.get(rod.id, 0) % 2 == 1 for rod in truss.rods])
+    finite = _spectral_coefficients(taus, lams, np.array([float(omega_pole)]))[:, 0]
+    finite[np.tile(hit, 2)] = 0.0
+    coeff = np.where(hit, lams * omega_pole / taus, 0.0)
+    limit = np.concatenate([coeff, np.where(odd, coeff, -coeff)])
+    finite_op, limit_op = _assemble(full, np.column_stack([finite, limit]))
 
-    constraint_rows = []
-    finite = np.zeros((full_size, full_size))
-    limit = np.zeros((full_size, full_size))
-    for term, rod in zip(terms, truss.rods):
-        ia, ib = term.offset_a, term.offset_b
+    rods = [rod for rod in truss.rods if rod.id in resonant]
+    constraint = np.zeros((len(rods), free.size))
+    for row, rod in zip(constraint, rods):
         e = truss.rod_properties(rod).unit_vector
-        if rod.id in resonant:
-            n = resonant[rod.id]
-            row = np.zeros(free_size)
-            a_id, b_id = rod.joints
-            if a_id in free_map:
-                row[free_map[a_id] : free_map[a_id] + dim] = ((-1.0) ** n) * e
-            if b_id in free_map:
-                row[free_map[b_id] : free_map[b_id] + dim] = -e
-            constraint_rows.append(row)
-            coeff = term.line_impedance * omega_pole / term.transit_time
-            block = coeff * term.outer
-            limit[ia : ia + dim, ia : ia + dim] += block
-            limit[ib : ib + dim, ib : ib + dim] += block
-            limit[ia : ia + dim, ib : ib + dim] += -((-1.0) ** n) * block
-            limit[ib : ib + dim, ia : ia + dim] += -((-1.0) ** n) * block
-        else:
-            x = omega_pole * term.transit_time
-            s = math.sin(x)
-            lam_omega = term.line_impedance * omega_pole
-            diag = lam_omega * math.cos(x) / s * term.outer
-            off = -lam_omega / s * term.outer
-            finite[ia : ia + dim, ia : ia + dim] += diag
-            finite[ib : ib + dim, ib : ib + dim] += diag
-            finite[ia : ia + dim, ib : ib + dim] += off
-            finite[ib : ib + dim, ia : ia + dim] += off
-
-    constraint = (
-        np.array(constraint_rows) if constraint_rows else np.zeros((0, free_size))
-    )
-    return constraint, finite[:, free_cols], limit[:, free_cols], full_map, free_map
+        a, b = (free.index_map.get(jid) for jid in rod.joints)
+        if a is not None:
+            row[a : a + dim] = ((-1.0) ** resonant[rod.id]) * e
+        if b is not None:
+            row[b : b + dim] = -e
+    cols = free.embedding
+    return constraint, finite_op[:, cols], limit_op[:, cols], full, free
 
 
 @dataclass
@@ -421,13 +406,7 @@ def _null_basis(matrix: np.ndarray, rtol: float):
     return vt[keep:].T
 
 
-def resonant_mode_check(
-    truss: Truss,
-    omega_pole: float,
-    resonant_rods,
-    n_values,
-    reduce_anchors: bool = True,
-):
+def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values):
     """Natural modes at a rod resonance, or an empty list when none exists.
 
     Candidates are the null space of the per-rod end-motion constraints;
@@ -435,11 +414,8 @@ def resonant_mode_check(
     lie in the range of the resonant rods' L'Hopital limit operator, i.e. the
     least-squares residual is ~zero relative to the forcing.
     """
-    del reduce_anchors  # anchored joints are always excluded from candidate motion
     resonant = dict(zip(resonant_rods, n_values))
-    constraint, finite, limit, full_map, free_map = _resonant_operators(
-        truss, omega_pole, resonant
-    )
+    constraint, finite, limit, full, free = _resonant_operators(truss, omega_pole, resonant)
     dim = truss.dimension
     free_size = constraint.shape[1]
     if free_size == 0:
@@ -453,11 +429,8 @@ def resonant_mode_check(
     if candidates.shape[1] == 0:
         return []
 
-    free_rows = np.zeros(finite.shape[0], dtype=bool)
-    for jid, off in free_map.items():
-        free_rows[full_map[jid] : full_map[jid] + dim] = True
-    finite_free = finite[free_rows]
-    limit_free = limit[free_rows]
+    finite_free = finite[free.embedding]
+    limit_free = limit[free.embedding]
 
     forced = finite_free @ candidates  # forces each candidate needs absorbed
     u_l, s_l, _ = np.linalg.svd(limit_free, full_matrices=False)
@@ -490,14 +463,14 @@ def resonant_mode_check(
             continue
         force_full = finite @ vec + limit @ xi
         anchor = {
-            j.id: force_full[full_map[j.id] : full_map[j.id] + dim].copy()
+            j.id: force_full[full.index_map[j.id] : full.index_map[j.id] + dim].copy()
             for j in truss.anchored_joints
         }
         modes.append(
             ModeResult(
                 omega=omega_pole,
                 kind="resonant",
-                displacements=_as_joint_dict(truss, free_map, vec),
+                displacements=_as_joint_dict(truss, free.index_map, vec),
                 anchor_forces=anchor,
                 resonant_order=order,
             )

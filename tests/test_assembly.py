@@ -1,9 +1,16 @@
+import dataclasses
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from conftest import random_truss
 from spectruss import (
+    FrequencyWindow,
     Joint,
     Material,
     PoleProximityError,
@@ -11,12 +18,22 @@ from spectruss import (
     SingularAtFrequencyError,
     Truss,
     assemble_laplacian,
+    assemble_mass,
     assemble_stiffness,
+    builtin_structure,
+    extract_modes,
+    fem_frequencies,
+    find_natural_frequencies,
     laplacian_determinant,
+    pole_set,
+    resonant_constraint_system,
+    reverberation_frequencies,
     rod_spectral_factors,
     solve_forced_response,
     subdivide,
 )
+from spectruss import _roots, assembly, spectrum
+from spectruss.assembly import laplacian_batch
 from spectruss.validation import SquareClosedForm, closed_form_square_det
 
 
@@ -207,3 +224,248 @@ def test_subdivision_keeps_static_limit(square):
     fine = subdivide(square, 3)
     k = assemble_stiffness(fine, reduce_anchors=False)
     assert np.allclose(k.entries, k.entries.T)
+
+
+# -- the scatter pattern against the block formulas ------------------------------
+
+
+def _reference(truss, reduce_anchors, diag, off):
+    """sum_r diag_r e e^T on blocks (a,a), (b,b) and off_r e e^T on (a,b), (b,a), rod by rod."""
+    dim = truss.dimension
+    kept = [j.id for j in truss.joints if not (reduce_anchors and j.anchored)]
+    index = {jid: dim * i for i, jid in enumerate(kept)}
+    out = np.zeros((dim * len(kept), dim * len(kept)))
+    for r, rod in enumerate(truss.rods):
+        e = truss.rod_properties(rod).unit_vector
+        a, b = (index.get(jid) for jid in rod.joints)
+        for p, q, c in ((a, a, diag[r]), (b, b, diag[r]), (a, b, off[r]), (b, a, off[r])):
+            if p is not None and q is not None:
+                out[p : p + dim, q : q + dim] += c * np.outer(e, e)
+    return out
+
+
+def _spectral(truss, omega, skip=()):
+    """Per-rod D(omega) coefficients from the scalar formulas; rods in skip get zero."""
+    diag, off = [], []
+    for rod in truss.rods:
+        p = truss.rod_properties(rod)
+        x = omega * p.transit_time
+        lam_omega = p.line_impedance * omega
+        live = rod.id not in skip
+        diag.append(lam_omega * math.cos(x) / math.sin(x) if live else 0.0)
+        off.append(-lam_omega / math.sin(x) if live else 0.0)
+    return diag, off
+
+
+def _assert_close(got, expected):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(
+        np.abs(expected), initial=0.0
+    )
+
+
+def _pattern_cases():
+    """24 random draws, every other one with its first joint anchored, plus the builtins."""
+    rng = np.random.default_rng(2024)
+    trusses = []
+    for k in range(24):
+        t = random_truss(rng)
+        if k % 2:
+            joints = [dataclasses.replace(t.joints[0], anchored=True), *t.joints[1:]]
+            t = Truss(t.dimension, joints, t.rods, t.materials)
+        trusses.append(t)
+    assert {t.dimension for t in trusses} == {2, 3}
+    return trusses + [builtin_structure("square"), builtin_structure("bridge")]
+
+
+@pytest.mark.parametrize("reduce_anchors", [True, False])
+def test_pattern_matrices_match_block_formulas(reduce_anchors):
+    for truss in _pattern_cases():
+        props = [truss.rod_properties(rod) for rod in truss.rods]
+        omegas = np.array([0.31, 0.77, 1.9]) / truss.tau_min
+        batch = laplacian_batch(truss, omegas, reduce_anchors)
+        for omega, got in zip(omegas, batch):
+            expected = _reference(truss, reduce_anchors, *_spectral(truss, omega))
+            _assert_close(got, expected)
+            single = assemble_laplacian(truss, omega, reduce_anchors).entries
+            _assert_close(single, expected)
+
+        k = [p.line_impedance / p.transit_time for p in props]
+        _assert_close(
+            assemble_stiffness(truss, reduce_anchors).entries,
+            _reference(truss, reduce_anchors, k, [-x for x in k]),
+        )
+        masses = [
+            truss.materials[rod.material].density * rod.area * p.length
+            for rod, p in zip(truss.rods, props)
+        ]
+        _assert_close(
+            assemble_mass(truss, "consistent", reduce_anchors).entries,
+            _reference(truss, reduce_anchors, [m / 3.0 for m in masses], [m / 6.0 for m in masses]),
+        )
+        lumped = assemble_mass(truss, "lumped", reduce_anchors)
+        expected = np.zeros_like(lumped.entries)
+        dim = truss.dimension
+        for rod, m in zip(truss.rods, masses):
+            for jid in rod.joints:
+                if jid in lumped.index_map:
+                    off = lumped.index_map[jid]
+                    expected[off : off + dim, off : off + dim] += 0.5 * m * np.eye(dim)
+        _assert_close(lumped.entries, expected)
+
+
+def test_resonant_operators_match_block_formulas():
+    checked = 0
+    for truss in _pattern_cases():
+        poles = pole_set(truss, FrequencyWindow(0.05 / truss.tau_min, 7.0 / truss.tau_min))
+        if not poles:
+            continue
+        pole = poles[0]
+        orders = dict(zip(pole.rods, pole.orders))
+        system = resonant_constraint_system(truss, pole.omega, pole.rods, pole.orders)
+
+        dim = truss.dimension
+        full = {j.id: dim * i for i, j in enumerate(truss.joints)}
+        free_ids = [j.id for j in truss.free_joints]
+        cols = np.concatenate([np.arange(full[j], full[j] + dim) for j in free_ids] or [[]])
+        cols = cols.astype(int)
+        finite = _reference(truss, False, *_spectral(truss, pole.omega, skip=orders))
+        diag, off = [], []
+        for rod in truss.rods:
+            p = truss.rod_properties(rod)
+            c = p.line_impedance * pole.omega / p.transit_time if rod.id in orders else 0.0
+            diag.append(c)
+            off.append(-((-1.0) ** orders.get(rod.id, 0)) * c)
+        limit = _reference(truss, False, diag, off)
+        _assert_close(system.nonresonant_force_operator, finite[:, cols])
+        _assert_close(system.limit_force_operator, limit[:, cols])
+
+        free = {jid: dim * i for i, jid in enumerate(free_ids)}
+        rows = []
+        for rod in truss.rods:
+            if rod.id not in orders:
+                continue
+            row = np.zeros(dim * len(free_ids))
+            e = truss.rod_properties(rod).unit_vector
+            a, b = rod.joints
+            if a in free:
+                row[free[a] : free[a] + dim] = ((-1.0) ** orders[rod.id]) * e
+            if b in free:
+                row[free[b] : free[b] + dim] = -e
+            rows.append(row)
+        assert np.array_equal(system.constraint_matrix, np.array(rows))
+        checked += 1
+    assert checked >= 20
+
+
+# -- memory-bounded batches --------------------------------------------------------
+
+
+def _braced_lattice(side):
+    """Unit grid with rods (i,j)-(i+1,j), (i,j)-(i,j+1), (i,j)-(i+1,j+1); row j=0 anchored."""
+    joints = [
+        Joint(f"{i},{j}", (float(i), float(j)), anchored=(j == 0))
+        for j in range(side)
+        for i in range(side)
+    ]
+    rods = []
+    for j in range(side):
+        for i in range(side):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                a, b = i + di, j + dj
+                if a < side and b < side:
+                    rods.append(Rod(f"{i},{j}-{a},{b}", (f"{i},{j}", f"{a},{b}"), 1.0, "unit"))
+    return Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
+
+
+@pytest.fixture
+def slogdet_sizes(monkeypatch):
+    """Byte size of every stack passed to numpy.linalg.slogdet."""
+    sizes = []
+    real = np.linalg.slogdet
+
+    def spy(a):
+        sizes.append(np.asarray(a).nbytes)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
+    return sizes
+
+
+def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
+    lattice = _braced_lattice(5)
+    basis, _ = spectrum._free_basis(lattice)
+    assert basis is None
+    func, _ = spectrum._det_eval(lattice, True, basis)
+    per_point = 8 * 40 * 40
+    omegas = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
+    assert omegas.size * per_point > 3 * _roots.BATCH_BYTES
+
+    sign, logabs = func(omegas)
+    assert len(slogdet_sizes) == 4
+    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+    points = [func(np.array([w])) for w in omegas]
+    assert np.array_equal(sign, [s[0] for s, _ in points])
+    assert np.array_equal(logabs, [x[0] for _, x in points])
+
+
+def test_fem_and_matching_determinants_stay_within_budget(slogdet_sizes):
+    lattice = _braced_lattice(5)
+    fem_frequencies(lattice, FrequencyWindow(0.06, 2.0, grid_points=1500))
+    assert sum(slogdet_sizes[:2]) == 1500 * 8 * 40 * 40  # the grid, in two chunks
+    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+
+    slogdet_sizes.clear()
+    reverberation_frequencies(lattice, FrequencyWindow(0.05, 0.6, grid_points=200))
+    assert sum(slogdet_sizes[:3]) == 200 * 16 * 112 * 112  # the grid, in three chunks
+    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+
+
+# -- per-truss memo ------------------------------------------------------------------
+
+
+def _mode_arrays(modes):
+    return [
+        (m.omega, sorted((j, v.tolist()) for j, v in m.displacements.items()),
+         sorted((j, v.tolist()) for j, v in m.anchor_forces.items()))
+        for m in modes
+    ]
+
+
+def test_memo_keeps_alternating_structures_apart():
+    window = FrequencyWindow(0.05, 4.0)
+    kept = {name: builtin_structure(name) for name in ("square", "bridge")}
+    for _ in range(3):
+        for name, truss in kept.items():
+            fresh = builtin_structure(name)
+            sweep = find_natural_frequencies(truss, window)
+            assert sweep.omegas == find_natural_frequencies(fresh, window).omegas
+            for omega in (m.omega for m in sweep if m.kind == "regular"):
+                assert _mode_arrays(extract_modes(truss, omega)) == _mode_arrays(
+                    extract_modes(fresh, omega)
+                )
+    for truss in kept.values():
+        assert assembly._pattern(truss, True) is assembly._pattern(truss, True)
+
+
+def test_memo_does_not_keep_the_truss_alive():
+    truss = builtin_structure("bridge")
+    sweep = find_natural_frequencies(truss, FrequencyWindow(0.05, 4.0))
+    extract_modes(truss, sweep.modes[0].omega)
+    ref = weakref.ref(truss)
+    del truss, sweep
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_hands_every_thread_the_same_pattern():
+    truss = _braced_lattice(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(assembly._pattern, truss, True) for _ in range(64)]
+            patterns = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(p is patterns[0] for p in patterns)
