@@ -2,10 +2,12 @@
 
 Each of them is a sum of per-rod e e^T blocks in the global aligned frame
 (e_ba = -e_ab), scaled by one factor on the diagonal blocks and one on the
-coupling blocks of rod ab:
+coupling blocks of rod ab. With an orthonormal frame B_j per joint (the
+identity in the public builders, the rod-span frame of each free joint in the
+sweeps) the blocks are
 
-    X[a,a] += diag_r * e e^T    for every rod r at a
-    X[a,b]  = off_r  * e e^T    for rod r = ab
+    X[a,a] += diag_r * (B_a^T e)(B_a^T e)^T    for every rod r at a
+    X[a,b]  = off_r  * (B_a^T e)(B_b^T e)^T    for rod r = ab
 
     D(omega)      diag_r = Lambda*omega*cot(omega*tau)   off_r = -Lambda*omega*csc(omega*tau)
     K             diag_r = Lambda/tau                    off_r = -Lambda/tau
@@ -13,11 +15,11 @@ coupling blocks of rod ab:
 
 So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
 vector [diag_r, off_r] to the structurally nonzero entries, applied to one
-coefficient column per frequency. The pattern is built on first use per truss
-and anchor reduction and kept with the truss; the same path serves one matrix
-or a batch, at every size. Batched determinant sweeps over these matrices run
-in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory does not
-grow with the number of grid points.
+coefficient column per frequency. The pattern is built on first use per truss,
+anchor reduction and choice of frames, and kept with the truss; the same path
+serves one matrix or a batch, at every size. Batched determinant sweeps over
+these matrices run in chunks whose stacks stay within `_roots.BATCH_BYTES`, so
+memory does not grow with the number of grid points.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -101,10 +104,11 @@ class _Pattern:
     """Scatter map from per-rod coefficients to the entries of one joint matrix.
 
     The coefficient vector is [diag_0 .. diag_{R-1}, off_0 .. off_{R-1}] for R
-    rods. Row k of `scatter` holds the e e^T values whose products with those
-    coefficients sum, in rod order, to the entry at flat position rows[k]
-    (i * size + j). `embedding` gives the positions of this system's degrees
-    of freedom in the unreduced one.
+    rods. Row k of `scatter` holds the (B_a^T e)(B_b^T e)^T values whose
+    products with those coefficients sum, in rod order, to the entry at flat
+    position rows[k] (i * size + j). Joint j has frame B_j = frames[j] at
+    offset index_map[j]; `lift` maps these coordinates to `dim` joint
+    coordinates per joint, and `embedding` places them in the unreduced system.
     """
 
     index_map: dict
@@ -112,41 +116,99 @@ class _Pattern:
     rows: np.ndarray
     scatter: sparse.csr_array
     embedding: np.ndarray
+    frames: dict
+
+    @cached_property
+    def lift(self) -> sparse.csr_array:
+        return sparse.csr_array(_lift(list(self.frames.values())))
 
 
-def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
+def _lift(frames) -> np.ndarray:
+    """Block-diagonal map from the frames' coordinates to the joint coordinates, dense."""
+    lift = np.zeros((sum(f.shape[0] for f in frames), sum(f.shape[1] for f in frames)))
+    row = col = 0
+    for f in frames:
+        lift[row : row + f.shape[0], col : col + f.shape[1]] = f
+        row, col = row + f.shape[0], col + f.shape[1]
+    return lift
+
+
+def _span_frames(truss: Truss):
+    """(frames, mechanism joint ids): per joint, a basis of the directions its rods span.
+
+    A free joint whose rods span fewer than `dim` directions (a mechanism joint,
+    such as every interior joint of a subdivided rod) makes det(D) vanish
+    identically; its frame keeps the spanned directions only. Every other
+    joint, anchored ones included, keeps the identity. Built once per truss.
+    """
+
+    def build():
+        dim = truss.dimension
+        frames = []
+        mechanisms = []
+        for joint in truss.joints:
+            frame = np.eye(dim)
+            if not joint.anchored:
+                vecs = [
+                    truss.rod_properties(rod).unit_vector * (1.0 if rod.joints[0] == joint.id else -1.0)
+                    for _, rod in truss.neighbors(joint.id)
+                ]
+                u, s, _ = np.linalg.svd(np.array(vecs).reshape(-1, dim).T, full_matrices=True)
+                rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
+                if rank < dim:
+                    mechanisms.append(joint.id)
+                    frame = u[:, :rank]
+            frame.setflags(write=False)
+            frames.append(frame)
+        return tuple(frames), tuple(mechanisms)
+
+    return truss._cached("span_frames", build)
+
+
+def _build_pattern(truss: Truss, reduce_anchors: bool, span: bool) -> _Pattern:
     dim = truss.dimension
-    kept = [i for i, j in enumerate(truss.joints) if not (reduce_anchors and j.anchored)]
-    index_map = {truss.joints[i].id: dim * k for k, i in enumerate(kept)}
-    size = dim * len(kept)
     n_rods = len(truss.rods)
     local = np.arange(dim)
+    frames = _span_frames(truss)[0] if span else (np.eye(dim),) * len(truss.joints)
+    width = np.array([f.shape[1] for f in frames])
+    kept = np.array([not (reduce_anchors and j.anchored) for j in truss.joints])
+    offset = np.cumsum(np.where(kept, width, 0)) - width  # meaningful at kept joints only
+    size = int(width[kept].sum())
+    index_map = {j.id: int(offset[i]) for i, j in enumerate(truss.joints) if kept[i]}
 
+    # B^T e at both ends of every rod, with the frames zero-padded to dim columns
+    padded = np.zeros((len(frames), dim, dim))
+    for i, f in enumerate(frames):
+        padded[i, :, : f.shape[1]] = f
+    position = {j.id: i for i, j in enumerate(truss.joints)}
+    ends = np.array([[position[jid] for jid in rod.joints] for rod in truss.rods])
     units = np.array([truss.rod_properties(rod).unit_vector for rod in truss.rods])
-    outer = units[:, None, :, None] * units[:, None, None, :]  # (rods, 1, dim, dim)
-    a, b = np.array([[index_map.get(jid, -1) for jid in rod.joints] for rod in truss.rods]).T
+    pa, pb = np.matmul(units[:, None, None, :], padded[ends])[:, :, 0, :].transpose(1, 0, 2)
+    ja, jb = ends.T
     r = np.arange(n_rods)
     # blocks (a,a) and (b,b) take diag_r, blocks (a,b) and (b,a) take off_r
-    block_row = np.stack([a, b, a, b], axis=1)[:, :, None, None]
-    block_col = np.stack([a, b, b, a], axis=1)[:, :, None, None]
+    block_row = np.stack([ja, jb, ja, jb], axis=1)[:, :, None, None]
+    block_col = np.stack([ja, jb, jb, ja], axis=1)[:, :, None, None]
     coeff = np.stack([r, r, n_rods + r, n_rods + r], axis=1)[:, :, None, None]
-    shape = (n_rods, 4, dim, dim)
-    positions = (block_row + local[:, None]) * size + (block_col + local[None, :])
-    columns = np.broadcast_to(coeff, shape)
-    values = np.broadcast_to(outer, shape)
-    # blocks of reduced-away joints drop out, as do the exact zeros of e e^T
-    # that axis-aligned rods leave
-    keep = (block_row >= 0) & (block_col >= 0) & (values != 0.0)
+    positions = (offset[block_row] + local[:, None]) * size + (offset[block_col] + local[None, :])
+    columns = np.broadcast_to(coeff, (n_rods, 4, dim, dim))
+    left, right = np.stack([pa, pb, pa, pb], axis=1), np.stack([pa, pb, pb, pa], axis=1)
+    values = left[..., :, None] * right[..., None, :]
+    # blocks of reduced-away joints drop out, as do the exact zeros of the
+    # padding past each frame's width and those that axis-aligned rods leave
+    keep = kept[block_row] & kept[block_col] & (values != 0.0)
     rows, entry = np.unique(positions[keep], return_inverse=True)
     scatter = sparse.csr_array((values[keep], (entry, columns[keep])), shape=(rows.size, 2 * n_rods))
     scatter.sort_indices()
-    embedding = (dim * np.array(kept, dtype=np.intp)[:, None] + local[None, :]).ravel()
-    return _Pattern(index_map, size, rows, scatter, embedding)
+    embedding = np.flatnonzero(np.repeat(kept, width))
+    kept_frames = {j.id: f for j, f, k in zip(truss.joints, frames, kept) if k}
+    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames)
 
 
-def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
-    """The truss's scatter pattern, built on first use and kept with it."""
-    return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
+def _pattern(truss: Truss, reduce_anchors: bool, span: bool = False) -> _Pattern:
+    """The truss's pattern in identity (or, with span, rod-span) frames, built once and kept."""
+    key = ("pattern", reduce_anchors, span)
+    return truss._cached(key, lambda: _build_pattern(truss, reduce_anchors, span))
 
 
 def _rod_constants(truss: Truss):
@@ -190,14 +252,13 @@ def check_pole_guard(truss: Truss, omega: float, guard: float = POLE_GUARD):
         raise PoleProximityError(truss.rods[r].id, int(n[r]), omega)
 
 
-def laplacian_evaluator(truss: Truss, reduce_anchors: bool = True):
+def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     """Reusable batched D(omega) builder: the pattern times the rod coefficients.
 
     Sweeps call the returned function thousands of times (grid plus bisection
     refinement); it maps a 1-D array of frequencies to the (m, size, size)
-    stack and applies no pole guard.
+    stack in the pattern's coordinates and applies no pole guard.
     """
-    pattern = _pattern(truss, reduce_anchors)
     taus, lams = _rod_constants(truss)
 
     def build(omegas) -> np.ndarray:
@@ -209,7 +270,7 @@ def laplacian_evaluator(truss: Truss, reduce_anchors: bool = True):
 
 def laplacian_batch(truss: Truss, omegas, reduce_anchors: bool = True) -> np.ndarray:
     """D(omega) stacked over a 1-D array of frequencies; no pole guard."""
-    return laplacian_evaluator(truss, reduce_anchors)(omegas)
+    return laplacian_evaluator(truss, _pattern(truss, reduce_anchors))(omegas)
 
 
 def assemble_laplacian(

@@ -72,27 +72,23 @@ def fem_frequencies(
     window: FrequencyWindow,
     kind: str = "consistent",
     divisions: int = 1,
-    reduce_anchors: bool = True,
     threads: int = 1,
 ):
-    """Roots of det(K - w^2 M) after subdividing each rod.
+    """Roots of det(K - w^2 M) of the anchored structure after subdividing each rod.
 
     Shares the bracketing machinery of the network-matrix sweep; this method
-    has no poles, so the window is swept as a single segment. Transverse
-    directions at joints whose rods are collinear (every interior subdivision
-    joint) carry no axial stiffness and are projected out, exactly as in the
-    network-matrix sweep; without this the consistent-mass determinant is
-    identically zero.
+    has no poles, so the window is swept as a single segment. K and M are
+    projected once onto the rod-span frames of the free joints, as in the
+    network-matrix sweep: transverse directions at joints whose rods are
+    collinear (every interior subdivision joint) carry no axial stiffness, and
+    without the projection the consistent-mass determinant is identically zero.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be >= 1, got {divisions}")
     fine = subdivide(truss, divisions)
-    k = assemble_stiffness(fine, reduce_anchors).entries
-    m = assemble_mass(fine, kind, reduce_anchors).entries
-    basis, _ = _free_basis(fine, include_anchored=not reduce_anchors)
-    if basis is not None:
-        k = basis.T @ k @ basis
-        m = basis.T @ m @ basis
+    basis, _ = _free_basis(fine)
+    k = basis.T @ assemble_stiffness(fine).entries @ basis
+    m = basis.T @ assemble_mass(fine, kind).entries @ basis
 
     def func(omegas):
         stack = k[None, :, :] - np.asarray(omegas)[:, None, None] ** 2 * m[None, :, :]

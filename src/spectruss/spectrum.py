@@ -23,10 +23,13 @@ from . import _roots
 from .assembly import (
     POLE_GUARD,
     _assemble,
+    _lift,
     _pattern,
     _rod_constants,
+    _span_frames,
     _spectral_coefficients,
     assemble_laplacian,
+    check_pole_guard,
     laplacian_evaluator,
 )
 from .model import Truss
@@ -127,77 +130,35 @@ def pole_set(truss: Truss, window: FrequencyWindow):
 # -- deficient-joint handling -------------------------------------------------
 
 
-def _free_basis(truss: Truss, include_anchored: bool = False):
-    """Orthonormal rod-span basis per free joint; identity unless deficient.
+def _free_basis(truss: Truss):
+    """Rod-span basis of the free joints, dense, and the mechanism joint ids.
 
-    A free joint whose rods span fewer than `dim` directions makes det(D)
-    vanish identically (the transverse motion is a mechanism); those
-    directions are projected out of the swept system. Returns (basis or None,
-    mechanism joint ids); the basis is built once per truss and is read-only.
+    basis.T @ X @ basis projects an anchor-reduced joint matrix X onto the
+    rod-span frames (assembly._span_frames) that the sweeps solve in.
     """
-    basis, mechanisms = truss._cached(
-        ("free_basis", include_anchored), lambda: _joint_span_basis(truss, include_anchored)
-    )
-    return basis, list(mechanisms)
+    frames, mechanisms = _span_frames(truss)
+    free = [f for j, f in zip(truss.joints, frames) if not j.anchored]
+    return _lift(free), list(mechanisms)
 
 
-def _joint_span_basis(truss: Truss, include_anchored: bool):
-    dim = truss.dimension
-    blocks = []
-    mechanisms = []
-    deficient = False
-    for joint in truss.joints if include_anchored else truss.free_joints:
-        edges = truss.neighbors(joint.id)
-        vecs = []
-        for other, rod in edges:
-            e = truss.rod_properties(rod).unit_vector
-            vecs.append(e if rod.joints[0] == joint.id else -e)
-        mat = np.array(vecs, dtype=float).T if vecs else np.zeros((dim, 0))
-        u, s, _ = np.linalg.svd(mat, full_matrices=True)
-        rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-        if rank < dim:
-            deficient = True
-            mechanisms.append(joint.id)
-            blocks.append(u[:, :rank])
-        else:
-            blocks.append(np.eye(dim))
-    if not deficient:
-        return None, ()
-    size = dim * len(blocks)
-    width = sum(b.shape[1] for b in blocks)
-    basis = np.zeros((size, width))
-    col = 0
-    for i, b in enumerate(blocks):
-        basis[dim * i : dim * (i + 1), col : col + b.shape[1]] = b
-        col += b.shape[1]
-    basis.setflags(write=False)
-    return basis, tuple(mechanisms)
+def _det_eval(truss: Truss):
+    """Batched (sign, log|det|) of the swept D and its (sigma_min, sigma_max) probe.
 
-
-def _det_eval(truss: Truss, reduce_anchors: bool, basis):
-    """Batched (sign, log|det|) of the projected D and its (sigma_min, sigma_max) probe.
-
-    Both share one D(omega) builder. The batched function evaluates any number
-    of frequencies in chunks within _roots.BATCH_BYTES.
+    The swept D is the anchor-reduced one in rod-span frames. Both share one
+    D(omega) builder. The batched function evaluates any number of
+    frequencies in chunks within _roots.BATCH_BYTES.
     """
-    build = laplacian_evaluator(truss, reduce_anchors)
+    pattern = _pattern(truss, reduce_anchors=True, span=True)
+    build = laplacian_evaluator(truss, pattern)
 
     def func(omegas):
-        stack = build(omegas)
-        if basis is not None:
-            stack = np.einsum("ij,mjk,kl->mil", basis.T, stack, basis, optimize=True)
-        sign, logabs = np.linalg.slogdet(stack)
-        return sign, logabs
+        return np.linalg.slogdet(build(omegas))
 
     def sigma(omega):
-        matrix = build(np.array([omega]))[0]
-        if basis is not None:
-            matrix = basis.T @ matrix @ basis
-        svals = np.linalg.svd(matrix, compute_uv=False)
+        svals = np.linalg.svd(build(np.array([omega]))[0], compute_uv=False)
         return float(svals[-1]), float(svals[0])
 
-    size = _pattern(truss, reduce_anchors).size
-    return _roots.chunked(func, 8 * size * size), sigma
+    return _roots.chunked(func, 8 * pattern.size * pattern.size), sigma
 
 
 def _segments(window: FrequencyWindow, truss: Truss, poles):
@@ -218,18 +179,16 @@ def _segments(window: FrequencyWindow, truss: Truss, poles):
     return segments
 
 
-def find_natural_frequencies(
-    truss: Truss, window: FrequencyWindow, reduce_anchors: bool = True, threads: int = 1
-) -> SweepResult:
+def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1) -> SweepResult:
     """Locate every natural frequency in the window.
 
     Regular roots come from sign-change bracketing of det(D) between poles;
-    each pole is additionally dispatched to resonant_mode_check. Output is
-    sorted by frequency and deduplicated within the root tolerance.
+    each pole is additionally dispatched to resonant_mode_check. D is the
+    anchored structure's, in rod-span frames, so mechanism joints leave it
+    regular. Output is sorted by frequency and deduplicated within the root tolerance.
     """
     poles = pole_set(truss, window)
-    basis, mechanisms = _free_basis(truss)
-    func, sigma = _det_eval(truss, reduce_anchors, basis)
+    func, sigma = _det_eval(truss)
     tau_min = truss.tau_min
 
     roots = []
@@ -259,51 +218,43 @@ def find_natural_frequencies(
             resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
         )
     modes.sort(key=lambda m: m.omega)
-    return SweepResult(modes=modes, warnings=warnings, mechanisms=mechanisms)
+    return SweepResult(modes=modes, warnings=warnings, mechanisms=list(_span_frames(truss)[1]))
 
 
 # -- mode extraction -----------------------------------------------------------
 
 
-def _normalize_sign(vec: np.ndarray) -> np.ndarray:
+def _unit_mode(truss: Truss, pattern, vec: np.ndarray) -> tuple:
+    """vec at unit norm and its lifted joint displacements; first clear coordinate > 0."""
     vec = vec / np.linalg.norm(vec)
-    for x in vec:
-        if abs(x) > 1e-8:
-            return -vec if x < 0 else vec
-    return vec
+    joint = pattern.lift @ vec
+    if next((x < 0 for x in joint if abs(x) > 1e-8), False):
+        vec, joint = -vec, -joint
+    return vec, dict(zip(pattern.index_map, joint.reshape(-1, truss.dimension)))
 
 
-def _as_joint_dict(truss: Truss, index_map, vec):
+def _anchor_rows(truss: Truss, index_map, forces):
+    """Force vectors at anchored joints, read off the unreduced system's forces."""
     dim = truss.dimension
-    return {jid: vec[off : off + dim].copy() for jid, off in index_map.items()}
-
-
-def _anchor_rows_product(truss: Truss, full, displacements: dict):
-    """Force vectors at anchored joints: rows of the unreduced D times the mode."""
-    dim = truss.dimension
-    vec = np.zeros(full.entries.shape[0])
-    for jid, u in displacements.items():
-        vec[full.index_map[jid] : full.index_map[jid] + dim] = u
-    product = full.entries @ vec
     return {
-        j.id: product[full.index_map[j.id] : full.index_map[j.id] + dim].copy()
-        for j in truss.anchored_joints
+        j.id: forces[index_map[j.id] : index_map[j.id] + dim].copy() for j in truss.anchored_joints
     }
 
 
-def extract_modes(truss: Truss, omega_star: float, reduce_anchors: bool = True):
-    """Null-space mode shapes of D(omega*) via singular value decomposition.
+def extract_modes(truss: Truss, omega_star: float):
+    """Null-space mode shapes of the anchored structure's D(omega*), via SVD.
 
-    One unreduced D(omega*) serves both the null space (its free block when
-    reduce_anchors) and the anchor forces.
+    One unreduced D(omega*), in rod-span frames (the identity at anchors),
+    serves both the null space (its free block, the matrix the sweep solves)
+    and the anchor forces (its anchored rows). Shapes are in joint coordinates.
     """
-    basis, _ = _free_basis(truss)
-    full = assemble_laplacian(truss, omega_star, reduce_anchors=False)
-    pattern = _pattern(truss, reduce_anchors)
-    entries = full.entries[np.ix_(pattern.embedding, pattern.embedding)]
-    if basis is not None:
-        entries = basis.T @ entries @ basis
-    _, svals, vt = np.linalg.svd(entries)
+    if not (omega_star > 0.0):
+        raise ValueError(f"omega must be > 0, got {omega_star}")
+    check_pole_guard(truss, omega_star)
+    full = _pattern(truss, reduce_anchors=False, span=True)
+    free = _pattern(truss, reduce_anchors=True, span=True)
+    d = laplacian_evaluator(truss, full)(np.array([omega_star]))[0]
+    _, svals, vt = np.linalg.svd(d[np.ix_(free.embedding, free.embedding)])
     smax = svals[0] if svals.size else 0.0
     selected = np.nonzero(svals <= MODE_TOL * smax)[0]
     if selected.size == 0:
@@ -311,17 +262,13 @@ def extract_modes(truss: Truss, omega_star: float, reduce_anchors: bool = True):
 
     modes = []
     for i in selected:
-        vec = vt[i]
-        if basis is not None:
-            vec = basis @ vec
-        vec = _normalize_sign(vec)
-        displacements = _as_joint_dict(truss, pattern.index_map, vec)
+        vec, displacements = _unit_mode(truss, free, vt[i])
         modes.append(
             ModeResult(
                 omega=omega_star,
                 kind="regular",
                 displacements=displacements,
-                anchor_forces=_anchor_rows_product(truss, full, displacements),
+                anchor_forces=_anchor_rows(truss, full.index_map, d[:, free.embedding] @ vec),
             )
         )
     return modes
@@ -341,24 +288,25 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
     if not truss.anchored_joints:
         return {}
     full = assemble_laplacian(truss, mode.omega, reduce_anchors=False)
-    return _anchor_rows_product(truss, full, mode.displacements)
+    dim = truss.dimension
+    vec = np.zeros(full.entries.shape[0])
+    for jid, u in mode.displacements.items():
+        vec[full.index_map[jid] : full.index_map[jid] + dim] = u
+    return _anchor_rows(truss, full.index_map, full.entries @ vec)
 
 
 # -- rod resonance path --------------------------------------------------------
 
 
-def _resonant_operators(truss: Truss, omega_pole: float, resonant: dict):
+def _resonant_operators(truss: Truss, omega_pole: float, resonant: dict, full, free):
     """Constraint matrix plus force operators split into resonant/non-resonant rods.
 
-    Returns (constraint, finite_op, limit_op, full, free) with the unreduced
-    and reduced patterns last. finite_op is the unreduced D(omega) restricted
-    to non-resonant rods, with free-joint columns; limit_op maps
-    frequency-derivative parameters at free joints to forces via the per-rod
-    factor Lambda*omega/tau, with coupling -(-1)^n.
+    `full` and `free` are the unreduced and anchor-reduced patterns, in the
+    same frames. Returns (constraint, finite_op, limit_op). finite_op is the
+    unreduced D(omega) restricted to non-resonant rods, with free-joint
+    columns; limit_op maps frequency-derivative parameters at free joints to
+    forces via the per-rod factor Lambda*omega/tau, with coupling -(-1)^n.
     """
-    dim = truss.dimension
-    full = _pattern(truss, reduce_anchors=False)
-    free = _pattern(truss, reduce_anchors=True)
     taus, lams = _rod_constants(truss)
 
     hit = np.array([rod.id in resonant for rod in truss.rods])
@@ -373,13 +321,13 @@ def _resonant_operators(truss: Truss, omega_pole: float, resonant: dict):
     constraint = np.zeros((len(rods), free.size))
     for row, rod in zip(constraint, rods):
         e = truss.rod_properties(rod).unit_vector
-        a, b = (free.index_map.get(jid) for jid in rod.joints)
-        if a is not None:
-            row[a : a + dim] = ((-1.0) ** resonant[rod.id]) * e
-        if b is not None:
-            row[b : b + dim] = -e
+        for jid, sign in zip(rod.joints, ((-1.0) ** resonant[rod.id], -1.0)):
+            if jid in free.index_map:
+                frame = free.frames[jid]
+                offset = free.index_map[jid]
+                row[offset : offset + frame.shape[1]] = sign * (e @ frame)
     cols = free.embedding
-    return constraint, finite_op[:, cols], limit_op[:, cols], full, free
+    return constraint, finite_op[:, cols], limit_op[:, cols]
 
 
 @dataclass
@@ -393,8 +341,8 @@ def resonant_constraint_system(
     truss: Truss, omega_pole: float, resonant_rods, n_values
 ) -> ResonantConstraintSystem:
     resonant = dict(zip(resonant_rods, n_values))
-    constraint, finite, limit, _, _ = _resonant_operators(truss, omega_pole, resonant)
-    return ResonantConstraintSystem(constraint, finite, limit)
+    patterns = _pattern(truss, reduce_anchors=False), _pattern(truss, reduce_anchors=True)
+    return ResonantConstraintSystem(*_resonant_operators(truss, omega_pole, resonant, *patterns))
 
 
 def _null_basis(matrix: np.ndarray, rtol: float):
@@ -412,20 +360,17 @@ def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values
     Candidates are the null space of the per-rod end-motion constraints;
     a candidate survives when the forces contributed by the non-resonant rods
     lie in the range of the resonant rods' L'Hopital limit operator, i.e. the
-    least-squares residual is ~zero relative to the forcing.
+    least-squares residual is ~zero relative to the forcing. The motions are
+    those of the rod-span frames, as in the sweep.
     """
     resonant = dict(zip(resonant_rods, n_values))
-    constraint, finite, limit, full, free = _resonant_operators(truss, omega_pole, resonant)
-    dim = truss.dimension
-    free_size = constraint.shape[1]
-    if free_size == 0:
+    full = _pattern(truss, reduce_anchors=False, span=True)
+    free = _pattern(truss, reduce_anchors=True, span=True)
+    constraint, finite, limit = _resonant_operators(truss, omega_pole, resonant, full, free)
+    if free.size == 0:
         return []
 
-    basis, _ = _free_basis(truss)
-    if basis is not None:
-        candidates = basis @ _null_basis(constraint @ basis, 1e-10)
-    else:
-        candidates = _null_basis(constraint, 1e-10)
+    candidates = _null_basis(constraint, 1e-10)
     if candidates.shape[1] == 0:
         return []
 
@@ -453,7 +398,7 @@ def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
             continue
-        vec = _normalize_sign(vec)
+        vec, displacements = _unit_mode(truss, free, vec)
         rhs = -(finite_free @ vec)
         xi, *_ = np.linalg.lstsq(limit_free, rhs, rcond=1e-10)
         # relative residual test, with an absolute floor for rhs that is pure
@@ -461,17 +406,12 @@ def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values
         residual = np.linalg.norm(limit_free @ xi - rhs)
         if residual > FEAS_TOL * np.linalg.norm(rhs) + 1e-12 * scale:
             continue
-        force_full = finite @ vec + limit @ xi
-        anchor = {
-            j.id: force_full[full.index_map[j.id] : full.index_map[j.id] + dim].copy()
-            for j in truss.anchored_joints
-        }
         modes.append(
             ModeResult(
                 omega=omega_pole,
                 kind="resonant",
-                displacements=_as_joint_dict(truss, free.index_map, vec),
-                anchor_forces=anchor,
+                displacements=displacements,
+                anchor_forces=_anchor_rows(truss, full.index_map, finite @ vec + limit @ xi),
                 resonant_order=order,
             )
         )

@@ -279,7 +279,7 @@ def verify_square(truss=None):
             oracle_root = 0.5 * (lo + hi)
             break
     window = spectrum.FrequencyWindow(0.1, 3.0)
-    sweep = spectrum.find_natural_frequencies(truss, window, reduce_anchors=False)
+    sweep = spectrum.find_natural_frequencies(truss, window)
     regular = [m.omega for m in sweep.modes if m.kind == "regular"]
     actual_root = min(regular) if regular else float("nan")
     checks.append(

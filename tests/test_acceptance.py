@@ -146,7 +146,7 @@ def test_criterion_04_subdivision_invariance():
     pole_omegas = []
     for n in (1, 2, 4, 8):
         sub = subdivide(square, n)
-        result = find_natural_frequencies(sub, window, reduce_anchors=False)
+        result = find_natural_frequencies(sub, window)
         values = []
         for m in result.modes:
             if not values or abs(m.omega - values[-1]) > 1e-9:
@@ -186,7 +186,7 @@ def _fem_with_multiplicity(square, kind, divisions, roots):
     sub = subdivide(square, divisions)
     k = assemble_stiffness(sub, reduce_anchors=False).entries
     m = assemble_mass(sub, kind, reduce_anchors=False).entries
-    basis, _ = _free_basis(sub, include_anchored=True)
+    basis, _ = _free_basis(sub)
     if basis is not None:
         k, m = basis.T @ k @ basis, basis.T @ m @ basis
     out = []
@@ -214,7 +214,7 @@ def _fem_five_lowest(kind):
     window = FrequencyWindow(0.05, 4.8)
     five = {}
     for n in (1, 2, 4, 8, 16, 32):
-        roots = fem_frequencies(square, window, kind=kind, divisions=n, reduce_anchors=False)
+        roots = fem_frequencies(square, window, kind=kind, divisions=n)
         five[n] = np.array(_fem_with_multiplicity(square, kind, n, roots)[:5])
     return five
 
@@ -283,12 +283,12 @@ def test_criterion_05b_fem_endpoint_error(fem_five):
 def test_criterion_06_method_equivalence():
     detail = []
     ok = True
-    for name, reduce in (("square", False), ("bridge", True)):
+    for name in ("square", "bridge"):
         truss = builtin_structure(name)
         window = FrequencyWindow(0.05, 1.05 * math.pi)
         rev = reverberation_frequencies(truss, window)
         lap = []
-        for m in find_natural_frequencies(truss, window, reduce_anchors=reduce).modes:
+        for m in find_natural_frequencies(truss, window).modes:
             if not lap or abs(m.omega - lap[-1]) > 1e-9:
                 lap.append(m.omega)
         match = len(rev) == len(lap) and all(
@@ -312,19 +312,15 @@ def _best_time(fn, repeats=3):
 def test_criterion_07_timing_direction():
     detail = []
     ok = True
-    for name, reduce in (("square", False), ("bridge", True)):
+    for name in ("square", "bridge"):
         truss = builtin_structure(name)
         # the grid shared by all four methods is large enough that per-point
         # matrix work dominates fixed sweep overheads
         window = FrequencyWindow(0.05, 1.2 * math.pi, grid_points=20000)
-        t_lap = _best_time(
-            lambda: find_natural_frequencies(truss, window, reduce_anchors=reduce)
-        )
+        t_lap = _best_time(lambda: find_natural_frequencies(truss, window))
         t_rev = _best_time(lambda: reverberation_frequencies(truss, window))
-        t_fc = _best_time(lambda: fem_frequencies(truss, window, "consistent", 4,
-                                                  reduce_anchors=reduce))
-        t_fl = _best_time(lambda: fem_frequencies(truss, window, "lumped", 4,
-                                                  reduce_anchors=reduce))
+        t_fc = _best_time(lambda: fem_frequencies(truss, window, "consistent", 4))
+        t_fl = _best_time(lambda: fem_frequencies(truss, window, "lumped", 4))
         ok = ok and t_lap < t_rev and t_lap < t_fc and t_lap < t_fl
         detail.append(
             f"{name}: laplacian {t_lap * 1e3:.0f}ms vs reverberation {t_rev * 1e3:.0f}ms, "

@@ -278,11 +278,43 @@ def _pattern_cases():
     return trusses + [builtin_structure("square"), builtin_structure("bridge")]
 
 
-@pytest.mark.parametrize("reduce_anchors", [True, False])
-def test_pattern_matrices_match_block_formulas(reduce_anchors):
+@pytest.mark.parametrize(
+    "reduce_anchors, span", [(True, False), (False, False), (True, True)], ids=["True", "False", "span"]
+)
+def test_pattern_matrices_match_block_formulas(reduce_anchors, span):
     for truss in _pattern_cases():
         props = [truss.rod_properties(rod) for rod in truss.rods]
         omegas = np.array([0.31, 0.77, 1.9]) / truss.tau_min
+        k = [p.line_impedance / p.transit_time for p in props]
+        masses = [
+            truss.materials[rod.material].density * rod.area * p.length
+            for rod, p in zip(truss.rods, props)
+        ]
+        third, sixth = [m / 3.0 for m in masses], [m / 6.0 for m in masses]
+        stiffness = _reference(truss, reduce_anchors, k, [-x for x in k])
+        consistent = _reference(truss, reduce_anchors, third, sixth)
+        if span:
+            # the swept matrices, in the rod-span frame of each free joint
+            pattern = assembly._pattern(truss, reduce_anchors, span=True)
+            lift, mechanisms = spectrum._free_basis(truss)
+            assert np.array_equal(pattern.lift.toarray(), lift)
+            coefficients = np.array([k + [-x for x in k], third + sixth]).T
+            got = [
+                *assembly.laplacian_evaluator(truss, pattern)(omegas),
+                *assembly._assemble(pattern, coefficients),
+            ]
+            references = [_reference(truss, reduce_anchors, *_spectral(truss, w)) for w in omegas]
+            for matrix, reference in zip(got, references + [stiffness, consistent]):
+                _assert_close(matrix, lift.T @ reference @ lift)
+            if not mechanisms:
+                joint = [
+                    *laplacian_batch(truss, omegas, reduce_anchors),
+                    assemble_stiffness(truss, reduce_anchors).entries,
+                    assemble_mass(truss, "consistent", reduce_anchors).entries,
+                ]
+                assert all(np.array_equal(a, b) for a, b in zip(got, joint))
+            continue
+
         batch = laplacian_batch(truss, omegas, reduce_anchors)
         for omega, got in zip(omegas, batch):
             expected = _reference(truss, reduce_anchors, *_spectral(truss, omega))
@@ -290,19 +322,8 @@ def test_pattern_matrices_match_block_formulas(reduce_anchors):
             single = assemble_laplacian(truss, omega, reduce_anchors).entries
             _assert_close(single, expected)
 
-        k = [p.line_impedance / p.transit_time for p in props]
-        _assert_close(
-            assemble_stiffness(truss, reduce_anchors).entries,
-            _reference(truss, reduce_anchors, k, [-x for x in k]),
-        )
-        masses = [
-            truss.materials[rod.material].density * rod.area * p.length
-            for rod, p in zip(truss.rods, props)
-        ]
-        _assert_close(
-            assemble_mass(truss, "consistent", reduce_anchors).entries,
-            _reference(truss, reduce_anchors, [m / 3.0 for m in masses], [m / 6.0 for m in masses]),
-        )
+        _assert_close(assemble_stiffness(truss, reduce_anchors).entries, stiffness)
+        _assert_close(assemble_mass(truss, "consistent", reduce_anchors).entries, consistent)
         lumped = assemble_mass(truss, "lumped", reduce_anchors)
         expected = np.zeros_like(lumped.entries)
         dim = truss.dimension
@@ -394,9 +415,8 @@ def slogdet_sizes(monkeypatch):
 
 def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
     lattice = _braced_lattice(5)
-    basis, _ = spectrum._free_basis(lattice)
-    assert basis is None
-    func, _ = spectrum._det_eval(lattice, True, basis)
+    assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
+    func, _ = spectrum._det_eval(lattice)
     per_point = 8 * 40 * 40
     omegas = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
     assert omegas.size * per_point > 3 * _roots.BATCH_BYTES

@@ -138,31 +138,28 @@ def test_fem_frequencies_match_generalized_eigensolve(square):
     fine = subdivide(square, divisions)
     k = assemble_stiffness(fine, reduce_anchors=False).entries
     m = assemble_mass(fine, "consistent", reduce_anchors=False).entries
-    basis, _ = _free_basis(fine, include_anchored=True)
+    basis, _ = _free_basis(fine)
     kp, mp = basis.T @ k @ basis, basis.T @ m @ basis
     vals = linalg.eig(kp, mp, right=False)
     vals = np.real(vals[np.isfinite(vals) & (np.abs(vals.imag) <= 1e-9 * np.abs(vals))])
     vals = np.sqrt(np.sort(vals[vals > 1e-8]))
     window = FrequencyWindow(0.05, 4.0)
     expected = sorted(set(round(v, 9) for v in vals if 0.05 < v < 4.0))
-    found = fem_frequencies(square, window, kind="consistent", divisions=divisions,
-                            reduce_anchors=False)
+    found = fem_frequencies(square, window, kind="consistent", divisions=divisions)
     assert found == pytest.approx(expected, abs=1e-7)
 
 
 def test_fem_sweep_finds_even_multiplicity_root(square):
     # the undivided square has a double generalized eigenvalue at 2*sqrt(3)
     window = FrequencyWindow(0.05, 4.0)
-    found = fem_frequencies(square, window, kind="consistent", divisions=1,
-                            reduce_anchors=False)
+    found = fem_frequencies(square, window, kind="consistent", divisions=1)
     assert any(abs(w - 2.0 * math.sqrt(3.0)) <= 1e-8 for w in found)
 
 
 def test_fem_lowest_exceeds_network_value_at_division_one(square):
     # regression: the consistent-mass lowest frequency approaches from above
     window = FrequencyWindow(0.05, 2.0)
-    fem_low = fem_frequencies(square, window, kind="consistent", divisions=1,
-                              reduce_anchors=False)[0]
+    fem_low = fem_frequencies(square, window, kind="consistent", divisions=1)[0]
     assert fem_low > 0.9201511845297538
 
 

@@ -69,7 +69,7 @@ def test_square_lowest_root_matches_condition_bisection(square):
             lo = mid
     oracle = 0.5 * (lo + hi)
 
-    result = find_natural_frequencies(square, FrequencyWindow(0.1, 2.0), reduce_anchors=False)
+    result = find_natural_frequencies(square, FrequencyWindow(0.1, 2.0))
     regular = [m.omega for m in result.modes if m.kind == "regular"]
     assert regular
     assert min(regular) == pytest.approx(oracle, abs=1e-9)
@@ -110,7 +110,7 @@ def test_extract_modes_self_residual(square):
     from spectruss.assembly import assemble_laplacian
 
     omega = 0.9201511845297538
-    modes = extract_modes(square, omega, reduce_anchors=False)
+    modes = extract_modes(square, omega)
     d = assemble_laplacian(square, omega, reduce_anchors=False)
     for mode in modes:
         vec = mode_vector(mode, [j.id for j in square.joints])
@@ -132,7 +132,7 @@ def test_mode_sign_convention(bridge):
 
 
 def test_anchor_forces_unanchored_empty(square):
-    mode = extract_modes(square, 0.9201511845297538, reduce_anchors=False)[0]
+    mode = extract_modes(square, 0.9201511845297538)[0]
     assert anchor_forces(square, mode) == {}
 
 
@@ -167,6 +167,25 @@ def test_resonant_square_mode_exists(square):
         assert mode.kind == "resonant"
         flat = mode_vector(mode, [j.id for j in square.joints])
         assert np.linalg.norm(flat) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_resonant_modes_with_mechanism_joints(square):
+    # the x2 square keeps the square's double root at 2*pi, as resonant modes
+    # of its half sides (n = 1); every midpoint is a mechanism joint
+    fine = subdivide(square, 2)
+    pole = next(p for p in pole_set(fine, FrequencyWindow(6.0, 6.5)) if abs(p.omega - 2.0 * math.pi) < 1e-9)
+    orders = dict(zip(pole.rods, pole.orders))
+    modes = resonant_mode_check(fine, pole.omega, pole.rods, pole.orders)
+    assert len(modes) == 2
+    for mode in modes:
+        u = mode.displacements
+        for rod in fine.rods:
+            e = fine.rod_properties(rod).unit_vector
+            a, b = rod.joints
+            for mid in (jid for jid in rod.joints if "#" in jid):
+                assert np.linalg.norm(u[mid] - (u[mid] @ e) * e) <= 1e-12
+            if rod.id in orders:
+                assert abs(((-1.0) ** orders[rod.id]) * (e @ u[a]) - e @ u[b]) <= 1e-10
 
 
 def _elbow(tau_bc: float) -> Truss:
@@ -219,8 +238,49 @@ def test_root_set_scales_with_geometry(bridge):
 
 def test_mechanism_diagnostic(square):
     fine = subdivide(square, 2)
-    result = find_natural_frequencies(fine, FrequencyWindow(0.1, 2.0), reduce_anchors=False)
+    result = find_natural_frequencies(fine, FrequencyWindow(0.1, 2.0))
     assert sorted(result.mechanisms) == sorted(j.id for j in fine.joints if "#" in j.id)
+
+
+def _anchored_truss_with_mechanism_joint() -> Truss:
+    """Triangle abc anchored at a, plus joint d hanging on the single rod bd."""
+    joints = [
+        Joint("a", (0.0, 0.0), anchored=True),
+        Joint("b", (1.0, 0.0)),
+        Joint("c", (0.0, 1.0)),
+        Joint("d", (2.0, 0.3)),
+    ]
+    rods = [Rod(rid, (rid[0], rid[1]), 1.0, "m") for rid in ("ab", "bc", "ac", "bd")]
+    return Truss(2, joints, rods, {"m": Material("m", 1.0, 1.0)})
+
+
+def test_anchored_truss_with_mechanism_joint():
+    from spectruss.assembly import assemble_laplacian
+
+    truss = _anchored_truss_with_mechanism_joint()
+    window = FrequencyWindow(0.1, 3.0)
+    result = find_natural_frequencies(truss, window)
+    assert result.mechanisms == ["d"]
+    # sign changes of det(P^T D P), P the identity on b and c and e_bd at d,
+    # bisected to round-off
+    expected = [0.6846567072933578, math.pi / 2.0, 2.148055578604051, 2.482009532269207]
+    assert [m.kind for m in result.modes] == ["regular"] * 4
+    for mode, want in zip(result.modes, expected):
+        assert abs(mode.omega - want) <= window.tol_at(want)
+
+    e_bd = truss.rod_properties(truss.rod("bd")).unit_vector
+    for omega in result.omegas:
+        d = assemble_laplacian(truss, omega).entries
+        modes = extract_modes(truss, omega)
+        assert modes
+        for mode in modes:
+            u_d = mode.displacements["d"]
+            assert np.linalg.norm(u_d - (u_d @ e_bd) * e_bd) <= 1e-12
+            vec = mode_vector(mode, ("b", "c", "d"))
+            assert np.linalg.norm(d @ vec) <= 1e-8 * np.linalg.norm(d)
+            recovered = anchor_forces(truss, mode)
+            assert set(recovered) == set(mode.anchor_forces) == {"a"}
+            assert np.max(np.abs(recovered["a"] - mode.anchor_forces["a"])) <= 1e-12
 
 
 def test_bridge_roots_invariant_under_subdivision(bridge):
