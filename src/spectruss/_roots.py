@@ -1,13 +1,13 @@
 """Sign-sweep bracketing, vectorized bisection and |det| minimum refinement.
 
-One code path serves the network-matrix sweep, the FEM det(K - w^2 M) sweep and
-the modulus sweep of the wave-amplitude matching system, so timing comparisons
-between methods measure the matrices, not the root finder.
+One sign sweep serves the network-matrix and the FEM det(K - w^2 M) sweeps, and
+the modulus sweep of the wave-amplitude matching system shares its grid rule and
+golden-section refiner, so timing comparisons between methods measure the
+matrices, not the root finder.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,51 +54,54 @@ def chunked(func, point_bytes: int):
     return run
 
 
-def grid_count(lo: float, hi: float, tau_min: float, density: float, minimum: int = 16) -> int:
-    return max(minimum, int(math.ceil(density * (hi - lo) * tau_min)))
-
-
-def find_brackets(func, lo, hi, n_points, threads=1, refine=16,
-                  sigma_fn=None, sigma_tol=1e-7, tol_at=None):
+def find_brackets(func, segments, tol_at, threads=1, refine=16, sigma_fn=None, sigma_tol=1e-7):
     """Grid stage of a determinant sweep: exact/even roots plus sign brackets.
 
-    func(xs) -> (sign array, log|f| array), as from slogdet. Each bracketing
-    grid cell is refined once; a cell holding more than one sign change after
-    refinement is reported in the returned warnings.
+    Every (lo, hi, n_points) segment gets its own linspace grid, and all grids
+    are evaluated in one batched_eval call. The cell from one segment's end to
+    the next one's start crosses a seam (where a pole may sit), so it yields
+    no bracket and no dip. func(xs) -> (sign array, log|f| array), as from
+    slogdet. Every bracketing cell is refined once, all in one more call; a
+    cell holding more than one sign change after that is reported in the
+    returned warnings.
 
     Even-multiplicity roots produce a |f| dip without a sign change; when
     sigma_fn(x) -> (sigma_min, sigma_max) of the underlying matrix is supplied,
     such dips are refined by golden-section on sigma_min and accepted as roots
     when sigma_min <= sigma_tol * sigma_max.
+
+    Returns (roots, brackets, warnings); a bracket is (lo, hi, sign at lo).
     """
-    warnings = []
-    grid = np.linspace(lo, hi, max(int(n_points), 2))
+    if not segments:
+        return [], [], []
+    grids = [np.linspace(lo, hi, max(int(n), 2)) for lo, hi, n in segments]
+    grid = np.concatenate(grids)
+    inner = np.ones(grid.size - 1, dtype=bool)  # cell (i, i + 1) lies inside one segment
+    inner[np.cumsum([g.size for g in grids])[:-1] - 1] = False
     sign, logabs = batched_eval(func, grid, threads)
 
-    roots = [float(x) for x, s in zip(grid, sign) if s == 0.0]
+    roots = grid[sign == 0.0].tolist()
     if sigma_fn is not None:
-        if tol_at is None:
-            tol_at = lambda x: 1e-12 * max(abs(x), 1.0)
-        roots.extend(_even_roots(grid, sign, logabs, sigma_fn, sigma_tol, tol_at))
-    change = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        roots.extend(_even_roots(grid, sign, logabs, inner, sigma_fn, sigma_tol, tol_at))
+    change = np.nonzero((sign[:-1] * sign[1:] < 0) & inner)[0]
     if change.size == 0:
-        return roots, [], warnings
+        return roots, [], []
 
     # one refinement level inside every bracketing cell
-    brackets = []
     fine = np.linspace(0.0, 1.0, refine + 1)
     fine_x = grid[change, None] + (grid[change + 1] - grid[change])[:, None] * fine[None, :]
     fine_sign, _ = batched_eval(func, fine_x.ravel(), threads)
     fine_sign = fine_sign.reshape(fine_x.shape)
-    for row_x, row_s in zip(fine_x, fine_sign):
-        cells = np.nonzero(row_s[:-1] * row_s[1:] < 0)[0]
-        if cells.size > 1:
-            warnings.append(
-                f"grid too coarse near [{row_x[0]:.6g}, {row_x[-1]:.6g}]: "
-                f"{cells.size} sign changes in one cell"
-            )
-        roots.extend(float(x) for x, s in zip(row_x, row_s) if s == 0.0)
-        brackets.extend((row_x[c], row_x[c + 1], row_s[c]) for c in cells)
+    crossing = fine_sign[:, :-1] * fine_sign[:, 1:] < 0
+    counts = crossing.sum(axis=1)
+    warnings = [
+        f"grid too coarse near [{fine_x[i, 0]:.6g}, {fine_x[i, -1]:.6g}]: "
+        f"{counts[i]} sign changes in one cell"
+        for i in np.nonzero(counts > 1)[0]
+    ]
+    roots.extend(fine_x[fine_sign == 0.0].tolist())
+    rows, cols = np.nonzero(crossing)
+    brackets = list(zip(fine_x[rows, cols], fine_x[rows, cols + 1], fine_sign[rows, cols]))
     return roots, brackets, warnings
 
 
@@ -136,50 +139,54 @@ def bisect_brackets(func, brackets, tol_at, threads=1):
     return roots
 
 
-def sign_sweep_roots(func, lo, hi, n_points, tol_at, threads=1, refine=16,
+def sign_sweep_roots(func, segments, tol_at, threads=1, refine=16,
                      sigma_fn=None, sigma_tol=1e-7):
-    """All roots of a smooth function on [lo, hi] visible to a determinant sweep."""
-    roots, brackets, warnings = find_brackets(
-        func, lo, hi, n_points, threads=threads, refine=refine,
-        sigma_fn=sigma_fn, sigma_tol=sigma_tol, tol_at=tol_at,
-    )
+    """Sorted, deduplicated roots of func over (lo, hi, n_points) segments, and warnings.
+
+    One find_brackets pass covers every segment, one bisection pass every
+    bracket. func must be smooth inside each segment; poles belong on seams.
+    """
+    roots, brackets, warnings = find_brackets(func, segments, tol_at, threads, refine,
+                                              sigma_fn, sigma_tol)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
-    return sorted(roots), warnings
+    return dedupe_sorted(sorted(roots), tol_at), warnings
 
 
-def _even_roots(grid, sign, logabs, sigma_fn, sigma_tol, tol_at):
+def _golden(f, bracket, tol, fallback=None):
+    """(x, f(x)) at the golden-section minimum of f in bracket (a, b, c), to about tol.
+
+    When the bracket holds no minimum, returns (b, fallback).
+    """
+    b = bracket[1]
+    try:
+        res = optimize.minimize_scalar(
+            f, bracket=bracket, method="golden",
+            options={"xtol": tol / max(abs(b), 1e-30), "maxiter": 200},
+        )
+    except (ValueError, RuntimeError):
+        return float(b), fallback
+    return float(res.x), float(res.fun)
+
+
+def _even_roots(grid, sign, logabs, inner, sigma_fn, sigma_tol, tol_at):
     """Sharp |f| dips without a sign change, refined on sigma_min of the matrix.
 
-    Near an even-order zero sigma_min falls linearly (a V), so golden-section
-    locates it to far better accuracy than the flat-bottomed |f| minimum.
+    A dip is a grid point whose two cells lie inside its segment (inner) and
+    whose log|f| undercuts both neighbors by `depth`. Near an even-order zero
+    sigma_min falls linearly (a V), so golden-section locates it to far better
+    accuracy than the flat-bottomed |f| minimum.
     """
-    dips = []
     depth = 1.5  # natural-log units a grid point must undercut its neighbors
-    for i in range(1, len(grid) - 1):
-        if sign[i - 1] * sign[i] < 0 or sign[i] * sign[i + 1] < 0 or sign[i] == 0:
-            continue
-        if logabs[i] > logabs[i + 1] or logabs[i] >= logabs[i - 1]:
-            continue
-        if max(logabs[i - 1], logabs[i + 1]) - logabs[i] < depth:
-            continue
-        dips.append(i)
+    s_prev, s, s_next = sign[:-2], sign[1:-1], sign[2:]
+    l_prev, l, l_next = logabs[:-2], logabs[1:-1], logabs[2:]
+    skip = ((s_prev * s < 0) | (s * s_next < 0) | (s == 0) | (l > l_next) | (l >= l_prev)
+            | (np.maximum(l_prev, l_next) - l < depth))
+    dips = np.nonzero(inner[:-1] & inner[1:] & ~skip)[0] + 1
 
     roots = []
     for i in dips:
-        bracket = (grid[i - 1], grid[i], grid[i + 1])
-
-        def smin(x):
-            lo_sv, _ = sigma_fn(float(x))
-            return lo_sv
-
-        try:
-            res = optimize.minimize_scalar(
-                smin, bracket=bracket, method="golden",
-                options={"xtol": tol_at(grid[i]) / max(abs(grid[i]), 1e-30), "maxiter": 200},
-            )
-            x_star = float(res.x)
-        except (ValueError, RuntimeError):
-            x_star = float(grid[i])
+        x_star, _ = _golden(lambda x: sigma_fn(float(x))[0], tuple(grid[i - 1 : i + 2]),
+                            tol_at(grid[i]))
         lo_sv, hi_sv = sigma_fn(x_star)
         if hi_sv > 0 and lo_sv <= sigma_tol * hi_sv:
             roots.append(x_star)
@@ -203,21 +210,10 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     """
     grid = np.linspace(lo, hi, max(int(n_points), 3))
     (vals,) = batched_eval(lambda xs: (func_log(xs),), grid, threads)
-    minima = []
     interior = np.nonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
 
     def scalar(x):
         return float(func_log(np.array([x]))[0])
 
-    for i in interior:
-        bracket = (grid[i - 1], grid[i], grid[i + 1])
-        try:
-            res = optimize.minimize_scalar(
-                scalar, bracket=bracket, method="golden",
-                options={"xtol": xtol_at(grid[i]) / max(abs(grid[i]), 1e-30), "maxiter": 200},
-            )
-            x = float(res.x)
-            minima.append((x, float(res.fun)))
-        except (ValueError, RuntimeError):
-            minima.append((float(grid[i]), float(vals[i])))
-    return minima
+    return [_golden(scalar, tuple(grid[i - 1 : i + 2]), xtol_at(grid[i]), float(vals[i]))
+            for i in interior]

@@ -207,6 +207,7 @@ def _build_pattern(truss: Truss, reduce_anchors: bool, span: bool) -> _Pattern:
 
 def _pattern(truss: Truss, reduce_anchors: bool, span: bool = False) -> _Pattern:
     """The truss's pattern in identity (or, with span, rod-span) frames, built once and kept."""
+    span = span and bool(_span_frames(truss)[1])  # no mechanism joint: every frame is the identity
     key = ("pattern", reduce_anchors, span)
     return truss._cached(key, lambda: _build_pattern(truss, reduce_anchors, span))
 

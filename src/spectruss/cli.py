@@ -12,9 +12,10 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from . import _roots, fem, scattering, spectrum, validation
+from . import fem, scattering, spectrum, validation
 from .assembly import PoleProximityError, SingularAtFrequencyError
 from .model import TrussError, builtin_structure, load_truss, truss_to_json
 from .scattering import DegenerateJointError, EventExplosionError
@@ -180,13 +181,10 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     truss = _read_truss(args.file)
     window = _window(truss, args)
-    if window.grid_points is None:
-        window = FrequencyWindow(
-            window.omega_min, window.omega_max,
-            grid_points=_roots.grid_count(
-                window.omega_min, window.omega_max, truss.tau_min, spectrum.GRID_DENSITY
-            ),
-        )
+    # fix the total so every method sweeps the same number of base grid points
+    window = replace(
+        window, grid_points=window.points(window.omega_min, window.omega_max, truss.tau_min)
+    )
     divisions = _parse_divisions(args.divisions)
 
     def timed(fn):

@@ -22,7 +22,7 @@ import numpy as np
 from . import _roots
 from .assembly import _assemble, _pattern, assemble_stiffness
 from .model import Truss, subdivide
-from .spectrum import GRID_DENSITY, FrequencyWindow, _free_basis
+from .spectrum import FrequencyWindow, _free_basis
 
 MASS_KINDS = ("consistent", "lumped")
 
@@ -100,12 +100,9 @@ def fem_frequencies(
         svals = np.linalg.svd(k - omega**2 * m, compute_uv=False)
         return float(svals[-1]), float(svals[0])
 
-    if window.grid_points is not None:
-        n_pts = window.grid_points
-    else:
-        n_pts = _roots.grid_count(window.omega_min, window.omega_max, fine.tau_min, GRID_DENSITY)
+    lo, hi = window.omega_min, window.omega_max
     roots, _ = _roots.sign_sweep_roots(
-        func, window.omega_min, window.omega_max, n_pts, window.tol_at,
+        func, [(lo, hi, window.points(lo, hi, fine.tau_min))], window.tol_at,
         threads=threads, sigma_fn=sigma, sigma_tol=1e-7,
     )
-    return _roots.dedupe_sorted(roots, window.tol_at)
+    return roots

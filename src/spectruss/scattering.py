@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _roots
 from .model import Truss
-from .spectrum import GRID_DENSITY, FrequencyWindow
+from .spectrum import FrequencyWindow
 
 TOWARD_END = "toward_end"  # toward the rod's second endpoint
 TOWARD_START = "toward_start"
@@ -175,14 +175,9 @@ def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: in
     def logdet(omegas):
         return sign_logdet(omegas)[1]
 
-    if window.grid_points is not None:
-        n_pts = window.grid_points
-    else:
-        n_pts = _roots.grid_count(
-            window.omega_min, window.omega_max, truss.tau_min, GRID_DENSITY
-        )
+    lo, hi = window.omega_min, window.omega_max
     minima = _roots.modulus_minima(
-        logdet, window.omega_min, window.omega_max, n_pts, window.tol_at, threads=threads
+        logdet, lo, hi, window.points(lo, hi, truss.tau_min), window.tol_at, threads=threads
     )
     roots = []
     for x, _ in minima:

@@ -54,9 +54,16 @@ class NotARootError(Exception):
 
 @dataclass(frozen=True)
 class FrequencyWindow:
+    """A sweep window and its base grid (see points).
+
+    grid_points fixes the points over the whole window, which a network sweep
+    shares out across its pole-free segments by width; None lays GRID_DENSITY
+    points per unit of omega*tau_min.
+    """
+
     omega_min: float
     omega_max: float
-    grid_points: int | None = None  # total base grid points; None = density rule
+    grid_points: int | None = None
     root_tol: float | None = None  # absolute; None = DEFAULT_ROOT_RTOL * omega
     pole_guard: float = POLE_GUARD
 
@@ -72,6 +79,16 @@ class FrequencyWindow:
         if self.root_tol is not None:
             return self.root_tol
         return DEFAULT_ROOT_RTOL * max(abs(omega), self.omega_min)
+
+    def points(self, lo: float, hi: float, tau_min: float) -> int:
+        """Base grid points of a sweep over [lo, hi], a part of the window.
+
+        grid_points times the share of the window's width (at least 2), else
+        GRID_DENSITY per unit of omega*tau_min (at least 16).
+        """
+        if self.grid_points is not None:
+            return max(2, round(self.grid_points * (hi - lo) / (self.omega_max - self.omega_min)))
+        return max(16, math.ceil(GRID_DENSITY * (hi - lo) * tau_min))
 
 
 @dataclass(frozen=True)
@@ -162,7 +179,7 @@ def _det_eval(truss: Truss):
 
 
 def _segments(window: FrequencyWindow, truss: Truss, poles):
-    """Sweep intervals between consecutive poles, clipped by the pole guard."""
+    """(lo, hi, grid points) of the intervals between poles, clipped by the pole guard."""
     cuts = [(window.omega_min, 0.0)]
     for pole in poles:
         # guard distance in omega for the widest-guard rod of the group
@@ -175,42 +192,24 @@ def _segments(window: FrequencyWindow, truss: Truss, poles):
     for (x0, g0), (x1, g1) in zip(cuts[:-1], cuts[1:]):
         lo, hi = x0 + g0, x1 - g1
         if hi > lo:
-            segments.append((lo, hi))
+            segments.append((lo, hi, window.points(lo, hi, truss.tau_min)))
     return segments
 
 
 def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1) -> SweepResult:
     """Locate every natural frequency in the window.
 
-    Regular roots come from sign-change bracketing of det(D) between poles;
-    each pole is additionally dispatched to resonant_mode_check. D is the
+    Regular roots come from one sign sweep of det(D) over the segments between
+    poles; each pole is additionally dispatched to resonant_mode_check. D is the
     anchored structure's, in rod-span frames, so mechanism joints leave it
     regular. Output is sorted by frequency and deduplicated within the root tolerance.
     """
     poles = pole_set(truss, window)
     func, sigma = _det_eval(truss)
-    tau_min = truss.tau_min
-
-    roots = []
-    brackets = []
-    warnings = []
-    total_width = window.omega_max - window.omega_min
-    for lo, hi in _segments(window, truss, poles):
-        if window.grid_points is not None:
-            n_pts = max(2, round(window.grid_points * (hi - lo) / total_width))
-        else:
-            n_pts = _roots.grid_count(lo, hi, tau_min, GRID_DENSITY)
-        seg_roots, seg_brackets, seg_warnings = _roots.find_brackets(
-            func, lo, hi, n_pts, threads=threads,
-            sigma_fn=sigma, sigma_tol=MODE_TOL, tol_at=window.tol_at,
-        )
-        roots.extend(seg_roots)
-        brackets.extend(seg_brackets)
-        warnings.extend(seg_warnings)
-    # brackets never span a pole (segments are clipped), so all segments can
-    # share one vectorized bisection pass
-    roots.extend(_roots.bisect_brackets(func, brackets, window.tol_at, threads=threads))
-    roots = _roots.dedupe_sorted(sorted(roots), window.tol_at)
+    roots, warnings = _roots.sign_sweep_roots(
+        func, _segments(window, truss, poles), window.tol_at, threads=threads,
+        sigma_fn=sigma, sigma_tol=MODE_TOL,
+    )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
     for pole in poles:

@@ -468,6 +468,19 @@ def test_memo_keeps_alternating_structures_apart():
         assert assembly._pattern(truss, True) is assembly._pattern(truss, True)
 
 
+@pytest.mark.parametrize("reduce_anchors", [True, False])
+def test_span_pattern_is_the_identity_pattern_without_mechanism_joints(reduce_anchors):
+    for name in ("square", "bridge"):
+        truss = builtin_structure(name)
+        assert assembly._pattern(truss, reduce_anchors, span=True) is assembly._pattern(
+            truss, reduce_anchors
+        )
+    fine = subdivide(builtin_structure("square"), 2)  # midpoints span one direction
+    assert assembly._pattern(fine, reduce_anchors, span=True) is not assembly._pattern(
+        fine, reduce_anchors
+    )
+
+
 def test_memo_does_not_keep_the_truss_alive():
     truss = builtin_structure("bridge")
     sweep = find_natural_frequencies(truss, FrequencyWindow(0.05, 4.0))

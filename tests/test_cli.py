@@ -173,6 +173,30 @@ def test_bench_csv(capsys, square_file):
         assert all(float(c) > 0.0 for c in cells[1:])
 
 
+def test_bench_default_grid_is_the_density_rule(capsys, square_file, monkeypatch):
+    # without --grid-points every method gets the density rule's count over the
+    # default window, 2000 points per unit of omega * tau_min, at least 16
+    from spectruss import builtin_structure, cli
+
+    windows = []
+
+    def record(truss, window, *args, **kwargs):
+        windows.append(window)
+        return []
+
+    for owner, name in [(cli.spectrum, "find_natural_frequencies"),
+                        (cli.scattering, "reverberation_frequencies"),
+                        (cli.fem, "fem_frequencies")]:
+        monkeypatch.setattr(owner, name, record)
+    code, _, _ = run(capsys, "bench", square_file, "--divisions", "1,2")
+    assert code == 0
+    tau_min = builtin_structure("square").tau_min
+    lo, hi = 0.05 / tau_min, 1.2 * math.pi / tau_min
+    expected = max(16, math.ceil(2000.0 * (hi - lo) * tau_min))
+    assert len(windows) == 6
+    assert {w.grid_points for w in windows} == {expected}
+
+
 def test_simulate_events_and_snapshots(capsys, square_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(

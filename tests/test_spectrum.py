@@ -302,7 +302,7 @@ def test_grid_too_coarse_warning():
         vals = np.sin(10.0 * np.asarray(xs))
         return np.sign(vals), np.log(np.abs(vals) + 1e-300)
 
-    roots, warnings = sign_sweep_roots(wiggly, 0.1, 2.0, 3, lambda x: 1e-12)
+    roots, warnings = sign_sweep_roots(wiggly, [(0.1, 2.0, 3)], lambda x: 1e-12)
     assert warnings  # several crossings land in one refined cell
     expected = [k * math.pi / 10.0 for k in range(1, 7)]
     assert roots == pytest.approx(expected, abs=1e-10)
@@ -348,5 +348,65 @@ def test_pole_bracket_discarded():
         vals = 1.0 / (np.asarray(xs) - 1.3)
         return np.sign(vals), np.log(np.abs(vals))
 
-    roots, _ = sign_sweep_roots(pole, 1.0, 2.0, 50, lambda x: 1e-12)
+    roots, _ = sign_sweep_roots(pole, [(1.0, 2.0, 50)], lambda x: 1e-12)
     assert roots == []
+
+
+def _seam_function():
+    """(sign, log|f|) of f = (x-.5)(x-1.95)^2 (x-2.5)(x-2.51)(x-2.52) ((x-2.2)^2 + 1e-12) / (x-1.5).
+
+    Odd roots at 0.5 and three close ones near 2.5, an even root at 1.95
+    (seen by the sigma probe) and an odd pole at 1.5. The factor at 2.2 is a
+    sharp |f| dip with no root under it.
+    """
+    probed = []
+
+    def func(xs):
+        xs = np.asarray(xs, dtype=float)
+        odd = (xs - 0.5) * (xs - 2.5) * (xs - 2.51) * (xs - 2.52) / (xs - 1.5)
+        return np.sign(odd), np.log(np.abs(odd) * (xs - 1.95) ** 2 * ((xs - 2.2) ** 2 + 1e-12))
+
+    def sigma(x):
+        probed.append(x)
+        return abs(x - 1.95), 1.0
+
+    return func, sigma, probed
+
+
+def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
+    from spectruss._roots import find_brackets, sign_sweep_roots
+
+    tol = lambda x: 1e-12
+    # the pole at 1.5 sits in the first seam; the second segment ends on the
+    # dip at 2.2, and f keeps its sign across the second seam
+    segments = [(0.1, 1.4, 40), (1.6, 2.2, 20), (2.3, 3.0, 13)]
+    func, sigma, probed = _seam_function()
+    _, brackets, warnings = find_brackets(func, segments, sigma_fn=sigma, tol_at=tol)
+    assert brackets
+    assert all(any(a <= lo and hi <= b for a, b, _ in segments) for lo, hi, _ in brackets)
+    assert warnings  # the three close roots share one grid cell
+    assert probed and all(abs(x - 1.95) < 0.05 for x in probed)  # 2.2 is never refined
+
+    both, both_warnings = sign_sweep_roots(func, segments, tol, sigma_fn=sigma)
+    assert both == pytest.approx([0.5, 1.95, 2.5, 2.51, 2.52], abs=1e-9)
+    alone = [sign_sweep_roots(func, [segment], tol, sigma_fn=sigma) for segment in segments]
+    assert both == sorted(sum((roots for roots, _ in alone), []))
+    assert both_warnings == sum((w for _, w in alone), [])
+
+    def never(xs):
+        raise AssertionError("no segment, no evaluation")
+
+    assert sign_sweep_roots(never, [], tol, sigma_fn=sigma) == ([], [])
+
+
+def test_window_points_share_grid_points_by_width():
+    fixed = FrequencyWindow(0.05, 12.0, grid_points=3000)
+    assert fixed.points(0.05, 12.0, 0.37) == 3000
+    for lo, hi in [(1.0, 2.5), (0.05, 3.1), (7.0, 7.001)]:
+        assert fixed.points(lo, hi, 0.37) == max(2, round(3000 * (hi - lo) / 11.95))
+    assert fixed.points(7.0, 7.001, 0.37) == 2
+
+    dense = FrequencyWindow(0.05, 12.0)
+    for lo, hi, tau_min in [(0.05, 12.0, 1.0), (1.0, 2.5, 0.3), (7.0, 7.001, 1.0)]:
+        assert dense.points(lo, hi, tau_min) == max(16, math.ceil(2000.0 * (hi - lo) * tau_min))
+    assert dense.points(7.0, 7.001, 1.0) == 16
