@@ -1,9 +1,10 @@
-"""Sign-sweep bracketing, vectorized bisection and |det| minimum refinement.
+"""Determinant evaluators, sign-sweep bracketing, vectorized bisection, |det| minimum refinement.
 
-One sign sweep serves the network-matrix and the FEM det(K - w^2 M) sweeps, and
-the modulus sweep of the wave-amplitude matching system shares its grid rule and
-golden-section refiner, so timing comparisons between methods measure the
-matrices, not the root finder.
+All three sweeps ask where a stack of matrices goes singular, and each gets
+its evaluator from `determinant`. One sign sweep serves the network-matrix and
+the FEM det(K - w^2 M) sweeps, and the modulus sweep of the wave-amplitude
+matching system shares its grid rule and golden-section refiner, so timing
+comparisons between methods measure the matrices, not the root finder.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from scipy import optimize
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
 # longer grids are evaluated chunk by chunk.
 BATCH_BYTES = 16 * 2**20
+# Relative singular-value cutoff for null-space membership. An even root is
+# accepted at the same cutoff that mode extraction applies, so it has a mode.
+MODE_TOL = 1e-7
+REFINE = 16  # sub-cells in each bracketing grid cell's one refinement level
 
 
 def _concatenate(parts):
@@ -36,39 +41,45 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
     return _concatenate(parts)
 
 
-def chunked(func, point_bytes: int):
-    """func applied to consecutive chunks of xs, each within BATCH_BYTES.
+def determinant(build, point_bytes: int):
+    """(func, sigma) of the matrix stack build(xs) -> (m, n, n), one matrix per frequency.
 
-    func maps a 1-D array to a tuple of equally sized 1-D arrays and builds a
-    stack of point_bytes per point. Every point is evaluated on its own, so
-    the result does not depend on where the chunks split.
+    func(xs) -> (sign, log|det|) arrays, evaluated in consecutive chunks that
+    each build at most BATCH_BYTES at point_bytes per frequency. Every point is
+    evaluated on its own, so the result does not depend on where chunks split.
+    sigma(x) -> (sigma_min, sigma_max) of the matrix at one frequency.
     """
     step = max(1, BATCH_BYTES // max(1, point_bytes))
 
-    def run(xs):
+    def func(xs):
         xs = np.asarray(xs)
         if xs.size <= step:
-            return func(xs)
-        return _concatenate([func(xs[i : i + step]) for i in range(0, xs.size, step)])
+            return np.linalg.slogdet(build(xs))
+        return _concatenate([np.linalg.slogdet(build(xs[i : i + step]))
+                             for i in range(0, xs.size, step)])
 
-    return run
+    def sigma(x):
+        svals = np.linalg.svd(build(np.array([x]))[0], compute_uv=False)
+        return float(svals[-1]), float(svals[0])
+
+    return func, sigma
 
 
-def find_brackets(func, segments, tol_at, threads=1, refine=16, sigma_fn=None, sigma_tol=1e-7):
+def find_brackets(func, segments, tol_at, threads=1, sigma_fn=None):
     """Grid stage of a determinant sweep: exact/even roots plus sign brackets.
 
     Every (lo, hi, n_points) segment gets its own linspace grid, and all grids
     are evaluated in one batched_eval call. The cell from one segment's end to
     the next one's start crosses a seam (where a pole may sit), so it yields
     no bracket and no dip. func(xs) -> (sign array, log|f| array), as from
-    slogdet. Every bracketing cell is refined once, all in one more call; a
-    cell holding more than one sign change after that is reported in the
-    returned warnings.
+    slogdet. Every bracketing cell is refined once into REFINE sub-cells, all
+    in one more call; a cell holding more than one sign change after that is
+    reported in the returned warnings.
 
     Even-multiplicity roots produce a |f| dip without a sign change; when
     sigma_fn(x) -> (sigma_min, sigma_max) of the underlying matrix is supplied,
     such dips are refined by golden-section on sigma_min and accepted as roots
-    when sigma_min <= sigma_tol * sigma_max.
+    when sigma_min <= MODE_TOL * sigma_max.
 
     Returns (roots, brackets, warnings); a bracket is (lo, hi, sign at lo).
     """
@@ -82,13 +93,13 @@ def find_brackets(func, segments, tol_at, threads=1, refine=16, sigma_fn=None, s
 
     roots = grid[sign == 0.0].tolist()
     if sigma_fn is not None:
-        roots.extend(_even_roots(grid, sign, logabs, inner, sigma_fn, sigma_tol, tol_at))
+        roots.extend(_even_roots(grid, sign, logabs, inner, sigma_fn, tol_at))
     change = np.nonzero((sign[:-1] * sign[1:] < 0) & inner)[0]
     if change.size == 0:
         return roots, [], []
 
     # one refinement level inside every bracketing cell
-    fine = np.linspace(0.0, 1.0, refine + 1)
+    fine = np.linspace(0.0, 1.0, REFINE + 1)
     fine_x = grid[change, None] + (grid[change + 1] - grid[change])[:, None] * fine[None, :]
     fine_sign, _ = batched_eval(func, fine_x.ravel(), threads)
     fine_sign = fine_sign.reshape(fine_x.shape)
@@ -139,24 +150,19 @@ def bisect_brackets(func, brackets, tol_at, threads=1):
     return roots
 
 
-def sign_sweep_roots(func, segments, tol_at, threads=1, refine=16,
-                     sigma_fn=None, sigma_tol=1e-7):
+def sign_sweep_roots(func, segments, tol_at, threads=1, sigma_fn=None):
     """Sorted, deduplicated roots of func over (lo, hi, n_points) segments, and warnings.
 
     One find_brackets pass covers every segment, one bisection pass every
     bracket. func must be smooth inside each segment; poles belong on seams.
     """
-    roots, brackets, warnings = find_brackets(func, segments, tol_at, threads, refine,
-                                              sigma_fn, sigma_tol)
+    roots, brackets, warnings = find_brackets(func, segments, tol_at, threads, sigma_fn)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
     return dedupe_sorted(sorted(roots), tol_at), warnings
 
 
-def _golden(f, bracket, tol, fallback=None):
-    """(x, f(x)) at the golden-section minimum of f in bracket (a, b, c), to about tol.
-
-    When the bracket holds no minimum, returns (b, fallback).
-    """
+def _golden(f, bracket, tol):
+    """The golden-section minimum of f in bracket (a, b, c), to about tol; b if it holds none."""
     b = bracket[1]
     try:
         res = optimize.minimize_scalar(
@@ -164,11 +170,11 @@ def _golden(f, bracket, tol, fallback=None):
             options={"xtol": tol / max(abs(b), 1e-30), "maxiter": 200},
         )
     except (ValueError, RuntimeError):
-        return float(b), fallback
-    return float(res.x), float(res.fun)
+        return float(b)
+    return float(res.x)
 
 
-def _even_roots(grid, sign, logabs, inner, sigma_fn, sigma_tol, tol_at):
+def _even_roots(grid, sign, logabs, inner, sigma_fn, tol_at):
     """Sharp |f| dips without a sign change, refined on sigma_min of the matrix.
 
     A dip is a grid point whose two cells lie inside its segment (inner) and
@@ -185,10 +191,10 @@ def _even_roots(grid, sign, logabs, inner, sigma_fn, sigma_tol, tol_at):
 
     roots = []
     for i in dips:
-        x_star, _ = _golden(lambda x: sigma_fn(float(x))[0], tuple(grid[i - 1 : i + 2]),
-                            tol_at(grid[i]))
+        x_star = _golden(lambda x: sigma_fn(float(x))[0], tuple(grid[i - 1 : i + 2]),
+                         tol_at(grid[i]))
         lo_sv, hi_sv = sigma_fn(x_star)
-        if hi_sv > 0 and lo_sv <= sigma_tol * hi_sv:
+        if hi_sv > 0 and lo_sv <= MODE_TOL * hi_sv:
             roots.append(x_star)
     return roots
 
@@ -205,8 +211,8 @@ def dedupe_sorted(values, tol_at):
 def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     """Refined local minima of log|f| on [lo, hi] via golden-section.
 
-    func_log(xs) -> log|f| array. Returns (x, log|f|(x)) pairs; the caller
-    decides which minima are actual zeros.
+    func_log(xs) -> log|f| array. Returns the minima's x; the caller decides
+    which of them are actual zeros.
     """
     grid = np.linspace(lo, hi, max(int(n_points), 3))
     (vals,) = batched_eval(lambda xs: (func_log(xs),), grid, threads)
@@ -215,5 +221,4 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     def scalar(x):
         return float(func_log(np.array([x]))[0])
 
-    return [_golden(scalar, tuple(grid[i - 1 : i + 2]), xtol_at(grid[i]), float(vals[i]))
-            for i in interior]
+    return [_golden(scalar, tuple(grid[i - 1 : i + 2]), xtol_at(grid[i])) for i in interior]

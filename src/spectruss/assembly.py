@@ -18,8 +18,9 @@ vector [diag_r, off_r] to the structurally nonzero entries, applied to one
 coefficient column per frequency. The pattern is built on first use per truss,
 anchor reduction and choice of frames, and kept with the truss; the same path
 serves one matrix or a batch, at every size. Batched determinant sweeps over
-these matrices run in chunks whose stacks stay within `_roots.BATCH_BYTES`, so
-memory does not grow with the number of grid points.
+these matrices run through `_roots.determinant`, in chunks whose stacks stay
+within `_roots.BATCH_BYTES`, so memory does not grow with the number of grid
+points.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -242,12 +243,12 @@ def _spectral_coefficients(taus, lams, omegas: np.ndarray) -> np.ndarray:
     return np.concatenate([lam_omega * np.cos(x) / s, -lam_omega / s])
 
 
-def check_pole_guard(truss: Truss, omega: float, guard: float = POLE_GUARD):
+def check_pole_guard(truss: Truss, omega: float):
     """Raise PoleProximityError if any rod resonance n*pi (n >= 1) is too close."""
     taus, _ = _rod_constants(truss)
     x = omega * taus
     n = np.round(x / math.pi)
-    near = np.flatnonzero((n >= 1) & (np.abs(x - n * math.pi) < guard))
+    near = np.flatnonzero((n >= 1) & (np.abs(x - n * math.pi) < POLE_GUARD))
     if near.size:
         r = int(near[0])
         raise PoleProximityError(truss.rods[r].id, int(n[r]), omega)
@@ -274,13 +275,10 @@ def laplacian_batch(truss: Truss, omegas, reduce_anchors: bool = True) -> np.nda
     return laplacian_evaluator(truss, _pattern(truss, reduce_anchors))(omegas)
 
 
-def assemble_laplacian(
-    truss: Truss, omega: float, reduce_anchors: bool = True, check_poles: bool = True
-) -> SpectralMatrix:
+def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> SpectralMatrix:
     if not (omega > 0.0):
         raise ValueError(f"omega must be > 0, got {omega}")
-    if check_poles:
-        check_pole_guard(truss, omega)
+    check_pole_guard(truss, omega)
     pattern = _pattern(truss, reduce_anchors)
     entries = laplacian_batch(truss, [omega], reduce_anchors)[0]
     return SpectralMatrix(
@@ -297,11 +295,8 @@ def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> StiffnessMa
     return StiffnessMatrix(entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors)
 
 
-def laplacian_determinant(
-    truss: Truss, omega: float, reduce_anchors: bool = True, check_poles: bool = True
-) -> float:
-    matrix = assemble_laplacian(truss, omega, reduce_anchors, check_poles=check_poles)
-    return float(np.linalg.det(matrix.entries))
+def laplacian_determinant(truss: Truss, omega: float, reduce_anchors: bool = True) -> float:
+    return float(np.linalg.det(assemble_laplacian(truss, omega, reduce_anchors).entries))
 
 
 def solve_forced_response(truss: Truss, omega: float, forces) -> dict:

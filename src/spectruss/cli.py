@@ -111,7 +111,7 @@ def cmd_modes(args) -> int:
     poles = spectrum.pole_set(
         truss, FrequencyWindow(omega * 0.99 if omega > 0 else window.omega_min, omega * 1.01 + 1e-30)
     )
-    near_pole = [p for p in poles if abs(p.omega - omega) <= window.pole_guard / truss.tau_min]
+    near_pole = [p for p in poles if abs(p.omega - omega) < spectrum.guard_width(truss, p)]
     if near_pole:
         pole = near_pole[0]
         modes = spectrum.resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-time comparison of the four methods")
     p.add_argument("file")
     p.add_argument("--divisions", default="1,2,4,8")
-    p.add_argument("--count", type=int, default=5)
     p.add_argument("--grid-points", type=int, default=None)
     add_window(p)
     p.set_defaults(func=cmd_bench)

@@ -89,20 +89,10 @@ def fem_frequencies(
     basis, _ = _free_basis(fine)
     k = basis.T @ assemble_stiffness(fine).entries @ basis
     m = basis.T @ assemble_mass(fine, kind).entries @ basis
-
-    def func(omegas):
-        stack = k[None, :, :] - np.asarray(omegas)[:, None, None] ** 2 * m[None, :, :]
-        return np.linalg.slogdet(stack)
-
-    func = _roots.chunked(func, k.nbytes)
-
-    def sigma(omega):
-        svals = np.linalg.svd(k - omega**2 * m, compute_uv=False)
-        return float(svals[-1]), float(svals[0])
-
+    func, sigma = _roots.determinant(lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes)
     lo, hi = window.omega_min, window.omega_max
     roots, _ = _roots.sign_sweep_roots(
         func, [(lo, hi, window.points(lo, hi, fine.tau_min))], window.tol_at,
-        threads=threads, sigma_fn=sigma, sigma_tol=1e-7,
+        threads=threads, sigma_fn=sigma,
     )
     return roots

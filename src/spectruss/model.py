@@ -97,7 +97,6 @@ class Truss:
         self._validate()
 
         self._joint_index = {j.id: i for i, j in enumerate(self.joints)}
-        self._positions = np.array([j.position for j in self.joints], dtype=float)
         self._rod_index = {r.id: i for i, r in enumerate(self.rods)}
         self._properties = [self._derive(r) for r in self.rods]
         self._neighbors = {j.id: [] for j in self.joints}
@@ -205,9 +204,6 @@ class Truss:
 
     def joint(self, joint_id: str) -> Joint:
         return self.joints[self._joint_index[joint_id]]
-
-    def joint_position(self, joint_id: str) -> np.ndarray:
-        return self._positions[self._joint_index[joint_id]]
 
     def rod(self, rod_id: str) -> Rod:
         return self.rods[self._rod_index[rod_id]]

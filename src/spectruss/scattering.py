@@ -143,7 +143,7 @@ def matching_evaluator(truss: Truss):
         out = np.zeros((omegas.size, size, size), dtype=complex)
         out[:, np.arange(size), np.arange(size)] = 1.0
         terms = coeffs[None, :] * np.exp(-1j * omegas[:, None] * taus[None, :])
-        np.add.at(out, (slice(None), rows, cols), terms)
+        out[:, rows, cols] = terms  # every (row, col) is distinct and off the diagonal
         return out
 
     return build
@@ -168,21 +168,16 @@ def reverberation_dof(truss: Truss) -> int:
 
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
     """Frequencies where the matching system is singular, refined from |det| minima."""
-    build = matching_evaluator(truss)
-    size = 2 * len(truss.rods)
-    sign_logdet = _roots.chunked(lambda xs: np.linalg.slogdet(build(xs)), 16 * size * size)
-
-    def logdet(omegas):
-        return sign_logdet(omegas)[1]
-
+    det, sigma = _roots.determinant(matching_evaluator(truss), 16 * (2 * len(truss.rods)) ** 2)
     lo, hi = window.omega_min, window.omega_max
     minima = _roots.modulus_minima(
-        logdet, lo, hi, window.points(lo, hi, truss.tau_min), window.tol_at, threads=threads
+        lambda xs: det(xs)[1], lo, hi, window.points(lo, hi, truss.tau_min), window.tol_at,
+        threads=threads,
     )
     roots = []
-    for x, _ in minima:
-        svals = np.linalg.svd(build(np.array([x]))[0], compute_uv=False)
-        if svals[-1] <= _ZERO_SV_RATIO * svals[0]:
+    for x in minima:
+        lo_sv, hi_sv = sigma(x)
+        if lo_sv <= _ZERO_SV_RATIO * hi_sv:
             roots.append(x)
     return _roots.dedupe_sorted(sorted(roots), window.tol_at)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _roots
+from ._roots import MODE_TOL
 from .assembly import (
     POLE_GUARD,
     _assemble,
@@ -35,7 +36,6 @@ from .assembly import (
 from .model import Truss
 
 GRID_DENSITY = 2000.0  # base sweep points per unit of omega*tau_min between poles
-MODE_TOL = 1e-7  # relative singular-value cutoff for null-space membership
 FEAS_TOL = 1e-8  # relative residual cutoff for resonant feasibility
 DEFAULT_ROOT_RTOL = 1e-10  # bisection tolerance, relative to omega
 
@@ -64,8 +64,6 @@ class FrequencyWindow:
     omega_min: float
     omega_max: float
     grid_points: int | None = None
-    root_tol: float | None = None  # absolute; None = DEFAULT_ROOT_RTOL * omega
-    pole_guard: float = POLE_GUARD
 
     def __post_init__(self):
         if not (0.0 < self.omega_min < self.omega_max):
@@ -76,8 +74,6 @@ class FrequencyWindow:
             raise ValueError("grid_points must be >= 2")
 
     def tol_at(self, omega: float) -> float:
-        if self.root_tol is not None:
-            return self.root_tol
         return DEFAULT_ROOT_RTOL * max(abs(omega), self.omega_min)
 
     def points(self, lo: float, hi: float, tau_min: float) -> int:
@@ -159,34 +155,23 @@ def _free_basis(truss: Truss):
 
 
 def _det_eval(truss: Truss):
-    """Batched (sign, log|det|) of the swept D and its (sigma_min, sigma_max) probe.
-
-    The swept D is the anchor-reduced one in rod-span frames. Both share one
-    D(omega) builder. The batched function evaluates any number of
-    frequencies in chunks within _roots.BATCH_BYTES.
-    """
+    """(func, sigma) from _roots.determinant for the swept D: anchor-reduced, in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors=True, span=True)
-    build = laplacian_evaluator(truss, pattern)
+    return _roots.determinant(laplacian_evaluator(truss, pattern), 8 * pattern.size**2)
 
-    def func(omegas):
-        return np.linalg.slogdet(build(omegas))
 
-    def sigma(omega):
-        svals = np.linalg.svd(build(np.array([omega]))[0], compute_uv=False)
-        return float(svals[-1]), float(svals[0])
+def guard_width(truss: Truss, pole: Pole) -> float:
+    """Half-width in omega of the band the sweep leaves unsampled around a pole.
 
-    return _roots.chunked(func, 8 * pattern.size * pattern.size), sigma
+    The widest POLE_GUARD / tau among the pole's resonant rods.
+    """
+    return max(POLE_GUARD / truss.rod_properties(rid).transit_time for rid in pole.rods)
 
 
 def _segments(window: FrequencyWindow, truss: Truss, poles):
     """(lo, hi, grid points) of the intervals between poles, clipped by the pole guard."""
     cuts = [(window.omega_min, 0.0)]
-    for pole in poles:
-        # guard distance in omega for the widest-guard rod of the group
-        guard = max(
-            window.pole_guard / truss.rod_properties(rid).transit_time for rid in pole.rods
-        )
-        cuts.append((pole.omega, guard))
+    cuts.extend((pole.omega, guard_width(truss, pole)) for pole in poles)
     cuts.append((window.omega_max, 0.0))
     segments = []
     for (x0, g0), (x1, g1) in zip(cuts[:-1], cuts[1:]):
@@ -207,8 +192,7 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     poles = pole_set(truss, window)
     func, sigma = _det_eval(truss)
     roots, warnings = _roots.sign_sweep_roots(
-        func, _segments(window, truss, poles), window.tol_at, threads=threads,
-        sigma_fn=sigma, sigma_tol=MODE_TOL,
+        func, _segments(window, truss, poles), window.tol_at, threads=threads, sigma_fn=sigma
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]

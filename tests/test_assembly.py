@@ -34,6 +34,7 @@ from spectruss import (
 )
 from spectruss import _roots, assembly, spectrum
 from spectruss.assembly import laplacian_batch
+from spectruss.scattering import matching_evaluator
 from spectruss.validation import SquareClosedForm, closed_form_square_det
 
 
@@ -416,17 +417,31 @@ def slogdet_sizes(monkeypatch):
 def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
     lattice = _braced_lattice(5)
     assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
-    func, _ = spectrum._det_eval(lattice)
-    per_point = 8 * 40 * 40
-    omegas = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
-    assert omegas.size * per_point > 3 * _roots.BATCH_BYTES
+    network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True, span=True))
+    k, m = assemble_stiffness(lattice).entries, assemble_mass(lattice).entries
 
-    sign, logabs = func(omegas)
-    assert len(slogdet_sizes) == 4
-    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
-    points = [func(np.array([w])) for w in omegas]
-    assert np.array_equal(sign, [s[0] for s, _ in points])
-    assert np.array_equal(logabs, [x[0] for _, x in points])
+    def fem(w):
+        return k[None] - w[:, None, None] ** 2 * m[None]
+
+    matching = matching_evaluator(lattice)
+    grid = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
+    cases = [  # (func, sigma), the stack builder, frequencies: four chunks each
+        (spectrum._det_eval(lattice), network, grid),
+        (_roots.determinant(fem, k.nbytes), fem, grid),
+        (_roots.determinant(matching, 16 * 112 * 112), matching, np.linspace(0.06, 2.0, 300)),
+    ]
+    for (func, sigma), build, omegas in cases:
+        assert omegas.size * build(omegas[:1]).nbytes > 3 * _roots.BATCH_BYTES
+        slogdet_sizes.clear()
+        sign, logabs = func(omegas)
+        assert len(slogdet_sizes) == 4
+        assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+        points = [func(np.array([w])) for w in omegas]
+        assert np.array_equal(sign, [s[0] for s, _ in points])
+        assert np.array_equal(logabs, [x[0] for _, x in points])
+        for w in omegas[::50]:
+            svals = np.linalg.svd(build(np.array([w]))[0], compute_uv=False)
+            assert sigma(w) == (svals[-1], svals[0])
 
 
 def test_fem_and_matching_determinants_stay_within_budget(slogdet_sizes):

@@ -122,6 +122,25 @@ def test_modes_between_roots(capsys, bridge_file):
     assert "nearest root" in err
 
 
+def test_modes_outside_the_pole_guard_of_a_long_rod(capsys, tmp_path):
+    # free joint b between anchors a, d (rods of length 1) and c (rod bc of
+    # length 3): only bc resonates at pi/3, and its guard is POLE_GUARD / 3
+    # wide, so the sweep samples pi/3 + 5e-6 and `modes` must evaluate D there
+    from spectruss import Joint, Material, Rod, Truss, truss_to_json
+
+    joints = [Joint("a", (0.0, 0.0), anchored=True), Joint("b", (1.0, 0.0)),
+              Joint("c", (1.0, 3.0), anchored=True), Joint("d", (2.0, 0.0), anchored=True)]
+    rods = [Rod(f"{x}{y}", (x, y), 1.0, "unit") for x, y in ("ab", "bc", "bd")]
+    path = tmp_path / "tee.json"
+    path.write_text(truss_to_json(Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})))
+    code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3 + 5e-6))
+    assert code == 3
+    assert "has no null space" in err and "rod resonance" not in err
+    code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3 + 2e-6))
+    assert code == 3
+    assert "rod resonance with no natural mode" in err
+
+
 def test_compare_row_count(capsys, square_file):
     code, out, _ = run(capsys, "compare", square_file, "--divisions", "1,2,4,8",
                        "--count", "5")
