@@ -1,10 +1,13 @@
-"""Determinant evaluators, sign-sweep bracketing, vectorized bisection, |det| minimum refinement.
+"""Determinant evaluators, the counting sweep, secant root polish, |det| minimum refinement.
 
 All three sweeps ask where a stack of matrices goes singular, and each gets
-its evaluator from `determinant`. One sign sweep serves the network-matrix and
-the FEM det(K - w^2 M) sweeps, and the modulus sweep of the wave-amplitude
-matching system shares its grid rule and golden-section refiner, so timing
-comparisons between methods measure the matrices, not the root finder.
+its evaluator from `determinant`. One counting sweep serves the network-matrix
+and the FEM det(K - w^2 M) sweeps: the number of negative eigenvalues of the
+symmetric matrix tells how many roots an interval holds before any search
+(Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284), so timing
+comparisons between the two methods measure the matrices, not the root
+finder. The matching system is not symmetric; its modulus sweep searches the
+minima of log|det| on a grid.
 """
 
 from __future__ import annotations
@@ -15,12 +18,8 @@ import numpy as np
 from scipy import optimize
 
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
-# longer grids are evaluated chunk by chunk.
+# longer lists of frequencies are evaluated chunk by chunk.
 BATCH_BYTES = 16 * 2**20
-# Relative singular-value cutoff for null-space membership. An even root is
-# accepted at the same cutoff that mode extraction applies, so it has a mode.
-MODE_TOL = 1e-7
-REFINE = 16  # sub-cells in each bracketing grid cell's one refinement level
 
 
 def _concatenate(parts):
@@ -42,121 +41,149 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
 
 
 def determinant(build, point_bytes: int):
-    """(func, sigma) of the matrix stack build(xs) -> (m, n, n), one matrix per frequency.
+    """(func, sigma, count) of the matrix stack build(xs) -> (m, n, n), one matrix per frequency.
 
-    func(xs) -> (sign, log|det|) arrays, evaluated in consecutive chunks that
-    each build at most BATCH_BYTES at point_bytes per frequency. Every point is
-    evaluated on its own, so the result does not depend on where chunks split.
-    sigma(x) -> (sigma_min, sigma_max) of the matrix at one frequency.
+    func(xs) -> (sign, log|det|) arrays. count(xs) -> (negative eigenvalue
+    counts,) of each matrix, which must be real symmetric. Both evaluate in
+    consecutive chunks that each build at most BATCH_BYTES at point_bytes per
+    frequency. Every point is evaluated on its own, so the result does not
+    depend on where chunks split. sigma(x) -> (sigma_min, sigma_max) of the
+    matrix at one frequency.
     """
     step = max(1, BATCH_BYTES // max(1, point_bytes))
 
-    def func(xs):
-        xs = np.asarray(xs)
-        if xs.size <= step:
-            return np.linalg.slogdet(build(xs))
-        return _concatenate([np.linalg.slogdet(build(xs[i : i + step]))
-                             for i in range(0, xs.size, step)])
+    def chunked(reduce):
+        def evaluate(xs):
+            xs = np.asarray(xs)
+            if xs.size <= step:
+                return reduce(build(xs))
+            return _concatenate([reduce(build(xs[i : i + step])) for i in range(0, xs.size, step)])
+
+        return evaluate
+
+    def negative(stack):
+        return (np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1),)
 
     def sigma(x):
         svals = np.linalg.svd(build(np.array([x]))[0], compute_uv=False)
         return float(svals[-1]), float(svals[0])
 
-    return func, sigma
+    return chunked(np.linalg.slogdet), sigma, chunked(negative)
 
 
-def find_brackets(func, segments, tol_at, threads=1, sigma_fn=None):
-    """Grid stage of a determinant sweep: exact/even roots plus sign brackets.
+def find_brackets(count, segments, tol_at, threads=1):
+    """Count stage of the sweep: one-root brackets, multiple roots and warnings.
 
-    Every (lo, hi, n_points) segment gets its own linspace grid, and all grids
-    are evaluated in one batched_eval call. The cell from one segment's end to
-    the next one's start crosses a seam (where a pole may sit), so it yields
-    no bracket and no dip. func(xs) -> (sign array, log|f| array), as from
-    slogdet. Every bracketing cell is refined once into REFINE sub-cells, all
-    in one more call; a cell holding more than one sign change after that is
-    reported in the returned warnings.
+    count(xs) -> (counts,) must rise by one at every simple root inside each
+    (lo, hi) segment and have no jump elsewhere, as the number of negative
+    eigenvalues of D(omega) between two poles (the Wittrick-Williams count
+    less its constant rod term) or of K - w^2 M (the Sturm count). Every
+    segment's ends are counted in one batched_eval call. Then every interval
+    that holds two or more roots is halved, one call per level, until it holds
+    one root (a bracket) or is narrower than tol_at, where _even_roots reports
+    its roots once. An interval whose count falls is reported in the returned
+    warnings and dropped; halving never crosses a seam between segments.
 
-    Even-multiplicity roots produce a |f| dip without a sign change; when
-    sigma_fn(x) -> (sigma_min, sigma_max) of the underlying matrix is supplied,
-    such dips are refined by golden-section on sigma_min and accepted as roots
-    when sigma_min <= MODE_TOL * sigma_max.
-
-    Returns (roots, brackets, warnings); a bracket is (lo, hi, sign at lo).
+    Returns (roots, brackets, warnings); a bracket is (lo, hi).
     """
     if not segments:
         return [], [], []
-    grids = [np.linspace(lo, hi, max(int(n), 2)) for lo, hi, n in segments]
-    grid = np.concatenate(grids)
-    inner = np.ones(grid.size - 1, dtype=bool)  # cell (i, i + 1) lies inside one segment
-    inner[np.cumsum([g.size for g in grids])[:-1] - 1] = False
-    sign, logabs = batched_eval(func, grid, threads)
+    lo, hi = np.array(segments, dtype=float).T
+    (ends,) = batched_eval(count, np.concatenate([lo, hi]), threads)
+    n_lo, n_hi = np.split(ends, 2)
+    roots, brackets, falls = [], [], []
+    while True:
+        k = n_hi - n_lo
+        falls.extend(
+            (lo[i], f"count falls from {n_lo[i]} to {n_hi[i]} across [{lo[i]:.10g}, {hi[i]:.10g}]")
+            for i in np.flatnonzero(k < 0)
+        )
+        one = k == 1
+        brackets.extend(zip(lo[one], hi[one]))
+        mid = 0.5 * (lo + hi)
+        many = k > 1
+        narrow = many & (hi - lo <= np.array([tol_at(x) for x in mid]))
+        if narrow.any():
+            roots.extend(_even_roots(lo[narrow], hi[narrow]))
+        split = many & ~narrow
+        if not split.any():
+            break
+        lo, hi, n_lo, n_hi, mid = (a[split] for a in (lo, hi, n_lo, n_hi, mid))
+        (n_mid,) = batched_eval(count, mid, threads)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        n_lo, n_hi = np.concatenate([n_lo, n_mid]), np.concatenate([n_mid, n_hi])
+    return roots, brackets, [message for _, message in sorted(falls)]
 
-    roots = grid[sign == 0.0].tolist()
-    if sigma_fn is not None:
-        roots.extend(_even_roots(grid, sign, logabs, inner, sigma_fn, tol_at))
-    change = np.nonzero((sign[:-1] * sign[1:] < 0) & inner)[0]
-    if change.size == 0:
-        return roots, [], []
 
-    # one refinement level inside every bracketing cell
-    fine = np.linspace(0.0, 1.0, REFINE + 1)
-    fine_x = grid[change, None] + (grid[change + 1] - grid[change])[:, None] * fine[None, :]
-    fine_sign, _ = batched_eval(func, fine_x.ravel(), threads)
-    fine_sign = fine_sign.reshape(fine_x.shape)
-    crossing = fine_sign[:, :-1] * fine_sign[:, 1:] < 0
-    counts = crossing.sum(axis=1)
-    warnings = [
-        f"grid too coarse near [{fine_x[i, 0]:.6g}, {fine_x[i, -1]:.6g}]: "
-        f"{counts[i]} sign changes in one cell"
-        for i in np.nonzero(counts > 1)[0]
-    ]
-    roots.extend(fine_x[fine_sign == 0.0].tolist())
-    rows, cols = np.nonzero(crossing)
-    brackets = list(zip(fine_x[rows, cols], fine_x[rows, cols + 1], fine_sign[rows, cols]))
-    return roots, brackets, warnings
+def _even_roots(lo, hi):
+    """The k >= 2 step: one root per interval narrower than the tolerance.
+
+    The count rises by k >= 2 across each such interval, which holds a root
+    of multiplicity k or k roots closer than the tolerance; either is
+    reported once, at its midpoint.
+    """
+    return (0.5 * (lo + hi)).tolist()
 
 
 def bisect_brackets(func, brackets, tol_at, threads=1):
-    """Vectorized bisection of sign-change brackets down to tol_at(x).
+    """The root of each one-root bracket (lo, hi), to tol_at(x); in bracket order.
 
-    Brackets whose |f| grows while the bracket shrinks are discarded as odd
-    pole crossings rather than roots.
+    func(xs) -> (sign, log|f|). Brent's safeguarded secant, all brackets in
+    one batched_eval call per step: b is the end of smaller |f|, a the end
+    across the root and c the point the secant pairs with b (the previous b,
+    or the newest point if that is not the best). A step is the secant when
+    that falls between b and the midpoint, else the midpoint; a bracket that
+    two steps did not halve takes the midpoint, and a step moves at least half
+    a tolerance. The secant takes f(c)/f(b) from the log-moduli, so no |f|
+    over- or underflows. The count stage has put one root and no pole in each
+    bracket, so each one ends as a root: the midpoint of a bracket narrower
+    than the tolerance.
     """
     if not brackets:
         return []
-    lo_b = np.array([b[0] for b in brackets])
-    hi_b = np.array([b[1] for b in brackets])
-    slo = np.array([b[2] for b in brackets])
-    first_log = np.full(lo_b.shape, np.nan)
-    last_log = np.full(lo_b.shape, np.nan)
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        active = (hi_b - lo_b) > np.array([tol_at(x) for x in mid])
-        if not active.any():
-            break
-        smid, logmid = batched_eval(func, mid[active], threads)
-        idx = np.nonzero(active)[0]
-        first_log[idx] = np.where(np.isnan(first_log[idx]), logmid, first_log[idx])
-        last_log[idx] = logmid
-        go_left = slo[idx] * smid < 0
-        hi_b[idx[go_left]] = mid[idx[go_left]]
-        lo_b[idx[~go_left]] = mid[idx[~go_left]]
+    ends = np.array(brackets, dtype=float).T
+    values = batched_eval(func, ends.ravel(), threads)
+    ends = np.stack([ends, *(v.reshape(ends.shape) for v in values)], axis=1)  # (lo, hi) x point
+    # a point is (x, sign, log|f|) per bracket
+    a, b = np.where(ends[0, 2] < ends[1, 2], ends[::-1], ends)
+    c = a
+    # bracket widths two and one steps ago; the first step bisects, since a
+    # secant from ends of very unequal |f| (one beside a pole) barely moves
+    shrunk, previous = np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
+    ids = np.arange(a.shape[1])
+    roots = np.empty(ids.size)
+    while True:
+        tol = np.array([tol_at(x) for x in b[0]])
+        width = np.abs(b[0] - a[0])
+        done = width <= tol
+        if done.any():
+            roots[ids[done]] = 0.5 * (a[0, done] + b[0, done])
+            if done.all():
+                return roots.tolist()
+            a, b, c, shrunk, previous, ids, tol, width = (
+                v[..., ~done] for v in (a, b, c, shrunk, previous, ids, tol, width)
+            )
+        mid = 0.5 * (a[0] + b[0])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = b[0] - (b[0] - c[0]) / (1.0 - c[1] * b[1] * np.exp(c[2] - b[2]))
+        x = np.where(((x - b[0]) * (x - mid) < 0) & (width <= 0.5 * shrunk), x, mid)
+        x = np.where(np.abs(x - b[0]) < 0.5 * tol, b[0] + np.copysign(0.5 * tol, a[0] - b[0]), x)
+        shrunk, previous = previous, width
+        new = np.stack([x, *batched_eval(func, x, threads)])
+        a = np.where(a[1] * new[1] < 0, a, b)  # the end across the root from the new point
+        swap = a[2] < new[2]  # the new point is not the best: the next secant pairs b with it
+        a, b, c = np.where(swap, new, a), np.where(swap, a, new), np.where(swap, new, b)
 
-    roots = []
-    for l, h, f0, f1 in zip(lo_b, hi_b, first_log, last_log):
-        if np.isfinite(f0) and np.isfinite(f1) and f1 > f0 + 2.0:
-            continue  # |f| grew as the bracket shrank: odd-order pole, not a root
-        roots.append(0.5 * float(l + h))
-    return roots
 
+def sign_sweep_roots(func, count, segments, tol_at, threads=1):
+    """Sorted, deduplicated roots of det over (lo, hi) segments, and warnings.
 
-def sign_sweep_roots(func, segments, tol_at, threads=1, sigma_fn=None):
-    """Sorted, deduplicated roots of func over (lo, hi, n_points) segments, and warnings.
-
-    One find_brackets pass covers every segment, one bisection pass every
-    bracket. func must be smooth inside each segment; poles belong on seams.
+    The count stage (find_brackets) covers every segment, and one polish
+    (bisect_brackets) every one-root bracket. func and count come from one
+    determinant call; count must not fall inside a segment, so poles belong
+    on seams.
     """
-    roots, brackets, warnings = find_brackets(func, segments, tol_at, threads, sigma_fn)
+    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
     return dedupe_sorted(sorted(roots), tol_at), warnings
 
@@ -174,31 +201,6 @@ def _golden(f, bracket, tol):
     return float(res.x)
 
 
-def _even_roots(grid, sign, logabs, inner, sigma_fn, tol_at):
-    """Sharp |f| dips without a sign change, refined on sigma_min of the matrix.
-
-    A dip is a grid point whose two cells lie inside its segment (inner) and
-    whose log|f| undercuts both neighbors by `depth`. Near an even-order zero
-    sigma_min falls linearly (a V), so golden-section locates it to far better
-    accuracy than the flat-bottomed |f| minimum.
-    """
-    depth = 1.5  # natural-log units a grid point must undercut its neighbors
-    s_prev, s, s_next = sign[:-2], sign[1:-1], sign[2:]
-    l_prev, l, l_next = logabs[:-2], logabs[1:-1], logabs[2:]
-    skip = ((s_prev * s < 0) | (s * s_next < 0) | (s == 0) | (l > l_next) | (l >= l_prev)
-            | (np.maximum(l_prev, l_next) - l < depth))
-    dips = np.nonzero(inner[:-1] & inner[1:] & ~skip)[0] + 1
-
-    roots = []
-    for i in dips:
-        x_star = _golden(lambda x: sigma_fn(float(x))[0], tuple(grid[i - 1 : i + 2]),
-                         tol_at(grid[i]))
-        lo_sv, hi_sv = sigma_fn(x_star)
-        if hi_sv > 0 and lo_sv <= MODE_TOL * hi_sv:
-            roots.append(x_star)
-    return roots
-
-
 def dedupe_sorted(values, tol_at):
     out = []
     for v in values:
@@ -211,8 +213,10 @@ def dedupe_sorted(values, tol_at):
 def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     """Refined local minima of log|f| on [lo, hi] via golden-section.
 
-    func_log(xs) -> log|f| array. Returns the minima's x; the caller decides
-    which of them are actual zeros.
+    func_log(xs) -> log|f| array. An end grid point that undercuts its one
+    neighbor may sit beside a minimum inside the end cell, which is then
+    searched within the cell's bounds. Returns the minima's x; the caller
+    decides which of them are actual zeros.
     """
     grid = np.linspace(lo, hi, max(int(n_points), 3))
     (vals,) = batched_eval(lambda xs: (func_log(xs),), grid, threads)
@@ -221,4 +225,16 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     def scalar(x):
         return float(func_log(np.array([x]))[0])
 
-    return [_golden(scalar, tuple(grid[i - 1 : i + 2]), xtol_at(grid[i])) for i in interior]
+    minima = [_golden(scalar, tuple(grid[i - 1 : i + 2]), xtol_at(grid[i])) for i in interior]
+    for end, inner in ((0, 1), (-1, -2)):
+        if vals[end] < vals[inner]:
+            # searched in t = (x - end) / (inner - end) in [0, 1]: the bounded
+            # method's tolerance has a term relative to |t|, which x would make
+            # ~1e-8 relative to omega, too coarse for the zero test
+            x0, width = grid[end], grid[inner] - grid[end]
+            res = optimize.minimize_scalar(
+                lambda t: scalar(x0 + t * width), bounds=(0.0, 1.0), method="bounded",
+                options={"xatol": xtol_at(x0) / abs(width)},
+            )
+            minima.append(float(x0 + res.x * width))
+    return minima

@@ -19,8 +19,8 @@ coefficient column per frequency. The pattern is built on first use per truss,
 anchor reduction and choice of frames, and kept with the truss; the same path
 serves one matrix or a batch, at every size. Batched determinant sweeps over
 these matrices run through `_roots.determinant`, in chunks whose stacks stay
-within `_roots.BATCH_BYTES`, so memory does not grow with the number of grid
-points.
+within `_roots.BATCH_BYTES`, so memory does not grow with the number of
+frequencies evaluated at once.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -257,9 +257,9 @@ def check_pole_guard(truss: Truss, omega: float):
 def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     """Reusable batched D(omega) builder: the pattern times the rod coefficients.
 
-    Sweeps call the returned function thousands of times (grid plus bisection
-    refinement); it maps a 1-D array of frequencies to the (m, size, size)
-    stack in the pattern's coordinates and applies no pole guard.
+    Sweeps call the returned function many times (counts and root polish);
+    it maps a 1-D array of frequencies to the (m, size, size) stack in the
+    pattern's coordinates and applies no pole guard.
     """
     taus, lams = _rod_constants(truss)
 

@@ -181,7 +181,8 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     truss = _read_truss(args.file)
     window = _window(truss, args)
-    # fix the total so every method sweeps the same number of base grid points
+    # fix the reverberation sweep's grid over the whole window; the network
+    # and FEM sweeps count roots and lay no grid
     window = replace(
         window, grid_points=window.points(window.omega_min, window.omega_max, truss.tau_min)
     )
@@ -338,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-time comparison of the four methods")
     p.add_argument("file")
     p.add_argument("--divisions", default="1,2,4,8")
-    p.add_argument("--grid-points", type=int, default=None)
+    p.add_argument("--grid-points", type=int, default=None,
+                   help="reverberation grid points over the window (the other methods count roots)")
     add_window(p)
     p.set_defaults(func=cmd_bench)
 

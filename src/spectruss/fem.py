@@ -76,23 +76,27 @@ def fem_frequencies(
 ):
     """Roots of det(K - w^2 M) of the anchored structure after subdividing each rod.
 
-    Shares the bracketing machinery of the network-matrix sweep; this method
-    has no poles, so the window is swept as a single segment. K and M are
-    projected once onto the rod-span frames of the free joints, as in the
-    network-matrix sweep: transverse directions at joints whose rods are
+    Shares the counting sweep of the network-matrix method, the count being
+    the Sturm count of K - w^2 M; this method has no poles, so the window is
+    swept as a single segment. The subdivided truss is kept with the given
+    one, so the sweeps of both mass kinds share its frames, pattern and K.
+    K and M are projected onto the rod-span frames of the free joints, as in
+    the network-matrix sweep: transverse directions at joints whose rods are
     collinear (every interior subdivision joint) carry no axial stiffness, and
     without the projection the consistent-mass determinant is identically zero.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be >= 1, got {divisions}")
-    fine = subdivide(truss, divisions)
+    fine = truss
+    if divisions > 1:  # kept with the truss; at 1 the entry would hold the truss itself
+        fine = truss._cached(("subdivide", divisions), lambda: subdivide(truss, divisions))
     basis, _ = _free_basis(fine)
-    k = basis.T @ assemble_stiffness(fine).entries @ basis
+    k = fine._cached("fem_stiffness", lambda: basis.T @ assemble_stiffness(fine).entries @ basis)
     m = basis.T @ assemble_mass(fine, kind).entries @ basis
-    func, sigma = _roots.determinant(lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes)
-    lo, hi = window.omega_min, window.omega_max
+    func, _, count = _roots.determinant(
+        lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes
+    )
     roots, _ = _roots.sign_sweep_roots(
-        func, [(lo, hi, window.points(lo, hi, fine.tau_min))], window.tol_at,
-        threads=threads, sigma_fn=sigma,
+        func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
     )
     return roots

@@ -168,7 +168,7 @@ def reverberation_dof(truss: Truss) -> int:
 
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
     """Frequencies where the matching system is singular, refined from |det| minima."""
-    det, sigma = _roots.determinant(matching_evaluator(truss), 16 * (2 * len(truss.rods)) ** 2)
+    det, sigma, _ = _roots.determinant(matching_evaluator(truss), 16 * (2 * len(truss.rods)) ** 2)
     lo, hi = window.omega_min, window.omega_max
     minima = _roots.modulus_minima(
         lambda xs: det(xs)[1], lo, hi, window.points(lo, hi, truss.tau_min), window.tol_at,

@@ -1,7 +1,8 @@
 """Pole-aware natural-frequency sweep, mode extraction and the rod-resonance path.
 
-Away from rod resonances the natural frequencies are sign-change roots of
-det(D(omega)) bracketed on a grid laid between consecutive poles. At a pole
+Away from rod resonances the natural frequencies are the roots of det(D(omega))
+between consecutive poles, located by the Wittrick-Williams count: the number
+of negative eigenvalues of D rises by one at each of them. At a pole
 omega*tau = n*pi the matrix entries diverge and finite joint forces require
 
     (-1)^n e^T u_a + e_ba^T u_b = 0
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _roots
-from ._roots import MODE_TOL
 from .assembly import (
     POLE_GUARD,
     _assemble,
@@ -35,9 +35,11 @@ from .assembly import (
 )
 from .model import Truss
 
-GRID_DENSITY = 2000.0  # base sweep points per unit of omega*tau_min between poles
+GRID_DENSITY = 2000.0  # matching-sweep grid points per unit of omega*tau_min
+# Relative singular-value cutoff for null-space membership in mode extraction.
+MODE_TOL = 1e-7
 FEAS_TOL = 1e-8  # relative residual cutoff for resonant feasibility
-DEFAULT_ROOT_RTOL = 1e-10  # bisection tolerance, relative to omega
+DEFAULT_ROOT_RTOL = 1e-10  # root tolerance, relative to omega
 
 
 class NotARootError(Exception):
@@ -54,11 +56,11 @@ class NotARootError(Exception):
 
 @dataclass(frozen=True)
 class FrequencyWindow:
-    """A sweep window and its base grid (see points).
+    """A sweep window and the grid of the matching sweep (see points).
 
-    grid_points fixes the points over the whole window, which a network sweep
-    shares out across its pole-free segments by width; None lays GRID_DENSITY
-    points per unit of omega*tau_min.
+    The network and FEM sweeps count roots and lay no grid; grid_points sets
+    only the matching (reverberation) sweep's grid. It fixes the points over
+    the whole window; None lays GRID_DENSITY points per unit of omega*tau_min.
     """
 
     omega_min: float
@@ -77,7 +79,7 @@ class FrequencyWindow:
         return DEFAULT_ROOT_RTOL * max(abs(omega), self.omega_min)
 
     def points(self, lo: float, hi: float, tau_min: float) -> int:
-        """Base grid points of a sweep over [lo, hi], a part of the window.
+        """Grid points of a modulus sweep over [lo, hi], a part of the window.
 
         grid_points times the share of the window's width (at least 2), else
         GRID_DENSITY per unit of omega*tau_min (at least 16).
@@ -155,7 +157,7 @@ def _free_basis(truss: Truss):
 
 
 def _det_eval(truss: Truss):
-    """(func, sigma) from _roots.determinant for the swept D: anchor-reduced, in rod-span frames."""
+    """_roots.determinant's (func, sigma, count) of the swept D: anchor-reduced, in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors=True, span=True)
     return _roots.determinant(laplacian_evaluator(truss, pattern), 8 * pattern.size**2)
 
@@ -169,7 +171,7 @@ def guard_width(truss: Truss, pole: Pole) -> float:
 
 
 def _segments(window: FrequencyWindow, truss: Truss, poles):
-    """(lo, hi, grid points) of the intervals between poles, clipped by the pole guard."""
+    """(lo, hi) of the intervals between poles, clipped by the pole guard."""
     cuts = [(window.omega_min, 0.0)]
     cuts.extend((pole.omega, guard_width(truss, pole)) for pole in poles)
     cuts.append((window.omega_max, 0.0))
@@ -177,22 +179,25 @@ def _segments(window: FrequencyWindow, truss: Truss, poles):
     for (x0, g0), (x1, g1) in zip(cuts[:-1], cuts[1:]):
         lo, hi = x0 + g0, x1 - g1
         if hi > lo:
-            segments.append((lo, hi, window.points(lo, hi, truss.tau_min)))
+            segments.append((lo, hi))
     return segments
 
 
 def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1) -> SweepResult:
     """Locate every natural frequency in the window.
 
-    Regular roots come from one sign sweep of det(D) over the segments between
-    poles; each pole is additionally dispatched to resonant_mode_check. D is the
+    Regular roots come from one counting sweep of D over the segments between
+    poles: inside a segment the rod term of the Wittrick-Williams count is
+    constant, so the roots an interval holds are the rise of the number of
+    negative eigenvalues of D across it. A count that falls is reported in
+    the warnings. Each pole is dispatched to resonant_mode_check. D is the
     anchored structure's, in rod-span frames, so mechanism joints leave it
     regular. Output is sorted by frequency and deduplicated within the root tolerance.
     """
     poles = pole_set(truss, window)
-    func, sigma = _det_eval(truss)
+    func, _, count = _det_eval(truss)
     roots, warnings = _roots.sign_sweep_roots(
-        func, _segments(window, truss, poles), window.tol_at, threads=threads, sigma_fn=sigma
+        func, count, _segments(window, truss, poles), window.tol_at, threads=threads
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]

@@ -314,8 +314,8 @@ def test_criterion_07_timing_direction():
     ok = True
     for name in ("square", "bridge"):
         truss = builtin_structure(name)
-        # the grid shared by all four methods is large enough that per-point
-        # matrix work dominates fixed sweep overheads
+        # the network and FEM methods share the counting root finder, so their
+        # times compare the matrices; grid_points sets the reverberation grid
         window = FrequencyWindow(0.05, 1.2 * math.pi, grid_points=20000)
         t_lap = _best_time(lambda: find_natural_frequencies(truss, window))
         t_rev = _best_time(lambda: reverberation_frequencies(truss, window))

@@ -400,21 +400,30 @@ def _braced_lattice(side):
     return Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
 
 
-@pytest.fixture
-def slogdet_sizes(monkeypatch):
-    """Byte size of every stack passed to numpy.linalg.slogdet."""
+def _spy(monkeypatch, name):
+    """Byte size of every stack passed to numpy.linalg.<name>."""
     sizes = []
-    real = np.linalg.slogdet
+    real = getattr(np.linalg, name)
 
     def spy(a):
         sizes.append(np.asarray(a).nbytes)
         return real(a)
 
-    monkeypatch.setattr(np.linalg, "slogdet", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return sizes
 
 
-def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
+@pytest.fixture
+def slogdet_sizes(monkeypatch):
+    return _spy(monkeypatch, "slogdet")
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    return _spy(monkeypatch, "eigvalsh")
+
+
+def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes, eigvalsh_sizes):
     lattice = _braced_lattice(5)
     assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
     network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True, span=True))
@@ -425,12 +434,12 @@ def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
 
     matching = matching_evaluator(lattice)
     grid = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
-    cases = [  # (func, sigma), the stack builder, frequencies: four chunks each
+    cases = [  # (func, sigma, count), the stack builder, frequencies: four chunks each
         (spectrum._det_eval(lattice), network, grid),
         (_roots.determinant(fem, k.nbytes), fem, grid),
         (_roots.determinant(matching, 16 * 112 * 112), matching, np.linspace(0.06, 2.0, 300)),
     ]
-    for (func, sigma), build, omegas in cases:
+    for (func, sigma, count), build, omegas in cases:
         assert omegas.size * build(omegas[:1]).nbytes > 3 * _roots.BATCH_BYTES
         slogdet_sizes.clear()
         sign, logabs = func(omegas)
@@ -442,18 +451,62 @@ def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes):
         for w in omegas[::50]:
             svals = np.linalg.svd(build(np.array([w]))[0], compute_uv=False)
             assert sigma(w) == (svals[-1], svals[0])
+        if build is matching:
+            continue  # complex and not Hermitian: no count
+        eigvalsh_sizes.clear()
+        (negative,) = count(omegas)
+        assert len(eigvalsh_sizes) == 4
+        assert max(eigvalsh_sizes) <= _roots.BATCH_BYTES
+        sample = omegas[::20]
+        assert np.array_equal(negative[::20], [count(np.array([w]))[0][0] for w in sample])
+        reference = np.sum(np.linalg.eigvalsh(build(sample)) < 0.0, axis=1)
+        assert np.array_equal(negative[::20], reference)
 
 
-def test_fem_and_matching_determinants_stay_within_budget(slogdet_sizes):
+def test_fem_and_matching_determinants_stay_within_budget(slogdet_sizes, eigvalsh_sizes):
     lattice = _braced_lattice(5)
-    fem_frequencies(lattice, FrequencyWindow(0.06, 2.0, grid_points=1500))
-    assert sum(slogdet_sizes[:2]) == 1500 * 8 * 40 * 40  # the grid, in two chunks
-    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+    window = FrequencyWindow(0.06, 2.0, grid_points=1500)
+    roots = fem_frequencies(lattice, window)
+    assert eigvalsh_sizes[0] == 2 * 8 * 40 * 40  # the count at the window's two ends
+    assert max(slogdet_sizes + eigvalsh_sizes) <= _roots.BATCH_BYTES
+    # under a budget of three matrices the counts and the bisection run in
+    # full chunks, and the roots stay the same
+    budget, _roots.BATCH_BYTES = _roots.BATCH_BYTES, 3 * 8 * 40 * 40
+    slogdet_sizes.clear()
+    eigvalsh_sizes.clear()
+    try:
+        assert fem_frequencies(lattice, window) == roots
+        assert max(slogdet_sizes) == max(eigvalsh_sizes) == _roots.BATCH_BYTES
+    finally:
+        _roots.BATCH_BYTES = budget
 
     slogdet_sizes.clear()
     reverberation_frequencies(lattice, FrequencyWindow(0.05, 0.6, grid_points=200))
     assert sum(slogdet_sizes[:3]) == 200 * 16 * 112 * 112  # the grid, in three chunks
     assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+
+
+def test_counting_sweep_evaluates_few_points_per_root(monkeypatch):
+    # the grid scan this sweep replaced built 153 D matrices per root here
+    lattice = _braced_lattice(5)
+    points = []
+    evaluator = spectrum.laplacian_evaluator
+
+    def counted(truss, pattern):
+        build = evaluator(truss, pattern)
+
+        def traced(omegas):
+            points.append(len(omegas))
+            return build(omegas)
+
+        return traced
+
+    monkeypatch.setattr(spectrum, "laplacian_evaluator", counted)
+    window = FrequencyWindow(0.05, 1.2 * math.pi)  # tau_min = 1
+    sweep = find_natural_frequencies(lattice, window)
+    roots = [m for m in sweep if m.kind == "regular"]
+    assert len(roots) == 63
+    assert sum(points) <= 153 / 2 * len(roots)
 
 
 # -- per-truss memo ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from spectruss import (
     assemble_laplacian,
     assemble_mass,
     assemble_stiffness,
+    builtin_structure,
     fem_determinant,
     fem_frequencies,
     subdivide,
@@ -168,3 +169,29 @@ def test_invalid_kind_and_divisions(square):
         assemble_mass(square, "other")
     with pytest.raises(ValueError):
         fem_frequencies(square, FrequencyWindow(0.1, 1.0), divisions=0)
+
+
+def _fem_cases():
+    """square, bridge and draws 8 and 38 of the test generator, which hold close root pairs."""
+    from conftest import random_truss
+
+    rng = np.random.default_rng(0)
+    draws = [random_truss(rng) for _ in range(39)]
+    return [builtin_structure("square"), builtin_structure("bridge"), draws[8], draws[38]]
+
+
+@pytest.mark.parametrize("kind", ["consistent", "lumped"])
+def test_fem_roots_are_the_generalized_eigenvalues(kind):
+    # oracle: the symmetric-definite eigensolve of the projected K and M
+    divisions = 4
+    for truss in _fem_cases():
+        window = FrequencyWindow(0.05 / truss.tau_min, 1.2 * math.pi / truss.tau_min)
+        fine = subdivide(truss, divisions)
+        basis, _ = _free_basis(fine)
+        k = basis.T @ assemble_stiffness(fine).entries @ basis
+        m = basis.T @ assemble_mass(fine, kind).entries @ basis
+        vals = linalg.eigh(k, m, eigvals_only=True)
+        omegas = np.sqrt(vals[(vals > window.omega_min**2) & (vals < window.omega_max**2)])
+        expected = [w for i, w in enumerate(omegas) if i == 0 or w - omegas[i - 1] > 1e-9 * w]
+        found = fem_frequencies(truss, window, kind, divisions)
+        assert found == pytest.approx(expected, rel=1e-9)

@@ -302,3 +302,12 @@ def test_anchored_joint_reflects_with_velocity_inversion(bridge):
     (rod_out, amp_out), = first.outgoing
     assert rod_out == "12"
     assert amp_out == pytest.approx(-1.0)  # anchored wall keeps the stress sign
+
+
+def test_reverberation_finds_zeros_in_the_end_cells(bridge):
+    # the window starts 1e-4 below the bridge's lowest natural frequency and
+    # ends 1e-4 above its fourth, so both lie in an end cell of the grid
+    network = find_natural_frequencies(bridge, FrequencyWindow(0.05, 3.0)).omegas
+    lo, hi = network[0] - 1e-4, network[3] + 1e-4
+    found = reverberation_frequencies(bridge, FrequencyWindow(lo, hi, grid_points=40))
+    assert found == pytest.approx(network[:4], rel=1e-8)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import align_sign, mode_vector
+from conftest import align_sign, mode_vector, random_truss
 from spectruss import (
     FrequencyWindow,
     Joint,
@@ -19,6 +19,8 @@ from spectruss import (
     resonant_mode_check,
     subdivide,
 )
+from spectruss.assembly import laplacian_batch
+from spectruss.spectrum import _free_basis, _segments
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -295,15 +297,20 @@ def test_bridge_roots_invariant_under_subdivision(bridge):
     assert any(abs(w - math.pi) <= 1e-8 for w in refined)
 
 
-def test_grid_too_coarse_warning():
+def test_counting_sweep_finds_roots_one_grid_cell_would_merge():
+    # the six roots of sin(10 x) in one segment, where a three-point grid
+    # merged them into one cell; count(x) is the number of roots below x
     from spectruss._roots import sign_sweep_roots
 
-    def wiggly(xs):
+    def func(xs):
         vals = np.sin(10.0 * np.asarray(xs))
         return np.sign(vals), np.log(np.abs(vals) + 1e-300)
 
-    roots, warnings = sign_sweep_roots(wiggly, [(0.1, 2.0, 3)], lambda x: 1e-12)
-    assert warnings  # several crossings land in one refined cell
+    def count(xs):
+        return (np.floor(10.0 * np.asarray(xs) / math.pi).astype(int),)
+
+    roots, warnings = sign_sweep_roots(func, count, [(0.1, 2.0)], lambda x: 1e-12)
+    assert warnings == []
     expected = [k * math.pi / 10.0 for k in range(1, 7)]
     assert roots == pytest.approx(expected, abs=1e-10)
 
@@ -341,62 +348,74 @@ def test_sweep_independent_of_thread_count(bridge):
 
 
 def test_pole_bracket_discarded():
-    # a simple odd pole produces a sign change but must not be reported as a root
+    # a simple odd pole changes the sign of f, but the count does not see it,
+    # so it is never reported as a root
     from spectruss._roots import sign_sweep_roots
 
     def pole(xs):
         vals = 1.0 / (np.asarray(xs) - 1.3)
         return np.sign(vals), np.log(np.abs(vals))
 
-    roots, _ = sign_sweep_roots(pole, [(1.0, 2.0, 50)], lambda x: 1e-12)
-    assert roots == []
+    def count(xs):
+        return (np.zeros(np.asarray(xs).shape, dtype=int),)
+
+    assert sign_sweep_roots(pole, count, [(1.0, 2.0)], lambda x: 1e-12) == ([], [])
 
 
-def _seam_function():
-    """(sign, log|f|) of f = (x-.5)(x-1.95)^2 (x-2.5)(x-2.51)(x-2.52) ((x-2.2)^2 + 1e-12) / (x-1.5).
+_SEAM_ROOTS = (0.5, 1.95, 1.95, 2.5, 2.51, 2.52)
 
-    Odd roots at 0.5 and three close ones near 2.5, an even root at 1.95
-    (seen by the sigma probe) and an odd pole at 1.5. The factor at 2.2 is a
-    sharp |f| dip with no root under it.
+
+def _seam_stack(xs):
+    """diag(r - x for r in _SEAM_ROOTS, 1 / (x - 1.5)): singular at _SEAM_ROOTS, a pole at 1.5.
+
+    Every eigenvalue falls with x, as those of D(omega) do, so the count of
+    negative ones rises by one at each simple root (by two at the double
+    root 1.95) and falls by one across the pole, as D's count does.
     """
-    probed = []
-
-    def func(xs):
-        xs = np.asarray(xs, dtype=float)
-        odd = (xs - 0.5) * (xs - 2.5) * (xs - 2.51) * (xs - 2.52) / (xs - 1.5)
-        return np.sign(odd), np.log(np.abs(odd) * (xs - 1.95) ** 2 * ((xs - 2.2) ** 2 + 1e-12))
-
-    def sigma(x):
-        probed.append(x)
-        return abs(x - 1.95), 1.0
-
-    return func, sigma, probed
+    xs = np.asarray(xs, dtype=float)
+    values = np.column_stack([r - xs for r in _SEAM_ROOTS] + [1.0 / (xs - 1.5)])
+    return values[:, :, None] * np.eye(values.shape[1])
 
 
 def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
-    from spectruss._roots import find_brackets, sign_sweep_roots
+    from spectruss._roots import determinant, find_brackets, sign_sweep_roots
 
     tol = lambda x: 1e-12
-    # the pole at 1.5 sits in the first seam; the second segment ends on the
-    # dip at 2.2, and f keeps its sign across the second seam
-    segments = [(0.1, 1.4, 40), (1.6, 2.2, 20), (2.3, 3.0, 13)]
-    func, sigma, probed = _seam_function()
-    _, brackets, warnings = find_brackets(func, segments, sigma_fn=sigma, tol_at=tol)
-    assert brackets
-    assert all(any(a <= lo and hi <= b for a, b, _ in segments) for lo, hi, _ in brackets)
-    assert warnings  # the three close roots share one grid cell
-    assert probed and all(abs(x - 1.95) < 0.05 for x in probed)  # 2.2 is never refined
+    # the pole at 1.5 sits in the first seam, where the count falls; the
+    # three close roots near 2.5 lie in the last segment
+    segments = [(0.1, 1.4), (1.6, 2.2), (2.3, 3.0)]
+    func, _, count = determinant(_seam_stack, 8 * 7 * 7)
+    _, brackets, warnings = find_brackets(count, segments, tol)
+    assert len(brackets) == 4
+    assert all(any(a <= lo and hi <= b for a, b in segments) for lo, hi in brackets)
+    assert warnings == []
 
-    both, both_warnings = sign_sweep_roots(func, segments, tol, sigma_fn=sigma)
+    both, both_warnings = sign_sweep_roots(func, count, segments, tol)
     assert both == pytest.approx([0.5, 1.95, 2.5, 2.51, 2.52], abs=1e-9)
-    alone = [sign_sweep_roots(func, [segment], tol, sigma_fn=sigma) for segment in segments]
+    assert both_warnings == []
+    alone = [sign_sweep_roots(func, count, [segment], tol) for segment in segments]
     assert both == sorted(sum((roots for roots, _ in alone), []))
-    assert both_warnings == sum((w for _, w in alone), [])
 
     def never(xs):
         raise AssertionError("no segment, no evaluation")
 
-    assert sign_sweep_roots(never, [], tol, sigma_fn=sigma) == ([], [])
+    assert sign_sweep_roots(never, never, [], tol) == ([], [])
+
+
+def test_count_that_falls_is_a_warning():
+    # an eigenvalue that rises through zero at 1.2 takes the count down, which
+    # no root explains; the sweep says so and reports no root for it
+    from spectruss._roots import determinant, sign_sweep_roots
+
+    def stack(xs):
+        xs = np.asarray(xs, dtype=float)
+        values = np.column_stack([xs - 1.2, 2.0 - xs])
+        return values[:, :, None] * np.eye(2)
+
+    func, _, count = determinant(stack, 8 * 2 * 2)
+    roots, warnings = sign_sweep_roots(func, count, [(0.5, 1.5), (1.6, 2.5)], lambda x: 1e-12)
+    assert roots == pytest.approx([2.0], abs=1e-10)
+    assert warnings == ["count falls from 1 to 0 across [0.5, 1.5]"]
 
 
 def test_window_points_share_grid_points_by_width():
@@ -410,3 +429,44 @@ def test_window_points_share_grid_points_by_width():
     for lo, hi, tau_min in [(0.05, 12.0, 1.0), (1.0, 2.5, 0.3), (7.0, 7.001, 1.0)]:
         assert dense.points(lo, hi, tau_min) == max(16, math.ceil(2000.0 * (hi - lo) * tau_min))
     assert dense.points(7.0, 7.001, 1.0) == 16
+
+
+def _default_window(truss):
+    return FrequencyWindow(0.05 / truss.tau_min, 1.2 * math.pi / truss.tau_min)
+
+
+def _negative_count(truss, omegas):
+    """Negative eigenvalues of the anchor-reduced D(omega), projected onto the rod-span basis."""
+    basis, _ = _free_basis(truss)
+    d = basis.T @ laplacian_batch(truss, omegas) @ basis
+    return np.sum(np.linalg.eigvalsh(d) < 0.0, axis=1)
+
+
+def test_roots_of_each_segment_match_the_negative_eigenvalue_count():
+    # the sweep's roots between two poles, each counted as often as it has
+    # modes, against the rise of the count across the segment
+    from test_assembly import _pattern_cases
+
+    for truss in _pattern_cases():
+        window = _default_window(truss)
+        sweep = find_natural_frequencies(truss, window)
+        assert sweep.warnings == []
+        regular = [m.omega for m in sweep if m.kind == "regular"]
+        segments = _segments(window, truss, pole_set(truss, window))
+        ends = _negative_count(truss, np.ravel(segments)).reshape(-1, 2)
+        for (lo, hi), (n_lo, n_hi) in zip(segments, ends):
+            found = sum(len(extract_modes(truss, w)) for w in regular if lo <= w <= hi)
+            assert found == n_hi - n_lo, (lo, hi)
+
+
+def test_no_root_where_the_count_has_none():
+    # draw 148 of the test generator: a |det| dip near 2.96641, beside the pole
+    # at 2.964917, that holds no root
+    rng = np.random.default_rng(0)
+    for _ in range(148):
+        random_truss(rng)
+    truss = random_truss(rng)
+    lo, hi = 2.966, 2.967
+    assert np.ptp(_negative_count(truss, [lo, hi])) == 0
+    omegas = find_natural_frequencies(truss, _default_window(truss)).omegas
+    assert not any(lo <= w <= hi for w in omegas)
