@@ -12,6 +12,7 @@ minima of log|det| on a grid.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -71,26 +72,29 @@ def determinant(build, point_bytes: int):
     return chunked(np.linalg.slogdet), sigma, chunked(negative)
 
 
-def find_brackets(count, segments, tol_at, threads=1):
+def find_brackets(count, segments, tol_at, threads=1, ends=None):
     """Count stage of the sweep: one-root brackets, multiple roots and warnings.
 
     count(xs) -> (counts,) must rise by one at every simple root inside each
     (lo, hi) segment and have no jump elsewhere, as the number of negative
     eigenvalues of D(omega) between two poles (the Wittrick-Williams count
     less its constant rod term) or of K - w^2 M (the Sturm count). Every
-    segment's ends are counted in one batched_eval call. Then every interval
-    that holds two or more roots is halved, one call per level, until it holds
-    one root (a bracket) or is narrower than tol_at, where _even_roots reports
-    its roots once. An interval whose count falls is reported in the returned
-    warnings and dropped; halving never crosses a seam between segments.
+    segment's ends are counted in one batched_eval call, unless the caller
+    passes their counts as ends (in np.ravel(segments) order). Then every
+    interval that holds two or more roots is halved, one call per level,
+    until it holds one root (a bracket) or is narrower than tol_at, where
+    _even_roots reports its roots once. An interval whose count falls is
+    reported in the returned warnings and dropped; halving never crosses a
+    seam between segments.
 
     Returns (roots, brackets, warnings); a bracket is (lo, hi).
     """
     if not segments:
         return [], [], []
     lo, hi = np.array(segments, dtype=float).T
-    (ends,) = batched_eval(count, np.concatenate([lo, hi]), threads)
-    n_lo, n_hi = np.split(ends, 2)
+    if ends is None:
+        (ends,) = batched_eval(count, np.ravel(segments), threads)
+    n_lo, n_hi = np.reshape(ends, (-1, 2)).T
     roots, brackets, falls = [], [], []
     while True:
         k = n_hi - n_lo
@@ -125,65 +129,82 @@ def _even_roots(lo, hi):
     return (0.5 * (lo + hi)).tolist()
 
 
+def _secant_step(a, b, c, width, shrunk, tol):
+    """The next point of one bracket; a, b and c are (x, sign, log|f|) points.
+
+    The secant through b and c if it falls between b and the midpoint and the
+    bracket is at most half as wide as two steps ago (shrunk), else the
+    midpoint; the step moves at least half a tolerance from b, toward a. The
+    secant takes f(c)/f(b) from the log-moduli, so no |f| over- or underflows.
+    """
+    mid = 0.5 * (a[0] + b[0])
+    try:
+        x = b[0] - (b[0] - c[0]) / (1.0 - c[1] * b[1] * math.exp(min(c[2] - b[2], 700.0)))
+    except ZeroDivisionError:
+        x = mid
+    if not ((x - b[0]) * (x - mid) <= 0.0 and width <= 0.5 * shrunk):
+        x = mid
+    if abs(x - b[0]) < 0.5 * tol:
+        x = b[0] + math.copysign(0.5 * tol, a[0] - b[0])
+    return x
+
+
 def bisect_brackets(func, brackets, tol_at, threads=1):
     """The root of each one-root bracket (lo, hi), to tol_at(x); in bracket order.
 
-    func(xs) -> (sign, log|f|). Brent's safeguarded secant, all brackets in
-    one batched_eval call per step: b is the end of smaller |f|, a the end
-    across the root and c the point the secant pairs with b (the previous b,
-    or the newest point if that is not the best). A step is the secant when
-    that falls between b and the midpoint, else the midpoint; a bracket that
-    two steps did not halve takes the midpoint, and a step moves at least half
-    a tolerance. The secant takes f(c)/f(b) from the log-moduli, so no |f|
-    over- or underflows. The count stage has put one root and no pole in each
-    bracket, so each one ends as a root: the midpoint of a bracket narrower
-    than the tolerance.
+    func(xs) -> (sign, log|f|). Brent's safeguarded secant (_secant_step) on
+    each bracket, all brackets in one batched_eval call per step: b is the end
+    of smaller |f|, a the end across the root and c the point the secant pairs
+    with b (the previous b, or the newest point if that is not the best). The
+    count stage has put one root and no pole in each bracket, so each one ends
+    as a root: the midpoint of a bracket narrower than the tolerance.
     """
     if not brackets:
         return []
-    ends = np.array(brackets, dtype=float).T
-    values = batched_eval(func, ends.ravel(), threads)
-    ends = np.stack([ends, *(v.reshape(ends.shape) for v in values)], axis=1)  # (lo, hi) x point
-    # a point is (x, sign, log|f|) per bracket
-    a, b = np.where(ends[0, 2] < ends[1, 2], ends[::-1], ends)
-    c = a
-    # bracket widths two and one steps ago; the first step bisects, since a
-    # secant from ends of very unequal |f| (one beside a pole) barely moves
-    shrunk, previous = np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
-    ids = np.arange(a.shape[1])
-    roots = np.empty(ids.size)
+    ends = np.array(brackets, dtype=float).ravel()
+    sign, logf = batched_eval(func, ends, threads)
+    points = list(zip(ends.tolist(), sign.tolist(), logf.tolist()))
+    # per bracket [a, b, c, width two steps ago, width one step ago]; the first
+    # step bisects, since a secant from ends of very unequal |f| (one beside a
+    # pole) barely moves
+    state = []
+    for p, q in zip(points[::2], points[1::2]):
+        a, b = (q, p) if p[2] < q[2] else (p, q)
+        state.append([a, b, a, 0.0, math.inf])
+    roots = [0.0] * len(state)
+    active = range(len(state))
     while True:
-        tol = np.array([tol_at(x) for x in b[0]])
-        width = np.abs(b[0] - a[0])
-        done = width <= tol
-        if done.any():
-            roots[ids[done]] = 0.5 * (a[0, done] + b[0, done])
-            if done.all():
-                return roots.tolist()
-            a, b, c, shrunk, previous, ids, tol, width = (
-                v[..., ~done] for v in (a, b, c, shrunk, previous, ids, tol, width)
-            )
-        mid = 0.5 * (a[0] + b[0])
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = b[0] - (b[0] - c[0]) / (1.0 - c[1] * b[1] * np.exp(c[2] - b[2]))
-        x = np.where(((x - b[0]) * (x - mid) < 0) & (width <= 0.5 * shrunk), x, mid)
-        x = np.where(np.abs(x - b[0]) < 0.5 * tol, b[0] + np.copysign(0.5 * tol, a[0] - b[0]), x)
-        shrunk, previous = previous, width
-        new = np.stack([x, *batched_eval(func, x, threads)])
-        a = np.where(a[1] * new[1] < 0, a, b)  # the end across the root from the new point
-        swap = a[2] < new[2]  # the new point is not the best: the next secant pairs b with it
-        a, b, c = np.where(swap, new, a), np.where(swap, a, new), np.where(swap, new, b)
+        stepping, xs = [], []
+        for i in active:
+            a, b, c, shrunk, previous = state[i]
+            tol, width = tol_at(b[0]), abs(b[0] - a[0])
+            if width <= tol:
+                roots[i] = 0.5 * (a[0] + b[0])
+            else:
+                stepping.append(i)
+                xs.append(_secant_step(a, b, c, width, shrunk, tol))
+                state[i][3:] = previous, width
+        if not stepping:
+            return roots
+        sign, logf = batched_eval(func, np.array(xs), threads)
+        for i, new in zip(stepping, zip(xs, sign.tolist(), logf.tolist())):
+            a, b = state[i][:2]
+            if a[1] * new[1] >= 0:  # then b is the end across the root from the new point
+                a = b
+            # a new point that is not the best leaves b, and the next secant pairs b with it
+            state[i][:3] = (new, a, new) if a[2] < new[2] else (a, new, b)
+        active = stepping
 
 
-def sign_sweep_roots(func, count, segments, tol_at, threads=1):
+def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
     """Sorted, deduplicated roots of det over (lo, hi) segments, and warnings.
 
-    The count stage (find_brackets) covers every segment, and one polish
-    (bisect_brackets) every one-root bracket. func and count come from one
-    determinant call; count must not fall inside a segment, so poles belong
-    on seams.
+    The count stage (find_brackets, which takes ends) covers every segment,
+    and one polish (bisect_brackets) every one-root bracket. func and count
+    come from one determinant call; count must not fall inside a segment, so
+    poles belong on seams.
     """
-    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads)
+    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
     return dedupe_sorted(sorted(roots), tol_at), warnings
 

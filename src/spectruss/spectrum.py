@@ -189,24 +189,45 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     Regular roots come from one counting sweep of D over the segments between
     poles: inside a segment the rod term of the Wittrick-Williams count is
     constant, so the roots an interval holds are the rise of the number of
-    negative eigenvalues of D across it. A count that falls is reported in
-    the warnings. Each pole is dispatched to resonant_mode_check. D is the
-    anchored structure's, in rod-span frames, so mechanism joints leave it
-    regular. Output is sorted by frequency and deduplicated within the root tolerance.
+    negative eigenvalues of D across it. Across a pole's guard band the count
+    rises by the resonant rods (each has one clamped-end mode at the pole)
+    plus the rise of the D count: the modes at the pole and the roots inside
+    the band. Each pole is dispatched to resonant_mode_check, except where
+    that rise is 0 in a truss without mechanism joints (at mechanism joints
+    the count near a pole is not yet trusted, ROADMAP item 2). A count that
+    falls, or a rise that differs from the resonant modes found, is reported
+    in the warnings. D is the anchored structure's, in rod-span frames, so
+    mechanism joints leave it regular. Output is sorted by frequency and
+    deduplicated within the root tolerance.
     """
     poles = pole_set(truss, window)
+    segments = _segments(window, truss, poles)
+    mechanisms = list(_span_frames(truss)[1])
     func, _, count = _det_eval(truss)
+    edges = np.ravel(segments)
+    ends = _roots.batched_eval(count, edges, threads)[0] if segments else edges
     roots, warnings = _roots.sign_sweep_roots(
-        func, count, _segments(window, truss, poles), window.tol_at, threads=threads
+        func, count, segments, window.tol_at, threads=threads, ends=ends
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
+    # a guard end is a segment end: pole.omega -/+ guard_width, as _segments computes it
+    counted = dict(zip(edges.tolist(), ends.tolist()))
     for pole in poles:
-        modes.extend(
-            resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
-        )
+        g = guard_width(truss, pole)
+        below, above = counted.get(pole.omega - g), counted.get(pole.omega + g)
+        rise = None if below is None or above is None else len(pole.rods) + above - below
+        if rise == 0 and not mechanisms:
+            continue
+        found = resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
+        modes.extend(found)
+        if rise is not None and rise != len(found):
+            warnings.append(
+                f"count rises by {rise} across the pole at {pole.omega:.10g}, "
+                f"but {len(found)} resonant modes were found there"
+            )
     modes.sort(key=lambda m: m.omega)
-    return SweepResult(modes=modes, warnings=warnings, mechanisms=list(_span_frames(truss)[1]))
+    return SweepResult(modes=modes, warnings=warnings, mechanisms=mechanisms)
 
 
 # -- mode extraction -----------------------------------------------------------
