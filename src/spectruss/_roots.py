@@ -1,17 +1,17 @@
 """Determinant evaluators, the counting sweep, secant root polish, |det| minimum refinement.
 
-All three sweeps ask where a stack of matrices goes singular, and each gets
-its evaluator from `determinant`. One counting sweep serves the network-matrix
-and the FEM det(K - w^2 M) sweeps: the number of negative eigenvalues of the
-symmetric matrix tells how many roots an interval holds before any search
-(Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284), so timing
-comparisons between the two methods measure the matrices, not the root
-finder. The matching system is not symmetric; its modulus sweep searches the
-minima of log|det| on a grid.
+All three sweeps ask where a stack of matrices goes singular, and one
+counting sweep serves them: a count of the roots each interval holds, then a
+polish on the sign of a real determinant, so timing comparisons between the
+methods measure the matrices, not the root finder. determinant gives count
+and sign for real symmetric stacks, unitary_determinant for the matching
+system. modulus_minima, a grid search of |det| minima, is the reference the
+tests hold the matching sweep to.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,35 +41,64 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
     return _concatenate(parts)
 
 
-def determinant(build, point_bytes: int):
-    """(func, sigma, count) of the matrix stack build(xs) -> (m, n, n), one matrix per frequency.
+def _chunked(build, point_bytes, reduce):
+    """reduce(xs, build(xs)) -> arrays over chunks of xs that each build at most BATCH_BYTES.
 
-    func(xs) -> (sign, log|det|) arrays. count(xs) -> (negative eigenvalue
-    counts,) of each matrix, which must be real symmetric. Both evaluate in
-    consecutive chunks that each build at most BATCH_BYTES at point_bytes per
-    frequency. Every point is evaluated on its own, so the result does not
-    depend on where chunks split. sigma(x) -> (sigma_min, sigma_max) of the
-    matrix at one frequency.
+    Every point is reduced on its own, so chunk seams do not change results.
     """
     step = max(1, BATCH_BYTES // max(1, point_bytes))
 
-    def chunked(reduce):
-        def evaluate(xs):
-            xs = np.asarray(xs)
-            if xs.size <= step:
-                return reduce(build(xs))
-            return _concatenate([reduce(build(xs[i : i + step])) for i in range(0, xs.size, step)])
+    def evaluate(xs):
+        xs = np.asarray(xs, dtype=float)
+        chunks = [xs[i : i + step] for i in range(0, max(xs.size, 1), step)]
+        return _concatenate([reduce(chunk, build(chunk)) for chunk in chunks])
 
-        return evaluate
+    return evaluate
 
-    def negative(stack):
+
+def determinant(build, point_bytes: int):
+    """(func, count) of the real symmetric matrix stack build(xs) -> (m, n, n), in chunks.
+
+    func(xs) -> (sign, log|det|) arrays. count(xs) -> (negative eigenvalue
+    counts,), which rise by one at each simple root of det between poles
+    (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284).
+    """
+
+    def negative(xs, stack):
         return (np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1),)
 
-    def sigma(x):
-        svals = np.linalg.svd(build(np.array([x]))[0], compute_uv=False)
-        return float(svals[-1]), float(svals[0])
+    slogdet = _chunked(build, point_bytes, lambda xs, stack: np.linalg.slogdet(stack))
+    return slogdet, _chunked(build, point_bytes, negative)
 
-    return chunked(np.linalg.slogdet), sigma, chunked(negative)
+
+def unitary_determinant(build, point_bytes: int, delay: float):
+    """(func, count) of build(xs) = I - V(x), V(x) = V(0) diag(exp(-i x tau_k)), in chunks.
+
+    V(0) must be real orthogonal up to a real diagonal similarity, and delay =
+    sum_k tau_k. V's eigenvalues exp(i theta_j) then lie on the unit circle
+    and turn clockwise (d theta_j/dx = -v_j* diag(tau) v_j < 0), and a root is
+    where one passes through 1.
+
+    count(xs) -> (floor(y + 1/4),), y = (sum_j arg0 lambda_j + x delay) / 2 pi
+    with arg0 in [0, 2 pi): as sum_j theta_j = arg det V(0) - x delay and
+    det V(0) = +-1, y is an integer or an integer plus 1/2, and it rises by k
+    at a root of multiplicity k. func(xs) -> (sign, log|det|), the sign being
+    that of the real secular function det(I - V) exp(i x delay / 2) / u,
+    u = (-i)^n sqrt(det V(0)), which is prod_j 2 sin(theta_j / 2) up to a
+    constant sign (Kottos & Smilansky, Ann. Phys. 274 (1999) 76-124).
+    """
+    m0 = build(np.zeros(1))[0]
+    u = (-1j) ** len(m0) * np.sqrt(complex(np.linalg.det(np.eye(len(m0)) - m0).real))
+
+    def secular(xs, stack):
+        sign, logabs = np.linalg.slogdet(stack)
+        return np.sign((sign * np.exp(0.5j * delay * xs) / u).real), logabs
+
+    def winding(xs, stack):
+        turns = (np.angle(1.0 - np.linalg.eigvals(stack)) % (2.0 * math.pi)).sum(axis=-1)
+        return (np.floor((turns + xs * delay) / (2.0 * math.pi) + 0.25).astype(int),)
+
+    return _chunked(build, point_bytes, secular), _chunked(build, point_bytes, winding)
 
 
 def find_brackets(count, segments, tol_at, threads=1, ends=None):
@@ -78,7 +107,7 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
     count(xs) -> (counts,) must rise by one at every simple root inside each
     (lo, hi) segment and have no jump elsewhere, as the number of negative
     eigenvalues of D(omega) between two poles (the Wittrick-Williams count
-    less its constant rod term) or of K - w^2 M (the Sturm count). Every
+    less its constant rod term) or of K - w^2 M, or a winding count. Every
     segment's ends are counted in one batched_eval call, unless the caller
     passes their counts as ends (in np.ravel(segments) order). Then every
     interval that holds two or more roots is halved, one call per level,
@@ -201,12 +230,22 @@ def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
 
     The count stage (find_brackets, which takes ends) covers every segment,
     and one polish (bisect_brackets) every one-root bracket. func and count
-    come from one determinant call; count must not fall inside a segment, so
-    poles belong on seams.
+    come from one determinant or unitary_determinant call; count must not
+    fall inside a segment, so poles belong on seams.
     """
     roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
     return dedupe_sorted(sorted(roots), tol_at), warnings
+
+
+def window_roots(func, count, window, threads=1):
+    """sign_sweep_roots over a FrequencyWindow with no poles, as one segment; warnings are logged."""
+    roots, warnings = sign_sweep_roots(
+        func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
+    )
+    for message in warnings:
+        logging.getLogger("spectruss").warning(message)
+    return roots
 
 
 def _golden(f, bracket, tol):
@@ -234,6 +273,8 @@ def dedupe_sorted(values, tol_at):
 def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     """Refined local minima of log|f| on [lo, hi] via golden-section.
 
+    No sweep calls this grid search, nor _golden; tests keep it as the
+    reference that the matching system's counting sweep is compared against.
     func_log(xs) -> log|f| array. An end grid point that undercuts its one
     neighbor may sit beside a minimum inside the end cell, which is then
     searched within the cell's bounds. Returns the minima's x; the caller

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import fem, scattering, spectrum, validation
@@ -53,8 +52,7 @@ def _window(truss, args) -> FrequencyWindow:
     tau_min = truss.tau_min
     omega_min = args.omega_min if args.omega_min is not None else 0.05 / tau_min
     omega_max = args.omega_max if args.omega_max is not None else 1.2 * math.pi / tau_min
-    grid_points = getattr(args, "grid_points", None)
-    return FrequencyWindow(omega_min, omega_max, grid_points=grid_points)
+    return FrequencyWindow(omega_min, omega_max)
 
 
 def _sweep(truss, method, window, divisions, threads):
@@ -181,11 +179,6 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     truss = _read_truss(args.file)
     window = _window(truss, args)
-    # fix the reverberation sweep's grid over the whole window; the network
-    # and FEM sweeps count roots and lay no grid
-    window = replace(
-        window, grid_points=window.points(window.omega_min, window.omega_max, truss.tau_min)
-    )
     divisions = _parse_divisions(args.divisions)
 
     def timed(fn):
@@ -339,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-time comparison of the four methods")
     p.add_argument("file")
     p.add_argument("--divisions", default="1,2,4,8")
-    p.add_argument("--grid-points", type=int, default=None,
-                   help="reverberation grid points over the window (the other methods count roots)")
     add_window(p)
     p.set_defaults(func=cmd_bench)
 

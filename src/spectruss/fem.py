@@ -93,10 +93,5 @@ def fem_frequencies(
     basis, _ = _free_basis(fine)
     k = fine._cached("fem_stiffness", lambda: basis.T @ assemble_stiffness(fine).entries @ basis)
     m = basis.T @ assemble_mass(fine, kind).entries @ basis
-    func, _, count = _roots.determinant(
-        lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes
-    )
-    roots, _ = _roots.sign_sweep_roots(
-        func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
-    )
-    return roots
+    func, count = _roots.determinant(lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes)
+    return _roots.window_roots(func, count, window, threads=threads)

@@ -28,9 +28,6 @@ from .spectrum import FrequencyWindow
 TOWARD_END = "toward_end"  # toward the rod's second endpoint
 TOWARD_START = "toward_start"
 
-# a refined |det| minimum counts as a zero when the matrix is this singular
-_ZERO_SV_RATIO = 1e-8
-
 
 class DegenerateJointError(Exception):
     """The rods at a joint do not span the ambient dimension."""
@@ -95,21 +92,6 @@ def scatter(tm: TransmissionMatrix, incoming, force=None, omega=None):
 # -- global amplitude-matching system ------------------------------------------
 
 
-def _matching_layout(truss: Truss):
-    """Directed-edge index and per-joint scattering data for the global system."""
-    edge_index = {}
-    for i, rod in enumerate(truss.rods):
-        a, b = rod.joints
-        edge_index[(a, b)] = 2 * i
-        edge_index[(b, a)] = 2 * i + 1
-    joints = []
-    for joint in truss.joints:
-        edges = truss.neighbors(joint.id)
-        tm = None if joint.anchored else transmission_matrix(truss, joint.id)
-        joints.append((joint, edges, tm))
-    return edge_index, joints
-
-
 def matching_evaluator(truss: Truss):
     """Reusable batched builder of the complex matching system.
 
@@ -118,10 +100,16 @@ def matching_evaluator(truss: Truss):
     opposite-end amplitudes delayed by exp(-i w tau). Anchored joints pin the
     joint velocity to zero, so each incident rod reflects with F = -B.
     """
-    edge_index, joints = _matching_layout(truss)
+    edge_index = {}  # directed rod end (a, b) -> unknown
+    for i, rod in enumerate(truss.rods):
+        a, b = rod.joints
+        edge_index[(a, b)] = 2 * i
+        edge_index[(b, a)] = 2 * i + 1
     size = 2 * len(truss.rods)
     entries = []  # (row, col, coefficient, tau) of every phase-carrying term
-    for joint, edges, tm in joints:
+    for joint in truss.joints:
+        edges = truss.neighbors(joint.id)
+        tm = None if joint.anchored else transmission_matrix(truss, joint.id)
         for row_pos, (other, rod) in enumerate(edges):
             row = edge_index[(joint.id, other)]
             for col_pos, (other2, rod2) in enumerate(edges):
@@ -166,20 +154,21 @@ def reverberation_dof(truss: Truss) -> int:
     return 4 * len(truss.rods)
 
 
+def _matching_eval(truss: Truss):
+    """_roots.unitary_determinant's (func, count) of the matching system I - V(omega).
+
+    V(omega) = V(0) diag(exp(-i omega tau_k)) is unitary up to the impedance
+    scaling, each joint's T being a Lambda-reflection; nothing comes from D.
+    """
+    delay = 2.0 * sum(truss.rod_properties(rod).transit_time for rod in truss.rods)
+    point_bytes = 16 * (2 * len(truss.rods)) ** 2
+    return _roots.unitary_determinant(matching_evaluator(truss), point_bytes, delay)
+
+
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
-    """Frequencies where the matching system is singular, refined from |det| minima."""
-    det, sigma, _ = _roots.determinant(matching_evaluator(truss), 16 * (2 * len(truss.rods)) ** 2)
-    lo, hi = window.omega_min, window.omega_max
-    minima = _roots.modulus_minima(
-        lambda xs: det(xs)[1], lo, hi, window.points(lo, hi, truss.tau_min), window.tol_at,
-        threads=threads,
-    )
-    roots = []
-    for x in minima:
-        lo_sv, hi_sv = sigma(x)
-        if lo_sv <= _ZERO_SV_RATIO * hi_sv:
-            roots.append(x)
-    return _roots.dedupe_sorted(sorted(roots), window.tol_at)
+    """Frequencies where the matching system is singular: one counting sweep of _matching_eval."""
+    func, count = _matching_eval(truss)
+    return _roots.window_roots(func, count, window, threads=threads)
 
 
 # -- event-driven wavefront simulator -------------------------------------------

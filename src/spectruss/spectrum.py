@@ -35,7 +35,6 @@ from .assembly import (
 )
 from .model import Truss
 
-GRID_DENSITY = 2000.0  # matching-sweep grid points per unit of omega*tau_min
 # Relative singular-value cutoff for null-space membership in mode extraction.
 MODE_TOL = 1e-7
 FEAS_TOL = 1e-8  # relative residual cutoff for resonant feasibility
@@ -56,37 +55,19 @@ class NotARootError(Exception):
 
 @dataclass(frozen=True)
 class FrequencyWindow:
-    """A sweep window and the grid of the matching sweep (see points).
-
-    The network and FEM sweeps count roots and lay no grid; grid_points sets
-    only the matching (reverberation) sweep's grid. It fixes the points over
-    the whole window; None lays GRID_DENSITY points per unit of omega*tau_min.
-    """
+    """A sweep window and its root tolerance, tol_at; every sweep counts roots and lays no grid."""
 
     omega_min: float
     omega_max: float
-    grid_points: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.omega_min < self.omega_max):
             raise ValueError(
                 f"need 0 < omega_min < omega_max, got ({self.omega_min}, {self.omega_max})"
             )
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
 
     def tol_at(self, omega: float) -> float:
         return DEFAULT_ROOT_RTOL * max(abs(omega), self.omega_min)
-
-    def points(self, lo: float, hi: float, tau_min: float) -> int:
-        """Grid points of a modulus sweep over [lo, hi], a part of the window.
-
-        grid_points times the share of the window's width (at least 2), else
-        GRID_DENSITY per unit of omega*tau_min (at least 16).
-        """
-        if self.grid_points is not None:
-            return max(2, round(self.grid_points * (hi - lo) / (self.omega_max - self.omega_min)))
-        return max(16, math.ceil(GRID_DENSITY * (hi - lo) * tau_min))
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,7 @@ def _free_basis(truss: Truss):
 
 
 def _det_eval(truss: Truss):
-    """_roots.determinant's (func, sigma, count) of the swept D: anchor-reduced, in rod-span frames."""
+    """_roots.determinant's (func, count) of the swept D: anchor-reduced, in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors=True, span=True)
     return _roots.determinant(laplacian_evaluator(truss, pattern), 8 * pattern.size**2)
 
@@ -203,7 +184,7 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     poles = pole_set(truss, window)
     segments = _segments(window, truss, poles)
     mechanisms = list(_span_frames(truss)[1])
-    func, _, count = _det_eval(truss)
+    func, count = _det_eval(truss)
     edges = np.ravel(segments)
     ends = _roots.batched_eval(count, edges, threads)[0] if segments else edges
     roots, warnings = _roots.sign_sweep_roots(

@@ -300,12 +300,18 @@ def test_criterion_06_method_equivalence():
     assert report("criterion 06 method equivalence", ok, "; ".join(detail))
 
 
-def _best_time(fn, repeats=3):
-    best = float("inf")
+def _best_times(fns, repeats=3):
+    """Best wall time of each fn over repeats; each repeat runs every fn once, in turn.
+
+    Interleaving the repeats lets every method see the same host speed, so a
+    short host slowdown cannot land on one method only.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -314,13 +320,15 @@ def test_criterion_07_timing_direction():
     ok = True
     for name in ("square", "bridge"):
         truss = builtin_structure(name)
-        # the network and FEM methods share the counting root finder, so their
-        # times compare the matrices; grid_points sets the reverberation grid
-        window = FrequencyWindow(0.05, 1.2 * math.pi, grid_points=20000)
-        t_lap = _best_time(lambda: find_natural_frequencies(truss, window))
-        t_rev = _best_time(lambda: reverberation_frequencies(truss, window))
-        t_fc = _best_time(lambda: fem_frequencies(truss, window, "consistent", 4))
-        t_fl = _best_time(lambda: fem_frequencies(truss, window, "lumped", 4))
+        # all methods share the counting root finder, so their times compare
+        # the matrices
+        window = FrequencyWindow(0.05, 1.2 * math.pi)
+        t_lap, t_rev, t_fc, t_fl = _best_times([
+            lambda: find_natural_frequencies(truss, window),
+            lambda: reverberation_frequencies(truss, window),
+            lambda: fem_frequencies(truss, window, "consistent", 4),
+            lambda: fem_frequencies(truss, window, "lumped", 4),
+        ])
         ok = ok and t_lap < t_rev and t_lap < t_fc and t_lap < t_fl
         detail.append(
             f"{name}: laplacian {t_lap * 1e3:.0f}ms vs reverberation {t_rev * 1e3:.0f}ms, "

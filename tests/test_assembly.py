@@ -32,7 +32,7 @@ from spectruss import (
     solve_forced_response,
     subdivide,
 )
-from spectruss import _roots, assembly, spectrum
+from spectruss import _roots, assembly, scattering, spectrum
 from spectruss.assembly import laplacian_batch
 from spectruss.scattering import matching_evaluator
 from spectruss.validation import SquareClosedForm, closed_form_square_det
@@ -423,7 +423,14 @@ def eigvalsh_sizes(monkeypatch):
     return _spy(monkeypatch, "eigvalsh")
 
 
-def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes, eigvalsh_sizes):
+@pytest.fixture
+def eigvals_sizes(monkeypatch):
+    return _spy(monkeypatch, "eigvals")
+
+
+def test_sweep_determinants_are_chunked_within_budget(
+    slogdet_sizes, eigvalsh_sizes, eigvals_sizes, monkeypatch
+):
     lattice = _braced_lattice(5)
     assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
     network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True, span=True))
@@ -432,58 +439,73 @@ def test_sweep_determinants_are_chunked_within_budget(slogdet_sizes, eigvalsh_si
     def fem(w):
         return k[None] - w[:, None, None] ** 2 * m[None]
 
-    matching = matching_evaluator(lattice)
+    def negative(build, xs):
+        return np.sum(np.linalg.eigvalsh(build(xs)) < 0.0, axis=1)
+
     grid = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
-    cases = [  # (func, sigma, count), the stack builder, frequencies: four chunks each
-        (spectrum._det_eval(lattice), network, grid),
-        (_roots.determinant(fem, k.nbytes), fem, grid),
-        (_roots.determinant(matching, 16 * 112 * 112), matching, np.linspace(0.06, 2.0, 300)),
+
+    # (func, count), the stack builder, the count's eigenvalue routine, the
+    # frequencies (four chunks each), the reference count given the count at
+    # omegas[0], the budget. D's and K - w^2 M's counts are their negative
+    # eigenvalues; the matching count has an arbitrary offset, and it rises
+    # from omegas[0] = grid[0] by the natural frequencies D's count passes.
+    cases = [
+        (spectrum._det_eval(lattice), network, eigvalsh_sizes, grid,
+         lambda xs, first: negative(network, xs), _roots.BATCH_BYTES),
+        (_roots.determinant(fem, k.nbytes), fem, eigvalsh_sizes, grid,
+         lambda xs, first: negative(fem, xs), _roots.BATCH_BYTES),
     ]
-    for (func, sigma, count), build, omegas in cases:
-        assert omegas.size * build(omegas[:1]).nbytes > 3 * _roots.BATCH_BYTES
+    # the matching count (eigvals of a complex 112 x 112 matrix) costs about
+    # 50 slogdets, so its four chunks are of a budget of ten matrices
+    monkeypatch.setattr(_roots, "BATCH_BYTES", 10 * 16 * 112 * 112)
+    matching = matching_evaluator(lattice)
+    cases.append((scattering._matching_eval(lattice), matching, eigvals_sizes,
+                  np.linspace(0.06, 2.0, 35),
+                  lambda xs, first: first + negative(network, xs) - negative(network, grid[:1]),
+                  _roots.BATCH_BYTES))
+    for (func, count), build, count_sizes, omegas, reference, budget in cases:
+        assert omegas.size * build(omegas[:1]).nbytes > 3 * budget
         slogdet_sizes.clear()
         sign, logabs = func(omegas)
         assert len(slogdet_sizes) == 4
-        assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+        assert max(slogdet_sizes) <= budget
         points = [func(np.array([w])) for w in omegas]
         assert np.array_equal(sign, [s[0] for s, _ in points])
         assert np.array_equal(logabs, [x[0] for _, x in points])
-        for w in omegas[::50]:
-            svals = np.linalg.svd(build(np.array([w]))[0], compute_uv=False)
-            assert sigma(w) == (svals[-1], svals[0])
-        if build is matching:
-            continue  # complex and not Hermitian: no count
-        eigvalsh_sizes.clear()
-        (negative,) = count(omegas)
-        assert len(eigvalsh_sizes) == 4
-        assert max(eigvalsh_sizes) <= _roots.BATCH_BYTES
+        count_sizes.clear()
+        (counts,) = count(omegas)
+        assert len(count_sizes) == 4
+        assert max(count_sizes) <= budget
         sample = omegas[::20]
-        assert np.array_equal(negative[::20], [count(np.array([w]))[0][0] for w in sample])
-        reference = np.sum(np.linalg.eigvalsh(build(sample)) < 0.0, axis=1)
-        assert np.array_equal(negative[::20], reference)
+        assert np.array_equal(counts[::20], [count(np.array([w]))[0][0] for w in sample])
+        assert np.array_equal(counts[::20], reference(sample, counts[0]))
 
 
-def test_fem_and_matching_determinants_stay_within_budget(slogdet_sizes, eigvalsh_sizes):
+def test_fem_and_matching_determinants_stay_within_budget(
+    slogdet_sizes, eigvalsh_sizes, eigvals_sizes
+):
     lattice = _braced_lattice(5)
-    window = FrequencyWindow(0.06, 2.0, grid_points=1500)
+    window = FrequencyWindow(0.06, 2.0)
     roots = fem_frequencies(lattice, window)
+    matching = reverberation_frequencies(lattice, window)
     assert eigvalsh_sizes[0] == 2 * 8 * 40 * 40  # the count at the window's two ends
-    assert max(slogdet_sizes + eigvalsh_sizes) <= _roots.BATCH_BYTES
+    assert eigvals_sizes[0] == 2 * 16 * 112 * 112
+    assert max(slogdet_sizes + eigvalsh_sizes + eigvals_sizes) <= _roots.BATCH_BYTES
+    assert matching == pytest.approx(find_natural_frequencies(lattice, window).omegas, rel=1e-8)
     # under a budget of three matrices the counts and the bisection run in
     # full chunks, and the roots stay the same
-    budget, _roots.BATCH_BYTES = _roots.BATCH_BYTES, 3 * 8 * 40 * 40
-    slogdet_sizes.clear()
-    eigvalsh_sizes.clear()
-    try:
-        assert fem_frequencies(lattice, window) == roots
-        assert max(slogdet_sizes) == max(eigvalsh_sizes) == _roots.BATCH_BYTES
-    finally:
-        _roots.BATCH_BYTES = budget
-
-    slogdet_sizes.clear()
-    reverberation_frequencies(lattice, FrequencyWindow(0.05, 0.6, grid_points=200))
-    assert sum(slogdet_sizes[:3]) == 200 * 16 * 112 * 112  # the grid, in three chunks
-    assert max(slogdet_sizes) <= _roots.BATCH_BYTES
+    for sweep, found, sizes, matrix_bytes in [
+        (fem_frequencies, roots, eigvalsh_sizes, 8 * 40 * 40),
+        (reverberation_frequencies, matching, eigvals_sizes, 16 * 112 * 112),
+    ]:
+        budget, _roots.BATCH_BYTES = _roots.BATCH_BYTES, 3 * matrix_bytes
+        slogdet_sizes.clear()
+        sizes.clear()
+        try:
+            assert sweep(lattice, window) == found
+            assert max(slogdet_sizes) == max(sizes) == _roots.BATCH_BYTES
+        finally:
+            _roots.BATCH_BYTES = budget
 
 
 def test_counting_sweep_evaluates_few_points_per_root(monkeypatch):

@@ -181,8 +181,7 @@ def test_compare_bridge(capsys, bridge_file):
 
 
 def test_bench_csv(capsys, square_file):
-    code, out, _ = run(capsys, "bench", square_file, "--divisions", "1,2",
-                       "--grid-points", "400")
+    code, out, _ = run(capsys, "bench", square_file, "--divisions", "1,2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "divisions,laplacian_s,reverberation_s,fem_consistent_s,fem_lumped_s"
@@ -190,30 +189,6 @@ def test_bench_csv(capsys, square_file):
     for line in lines[1:]:
         cells = line.split(",")
         assert all(float(c) > 0.0 for c in cells[1:])
-
-
-def test_bench_default_grid_is_the_density_rule(capsys, square_file, monkeypatch):
-    # without --grid-points every method gets the density rule's count over the
-    # default window, 2000 points per unit of omega * tau_min, at least 16
-    from spectruss import builtin_structure, cli
-
-    windows = []
-
-    def record(truss, window, *args, **kwargs):
-        windows.append(window)
-        return []
-
-    for owner, name in [(cli.spectrum, "find_natural_frequencies"),
-                        (cli.scattering, "reverberation_frequencies"),
-                        (cli.fem, "fem_frequencies")]:
-        monkeypatch.setattr(owner, name, record)
-    code, _, _ = run(capsys, "bench", square_file, "--divisions", "1,2")
-    assert code == 0
-    tau_min = builtin_structure("square").tau_min
-    lo, hi = 0.05 / tau_min, 1.2 * math.pi / tau_min
-    expected = max(16, math.ceil(2000.0 * (hi - lo) * tau_min))
-    assert len(windows) == 6
-    assert {w.grid_points for w in windows} == {expected}
 
 
 def test_simulate_events_and_snapshots(capsys, square_file, tmp_path, monkeypatch):

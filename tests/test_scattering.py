@@ -19,7 +19,15 @@ from spectruss import (
     simulate_wavefronts,
     transmission_matrix,
 )
-from spectruss.scattering import TOWARD_END, TOWARD_START, reverberation_dof
+from conftest import random_truss
+from spectruss import _roots
+from spectruss.scattering import (
+    TOWARD_END,
+    TOWARD_START,
+    _matching_eval,
+    matching_evaluator,
+    reverberation_dof,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -160,6 +168,51 @@ def test_reverberation_zeros_match_network_roots(square, bridge):
                 lap.append(m.omega)
         assert len(rev) == len(lap)
         assert rev == pytest.approx(lap, abs=1e-8)
+
+
+def test_matching_count_finds_every_zero_of_the_grid_reference(square, bridge):
+    # the grid search the counting sweep replaced is the reference: its |det|
+    # minima on 2000 points per unit of omega*tau_min, kept where the matrix
+    # is singular (sigma_min <= 1e-8 sigma_max), must all be reported, and
+    # every other root reported must be a network root; the grid missed one
+    # network root each of draws 79 and 187
+    rng = np.random.default_rng(0)
+    draws = [random_truss(rng) for _ in range(188)]
+    cases = [("square", square), ("bridge", bridge)]
+    cases += [(k, draws[k]) for k in (4, 6, 10, 79, 187)]  # draws whose joints span
+    gained = {79: [1.623944634], 187: [14.84455391]}
+    for name, truss in cases:
+        window = FrequencyWindow(0.05 / truss.tau_min, 1.2 * math.pi / truss.tau_min)
+        lo, hi = window.omega_min, window.omega_max
+        func, _ = _matching_eval(truss)
+        build = matching_evaluator(truss)
+        minima = _roots.modulus_minima(
+            lambda xs: func(xs)[1], lo, hi, math.ceil(2000.0 * (hi - lo) * truss.tau_min),
+            window.tol_at,
+        )
+        zeros = []
+        for x in minima:
+            svals = np.linalg.svd(build(np.array([x]))[0], compute_uv=False)
+            if svals[-1] <= 1e-8 * svals[0]:
+                zeros.append(x)
+        found = reverberation_frequencies(truss, window)
+        for x in zeros:
+            assert min(abs(w - x) for w in found) <= 1e-8 * x, (name, x)
+        extra = [w for w in found if min((abs(w - x) for x in zeros), default=math.inf) > 1e-8 * w]
+        network = find_natural_frequencies(truss, window).omegas
+        for w in extra:
+            assert min(abs(w - x) for x in network) <= 1e-8 * w, (name, w)
+        assert extra == pytest.approx(gained.get(name, []), rel=1e-9), name
+
+
+def test_matching_count_rises_by_three_across_the_bridge_pole(bridge):
+    # the network count across the pole at pi is 3, but the network sweep
+    # finds 1 resonant mode there; the matching system has no pole at pi and
+    # its count sees the multiplicity directly
+    _, count = _matching_eval(bridge)
+    for gap in (1e-3, 1e-8):
+        (n,) = count(np.array([math.pi - gap, math.pi + gap]))
+        assert n[1] - n[0] == 3
 
 
 def test_reverberation_modulus_positive_between_roots(bridge):
@@ -306,8 +359,8 @@ def test_anchored_joint_reflects_with_velocity_inversion(bridge):
 
 def test_reverberation_finds_zeros_in_the_end_cells(bridge):
     # the window starts 1e-4 below the bridge's lowest natural frequency and
-    # ends 1e-4 above its fourth, so both lie in an end cell of the grid
+    # ends 1e-4 above its fourth, so both lie in the end intervals of the count
     network = find_natural_frequencies(bridge, FrequencyWindow(0.05, 3.0)).omegas
     lo, hi = network[0] - 1e-4, network[3] + 1e-4
-    found = reverberation_frequencies(bridge, FrequencyWindow(lo, hi, grid_points=40))
+    found = reverberation_frequencies(bridge, FrequencyWindow(lo, hi))
     assert found == pytest.approx(network[:4], rel=1e-8)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,11 +15,14 @@ from spectruss import (
     anchor_forces,
     builtin_structure,
     extract_modes,
+    fem_frequencies,
     find_natural_frequencies,
     pole_set,
     resonant_mode_check,
+    reverberation_frequencies,
     subdivide,
 )
+from spectruss import _roots
 from spectruss.assembly import laplacian_batch
 from spectruss.spectrum import _free_basis, _segments
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
@@ -402,7 +406,7 @@ def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
     # the pole at 1.5 sits in the first seam, where the count falls; the
     # three close roots near 2.5 lie in the last segment
     segments = [(0.1, 1.4), (1.6, 2.2), (2.3, 3.0)]
-    func, _, count = determinant(_seam_stack, 8 * 7 * 7)
+    func, count = determinant(_seam_stack, 8 * 7 * 7)
     _, brackets, warnings = find_brackets(count, segments, tol)
     assert len(brackets) == 4
     assert all(any(a <= lo and hi <= b for a, b in segments) for lo, hi in brackets)
@@ -430,23 +434,29 @@ def test_count_that_falls_is_a_warning():
         values = np.column_stack([xs - 1.2, 2.0 - xs])
         return values[:, :, None] * np.eye(2)
 
-    func, _, count = determinant(stack, 8 * 2 * 2)
+    func, count = determinant(stack, 8 * 2 * 2)
     roots, warnings = sign_sweep_roots(func, count, [(0.5, 1.5), (1.6, 2.5)], lambda x: 1e-12)
     assert roots == pytest.approx([2.0], abs=1e-10)
     assert warnings == ["count falls from 1 to 0 across [0.5, 1.5]"]
 
 
-def test_window_points_share_grid_points_by_width():
-    fixed = FrequencyWindow(0.05, 12.0, grid_points=3000)
-    assert fixed.points(0.05, 12.0, 0.37) == 3000
-    for lo, hi in [(1.0, 2.5), (0.05, 3.1), (7.0, 7.001)]:
-        assert fixed.points(lo, hi, 0.37) == max(2, round(3000 * (hi - lo) / 11.95))
-    assert fixed.points(7.0, 7.001, 0.37) == 2
+def test_fem_and_matching_sweeps_log_a_count_that_falls(monkeypatch, caplog, square):
+    # an eigenvalue that rises through zero at 1.2 takes the count down across
+    # the window; both single-segment sweeps log it and report no root
+    def rising(xs):
+        return (np.asarray(xs, dtype=float) - 1.2)[:, None, None]
 
-    dense = FrequencyWindow(0.05, 12.0)
-    for lo, hi, tau_min in [(0.05, 12.0, 1.0), (1.0, 2.5, 0.3), (7.0, 7.001, 1.0)]:
-        assert dense.points(lo, hi, tau_min) == max(16, math.ceil(2000.0 * (hi - lo) * tau_min))
-    assert dense.points(7.0, 7.001, 1.0) == 16
+    falling = _roots.determinant(rising, 8)
+    monkeypatch.setattr(_roots, "determinant", lambda build, point_bytes: falling)
+    monkeypatch.setattr(_roots, "unitary_determinant", lambda build, point_bytes, delay: falling)
+    window = FrequencyWindow(0.5, 2.5)
+    with caplog.at_level(logging.WARNING, logger="spectruss"):
+        assert fem_frequencies(square, window) == []
+        assert reverberation_frequencies(square, window) == []
+    message = "count falls from 1 to 0 across [0.5, 2.5]"
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("spectruss", logging.WARNING, message)
+    ] * 2
 
 
 def _default_window(truss):
