@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -219,9 +220,11 @@ def cmd_simulate(args) -> int:
             for rod in truss.rods:
                 length = truss.rod_properties(rod).length
                 segments = profile[rod.id]
+                starts = [z0 for z0, _, _ in segments]
                 for b in range(args.bins):
                     z = (b + 0.5) / args.bins * length
-                    sigma = next((s for z0, z1, s in segments if z0 <= z < z1), 0.0)
+                    k = bisect.bisect_right(starts, z) - 1
+                    sigma = segments[k][2] if k >= 0 and z < segments[k][1] else 0.0
                     fh.write(f"{rod.id},{_fmt(z / length)},{_fmt(sigma)}\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -17,7 +17,9 @@ the zeros of det(D) but over twice as many unknowns.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,14 +139,9 @@ def matching_evaluator(truss: Truss):
     return build
 
 
-def matching_matrix_batch(truss: Truss, omegas) -> np.ndarray:
-    """Stacked complex matching system over a frequency grid."""
-    return matching_evaluator(truss)(omegas)
-
-
 def reverberation_determinant(truss: Truss, omega: float) -> float:
     """|det| of the global amplitude-matching system at one frequency."""
-    matrix = matching_matrix_batch(truss, np.array([omega]))[0]
+    matrix = matching_evaluator(truss)([omega])[0]
     sign, logabs = np.linalg.slogdet(matrix)
     return float(abs(sign) * np.exp(logabs))
 
@@ -199,19 +196,61 @@ class ScatterEvent:
     outgoing: tuple
 
 
-@dataclass
-class _Front:
-    rod_idx: int
-    sign: int  # +1 toward the rod's second endpoint
-    v_jump: float  # velocity step in the rod's canonical frame
-    t0: float
-    z0: float
-    t_arrive: float
+@dataclass(frozen=True)
+class _FrontColumns:
+    """Every front the simulator launched, in launch order, one array per field.
+
+    rod: rod index; sign: +1 toward the rod's second endpoint, -1 toward its
+    first; stress: the signed step it carries; t0, z0: launch time and
+    position along the rod; t_arrive: when it reaches the rod's far end.
+    """
+
+    rod: np.ndarray
+    sign: np.ndarray
+    stress: np.ndarray
+    t0: np.ndarray
+    z0: np.ndarray
+    t_arrive: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rod.size
 
 
-def _stress(front: _Front, truss: Truss) -> float:
-    gamma = truss.rod_properties(truss.rods[front.rod_idx]).impedance
-    return -front.sign * gamma * front.v_jump
+_COVER_BLOCK = 1 << 20  # span-by-point entries built at once
+
+
+def _covering_sums(points, lo, hi, stress):
+    """At each point, the sum of the stress of the spans [lo, hi) that cover it.
+
+    A running total from 0.0 over the spans in their given order, so each sum
+    is the float that adding its covering spans one by one gives; a point no
+    span covers reads 0.0. Built a block of points at a time to bound memory.
+    """
+    sums = np.empty(points.size)
+    rows = max(1, _COVER_BLOCK // (lo.size + 1))
+    for start in range(0, points.size, rows):
+        at = points[start:start + rows, None]
+        terms = np.zeros((at.shape[0], lo.size + 1))
+        terms[:, 1:] = np.where((lo <= at) & (at < hi), stress, 0.0)
+        sums[start:start + rows] = terms.cumsum(axis=1)[:, -1]
+    return sums
+
+
+class _Port(NamedTuple):
+    """One way out of a joint: a rod, seen from the joint a front leaves."""
+
+    rod: int  # rod index
+    rod_id: str
+    sign: int  # +1 when the rod starts here, so the front heads to its second endpoint
+    impedance: float
+    z0: float  # launch position along the rod
+    transit: float
+    far_joint: str
+    far_slot: int  # the rod's position among the far joint's neighbors
+
+
+def _rod_column(truss: Truss, name: str) -> np.ndarray:
+    return np.array([getattr(truss.rod_properties(rod), name) for rod in truss.rods])
 
 
 @dataclass
@@ -219,55 +258,51 @@ class WavefrontSimulation:
     truss: Truss
     t_max: float
     events: list
-    _history: list = field(default_factory=list)
+    _history: _FrontColumns
 
     def active_fronts(self, t: float):
         """Fronts still travelling at time t, as public Wavefront records."""
-        out = []
-        for f in self._history:
-            if f.t0 <= t < f.t_arrive:
-                rod = self.truss.rods[f.rod_idx]
-                c = self.truss.rod_properties(rod).wave_speed
-                out.append(
-                    Wavefront(
-                        rod=rod.id,
-                        direction=TOWARD_END if f.sign > 0 else TOWARD_START,
-                        position=f.z0 + f.sign * c * (t - f.t0),
-                        event_time=t,
-                        stress_amplitude=_stress(f, self.truss),
-                    )
-                )
-        return out
+        h = self._history
+        live = (h.t0 <= t) & (t < h.t_arrive)
+        rod, sign = h.rod[live], h.sign[live]
+        position = h.z0[live] + sign * _rod_column(self.truss, "wave_speed")[rod] * (t - h.t0[live])
+        return [
+            Wavefront(
+                rod=self.truss.rods[r].id,
+                direction=TOWARD_END if s > 0 else TOWARD_START,
+                position=z,
+                event_time=t,
+                stress_amplitude=sigma,
+            )
+            for r, s, z, sigma in zip(
+                rod.tolist(), sign.tolist(), position.tolist(), h.stress[live].tolist()
+            )
+        ]
 
     def stress_profile(self, t: float):
         """Piecewise-constant stress per rod at time t: (z_lo, z_hi, sigma) spans."""
         if t > self.t_max:
             raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
-        per_rod = {rod.id: [] for rod in self.truss.rods}
-        for f in self._history:
-            if f.t0 > t:
-                continue
-            rod = self.truss.rods[f.rod_idx]
-            length = self.truss.rod_properties(rod).length
-            c = self.truss.rod_properties(rod).wave_speed
-            travelled = c * (min(t, f.t_arrive) - f.t0)
-            if f.sign > 0:
-                lo, hi = f.z0, min(length, f.z0 + travelled)
-            else:
-                lo, hi = max(0.0, f.z0 - travelled), f.z0
-            if hi > lo:
-                per_rod[rod.id].append((lo, hi, _stress(f, self.truss)))
+        h = self._history
+        length = _rod_column(self.truss, "length")
+        launched = h.t0 <= t
+        rod, sign, z0 = h.rod[launched], h.sign[launched], h.z0[launched]
+        travelled = _rod_column(self.truss, "wave_speed")[rod] * (
+            np.minimum(t, h.t_arrive[launched]) - h.t0[launched]
+        )
+        forward = sign > 0
+        lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))
+        hi = np.where(forward, np.minimum(length[rod], z0 + travelled), z0)
+        span = np.flatnonzero(hi > lo)
+        span = span[np.argsort(rod[span], kind="stable")]
+        rod, lo, hi, stress = rod[span], lo[span], hi[span], h.stress[launched][span]
+        bounds = np.searchsorted(rod, np.arange(len(self.truss.rods) + 1))
         profiles = {}
-        for rod in self.truss.rods:
-            length = self.truss.rod_properties(rod).length
-            spans = per_rod[rod.id]
-            breaks = sorted({0.0, length, *(s[0] for s in spans), *(s[1] for s in spans)})
-            segments = []
-            for z0, z1 in zip(breaks[:-1], breaks[1:]):
-                mid = 0.5 * (z0 + z1)
-                sigma = sum(s[2] for s in spans if s[0] <= mid < s[1])
-                segments.append((z0, z1, sigma))
-            profiles[rod.id] = segments
+        for k, rod_id in enumerate(r.id for r in self.truss.rods):
+            cut = slice(bounds[k], bounds[k + 1])
+            breaks = np.unique(np.concatenate(([0.0, length[k]], lo[cut], hi[cut])))
+            sigma = _covering_sums(0.5 * (breaks[:-1] + breaks[1:]), lo[cut], hi[cut], stress[cut])
+            profiles[rod_id] = list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), sigma.tolist()))
         return profiles
 
 
@@ -289,97 +324,94 @@ def simulate_wavefronts(
     if t_max < 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     rod_index = {rod.id: i for i, rod in enumerate(truss.rods)}
+    slot = {
+        (joint.id, rod.id): k
+        for joint in truss.joints
+        for k, (_, rod) in enumerate(truss.neighbors(joint.id))
+    }
+    # per joint: its transmission matrix (None when anchored) and its ports in neighbor order
     joint_data = {}
     for joint in truss.joints:
-        edges = truss.neighbors(joint.id)
+        ports = []
+        for other, rod in truss.neighbors(joint.id):
+            props = truss.rod_properties(rod)
+            sign = 1 if rod.joints[0] == joint.id else -1
+            ports.append(_Port(rod_index[rod.id], rod.id, sign, props.impedance,
+                               0.0 if sign > 0 else props.length, props.transit_time,
+                               other, slot[other, rod.id]))
         tm = None if joint.anchored else transmission_matrix(truss, joint.id)
-        joint_data[joint.id] = (edges, tm)
+        joint_data[joint.id] = (tm, ports)
 
     time_tol = 1e-12 * truss.tau_min
+    horizon = t_max + time_tol
+    # heap entries: (t_arrive, far joint, rod id, front index, slot at the far
+    # joint, velocity step in the far joint's frame, stress step)
     heap = []
-    counter = 0
-    history = []
+    rod_col, sign_col = array("q"), array("b")
+    stress_col, t0_col, z0_col, arrive_col = (array("d") for _ in range(4))
     events = []
 
-    def schedule(front: _Front):
-        nonlocal counter
-        history.append(front)
-        rod = truss.rods[front.rod_idx]
-        target = rod.joints[1] if front.sign > 0 else rod.joints[0]
-        if front.t_arrive <= t_max + time_tol:
-            heapq.heappush(heap, (front.t_arrive, target, rod.id, counter, front))
-            counter += 1
-        if len(heap) > front_cap:
-            raise EventExplosionError(
-                f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
-            )
+    def launch(port, v_far, stress, t0):
+        """Record a front leaving by port at t0; queue its arrival if that is within t_max."""
+        rod, rod_id, sign, _, z0, transit, far_joint, far_slot = port
+        t_arrive = t0 + transit
+        rod_col.append(rod)
+        sign_col.append(sign)
+        stress_col.append(stress)
+        t0_col.append(t0)
+        z0_col.append(z0)
+        arrive_col.append(t_arrive)
+        if t_arrive <= horizon:
+            entry = (t_arrive, far_joint, rod_id, len(t0_col), far_slot, v_far, stress)
+            heapq.heappush(heap, entry)
+            if len(heap) > front_cap:
+                raise EventExplosionError(
+                    f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
+                )
 
     for imp in impulses:
         if imp.rod not in rod_index:
             raise ValueError(f"impulse references unknown rod '{imp.rod}'")
         if imp.direction not in (TOWARD_END, TOWARD_START):
             raise ValueError(f"impulse direction must be toward_end/toward_start, got {imp.direction!r}")
-        idx = rod_index[imp.rod]
-        props = truss.rod_properties(truss.rods[idx])
-        sign = 1 if imp.direction == TOWARD_END else -1
-        v_jump = -sign * imp.stress_amplitude / props.impedance
-        z0 = 0.0 if sign > 0 else props.length
-        schedule(
-            _Front(
-                rod_idx=idx,
-                sign=sign,
-                v_jump=v_jump,
-                t0=imp.start_time,
-                z0=z0,
-                t_arrive=imp.start_time + props.transit_time,
-            )
-        )
+        rod = truss.rods[rod_index[imp.rod]]
+        launch_joint = rod.joints[0] if imp.direction == TOWARD_END else rod.joints[1]
+        port = joint_data[launch_joint][1][slot[launch_joint, rod.id]]
+        v_far = imp.stress_amplitude / port.impedance  # a front's stress is Gamma * v_far
+        launch(port, v_far, port.impedance * v_far, imp.start_time)
 
     while heap:
-        t0 = heap[0][0]
-        if t0 > t_max + time_tol:
+        t_first = heap[0][0]
+        if t_first > horizon:
             break
         # everything within the merge tolerance scatters now, grouped per joint
         groups = {}
-        while heap and heap[0][0] - t0 <= time_tol:
-            _, joint_id, _, _, front = heapq.heappop(heap)
-            groups.setdefault(joint_id, []).append(front)
+        while heap and heap[0][0] - t_first <= time_tol:
+            entry = heapq.heappop(heap)
+            groups.setdefault(entry[1], []).append(entry)
 
         for joint_id in sorted(groups):
             batch = groups[joint_id]
-            t_event = min(f.t_arrive for f in batch)
-            edges, tm = joint_data[joint_id]
-            order = {other: k for k, (other, _) in enumerate(edges)}
-            incoming = np.zeros(len(edges))
+            t_event = min(entry[0] for entry in batch)
+            tm, ports = joint_data[joint_id]
+            incoming = [0.0] * len(ports)
             incoming_stress = {}
-            for f in batch:
-                rod = truss.rods[f.rod_idx]
-                other = rod.joints[0] if rod.joints[1] == joint_id else rod.joints[1]
-                joint_frame = f.v_jump if rod.joints[0] == joint_id else -f.v_jump
-                incoming[order[other]] += joint_frame
-                incoming_stress[rod.id] = incoming_stress.get(rod.id, 0.0) + _stress(f, truss)
+            for _, _, rod_id, _, k, v_joint, stress in batch:
+                incoming[k] += v_joint
+                incoming_stress[rod_id] = incoming_stress.get(rod_id, 0.0) + stress
 
+            incoming = np.array(incoming)
             outgoing = -incoming if tm is None else tm.entries @ incoming
             # children at round-off of the incoming amplitude are not real fronts
-            noise_floor = 1e-14 * max(abs(s) for s in incoming_stress.values())
+            noise_floor = 1e-14 * max(map(abs, incoming_stress.values()))
 
             out_log = []
-            for (other, rod), v_joint in zip(edges, outgoing):
-                props = truss.rod_properties(rod)
-                sigma = -props.impedance * v_joint  # outgoing wave leaves the joint
+            for port, v_joint in zip(ports, outgoing.tolist()):
+                sigma = -port.impedance * v_joint  # outgoing wave leaves the joint
                 if abs(sigma) <= noise_floor or abs(sigma) < min_amplitude:
                     continue
-                leaves_start = rod.joints[0] == joint_id
-                front = _Front(
-                    rod_idx=rod_index[rod.id],
-                    sign=1 if leaves_start else -1,
-                    v_jump=v_joint if leaves_start else -v_joint,
-                    t0=t_event,
-                    z0=0.0 if leaves_start else props.length,
-                    t_arrive=t_event + props.transit_time,
-                )
-                schedule(front)
-                out_log.append((rod.id, sigma))
+                launch(port, -v_joint, sigma, t_event)
+                out_log.append((port.rod_id, sigma))
 
             events.append(
                 ScatterEvent(
@@ -390,4 +422,6 @@ def simulate_wavefronts(
                 )
             )
 
+    history = _FrontColumns(*(np.asarray(col) for col in (
+        rod_col, sign_col, stress_col, t0_col, z0_col, arrive_col)))
     return WavefrontSimulation(truss=truss, t_max=t_max, events=events, _history=history)

@@ -357,6 +357,124 @@ def test_anchored_joint_reflects_with_velocity_inversion(bridge):
     assert amp_out == pytest.approx(-1.0)  # anchored wall keeps the stress sign
 
 
+def _braced_lattice(side):
+    """Unit grid: joint (i, j) has rods to (i+1, j), (i, j+1) and (i+1, j+1); row j=0 anchored."""
+    joints = [
+        Joint(f"{i},{j}", (float(i), float(j)), anchored=(j == 0))
+        for j in range(side)
+        for i in range(side)
+    ]
+    rods = []
+    for j in range(side):
+        for i in range(side):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                a, b = i + di, j + dj
+                if a < side and b < side:
+                    rods.append(Rod(f"{i},{j}-{a},{b}", (f"{i},{j}", f"{a},{b}"), 1.0, "m"))
+    return Truss(2, joints, rods, {"m": Material("m", 1.0, 1.0)})
+
+
+def _spanning_draw():
+    """Conftest draw 16 (seed 0): a planar truss whose every joint spans the plane."""
+    rng = np.random.default_rng(0)
+    for _ in range(16):
+        random_truss(rng)
+    return random_truss(rng)
+
+
+def test_scattering_conserves_power(square, bridge):
+    # A sigma^2 / Gamma is the power a step front carries; a joint's T is a
+    # Lambda-reflection, so with nothing pruned the power in equals the power out.
+    # Each run has a few hundred scattering events at most.
+    draw = _spanning_draw()
+    draw_tau = max(draw.rod_properties(rod).transit_time for rod in draw.rods)
+    lattice = _braced_lattice(4)
+    cases = [
+        (square, [fig2_impulse()], 6.0),
+        (bridge, [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)], 8.0),
+        (_rect_with_crossbar(), [Impulse("12", TOWARD_END, -1.0)], 6.0),
+        (draw, [Impulse(draw.rods[0].id, TOWARD_END, -1.0)], 3.0 * draw_tau),
+        (lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 10.0),
+    ]
+    for truss, impulses, t_max in cases:
+        weight = {
+            rod.id: rod.area / truss.rod_properties(rod).impedance for rod in truss.rods
+        }
+        sim = simulate_wavefronts(truss, impulses, t_max=t_max, min_amplitude=0.0)
+        assert len(sim.events) > len(impulses)
+        for ev in sim.events:
+            p_in = sum(weight[r] * s * s for r, s in ev.incoming)
+            p_out = sum(weight[r] * s * s for r, s in ev.outgoing)
+            assert abs(p_out - p_in) <= 1e-12 * p_in, (ev.time, ev.joint)
+
+
+def _rebuilt_profile(truss, impulses, events, t):
+    """Stress profile at t rebuilt from the impulses and the public scattering events.
+
+    Every impulse and every outgoing (rod, sigma) is a step that leaves its
+    joint at the rod's wave speed and stops at the rod's far end.
+    """
+    steps = [(imp.rod, imp.direction == TOWARD_END, imp.start_time, imp.stress_amplitude)
+             for imp in impulses]
+    for ev in events:
+        for rod_id, sigma in ev.outgoing:
+            steps.append((rod_id, truss.rod(rod_id).joints[0] == ev.joint, ev.time, sigma))
+    spans = {rod.id: [] for rod in truss.rods}
+    for rod_id, from_start, launch, sigma in steps:
+        if launch > t:
+            continue
+        props = truss.rod_properties(rod_id)
+        reach = props.wave_speed * (min(t, launch + props.transit_time) - launch)
+        if from_start:
+            lo, hi = 0.0, min(props.length, reach)
+        else:
+            lo, hi = max(0.0, props.length - reach), props.length
+        if hi > lo:
+            spans[rod_id].append((lo, hi, sigma))
+    profile = {}
+    for rod in truss.rods:
+        length = truss.rod_properties(rod).length
+        breaks = sorted({0.0, length, *(lo for lo, _, _ in spans[rod.id]),
+                         *(hi for _, hi, _ in spans[rod.id])})
+        segments = []
+        for z0, z1 in zip(breaks[:-1], breaks[1:]):
+            mid = 0.5 * (z0 + z1)
+            covering = [s for lo, hi, s in spans[rod.id] if lo <= mid < hi]
+            segments.append((z0, z1, math.fsum(covering) if covering else None))
+        profile[rod.id] = segments
+    return profile
+
+
+def test_stress_profile_matches_rebuild_from_events(square, bridge):
+    lattice = _braced_lattice(4)
+    bridge_impulses = [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)]
+    cases = [
+        (square, [fig2_impulse()], 6.0, 0.0),
+        (bridge, bridge_impulses, 8.0, 0.0),
+        (lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 12.0, 1e-3),
+    ]
+    for truss, impulses, t_max, min_amplitude in cases:
+        sim = simulate_wavefronts(truss, impulses, t_max=t_max, min_amplitude=min_amplitude)
+        times = [0.0, 1.0 / 3.0, 1.0, 2.5, 0.5 * t_max + 0.1, t_max]
+        for t in times:
+            got = sim.stress_profile(t)
+            want = _rebuilt_profile(truss, impulses, sim.events, t)
+            scale = max((abs(s) for segs in want.values() for *_, s in segs if s is not None),
+                        default=1.0)
+            for rod in truss.rods:
+                length = truss.rod_properties(rod).length
+                segs, ref = got[rod.id], want[rod.id]
+                assert segs[0][0] == 0.0 and segs[-1][1] == length, (t, rod.id)
+                assert all(a[1] == b[0] for a, b in zip(segs, segs[1:])), (t, rod.id)
+                assert len(segs) == len(ref), (t, rod.id)
+                for (z0, z1, sigma), (r0, r1, r_sigma) in zip(segs, ref):
+                    assert abs(z0 - r0) <= 1e-12 * length and abs(z1 - r1) <= 1e-12 * length
+                    if r_sigma is None:
+                        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0, (t, rod.id, z0)
+                    else:
+                        assert abs(sigma - r_sigma) <= 1e-12 * scale, (t, rod.id, z0)
+
+
 def test_reverberation_finds_zeros_in_the_end_cells(bridge):
     # the window starts 1e-4 below the bridge's lowest natural frequency and
     # ends 1e-4 above its fourth, so both lie in the end intervals of the count
