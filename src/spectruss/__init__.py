@@ -19,7 +19,6 @@ from .model import (
     TrussValidationError,
     builtin_structure,
     load_truss,
-    rod_properties,
     subdivide,
     truss_to_json,
 )
@@ -40,13 +39,11 @@ from .spectrum import (
     ModeResult,
     NotARootError,
     Pole,
-    ResonantConstraintSystem,
     SweepResult,
     anchor_forces,
     extract_modes,
     find_natural_frequencies,
     pole_set,
-    resonant_constraint_system,
     resonant_mode_check,
 )
 from .fem import MassMatrix, assemble_mass, fem_determinant, fem_frequencies

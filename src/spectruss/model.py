@@ -247,10 +247,6 @@ class Truss:
         )
 
 
-def rod_properties(truss: Truss, rod) -> RodProperties:
-    return truss.rod_properties(rod)
-
-
 # -- structure files ---------------------------------------------------------
 
 

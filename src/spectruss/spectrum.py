@@ -1,16 +1,23 @@
-"""Pole-aware natural-frequency sweep, mode extraction and the rod-resonance path.
+"""Pole-aware natural-frequency sweep and null-space mode extraction.
 
 Away from rod resonances the natural frequencies are the roots of det(D(omega))
 between consecutive poles, located by the Wittrick-Williams count: the number
 of negative eigenvalues of D rises by one at each of them. At a pole
-omega*tau = n*pi the matrix entries diverge and finite joint forces require
+omega*tau = n*pi the entries of D diverge, each resonant rod through a
+rank-one term. Moved into a border, those terms leave the matrix
 
-    (-1)^n e^T u_a + e_ba^T u_b = 0
+    B = [[F, Q], [Q^T, C]],
 
-per resonant rod; candidate motions from that constraint are kept when the
-diverging rod terms (resolved by L'Hopital into a linear operator on the
-frequency derivative of the motion) can absorb the forces the remaining rods
-apply. Feasible candidates are resonant natural modes.
+finite through the pole, with D as its Schur complement on the border (the
+J0 term of Wittrick & Williams made explicit). One routine reads modes off a
+null space by SVD: of D at a regular root, of B at a pole, where a mode's
+displacements u meet each resonant rod's end-motion constraint
+
+    (-1)^n e^T u_a - e^T u_b = 0        (Q^T u = 0)
+
+and the border amplitudes xi absorb the other rods' forces, F u + Q xi = 0.
+Its relative singular-value cutoff is MODE_TOL at a polished root and 1e-13
+at a pole, whose frequency is exact.
 """
 
 from __future__ import annotations
@@ -35,9 +42,8 @@ from .assembly import (
 )
 from .model import Truss
 
-# Relative singular-value cutoff for null-space membership in mode extraction.
+# Relative singular-value cutoff for null-space membership at a polished root.
 MODE_TOL = 1e-7
-FEAS_TOL = 1e-8  # relative residual cutoff for resonant feasibility
 DEFAULT_ROOT_RTOL = 1e-10  # root tolerance, relative to omega
 
 
@@ -214,10 +220,49 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
 # -- mode extraction -----------------------------------------------------------
 
 
+def _bordered(truss: Truss, omega: float, resonant: dict):
+    """D(omega) bordered at the resonant rods: B = [[F, Q], [Q^T, corner]], unreduced.
+
+    Rod r of `resonant` (rod id -> n, sigma = (-1)^n) contributes to D(omega)
+    (Lambda*omega*sigma / sin x) q q^T, with q = B_a^T e at a and -sigma*B_b^T e
+    at b, plus a diagonal term -Lambda*omega*tan((x - n*pi)/2) that is finite
+    through the pole. F is D without the rank-one terms, column r of Q is
+    Lambda_r*omega*q_r and the corner is -diag(Lambda_r*omega*sigma_r*sin x_r),
+    so B is analytic through the pole and its Schur complement on the border
+    is D. The Lambda*omega scaling puts both blocks in force units. F is on
+    the unreduced rod-span pattern, anchors included, so the anchored rows of
+    [F | Q] give reactions. Returns (that pattern, B); with no resonant rod B
+    is D.
+    """
+    full = _pattern(truss, reduce_anchors=False, span=True)
+    taus, lams = _rod_constants(truss)
+    coefficients = _spectral_coefficients(taus, lams, np.array([float(omega)]))
+    hit = np.array([i for i, rod in enumerate(truss.rods) if rod.id in resonant], dtype=int)
+    orders = np.array([resonant[truss.rods[i].id] for i in hit], dtype=float)
+    offset = omega * taus[hit] - orders * math.pi  # sin x = sigma * sin(offset)
+    lam_omega = lams[hit] * omega
+    coefficients[hit, 0] = -lam_omega * np.tan(offset / 2.0)
+    coefficients[len(truss.rods) + hit, 0] = 0.0
+
+    border = np.zeros((full.size, hit.size))
+    for col, i in enumerate(hit):
+        rod = truss.rods[i]
+        e = truss.rod_properties(rod).unit_vector
+        for jid, sign in zip(rod.joints, (1.0, -((-1.0) ** orders[col]))):
+            frame = full.frames[jid]
+            start = full.index_map[jid]
+            border[start : start + frame.shape[1], col] = sign * lam_omega[col] * (e @ frame)
+    matrix = _assemble(full, coefficients)[0]
+    if hit.size:
+        matrix = np.block([[matrix, border], [border.T, np.diag(-lam_omega * np.sin(offset))]])
+    return full, matrix
+
+
 def _unit_mode(truss: Truss, pattern, vec: np.ndarray) -> tuple:
-    """vec at unit norm and its lifted joint displacements; first clear coordinate > 0."""
-    vec = vec / np.linalg.norm(vec)
-    joint = pattern.lift @ vec
+    """vec scaled to a unit displacement part (its first pattern.size entries) and the
+    lifted joint displacements; first clear coordinate > 0."""
+    vec = vec / np.linalg.norm(vec[: pattern.size])
+    joint = pattern.lift @ vec[: pattern.size]
     if next((x < 0 for x in joint if abs(x) > 1e-8), False):
         vec, joint = -vec, -joint
     return vec, dict(zip(pattern.index_map, joint.reshape(-1, truss.dimension)))
@@ -231,6 +276,49 @@ def _anchor_rows(truss: Truss, index_map, forces):
     }
 
 
+def _null_modes(truss: Truss, omega: float, resonant: dict, cutoff: float):
+    """Modes at omega from the null space of the bordered D on the free joints, via SVD.
+
+    The matrix is B (_bordered) without the anchored rows and columns;
+    singular vectors at or below cutoff * s_max span its null space, each a
+    displacement u and border amplitudes xi with F u + Q xi = 0. With a border,
+    the null space also holds rod-interior modes (u = 0: Q xi = 0); the
+    joint-moving modes are the left singular vectors of its u-block with
+    singular value > 0.5, carried with their xi. With no border this is the
+    SVD of the swept D itself. Anchor forces are the anchored rows of [F | Q]
+    times (u, xi). Raises NotARootError when nothing is below the cutoff.
+    """
+    full, bordered = _bordered(truss, omega, resonant)
+    free = _pattern(truss, reduce_anchors=True, span=True)
+    kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
+    _, svals, vt = np.linalg.svd(bordered[np.ix_(kept, kept)])
+    smax = svals[0] if svals.size else 0.0
+    selected = np.nonzero(svals <= cutoff * smax)[0]
+    if selected.size == 0:
+        raise NotARootError(omega, float(svals[-1] / smax) if smax else 0.0)
+
+    null = vt[selected]
+    if resonant:
+        _, s, right = np.linalg.svd(null[:, : free.size].T, full_matrices=False)
+        moving = s > 0.5
+        null = (right[moving] / s[moving, None]) @ null
+    kind, order = ("resonant", min(resonant.values())) if resonant else ("regular", None)
+    rows = bordered[: full.size, kept]  # [F | Q] on every row, anchors included
+    modes = []
+    for vec in null:
+        vec, displacements = _unit_mode(truss, free, vec)
+        modes.append(
+            ModeResult(
+                omega=omega,
+                kind=kind,
+                displacements=displacements,
+                anchor_forces=_anchor_rows(truss, full.index_map, rows @ vec),
+                resonant_order=order,
+            )
+        )
+    return modes
+
+
 def extract_modes(truss: Truss, omega_star: float):
     """Null-space mode shapes of the anchored structure's D(omega*), via SVD.
 
@@ -241,27 +329,26 @@ def extract_modes(truss: Truss, omega_star: float):
     if not (omega_star > 0.0):
         raise ValueError(f"omega must be > 0, got {omega_star}")
     check_pole_guard(truss, omega_star)
-    full = _pattern(truss, reduce_anchors=False, span=True)
-    free = _pattern(truss, reduce_anchors=True, span=True)
-    d = laplacian_evaluator(truss, full)(np.array([omega_star]))[0]
-    _, svals, vt = np.linalg.svd(d[np.ix_(free.embedding, free.embedding)])
-    smax = svals[0] if svals.size else 0.0
-    selected = np.nonzero(svals <= MODE_TOL * smax)[0]
-    if selected.size == 0:
-        raise NotARootError(omega_star, float(svals[-1] / smax) if smax else 0.0)
+    return _null_modes(truss, omega_star, {}, MODE_TOL)
 
-    modes = []
-    for i in selected:
-        vec, displacements = _unit_mode(truss, free, vt[i])
-        modes.append(
-            ModeResult(
-                omega=omega_star,
-                kind="regular",
-                displacements=displacements,
-                anchor_forces=_anchor_rows(truss, full.index_map, d[:, free.embedding] @ vec),
-            )
-        )
-    return modes
+
+def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values):
+    """Joint-moving natural modes at a rod resonance, or an empty list when none exists.
+
+    They are the null space of D bordered at the resonant rods (_bordered):
+    each mode's displacements meet the end-motion constraint
+    (-1)^n e^T u_a - e^T u_b = 0 of every resonant rod, and the border
+    absorbs the forces of the rest. The motions are those of the rod-span
+    frames, as in the sweep.
+    """
+    # a pole's omega is exact, so its null singular values are round-off
+    # (~1e-16 s_max); extract_modes' MODE_TOL allows for a polished root,
+    # known only to the sweep's tolerance, and at a pole it would also take
+    # in regular roots just beside it
+    try:
+        return _null_modes(truss, omega_pole, dict(zip(resonant_rods, n_values)), 1e-13)
+    except NotARootError:
+        return []
 
 
 def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
@@ -283,126 +370,3 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
     for jid, u in mode.displacements.items():
         vec[full.index_map[jid] : full.index_map[jid] + dim] = u
     return _anchor_rows(truss, full.index_map, full.entries @ vec)
-
-
-# -- rod resonance path --------------------------------------------------------
-
-
-def _resonant_operators(truss: Truss, omega_pole: float, resonant: dict, full, free):
-    """Constraint matrix plus force operators split into resonant/non-resonant rods.
-
-    `full` and `free` are the unreduced and anchor-reduced patterns, in the
-    same frames. Returns (constraint, finite_op, limit_op). finite_op is the
-    unreduced D(omega) restricted to non-resonant rods, with free-joint
-    columns; limit_op maps frequency-derivative parameters at free joints to
-    forces via the per-rod factor Lambda*omega/tau, with coupling -(-1)^n.
-    """
-    taus, lams = _rod_constants(truss)
-
-    hit = np.array([rod.id in resonant for rod in truss.rods])
-    odd = np.array([resonant.get(rod.id, 0) % 2 == 1 for rod in truss.rods])
-    finite = _spectral_coefficients(taus, lams, np.array([float(omega_pole)]))[:, 0]
-    finite[np.tile(hit, 2)] = 0.0
-    coeff = np.where(hit, lams * omega_pole / taus, 0.0)
-    limit = np.concatenate([coeff, np.where(odd, coeff, -coeff)])
-    finite_op, limit_op = _assemble(full, np.column_stack([finite, limit]))
-
-    rods = [rod for rod in truss.rods if rod.id in resonant]
-    constraint = np.zeros((len(rods), free.size))
-    for row, rod in zip(constraint, rods):
-        e = truss.rod_properties(rod).unit_vector
-        for jid, sign in zip(rod.joints, ((-1.0) ** resonant[rod.id], -1.0)):
-            if jid in free.index_map:
-                frame = free.frames[jid]
-                offset = free.index_map[jid]
-                row[offset : offset + frame.shape[1]] = sign * (e @ frame)
-    cols = free.embedding
-    return constraint, finite_op[:, cols], limit_op[:, cols]
-
-
-@dataclass
-class ResonantConstraintSystem:
-    constraint_matrix: np.ndarray  # one row per resonant rod, free-joint columns
-    nonresonant_force_operator: np.ndarray  # free displacements -> joint forces
-    limit_force_operator: np.ndarray  # frequency-derivative params -> joint forces
-
-
-def resonant_constraint_system(
-    truss: Truss, omega_pole: float, resonant_rods, n_values
-) -> ResonantConstraintSystem:
-    resonant = dict(zip(resonant_rods, n_values))
-    patterns = _pattern(truss, reduce_anchors=False), _pattern(truss, reduce_anchors=True)
-    return ResonantConstraintSystem(*_resonant_operators(truss, omega_pole, resonant, *patterns))
-
-
-def _null_basis(matrix: np.ndarray, rtol: float):
-    if matrix.shape[0] == 0:
-        return np.eye(matrix.shape[1])
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=True)
-    smax = svals[0] if svals.size else 0.0
-    keep = np.sum(svals > rtol * smax) if smax > 0 else 0
-    return vt[keep:].T
-
-
-def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values):
-    """Natural modes at a rod resonance, or an empty list when none exists.
-
-    Candidates are the null space of the per-rod end-motion constraints;
-    a candidate survives when the forces contributed by the non-resonant rods
-    lie in the range of the resonant rods' L'Hopital limit operator, i.e. the
-    least-squares residual is ~zero relative to the forcing. The motions are
-    those of the rod-span frames, as in the sweep.
-    """
-    resonant = dict(zip(resonant_rods, n_values))
-    full = _pattern(truss, reduce_anchors=False, span=True)
-    free = _pattern(truss, reduce_anchors=True, span=True)
-    constraint, finite, limit = _resonant_operators(truss, omega_pole, resonant, full, free)
-    if free.size == 0:
-        return []
-
-    candidates = _null_basis(constraint, 1e-10)
-    if candidates.shape[1] == 0:
-        return []
-
-    finite_free = finite[free.embedding]
-    limit_free = limit[free.embedding]
-
-    forced = finite_free @ candidates  # forces each candidate needs absorbed
-    u_l, s_l, _ = np.linalg.svd(limit_free, full_matrices=False)
-    rank = int(np.sum(s_l > 1e-10 * s_l[0])) if s_l.size and s_l[0] > 0 else 0
-    residual_op = forced - u_l[:, :rank] @ (u_l[:, :rank].T @ forced)
-
-    scale = np.linalg.norm(forced) + np.linalg.norm(limit_free)
-    _, s_m, vt_m = np.linalg.svd(residual_op, full_matrices=True)
-    smax = s_m[0] if s_m.size else 0.0
-    cutoff = max(FEAS_TOL * smax, 1e-13 * scale)
-    keep = np.sum(s_m > cutoff) if smax > 0 else 0
-    coeffs = vt_m[keep:].T
-    if coeffs.shape[1] == 0:
-        return []
-
-    modes = []
-    order = min(n_values) if n_values else None
-    for c in coeffs.T:
-        vec = candidates @ c
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            continue
-        vec, displacements = _unit_mode(truss, free, vec)
-        rhs = -(finite_free @ vec)
-        xi, *_ = np.linalg.lstsq(limit_free, rhs, rcond=1e-10)
-        # relative residual test, with an absolute floor for rhs that is pure
-        # round-off of the zero vector (the trivially feasible case)
-        residual = np.linalg.norm(limit_free @ xi - rhs)
-        if residual > FEAS_TOL * np.linalg.norm(rhs) + 1e-12 * scale:
-            continue
-        modes.append(
-            ModeResult(
-                omega=omega_pole,
-                kind="resonant",
-                displacements=displacements,
-                anchor_forces=_anchor_rows(truss, full.index_map, finite @ vec + limit @ xi),
-                resonant_order=order,
-            )
-        )
-    return modes

@@ -26,7 +26,6 @@ from spectruss import (
     find_natural_frequencies,
     laplacian_determinant,
     pole_set,
-    resonant_constraint_system,
     reverberation_frequencies,
     rod_spectral_factors,
     solve_forced_response,
@@ -258,6 +257,29 @@ def _spectral(truss, omega, skip=()):
     return diag, off
 
 
+def _bordered_reference(truss, omega, orders, reduce_anchors):
+    """F, the columns Lambda*omega*q_r and the corner of D bordered at orders (rod id -> n), rod by rod."""
+    diag, off = _spectral(truss, omega, skip=orders)
+    dim = truss.dimension
+    kept = [j.id for j in truss.joints if not (reduce_anchors and j.anchored)]
+    index = {jid: dim * i for i, jid in enumerate(kept)}
+    border, corner = [], []
+    for r, rod in enumerate(truss.rods):
+        if rod.id not in orders:
+            continue
+        p = truss.rod_properties(rod)
+        x, n = omega * p.transit_time, orders[rod.id]
+        lam_omega = p.line_impedance * omega
+        diag[r] = -lam_omega * math.tan((x - n * math.pi) / 2.0)
+        q = np.zeros(dim * len(kept))
+        for jid, sign in zip(rod.joints, (1.0, -((-1.0) ** n))):
+            if jid in index:
+                q[index[jid] : index[jid] + dim] = sign * lam_omega * p.unit_vector
+        border.append(q)
+        corner.append(-lam_omega * (-1.0) ** n * math.sin(x))
+    return _reference(truss, reduce_anchors, diag, off), np.array(border).T, np.array(corner)
+
+
 def _assert_close(got, expected):
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(
@@ -336,7 +358,7 @@ def test_pattern_matrices_match_block_formulas(reduce_anchors, span):
         _assert_close(lumped.entries, expected)
 
 
-def test_resonant_operators_match_block_formulas():
+def test_bordered_matrix_matches_block_formulas():
     checked = 0
     for truss in _pattern_cases():
         poles = pole_set(truss, FrequencyWindow(0.05 / truss.tau_min, 7.0 / truss.tau_min))
@@ -344,38 +366,29 @@ def test_resonant_operators_match_block_formulas():
             continue
         pole = poles[0]
         orders = dict(zip(pole.rods, pole.orders))
-        system = resonant_constraint_system(truss, pole.omega, pole.rods, pole.orders)
-
-        dim = truss.dimension
-        full = {j.id: dim * i for i, j in enumerate(truss.joints)}
-        free_ids = [j.id for j in truss.free_joints]
-        cols = np.concatenate([np.arange(full[j], full[j] + dim) for j in free_ids] or [[]])
-        cols = cols.astype(int)
-        finite = _reference(truss, False, *_spectral(truss, pole.omega, skip=orders))
-        diag, off = [], []
-        for rod in truss.rods:
-            p = truss.rod_properties(rod)
-            c = p.line_impedance * pole.omega / p.transit_time if rod.id in orders else 0.0
-            diag.append(c)
-            off.append(-((-1.0) ** orders.get(rod.id, 0)) * c)
-        limit = _reference(truss, False, diag, off)
-        _assert_close(system.nonresonant_force_operator, finite[:, cols])
-        _assert_close(system.limit_force_operator, limit[:, cols])
-
-        free = {jid: dim * i for i, jid in enumerate(free_ids)}
-        rows = []
-        for rod in truss.rods:
-            if rod.id not in orders:
+        lift = assembly._pattern(truss, False, span=True).lift.toarray()
+        free = assembly._pattern(truss, True, span=True)
+        for omega in pole.omega * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3]):
+            finite, border, corner = _bordered_reference(truss, omega, orders, False)
+            full, bordered = spectrum._bordered(truss, omega, orders)
+            assert full.size == lift.shape[1]
+            assert bordered.shape == (full.size + len(corner),) * 2
+            _assert_close(bordered[: full.size, : full.size], lift.T @ finite @ lift)
+            _assert_close(bordered[: full.size, full.size :], lift.T @ border)
+            assert np.array_equal(bordered[full.size :, : full.size], bordered[: full.size, full.size :].T)
+            got_corner = bordered[full.size :, full.size :]
+            if omega == pole.omega:  # sin x is round-off: the corner vanishes
+                assert np.max(np.abs(got_corner)) <= 1e-13 * np.max(np.abs(border))
                 continue
-            row = np.zeros(dim * len(free_ids))
-            e = truss.rod_properties(rod).unit_vector
-            a, b = rod.joints
-            if a in free:
-                row[free[a] : free[a] + dim] = ((-1.0) ** orders[rod.id]) * e
-            if b in free:
-                row[free[b] : free[b] + dim] = -e
-            rows.append(row)
-        assert np.array_equal(system.constraint_matrix, np.array(rows))
+            _assert_close(got_corner, np.diag(corner))
+
+            # Schur identity: det B = det D * prod(corner), D the swept matrix
+            kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
+            swept = assembly.laplacian_evaluator(truss, free)(np.array([omega]))[0]
+            sign_b, log_b = np.linalg.slogdet(bordered[np.ix_(kept, kept)])
+            sign_d, log_d = np.linalg.slogdet(swept)
+            assert sign_b == sign_d * np.prod(np.sign(corner))
+            assert abs(log_b - log_d - np.sum(np.log(np.abs(corner)))) <= 1e-9
         checked += 1
     assert checked >= 20
 

@@ -120,9 +120,6 @@ def test_rod_properties_unit():
     assert props.line_impedance == pytest.approx(1.0)
     assert props.transit_time == pytest.approx(1.0)
     assert props.spring_stiffness == pytest.approx(1.0)
-    from spectruss import rod_properties
-
-    assert rod_properties(truss, truss.rod("ab")) == props
 
 
 def test_rod_properties_stiff_material():
