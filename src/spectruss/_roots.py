@@ -4,8 +4,9 @@ All three sweeps ask where a stack of matrices goes singular, and one
 counting sweep serves them: a count of the roots each interval holds, then a
 polish on the sign of a real determinant, so timing comparisons between the
 methods measure the matrices, not the root finder. determinant gives count
-and sign for real symmetric stacks, unitary_determinant for the matching
-system. modulus_minima, a grid search of |det| minima, is the reference the
+and sign for real symmetric stacks, bordered_determinant for the Schur
+complement of a bordered one, unitary_determinant for the matching system.
+modulus_minima, a grid search of |det| minima, is the reference the
 tests hold the matching sweep to.
 """
 
@@ -41,12 +42,13 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
     return _concatenate(parts)
 
 
-def _chunked(build, point_bytes, reduce):
-    """reduce(xs, build(xs)) -> arrays over chunks of xs that each build at most BATCH_BYTES.
+def _chunked(build, point_bytes, reduce, budget=None):
+    """reduce(xs, build(xs)) -> arrays over chunks of xs that each build at most budget bytes.
 
-    Every point is reduced on its own, so chunk seams do not change results.
+    budget defaults to the BATCH_BYTES in force now. Every point is reduced
+    on its own, so chunk seams do not change results.
     """
-    step = max(1, BATCH_BYTES // max(1, point_bytes))
+    step = max(1, (BATCH_BYTES if budget is None else budget) // max(1, point_bytes))
 
     def evaluate(xs):
         xs = np.asarray(xs, dtype=float)
@@ -69,6 +71,56 @@ def determinant(build, point_bytes: int):
 
     slogdet = _chunked(build, point_bytes, lambda xs, stack: np.linalg.slogdet(stack))
     return slogdet, _chunked(build, point_bytes, negative)
+
+
+def bordered_determinant(build, widths, size: int):
+    """determinant's (func, count) for the Schur complement D = F - Q C^-1 Q^T of bordered stacks.
+
+    widths(xs) -> the border width k of each point; build(xs, k) -> (B, c)
+    for points of width k: B = [[F, Q], [Q^T, diag(c)]] as an
+    (m, size + k, size + k) stack and c as (m, k), with k = 0 for D itself.
+    The points of each width are evaluated together, in chunks of their own
+    size within the BATCH_BYTES in force when func and count are made. D
+    itself is never formed: det D = det B / prod(c) and, by Haynsworth's
+    inertia additivity, D has N(B) - N(diag(c)) negative eigenvalues. So
+    where the entries of D diverge as c -> 0, its sign, log|det| and count
+    come from the finite B.
+    """
+    budget = BATCH_BYTES
+
+    def by_width(reduce):
+        def at(xs, w):
+            return _chunked(lambda chunk: build(chunk, w), 8 * (size + w) ** 2, reduce, budget)(xs)
+
+        def evaluate(xs):
+            xs = np.asarray(xs, dtype=float)
+            k = widths(xs)
+            if not k.any():
+                return at(xs, 0)
+            out = None
+            for w in set(k.tolist()):
+                rows = k == w
+                values = at(xs[rows], w)
+                out = out or tuple(np.empty(xs.size, dtype=v.dtype) for v in values)
+                for column, value in zip(out, values):
+                    column[rows] = value
+            return out
+
+        return evaluate
+
+    def slogdet(xs, built):
+        stack, corner = built
+        sign, logabs = np.linalg.slogdet(stack)
+        if not corner.size:
+            return sign, logabs
+        return sign * np.prod(np.sign(corner), axis=-1), logabs - np.log(np.abs(corner)).sum(axis=-1)
+
+    def negative(xs, built):
+        stack, corner = built
+        below = np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1)
+        return (below - np.count_nonzero(corner < 0.0, axis=-1),)
+
+    return by_width(slogdet), by_width(negative)
 
 
 def unitary_determinant(build, point_bytes: int, delay: float):

@@ -38,8 +38,11 @@ from scipy import sparse
 from .model import Truss
 
 # Distance (in omega*tau radians) from a rod resonance omega*tau = n*pi, n >= 1,
-# below which cot/csc entries are considered corrupted. omega*tau -> 0 is a
-# removable limit (D -> K), not a pole, so n = 0 never trips the guard.
+# below which the public single-matrix builders (assemble_laplacian and what
+# calls it) and the closed-form oracles of validation refuse to evaluate
+# cot/csc entries, which are corrupted there. The sweeps and mode extraction
+# take no guard: near a resonance they border the rod (spectrum). omega*tau
+# -> 0 is a removable limit (D -> K), not a pole, so n = 0 never trips it.
 POLE_GUARD = 1e-5
 
 # Reciprocal condition estimate below this means "omega is a natural frequency".
@@ -55,7 +58,8 @@ class PoleProximityError(Exception):
         self.omega = omega
         super().__init__(
             f"omega={omega!r} puts rod '{rod_id}' within {POLE_GUARD} of its "
-            f"resonance omega*tau = {order}*pi; use the resonance path instead"
+            f"resonance omega*tau = {order}*pi, where D itself is not built; "
+            "extract_modes and resonant_mode_check border the rod instead"
         )
 
 

@@ -57,13 +57,13 @@ def _window(truss, args) -> FrequencyWindow:
 
 
 def _sweep(truss, method, window, divisions, threads):
-    """Sorted (omega, kind) rows for one method."""
+    """Sorted (omega, kind) rows for one method; the network method lists each frequency once per mode kind."""
     if method == "laplacian":
         result = spectrum.find_natural_frequencies(truss, window, threads=threads)
         rows = []
-        for mode in result.modes:
-            if not rows or abs(mode.omega - rows[-1][0]) > window.tol_at(mode.omega):
-                rows.append((mode.omega, mode.kind))
+        for m in result.modes:
+            if not rows or rows[-1][1] != m.kind or abs(m.omega - rows[-1][0]) > window.tol_at(m.omega):
+                rows.append((m.omega, m.kind))
         return rows
     if method == "reverberation":
         return [(w, "") for w in scattering.reverberation_frequencies(truss, window, threads=threads)]
@@ -106,13 +106,10 @@ def cmd_modes(args) -> int:
     truss = _read_truss(args.file)
     omega = args.omega
     window = _window(truss, args)
-    modes = []
-    poles = spectrum.pole_set(
-        truss, FrequencyWindow(omega * 0.99 if omega > 0 else window.omega_min, omega * 1.01 + 1e-30)
-    )
-    near_pole = [p for p in poles if abs(p.omega - omega) < spectrum.guard_width(truss, p)]
-    if near_pole:
-        pole = near_pole[0]
+    tol = window.tol_at(omega)
+    poles = spectrum.pole_set(truss, FrequencyWindow(0.5 * omega, 2.0 * omega)) if omega > 0 else []
+    pole = next((p for p in poles if abs(p.omega - omega) <= tol), None)
+    if pole is not None:
         modes = spectrum.resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
         if not modes:
             print(
@@ -136,6 +133,7 @@ def cmd_modes(args) -> int:
                 "resonant_order": mode.resonant_order,
                 "displacements": {j: list(v) for j, v in mode.displacements.items()},
                 "anchor_forces": {j: list(v) for j, v in (mode.anchor_forces or {}).items()},
+                "rod_amplitudes": mode.rod_amplitudes,
             }
         )
     json.dump(doc, sys.stdout, indent=2)

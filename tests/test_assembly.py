@@ -366,11 +366,14 @@ def test_bordered_matrix_matches_block_formulas():
             continue
         pole = poles[0]
         orders = dict(zip(pole.rods, pole.orders))
+        near = np.array([[rod.id in orders for rod in truss.rods]])
+        n = np.array([[orders.get(rod.id, 0) for rod in truss.rods]], dtype=float)
         lift = assembly._pattern(truss, False, span=True).lift.toarray()
         free = assembly._pattern(truss, True, span=True)
+        full, build = spectrum._border_builder(truss, False)
         for omega in pole.omega * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3]):
             finite, border, corner = _bordered_reference(truss, omega, orders, False)
-            full, bordered = spectrum._bordered(truss, omega, orders)
+            bordered = build(np.array([omega]), near, n)[0][0]
             assert full.size == lift.shape[1]
             assert bordered.shape == (full.size + len(corner),) * 2
             _assert_close(bordered[: full.size, : full.size], lift.T @ finite @ lift)

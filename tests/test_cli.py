@@ -51,10 +51,10 @@ def test_freqs_bridge_csv(capsys, bridge_file):
     lines = out.strip().splitlines()
     assert lines[0] == "index,omega,kind"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 6
+    assert len(rows) == 7
     kinds = [r[2] for r in rows]
-    assert kinds.count("resonant") == 1
-    assert float(rows[-1][1]) == pytest.approx(math.pi, abs=1e-9)
+    assert kinds == ["regular"] * 5 + ["resonant", "interior"]
+    assert [float(r[1]) for r in rows[-2:]] == pytest.approx([math.pi] * 2, abs=1e-9)
 
 
 def test_freqs_json_format(capsys, bridge_file):
@@ -62,7 +62,7 @@ def test_freqs_json_format(capsys, bridge_file):
                        "--omega-max", "3.2")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc) == 6
+    assert len(doc) == 7
     assert {"omega", "kind"} <= set(doc[0])
 
 
@@ -124,8 +124,9 @@ def test_modes_between_roots(capsys, bridge_file):
 
 def test_modes_outside_the_pole_guard_of_a_long_rod(capsys, tmp_path):
     # free joint b between anchors a, d (rods of length 1) and c (rod bc of
-    # length 3): only bc resonates at pi/3, and its guard is POLE_GUARD / 3
-    # wide, so the sweep samples pi/3 + 5e-6 and `modes` must evaluate D there
+    # length 3): only bc resonates at pi/3, with no natural mode there. A
+    # frequency within the root tolerance of the pole takes the resonance
+    # path; any other is a regular frequency, bordered at bc if that is near
     from spectruss import Joint, Material, Rod, Truss, truss_to_json
 
     joints = [Joint("a", (0.0, 0.0), anchored=True), Joint("b", (1.0, 0.0)),
@@ -133,12 +134,41 @@ def test_modes_outside_the_pole_guard_of_a_long_rod(capsys, tmp_path):
     rods = [Rod(f"{x}{y}", (x, y), 1.0, "unit") for x, y in ("ab", "bc", "bd")]
     path = tmp_path / "tee.json"
     path.write_text(truss_to_json(Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})))
-    code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3 + 5e-6))
-    assert code == 3
-    assert "has no null space" in err and "rod resonance" not in err
-    code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3 + 2e-6))
+    for offset in (5e-6, 2e-6):
+        code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3 + offset))
+        assert code == 3
+        assert "has no null space" in err and "rod resonance" not in err
+    code, _, err = run(capsys, "modes", str(path), "--omega", repr(math.pi / 3))
     assert code == 3
     assert "rod resonance with no natural mode" in err
+
+
+def test_modes_at_the_bridge_pole_report_interior_modes(capsys, bridge_file):
+    code, out, _ = run(capsys, "modes", bridge_file, "--omega", repr(math.pi))
+    assert code == 0
+    doc = json.loads(out)
+    assert [m["kind"] for m in doc] == ["resonant", "interior", "interior"]
+    assert doc[0]["rod_amplitudes"] is None
+    for mode in doc[1:]:
+        assert all(v == [0.0, 0.0] for v in mode["displacements"].values())
+        assert len(mode["rod_amplitudes"]) == 7
+        assert sum(x * x for x in mode["rod_amplitudes"].values()) == pytest.approx(1.0)
+
+
+def test_modes_just_off_the_bridge_pole_report_only_the_joint_moving_mode(capsys, bridge_file):
+    # pi * (1 +- 1e-9) lies outside the root tolerance of pi, so extract_modes
+    # takes it. D is singular there to MODE_TOL along the resonant mode's
+    # shape; the interior directions are below the cutoff only because the
+    # border's corner is small, and they are no modes of D
+    _, out, _ = run(capsys, "modes", bridge_file, "--omega", repr(math.pi))
+    resonant = json.loads(out)[0]["displacements"]
+    for omega in (math.pi * (1.0 + 1e-9), math.pi * (1.0 - 1e-9)):
+        code, out, _ = run(capsys, "modes", bridge_file, "--omega", repr(omega))
+        assert code == 0
+        (mode,) = json.loads(out)
+        assert mode["kind"] == "regular" and mode["rod_amplitudes"] is None
+        for jid, u in mode["displacements"].items():
+            assert u == pytest.approx(resonant[jid], abs=1e-6)
 
 
 def test_compare_row_count(capsys, square_file):
