@@ -48,7 +48,6 @@ from .spectrum import (
 )
 from .fem import MassMatrix, assemble_mass, fem_determinant, fem_frequencies
 from .scattering import (
-    DegenerateJointError,
     EventExplosionError,
     Impulse,
     ScatterEvent,

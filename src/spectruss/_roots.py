@@ -164,7 +164,7 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
     passes their counts as ends (in np.ravel(segments) order). Then every
     interval that holds two or more roots is halved, one call per level,
     until it holds one root (a bracket) or is narrower than tol_at, where
-    _even_roots reports its roots once. An interval whose count falls is
+    _even_roots reports its roots. An interval whose count falls is
     reported in the returned warnings and dropped; halving never crosses a
     seam between segments.
 
@@ -189,7 +189,7 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
         many = k > 1
         narrow = many & (hi - lo <= np.array([tol_at(x) for x in mid]))
         if narrow.any():
-            roots.extend(_even_roots(lo[narrow], hi[narrow]))
+            roots.extend(_even_roots(lo[narrow], hi[narrow], k[narrow]))
         split = many & ~narrow
         if not split.any():
             break
@@ -200,14 +200,14 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
     return roots, brackets, [message for _, message in sorted(falls)]
 
 
-def _even_roots(lo, hi):
-    """The k >= 2 step: one root per interval narrower than the tolerance.
+def _even_roots(lo, hi, k):
+    """The k >= 2 step: k roots per interval narrower than the tolerance.
 
     The count rises by k >= 2 across each such interval, which holds a root
     of multiplicity k or k roots closer than the tolerance; either is
-    reported once, at its midpoint.
+    reported k times, at its midpoint.
     """
-    return (0.5 * (lo + hi)).tolist()
+    return np.repeat(0.5 * (lo + hi), k).tolist()
 
 
 def _secant_step(a, b, c, width, shrunk, tol):
@@ -278,7 +278,7 @@ def bisect_brackets(func, brackets, tol_at, threads=1):
 
 
 def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
-    """Sorted, deduplicated roots of det over (lo, hi) segments, and warnings.
+    """Sorted roots of det over (lo, hi) segments, k times a k-fold one, and warnings.
 
     The count stage (find_brackets, which takes ends) covers every segment,
     and one polish (bisect_brackets) every one-root bracket. func and count
@@ -287,17 +287,17 @@ def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
     """
     roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends)
     roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
-    return dedupe_sorted(sorted(roots), tol_at), warnings
+    return sorted(roots), warnings
 
 
 def window_roots(func, count, window, threads=1):
-    """sign_sweep_roots over a FrequencyWindow with no poles, as one segment; warnings are logged."""
+    """sign_sweep_roots over a pole-free FrequencyWindow as one segment, each root once; logs warnings."""
     roots, warnings = sign_sweep_roots(
         func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
     )
     for message in warnings:
         logging.getLogger("spectruss").warning(message)
-    return roots
+    return dedupe_sorted(roots, window.tol_at)
 
 
 def _golden(f, bracket, tol):

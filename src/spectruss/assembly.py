@@ -17,10 +17,11 @@ So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
 vector [diag_r, off_r] to the structurally nonzero entries, applied to one
 coefficient column per frequency. The pattern is built on first use per truss,
 anchor reduction and choice of frames, and kept with the truss; the same path
-serves one matrix or a batch, at every size. Batched determinant sweeps over
-these matrices run through `_roots.determinant`, in chunks whose stacks stay
-within `_roots.BATCH_BYTES`, so memory does not grow with the number of
-frequencies evaluated at once.
+serves one matrix or a batch, at every size. The sweeps evaluate these
+matrices in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory
+does not grow with the number of frequencies evaluated at once: FEM through
+`_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
+which borders the rods near a resonance (spectrum).
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -144,7 +145,9 @@ def _span_frames(truss: Truss):
     A free joint whose rods span fewer than `dim` directions (a mechanism joint,
     such as every interior joint of a subdivided rod) makes det(D) vanish
     identically; its frame keeps the spanned directions only. Every other
-    joint, anchored ones included, keeps the identity. Built once per truss.
+    joint, anchored ones included, keeps the identity. Built once per truss;
+    the sweeps' patterns and scattering's transmission matrices both take
+    their frames from here.
     """
 
     def build():

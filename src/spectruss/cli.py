@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fem, scattering, spectrum, validation
 from .assembly import PoleProximityError, SingularAtFrequencyError
 from .model import TrussError, builtin_structure, load_truss, truss_to_json
-from .scattering import DegenerateJointError, EventExplosionError
+from .scattering import EventExplosionError
 from .spectrum import FrequencyWindow, NotARootError
 
 METHODS = ("laplacian", "reverberation", "fem-consistent", "fem-lumped")
@@ -370,7 +370,6 @@ def main(argv=None) -> int:
         PoleProximityError,
         SingularAtFrequencyError,
         NotARootError,
-        DegenerateJointError,
         EventExplosionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,14 @@ event-driven simulator for step stress fronts.
 
 At a joint the outgoing wave amplitudes follow from the incoming ones via
 
-    T = 2 e^T (e L e^T)^{-1} e L - I
+    T = 2 e_S^T G^{-1} e_S L - I,    e_S = F^T e,    G = e_S L e_S^T
 
-with e the matrix of outgoing rod directions and L the diagonal of line
-impedances. T is an involution; when the rods exactly span the ambient
-dimension it collapses to the identity and the joint is purely reflective.
+with e the matrix of outgoing rod directions, L the diagonal of line
+impedances and F the frame of the directions the joint moves in: the sweeps'
+rod-span frame (assembly._span_frames) at a free joint, none at an anchor,
+where T = -I. T is a Lambda-reflection (Kottos & Smilansky, Ann. Phys. 274
+(1999) 76-124); when the rods are a basis of F it is the identity, a purely
+reflective joint. A force couples through F too; its part outside F does not.
 
 The global matching system couples one forward amplitude per rod end through
 the per-rod phase factors exp(-i w tau); its singular frequencies coincide with
@@ -24,19 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _roots
+from .assembly import _span_frames
 from .model import Truss
 from .spectrum import FrequencyWindow
 
 TOWARD_END = "toward_end"  # toward the rod's second endpoint
 TOWARD_START = "toward_start"
-
-
-class DegenerateJointError(Exception):
-    """The rods at a joint do not span the ambient dimension."""
-
-    def __init__(self, joint_id):
-        self.joint_id = joint_id
-        super().__init__(f"rods at joint '{joint_id}' do not span the ambient dimension")
 
 
 class EventExplosionError(Exception):
@@ -48,31 +44,27 @@ class TransmissionMatrix:
     joint: str
     entries: np.ndarray  # |N| x |N|, velocity-amplitude map incoming -> outgoing
     column_order: tuple  # neighbor joint ids defining the rod ordering
-    force_coupling: np.ndarray  # e^T (e Lambda e^T)^{-1}, |N| x dim
+    force_coupling: np.ndarray  # e_S^T G^{-1} F^T, |N| x dim: a force outside F does not couple
 
 
 def transmission_matrix(truss: Truss, joint_id: str) -> TransmissionMatrix:
+    """T and the force coupling of one joint, in its frame F (see the module docstring)."""
     edges = truss.neighbors(joint_id)
     dim = truss.dimension
-    e_cols = []
-    lams = []
-    for other, rod in edges:
-        props = truss.rod_properties(rod)
-        e = props.unit_vector if rod.joints[0] == joint_id else -props.unit_vector
-        e_cols.append(e)
-        lams.append(props.line_impedance)
-    e_mat = np.array(e_cols).T  # dim x |N|
-    lam = np.diag(lams)
-    gram = e_mat @ lam @ e_mat.T
-    if e_mat.shape[1] < dim or np.linalg.matrix_rank(gram, tol=1e-12 * np.trace(gram)) < dim:
-        raise DegenerateJointError(joint_id)
-    coupling = e_mat.T @ np.linalg.inv(gram)
-    entries = 2.0 * coupling @ e_mat @ lam - np.eye(len(edges))
+    props = [truss.rod_properties(rod) for _, rod in edges]
+    e_mat = np.array([p.unit_vector if rod.joints[0] == joint_id else -p.unit_vector
+                      for p, (_, rod) in zip(props, edges)]).reshape(-1, dim).T  # dim x |N|
+    lam = np.diag([p.line_impedance for p in props])
+    anchored = truss.joint(joint_id).anchored
+    frame = np.zeros((dim, 0)) if anchored else _span_frames(truss)[0][truss._joint_index[joint_id]]
+    e_span = frame.T @ e_mat
+    coupling = e_span.T @ np.linalg.inv(e_span @ lam @ e_span.T)
+    entries = 2.0 * coupling @ e_span @ lam - np.eye(len(edges))
     return TransmissionMatrix(
         joint=joint_id,
         entries=entries,
         column_order=tuple(other for other, _ in edges),
-        force_coupling=coupling,
+        force_coupling=coupling @ frame.T,
     )
 
 
@@ -99,8 +91,8 @@ def matching_evaluator(truss: Truss):
 
     Rows: for each directed rod end (a, b), the outgoing amplitude F_ab minus
     the scattered incoming amplitudes; incoming waves are the index-exchanged
-    opposite-end amplitudes delayed by exp(-i w tau). Anchored joints pin the
-    joint velocity to zero, so each incident rod reflects with F = -B.
+    opposite-end amplitudes delayed by exp(-i w tau). An anchor's T is -I, so
+    each incident rod reflects with F = -B.
     """
     edge_index = {}  # directed rod end (a, b) -> unknown
     for i, rod in enumerate(truss.rods):
@@ -111,14 +103,11 @@ def matching_evaluator(truss: Truss):
     entries = []  # (row, col, coefficient, tau) of every phase-carrying term
     for joint in truss.joints:
         edges = truss.neighbors(joint.id)
-        tm = None if joint.anchored else transmission_matrix(truss, joint.id)
+        tm = transmission_matrix(truss, joint.id)
         for row_pos, (other, rod) in enumerate(edges):
             row = edge_index[(joint.id, other)]
             for col_pos, (other2, rod2) in enumerate(edges):
-                if tm is None:
-                    coeff = -1.0 if col_pos == row_pos else 0.0
-                else:
-                    coeff = tm.entries[row_pos, col_pos]
+                coeff = tm.entries[row_pos, col_pos]
                 if coeff == 0.0:
                     continue
                 col = edge_index[(other2, joint.id)]
@@ -316,8 +305,8 @@ def simulate_wavefronts(
     """Propagate step stress fronts through the structure up to t_max.
 
     Fronts travel at their rod's wave speed; on arrival at a joint the incoming
-    velocity steps scatter through the joint's transmission matrix (anchored
-    joints reflect with inverted velocity). Children whose |stress| falls below
+    velocity steps scatter through the joint's transmission matrix (-I at an
+    anchor, which inverts the velocity). Children whose |stress| falls below
     min_amplitude are dropped. Simultaneous arrivals at one joint merge into a
     single scattering event.
     """
@@ -329,7 +318,7 @@ def simulate_wavefronts(
         for joint in truss.joints
         for k, (_, rod) in enumerate(truss.neighbors(joint.id))
     }
-    # per joint: its transmission matrix (None when anchored) and its ports in neighbor order
+    # per joint: its transmission matrix and its ports in neighbor order
     joint_data = {}
     for joint in truss.joints:
         ports = []
@@ -339,8 +328,7 @@ def simulate_wavefronts(
             ports.append(_Port(rod_index[rod.id], rod.id, sign, props.impedance,
                                0.0 if sign > 0 else props.length, props.transit_time,
                                other, slot[other, rod.id]))
-        tm = None if joint.anchored else transmission_matrix(truss, joint.id)
-        joint_data[joint.id] = (tm, ports)
+        joint_data[joint.id] = (transmission_matrix(truss, joint.id), ports)
 
     time_tol = 1e-12 * truss.tau_min
     horizon = t_max + time_tol
@@ -401,7 +389,7 @@ def simulate_wavefronts(
                 incoming_stress[rod_id] = incoming_stress.get(rod_id, 0.0) + stress
 
             incoming = np.array(incoming)
-            outgoing = -incoming if tm is None else tm.entries @ incoming
+            outgoing = tm.entries @ incoming
             # children at round-off of the incoming amplitude are not real fronts
             noise_floor = 1e-14 * max(map(abs, incoming_stress.values()))
 

@@ -289,7 +289,8 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     mechanism joints (at mechanism joints the count near a pole is not yet
     trusted). A count that falls, or a rise that differs from the modes
     found at the pole, is reported in the warnings. Output is sorted by
-    frequency and deduplicated within the root tolerance.
+    frequency, one mode per rise of J: a multiple regular root, its interval
+    narrower than the root tolerance, is listed as often as J rises across it.
     """
     poles = pole_set(truss, window)
     bands = _bands(window, poles)

@@ -356,17 +356,11 @@ def verify_generic(truss):
 
     checks = []
     worst = 0.0
-    testable = 0
     for joint in truss.joints:
-        try:
-            tm = scattering.transmission_matrix(truss, joint.id)
-        except scattering.DegenerateJointError:
-            continue
-        testable += 1
-        dev = np.max(np.abs(tm.entries @ tm.entries - np.eye(tm.entries.shape[0])))
+        tm = scattering.transmission_matrix(truss, joint.id)
+        dev = np.max(np.abs(tm.entries @ tm.entries - np.eye(tm.entries.shape[0])), initial=0.0)
         worst = max(worst, float(dev))
-    if testable:
-        checks.append(CheckResult("transmission involution max |T^2 - I|", 0.0, worst, worst <= 1e-12))
+    checks.append(CheckResult("transmission involution max |T^2 - I|", 0.0, worst, worst <= 1e-12))
 
     tau_min = truss.tau_min
     worst = 0.0

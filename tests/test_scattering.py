@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spectruss import (
-    DegenerateJointError,
     EventExplosionError,
     FrequencyWindow,
     Impulse,
@@ -17,10 +16,12 @@ from spectruss import (
     reverberation_frequencies,
     scatter,
     simulate_wavefronts,
+    subdivide,
     transmission_matrix,
 )
 from conftest import random_truss
 from spectruss import _roots
+from spectruss.assembly import _span_frames
 from spectruss.scattering import (
     TOWARD_END,
     TOWARD_START,
@@ -28,6 +29,7 @@ from spectruss.scattering import (
     matching_evaluator,
     reverberation_dof,
 )
+from test_spectrum import _default_window, _draws
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,16 +92,56 @@ def test_involution_over_random_joints():
         assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
 
 
-def test_degenerate_joint_raises():
-    mat = Material("m", 1.0, 1.0)
-    truss = Truss(
-        2,
-        [Joint("a", (0.0, 0.0)), Joint("b", (1.0, 0.0))],
-        [Rod("ab", ("a", "b"), 1.0, "m")],
-        {"m": mat},
-    )
-    with pytest.raises(DegenerateJointError):
-        transmission_matrix(truss, "a")
+def _chain(*points, areas=None):
+    """Free joints j0, j1, ... at the given points, joined in order by unit-material rods."""
+    joints = [Joint(f"j{i}", p) for i, p in enumerate(points)]
+    areas = areas or [1.0] * (len(points) - 1)
+    rods = [Rod(f"r{i}", (f"j{i}", f"j{i + 1}"), a, "m") for i, a in enumerate(areas)]
+    return Truss(len(points[0]), joints, rods, {"m": Material("m", 1.0, 1.0)})
+
+
+def test_free_end_reflects_its_rod_with_unit_T():
+    # a free end moves along its one rod: the front reflects with its velocity
+    # kept, so its stress step changes sign
+    truss = _chain((0.0, 0.0), (1.0, 0.0))
+    for joint in ("j0", "j1"):
+        tm = transmission_matrix(truss, joint)
+        assert np.array_equal(tm.entries, [[1.0]])
+    sim = simulate_wavefronts(truss, [Impulse("r0", TOWARD_END, -1.0)], t_max=1.5)
+    (event,) = sim.events
+    assert event.joint == "j1" and event.outgoing == (("r0", pytest.approx(1.0)),)
+
+
+def test_equal_impedance_collinear_joint_passes_a_front_through():
+    # j1 moves along the line only; with equal impedances on both sides a
+    # front crosses it whole, and nothing reflects
+    truss = _chain((0.0, 0.0, 0.0), (0.6, 0.0, 0.8), (1.2, 0.0, 1.6))
+    assert _span_frames(truss)[1] == ("j0", "j1", "j2")
+    tm = transmission_matrix(truss, "j1")
+    assert np.allclose(tm.entries, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
+    sim = simulate_wavefronts(truss, [Impulse("r0", TOWARD_END, -1.0)], t_max=1.5)
+    first = sim.events[0]
+    assert first.joint == "j1" and first.incoming == (("r0", -1.0),)
+    assert first.outgoing == (("r1", pytest.approx(-1.0, abs=1e-15)),)
+
+
+def test_anchor_reflects_with_minus_identity_and_takes_no_force(bridge):
+    for joint in bridge.anchored_joints:
+        tm = transmission_matrix(bridge, joint.id)
+        n = len(bridge.neighbors(joint.id))
+        assert np.array_equal(tm.entries, -np.eye(n))
+        assert np.array_equal(tm.force_coupling, np.zeros((n, 2)))
+        out = scatter(tm, np.ones(n), force=np.array([1.0, -2.0]), omega=1.0)
+        assert np.array_equal(out, -np.ones(n))
+
+
+def test_force_outside_a_mechanism_joint_span_does_not_couple():
+    # the middle joint of a straight chain moves along it only
+    truss = _chain((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), areas=[1.0, 3.0])
+    tm = transmission_matrix(truss, "j1")
+    assert np.allclose(tm.force_coupling @ np.array([0.0, 1.0]), 0.0, atol=1e-15)
+    along = tm.force_coupling @ np.array([1.0, 0.0])
+    assert np.allclose(along, [-0.25, 0.25], atol=1e-15)  # -+1 / (Lambda_0 + Lambda_1)
 
 
 def test_scatter_zero_and_pulse(square):
@@ -203,6 +245,48 @@ def test_matching_count_finds_every_zero_of_the_grid_reference(square, bridge):
         for w in extra:
             assert min(abs(w - x) for x in network) <= 1e-8 * w, (name, w)
         assert extra == pytest.approx(gained.get(name, []), rel=1e-9), name
+
+
+def _distinct(omegas, rtol=1e-8):
+    out = []
+    for w in omegas:
+        if not out or w - out[-1] > rtol * w:
+            out.append(w)
+    return out
+
+
+def test_matching_sweep_runs_on_trusses_with_mechanism_joints(square, bridge):
+    # a mechanism joint's T reflects on its rods' span, so the matching
+    # system needs no spanning joint; draw 47 is ROADMAP item 1 (below)
+    draws = _draws(200)
+    cases = [(k, t) for k, t in enumerate(draws) if _span_frames(t)[1] and k != 47]
+    assert len(cases) == 128
+    cases += [("square x2", subdivide(square, 2)), ("square x3", subdivide(square, 3)),
+              ("bridge x2", subdivide(bridge, 2))]
+    for name, truss in cases:
+        window = _default_window(truss)
+        rev = reverberation_frequencies(truss, window)
+        network = _distinct(find_natural_frequencies(truss, window).omegas)
+        assert len(rev) == len(network), name
+        assert rev == pytest.approx(network, rel=1e-8), name
+
+
+def test_matching_roots_of_draw_47_do_not_move_under_subdivision():
+    # draw 47's 3D joints span planes; its matching roots are those of the x3
+    # subdivision, and each one is a network root. The network sweep's count
+    # is not trusted at such joints (ROADMAP item 1): it reports three more
+    # distinct frequencies, pinned here until that item is mended
+    truss = _draws(48)[47]
+    window = _default_window(truss)
+    rev = reverberation_frequencies(truss, window)
+    fine = reverberation_frequencies(subdivide(truss, 3), window)
+    assert len(rev) == 27
+    assert np.max(np.abs(np.array(rev) / np.array(fine) - 1.0)) <= 1e-10
+    network = _distinct(find_natural_frequencies(truss, window).omegas)
+    for w in rev:
+        assert min(abs(w - x) for x in network) <= 1e-8 * w, w
+    extra = [x for x in network if min(abs(w - x) for w in rev) > 1e-8 * x]
+    assert extra == pytest.approx([1.712752631, 3.078865321, 5.615779616], rel=1e-9)
 
 
 def test_matching_count_rises_by_three_across_the_bridge_pole(bridge):
@@ -482,3 +566,59 @@ def test_reverberation_finds_zeros_in_the_end_cells(bridge):
     lo, hi = network[0] - 1e-4, network[3] + 1e-4
     found = reverberation_frequencies(bridge, FrequencyWindow(lo, hi))
     assert found == pytest.approx(network[:4], rel=1e-8)
+
+
+def _stress_along(profile, rod_id, length, pieces, zs):
+    """The stress at positions zs along rod rod_id of the given length, read off the profile
+    of the truss subdivided into pieces (its rod rod_id itself for one piece)."""
+    step = length / pieces
+    out = []
+    for z in zs:
+        k = min(pieces - 1, int(z // step))
+        segs = profile[f"{rod_id}/{k + 1}"] if pieces > 1 else profile[rod_id]
+        out.append(next(sigma for z0, z1, sigma in segs if z0 <= z - k * step < z1))
+    return np.array(out)
+
+
+def test_simulator_stress_is_invariant_under_subdivision(square):
+    # the interior joints of a subdivided rod pass its fronts straight
+    # through, so each coarse rod carries the same stress as its pieces
+    coarse = simulate_wavefronts(square, [fig2_impulse()], t_max=6.0)
+    for pieces in (2, 3):
+        fine_truss = subdivide(square, pieces)
+        fine = simulate_wavefronts(fine_truss, [Impulse("12/1", TOWARD_END, -1.0)], t_max=6.0)
+        for t in (0.5, 1.7, 3.1, 5.9):
+            want, got = coarse.stress_profile(t), fine.stress_profile(t)
+            scale = max(abs(sigma) for segs in want.values() for *_, sigma in segs)
+            for rod in square.rods:
+                length = square.rod_properties(rod).length
+                cuts = {z for z0, z1, _ in want[rod.id] for z in (z0, z1)}
+                for k in range(pieces):
+                    cuts |= {z + k * length / pieces
+                             for segs in [got[f"{rod.id}/{k + 1}"]] for z0, z1, _ in segs for z in (z0, z1)}
+                cuts = sorted(cuts)
+                zs = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12 * length]
+                diff = (_stress_along(want, rod.id, length, 1, zs)
+                        - _stress_along(got, rod.id, length, pieces, zs))
+                assert np.max(np.abs(diff)) <= 1e-14 * scale, (pieces, t, rod.id)
+
+
+def test_scattering_conserves_power_at_mechanism_joints():
+    # every draw of the first 200 with a mechanism joint: at each event there
+    # the joint's T is a Lambda-reflection on its rods' span, so power is kept
+    events = 0
+    for truss in _draws(200):
+        mechanisms = set(_span_frames(truss)[1])
+        if not mechanisms:
+            continue
+        weight = {rod.id: rod.area / truss.rod_properties(rod).impedance for rod in truss.rods}
+        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
+        sim = simulate_wavefronts(truss, [Impulse(truss.rods[0].id, TOWARD_END, -1.0)], t_max=3.0 * tau)
+        for ev in sim.events:
+            if ev.joint not in mechanisms:
+                continue
+            events += 1
+            p_in = sum(weight[r] * s * s for r, s in ev.incoming)
+            p_out = sum(weight[r] * s * s for r, s in ev.outgoing)
+            assert abs(p_out - p_in) <= 1e-12 * p_in, (ev.time, ev.joint)
+    assert events == 598

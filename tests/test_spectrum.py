@@ -374,21 +374,23 @@ def test_bridge_roots_invariant_under_subdivision(bridge):
     # anchored reduction and interior-joint projection together leave the
     # spectrum untouched, multiplicities included: the 3-fold natural
     # frequency at pi (a pole with one resonant and two interior modes)
-    # becomes a plain triple root of the halved rods
+    # becomes a plain triple root of the halved rods, which the sweep lists
+    # three times, as often as the count rises across it
     window = FrequencyWindow(0.05, 1.05 * math.pi)
 
     def with_multiplicity(truss):
         sweep = find_natural_frequencies(truss, window)
         assert sweep.warnings == []
-        pole_modes = [m.omega for m in sweep if m.kind != "regular"]
-        regular = [w for m in sweep if m.kind == "regular" for w in [m.omega] * len(extract_modes(truss, m.omega))]
-        return sorted(pole_modes + regular)
+        return sweep.omegas
 
     base = with_multiplicity(bridge)
-    refined = with_multiplicity(subdivide(bridge, 2))
+    fine = subdivide(bridge, 2)
+    refined = with_multiplicity(fine)
     assert len(base) == 8
     assert refined == pytest.approx(base, abs=1e-8)
     assert base[-3:] == pytest.approx([math.pi] * 3, abs=1e-8)
+    assert [m.kind for m in find_natural_frequencies(fine, window)][-3:] == ["regular"] * 3
+    assert len(extract_modes(fine, refined[-1])) == 3
 
 
 def test_counting_sweep_finds_roots_one_grid_cell_would_merge():
@@ -491,8 +493,9 @@ def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
     assert all(any(a <= lo and hi <= b for a, b in segments) for lo, hi in brackets)
     assert warnings == []
 
+    # the double root at 1.95 is listed twice, as often as the count rises there
     both, both_warnings = sign_sweep_roots(func, count, segments, tol)
-    assert both == pytest.approx([0.5, 1.95, 2.5, 2.51, 2.52], abs=1e-9)
+    assert both == pytest.approx(list(_SEAM_ROOTS), abs=1e-9)
     assert both_warnings == []
     alone = [sign_sweep_roots(func, count, [segment], tol) for segment in segments]
     assert both == sorted(sum((roots for roots, _ in alone), []))

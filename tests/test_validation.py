@@ -135,3 +135,17 @@ def test_verify_runners_pass(square, bridge):
     assert all(c.passed for c in verify_bridge(bridge))
     assert all(c.passed for c in verify_generic(square))
     assert all(c.passed for c in verify_generic(bridge))
+
+
+def test_verify_generic_checks_the_involution_at_every_joint(bridge):
+    # anchors (T = -I) and the mechanism joints of the subdivided rods included
+    from spectruss import subdivide, transmission_matrix
+
+    fine = subdivide(bridge, 2)
+    worst = 0.0
+    for joint in fine.joints:
+        t = transmission_matrix(fine, joint.id).entries
+        worst = max(worst, float(np.max(np.abs(t @ t - np.eye(len(t))))))
+    checks = {c.name: c for c in verify_generic(fine)}
+    involution = checks["transmission involution max |T^2 - I|"]
+    assert involution.actual == worst and involution.passed
