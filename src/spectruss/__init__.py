@@ -24,14 +24,12 @@ from .model import (
 )
 from .assembly import (
     PoleProximityError,
-    RodSpectralFactors,
     SingularAtFrequencyError,
     SpectralMatrix,
     StiffnessMatrix,
     assemble_laplacian,
     assemble_stiffness,
     laplacian_determinant,
-    rod_spectral_factors,
     solve_forced_response,
 )
 from .spectrum import (

@@ -68,28 +68,6 @@ class SingularAtFrequencyError(Exception):
     """D(omega) is numerically singular: omega is a natural frequency."""
 
 
-@dataclass(frozen=True)
-class RodSpectralFactors:
-    cot_term: float  # cot(omega*tau)
-    csc_term: float  # csc(omega*tau)
-    eta: float  # cot(omega*tau) / Lambda
-    pole_distance: float  # min over n >= 0 of |omega*tau - n*pi|
-
-
-def rod_spectral_factors(truss: Truss, rod, omega: float) -> RodSpectralFactors:
-    props = truss.rod_properties(rod)
-    x = omega * props.transit_time
-    s = math.sin(x)
-    cot = math.cos(x) / s
-    csc = 1.0 / s
-    return RodSpectralFactors(
-        cot_term=cot,
-        csc_term=csc,
-        eta=cot / props.line_impedance,
-        pole_distance=abs(x - math.pi * round(x / math.pi)),
-    )
-
-
 @dataclass
 class SpectralMatrix:
     omega: float

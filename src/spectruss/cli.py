@@ -104,26 +104,12 @@ def cmd_freqs(args) -> int:
 
 def cmd_modes(args) -> int:
     truss = _read_truss(args.file)
-    omega = args.omega
-    window = _window(truss, args)
-    tol = window.tol_at(omega)
-    poles = spectrum.pole_set(truss, FrequencyWindow(0.5 * omega, 2.0 * omega)) if omega > 0 else []
-    pole = next((p for p in poles if abs(p.omega - omega) <= tol), None)
-    if pole is not None:
-        modes = spectrum.resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
-        if not modes:
-            print(
-                f"error: omega={_fmt(omega)} is a rod resonance with no natural mode",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERICAL
-    else:
-        try:
-            modes = spectrum.extract_modes(truss, omega)
-        except NotARootError as exc:
-            hint = _nearest_root_hint(truss, omega, window)
-            print(f"error: {exc}{hint}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    try:
+        modes = spectrum.extract_modes(truss, args.omega)
+    except NotARootError as exc:
+        hint = _nearest_root_hint(truss, args.omega, _window(truss, args))
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return EXIT_NUMERICAL
     doc = []
     for mode in modes:
         doc.append(

@@ -10,7 +10,10 @@ impedances and F the frame of the directions the joint moves in: the sweeps'
 rod-span frame (assembly._span_frames) at a free joint, none at an anchor,
 where T = -I. T is a Lambda-reflection (Kottos & Smilansky, Ann. Phys. 274
 (1999) 76-124); when the rods are a basis of F it is the identity, a purely
-reflective joint. A force couples through F too; its part outside F does not.
+reflective joint. It is formed as T = L^{-1/2} (2 Q Q^T - I) L^{1/2}, with
+L^{1/2} e_S^T = QR and no G^{-1}, so T^2 = I to round-off however nearly
+parallel the rods. A force couples through F too, by e_S^T G^{-1} F^T =
+L^{-1/2} Q R^{-T} F^T; its part outside F does not.
 
 The global matching system couples one forward amplitude per rod end through
 the per-rod phase factors exp(-i w tau); its singular frequencies coincide with
@@ -54,17 +57,15 @@ def transmission_matrix(truss: Truss, joint_id: str) -> TransmissionMatrix:
     props = [truss.rod_properties(rod) for _, rod in edges]
     e_mat = np.array([p.unit_vector if rod.joints[0] == joint_id else -p.unit_vector
                       for p, (_, rod) in zip(props, edges)]).reshape(-1, dim).T  # dim x |N|
-    lam = np.diag([p.line_impedance for p in props])
+    root = np.sqrt([p.line_impedance for p in props])  # Lambda^(1/2)
     anchored = truss.joint(joint_id).anchored
     frame = np.zeros((dim, 0)) if anchored else _span_frames(truss)[0][truss._joint_index[joint_id]]
-    e_span = frame.T @ e_mat
-    coupling = e_span.T @ np.linalg.inv(e_span @ lam @ e_span.T)
-    entries = 2.0 * coupling @ e_span @ lam - np.eye(len(edges))
+    q, r = np.linalg.qr(root[:, None] * (frame.T @ e_mat).T)
     return TransmissionMatrix(
         joint=joint_id,
-        entries=entries,
+        entries=(2.0 * q @ q.T - np.eye(len(edges))) * root[None, :] / root[:, None],
         column_order=tuple(other for other, _ in edges),
-        force_coupling=coupling @ frame.T,
+        force_coupling=(q / root[:, None]) @ np.linalg.solve(r.T, frame.T),
     )
 
 

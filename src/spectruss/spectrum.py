@@ -13,9 +13,10 @@ count J = J0 + N(D), J0 = sum_r floor(omega*tau_r/pi): J rises by the
 multiplicity of each one, at a pole too. Within BORDER_RADIUS of a
 resonance the count and the polish's determinant come from B, elsewhere
 from D itself, and each pole is cut out of the window by a band as wide as
-the root tolerance. One routine reads modes off a null space, from one
-symmetric eigendecomposition: of D at a regular root (of B if a rod is near
-its resonance), of B at a pole. There a mode either moves the joints, its
+the root tolerance; which pole's band holds omega, and which rods resonate
+there, is decided in one place (_resonances). One routine reads modes off a
+null space, from one symmetric eigendecomposition: of D at a regular root
+(of B if a rod is near its resonance), of B at a pole. There a mode either moves the joints, its
 displacements u meeting each resonant rod's end-motion constraint
 
     (-1)^n e^T u_a - e^T u_b = 0        (Q^T u = 0)
@@ -64,12 +65,12 @@ MOVING_U = 0.5
 class NotARootError(Exception):
     """omega is not a natural frequency of the structure."""
 
-    def __init__(self, omega, smallest_relative_sv):
+    def __init__(self, omega, smallest_relative_sv=None):
         self.omega = omega
-        self.smallest_relative_sv = smallest_relative_sv
+        self.smallest_relative_sv = smallest_relative_sv  # None at a rod resonance
         super().__init__(
-            f"D({omega!r}) has no null space: smallest relative singular value "
-            f"{smallest_relative_sv:.3e}"
+            f"omega={omega:.17g} is a rod resonance with no natural mode" if smallest_relative_sv is None
+            else f"D({omega!r}) has no null space: smallest relative singular value {smallest_relative_sv:.3e}"
         )
 
 
@@ -125,31 +126,53 @@ class SweepResult:
 
 
 def pole_set(truss: Truss, window: FrequencyWindow):
-    """All rod resonances omega*tau = n*pi inside the window, grouped and sorted.
+    """All rod resonances omega*tau = n*pi inside the window, grouped into poles (_chain), sorted.
 
-    Resonances within half the root tolerance of a pole's first share it, so
-    the band the sweep cuts around the pole (_bands) holds all of them. The
-    window is widened by as much at each end, so that a pole at an end keeps
-    the rods whose resonance rounds to just outside it.
+    Each pole's rods and orders are _resonances'. The window is widened by half
+    a band at each end, so that a pole at an end keeps the rods whose
+    resonance rounds to just outside it.
     """
-    lo = window.omega_min - 0.5 * window.tol_at(window.omega_min)
-    hi = window.omega_max + 0.5 * window.tol_at(window.omega_max)
-    events = []
-    for rod in truss.rods:
-        tau = truss.rod_properties(rod).transit_time
-        n_lo = max(1, math.ceil(lo * tau / math.pi))
-        n_hi = math.floor(hi * tau / math.pi)
-        for n in range(n_lo, n_hi + 1):
-            events.append((n * math.pi / tau, rod.id, n))
-    events.sort()
-    poles = []
-    for omega, rod_id, n in events:
-        if poles and omega - poles[-1][0] <= 0.5 * window.tol_at(poles[-1][0]):
-            poles[-1][1].append(rod_id)
-            poles[-1][2].append(n)
-        else:
-            poles.append((omega, [rod_id], [n]))
-    return [Pole(om, tuple(rods), tuple(orders)) for om, rods, orders in poles]
+    lo = window.omega_min - _half_band(window.omega_min)
+    hi = window.omega_max + _half_band(window.omega_max)
+    events = sorted(
+        n * math.pi / tau
+        for tau in _rod_constants(truss)[0].tolist()
+        for n in range(max(1, math.ceil(lo * tau / math.pi)), math.floor(hi * tau / math.pi) + 1)
+    )
+    ids = np.array([rod.id for rod in truss.rods], dtype=object)
+    found = [_resonances(truss, omega) for omega in _chain(events)]
+    return [Pole(pole, tuple(ids[near]), tuple(n[near].astype(int).tolist())) for pole, near, n in found]
+
+
+def _half_band(omega: float) -> float:
+    """Half the width of the band the sweep cuts around a pole at omega: half the root tolerance."""
+    return 0.5 * DEFAULT_ROOT_RTOL * omega
+
+
+def _chain(resonances):
+    """The poles among sorted resonances: the lowest, then each one more than half
+    a band above the pole before it. A pole holds those up to half a band above it."""
+    pole = None
+    for omega in resonances:
+        if pole is None or omega - pole > _half_band(pole):
+            pole = omega
+            yield omega
+
+
+def _resonances(truss: Truss, omega: float):
+    """(pole, near, n): the pole whose band (_bands) holds omega, or None, and over
+    the rods, near marks those whose resonance n*pi/tau the pole holds (_chain).
+    Whether omega is a pole, and which rods resonate there, is decided here only."""
+    taus, _ = _rod_constants(truss)
+    n = np.rint(omega * taus / math.pi)
+    resonance = n * math.pi / taus  # each rod's nearest omega
+    # a resonance more than half a band above the one below starts a pole, so
+    # _chain finds the poles near omega from these alone
+    poles = _chain(sorted(resonance[n >= 1].tolist()))
+    pole = next((p for p in poles if p + _half_band(p) >= omega), None)
+    if pole is None or pole - _half_band(pole) > omega:
+        return None, np.zeros(n.shape, dtype=bool), n
+    return pole, (n >= 1) & (resonance >= pole) & (resonance - pole <= _half_band(pole)), n
 
 
 # -- deficient-joint handling -------------------------------------------------
@@ -267,14 +290,16 @@ def _det_eval(truss: Truss):
     return func, count
 
 
-def _bands(window: FrequencyWindow, poles):
-    """(lo, hi) of the band cut out around each pole: the root tolerance wide, centred on it."""
-    return [(p.omega - 0.5 * window.tol_at(p.omega), p.omega + 0.5 * window.tol_at(p.omega)) for p in poles]
+def _bands(poles):
+    """(lo, hi) of the band cut out around each pole: half a band either side of it,
+    but from the band below's end where they overlap, so no resonance lies in two."""
+    bands = [(p.omega - _half_band(p.omega), p.omega + _half_band(p.omega)) for p in poles]
+    return [(max(lo, below), hi) for (lo, hi), (_, below) in zip(bands, [(0.0, 0.0), *bands])]
 
 
 def _segments(window: FrequencyWindow, poles):
     """(lo, hi) of the intervals between the pole bands (_bands)."""
-    cuts = [window.omega_min, *(x for band in _bands(window, poles) for x in band), window.omega_max]
+    cuts = [window.omega_min, *(x for band in _bands(poles) for x in band), window.omega_max]
     return [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if hi > lo]
 
 
@@ -293,7 +318,7 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     narrower than the root tolerance, is listed as often as J rises across it.
     """
     poles = pole_set(truss, window)
-    bands = _bands(window, poles)
+    bands = _bands(poles)
     segments = _segments(window, poles)
     mechanisms = list(_span_frames(truss)[1])
     func, count = _det_eval(truss)
@@ -309,7 +334,7 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
         rise = counted[hi] - counted[lo]
         if rise == 0 and not mechanisms:
             continue
-        found = resonant_mode_check(truss, pole.omega, pole.rods, pole.orders)
+        found = resonant_mode_check(truss, pole.omega)
         modes.extend(found)
         if rise != len(found):
             warnings.append(
@@ -355,9 +380,12 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
     (order given) they are kinds "resonant" and "interior", the latter with
     xi as rod amplitudes. At a regular root only the moving ones are modes of
     D, kind "regular": beside a resonance c is small, and a u = 0 direction
-    can fall below the cutoff without being a mode. Anchor forces are the
-    anchored rows of [F | Q] times (u, xi). Raises NotARootError when no mode
-    is below the cutoff.
+    can fall below the cutoff without being a mode. Where a regular root
+    has more than one, those nearest the null space are kept, as many as J
+    rises across omega's band (the sweep's multiplicity): a rod just outside
+    BORDER_RADIUS inflates max |eigenvalue| and can take in an ordinary one.
+    Anchor forces are the anchored rows of [F | Q] times (u, xi). Raises
+    NotARootError when no mode is below the cutoff.
     """
     full, build = _border_builder(truss, False)
     bordered = build(np.array([float(omega)]), near[None], n[None])[0][0]
@@ -375,6 +403,11 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
         null, interior = (right[moving] / s[moving, None]) @ null, right[~moving] @ null
         if order is None:
             interior = interior[:0]
+    if order is None and len(null) > 1:
+        rise = int(np.ptp(_det_eval(truss)[1]([omega - _half_band(omega), omega + _half_band(omega)])[0]))
+        if 0 < rise < len(null):
+            residual = np.linalg.norm(null @ bordered[kept][:, kept], axis=1) / np.linalg.norm(null, axis=1)
+            null = null[np.sort(np.argsort(residual)[:rise])]
     if not (len(null) or len(interior)):
         joints = np.linalg.norm(vectors[: free.size], axis=0) > MOVING_U
         raise NotARootError(omega, float(svals[joints].min(initial=smax) / smax) if smax else 0.0)
@@ -414,22 +447,30 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
 def extract_modes(truss: Truss, omega_star: float):
     """Null-space mode shapes of the anchored structure's D(omega*).
 
-    One unreduced D(omega*), in rod-span frames (the identity at anchors),
-    serves both the null space (its free block, the matrix the sweep solves)
-    and the anchor forces (its anchored rows). Rods within BORDER_RADIUS of a
-    resonance are bordered, as in the sweep, so a root beside a pole is
-    taken from the finite B. Shapes are in joint coordinates.
+    In a pole's band (_resonances) they are the pole's, resonant_mode_check's;
+    a pole without one raises NotARootError. Elsewhere one unreduced D(omega*),
+    in rod-span frames (the identity at anchors), serves both the null space
+    (its free block, the matrix the sweep solves) and the anchor forces (its
+    anchored rows). Rods within BORDER_RADIUS of a resonance are bordered, as
+    in the sweep, so a root beside a pole is taken from the finite B. Shapes
+    are in joint coordinates.
     """
     if not (omega_star > 0.0):
         raise ValueError(f"omega must be > 0, got {omega_star}")
+    if _resonances(truss, omega_star)[0] is not None:
+        modes = resonant_mode_check(truss, omega_star)
+        if not modes:
+            raise NotARootError(omega_star)
+        return modes
     near, n = _near_resonances(_rod_constants(truss)[0], np.array([float(omega_star)]))
     return _null_modes(truss, omega_star, near[0], n[0], MODE_TOL)
 
 
-def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values):
+def resonant_mode_check(truss: Truss, omega_pole: float):
     """Every natural mode at a rod resonance, or an empty list when none exists.
 
-    They are the null space of D bordered at the resonant rods (_border_builder).
+    They are the null space of D at the pole whose band holds omega_pole
+    (_resonances; [] if none does), bordered at its rods (_border_builder).
     Kind "resonant": the joints move, meeting the end-motion constraint
     (-1)^n e^T u_a - e^T u_b = 0 of every resonant rod, and the border
     absorbs the forces of the rest. Kind "interior": the joints stay at rest
@@ -437,15 +478,14 @@ def resonant_mode_check(truss: Truss, omega_pole: float, resonant_rods, n_values
     with end forces that balance at every free joint (Q xi = 0). The motions
     are those of the rod-span frames, as in the sweep.
     """
-    # a pole's omega is exact, so its null singular values are round-off
-    # (~1e-16 s_max); extract_modes' MODE_TOL allows for a polished root,
-    # known only to the sweep's tolerance, and at a pole it would also take
-    # in regular roots just beside it
-    orders = dict(zip(resonant_rods, n_values))
-    near = np.array([rod.id in orders for rod in truss.rods])
-    n = np.array([orders.get(rod.id, 0) for rod in truss.rods], dtype=float)
+    # the pole's omega is exact, so its null singular values are round-off
+    # (~1e-16 s_max); MODE_TOL, for a root polished to the sweep's tolerance,
+    # would also take in regular roots beside the pole
+    pole, near, n = _resonances(truss, omega_pole)
+    if pole is None:
+        return []
     try:
-        return _null_modes(truss, omega_pole, near, n, 1e-13, order=min(n_values))
+        return _null_modes(truss, pole, near, n, 1e-13, order=int(n[near].min()))
     except NotARootError:
         return []
 

@@ -324,15 +324,11 @@ def verify_bridge(truss=None):
     for row in bridge_reference_modes():
         ref = row.displacement_vector()
         ref = ref / np.linalg.norm(ref)
-        if row.force_free:
-            modes = resonant
-        else:
-            omega = math.acos(row.cos_omega_tau) / tau
-            modes = spectrum.extract_modes(truss, omega)
-        if not modes:
+        try:
+            mode = spectrum.extract_modes(truss, math.acos(row.cos_omega_tau) / tau)[0]
+        except spectrum.NotARootError:
             worst_mode = float("inf")
             continue
-        mode = modes[0]
         raw = np.concatenate([mode.displacements[j] for j in ("2", "3", "4")])
         raw = raw / np.linalg.norm(raw)
         flip = -1.0 if float(raw @ ref) < 0.0 else 1.0

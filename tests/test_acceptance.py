@@ -83,7 +83,7 @@ def test_criterion_02_bridge_modes_and_forces():
         ref = row.displacement_vector()
         ref = ref / np.linalg.norm(ref)
         if row.force_free:
-            at_pi = resonant_mode_check(bridge, math.pi, [r.id for r in bridge.rods], [1] * 7)
+            at_pi = resonant_mode_check(bridge, math.pi)
             modes = [m for m in at_pi if m.kind == "resonant"]
         else:
             modes = extract_modes(bridge, math.acos(row.cos_omega_tau))

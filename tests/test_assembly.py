@@ -27,7 +27,6 @@ from spectruss import (
     laplacian_determinant,
     pole_set,
     reverberation_frequencies,
-    rod_spectral_factors,
     solve_forced_response,
     subdivide,
 )
@@ -159,16 +158,17 @@ def test_taylor_remainder_ratio(square, bridge):
 
 
 def test_spectral_factor_identity(square):
-    rng = np.random.default_rng(3)
-    checked = 0
-    for _ in range(200):
-        omega = float(rng.uniform(0.05, 6.0))
-        for rod in square.rods:
-            f = rod_spectral_factors(square, rod, omega)
-            if f.pole_distance > 1e-4:
-                assert f.csc_term**2 - f.cot_term**2 == pytest.approx(1.0, rel=1e-9)
-                checked += 1
-    assert checked > 100
+    # the sweeps' coefficients Lambda*omega*cot(omega*tau) and
+    # -Lambda*omega*csc(omega*tau) obey csc^2 - cot^2 = 1 away from the poles
+    taus, lams = assembly._rod_constants(square)
+    omegas = np.random.default_rng(3).uniform(0.05, 6.0, 200)
+    diag, off = assembly._spectral_coefficients(taus, lams, omegas).reshape(2, len(taus), -1)
+    scale = lams[:, None] * omegas[None, :]
+    x = taus[:, None] * omegas[None, :]
+    far = np.abs(x - math.pi * np.maximum(1.0, np.rint(x / math.pi))) > 1e-4
+    identity = (off / scale) ** 2 - (diag / scale) ** 2
+    assert identity[far] == pytest.approx(np.ones(far.sum()), rel=1e-9)
+    assert far.sum() > 100
 
 
 def test_pole_guard_raises(square):

@@ -155,6 +155,15 @@ def test_modes_at_the_bridge_pole_report_interior_modes(capsys, bridge_file):
         assert sum(x * x for x in mode["rod_amplitudes"].values()) == pytest.approx(1.0)
 
 
+def test_modes_at_a_rounded_pole_report_the_poles_modes(capsys, square_file):
+    # 3.1415926536 lies within half the root tolerance of the pole at pi
+    _, exact, _ = run(capsys, "modes", square_file, "--omega", repr(math.pi))
+    code, out, _ = run(capsys, "modes", square_file, "--omega", "3.1415926536")
+    assert code == 0
+    assert out == exact
+    assert [m["kind"] for m in json.loads(out)] == ["resonant", "resonant"]
+
+
 def test_modes_just_off_the_bridge_pole_report_only_the_joint_moving_mode(capsys, bridge_file):
     # pi * (1 +- 1e-9) lies outside the root tolerance of pi, so extract_modes
     # takes it. D is singular there to MODE_TOL along the resonant mode's

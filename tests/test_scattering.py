@@ -603,22 +603,40 @@ def test_simulator_stress_is_invariant_under_subdivision(square):
                 assert np.max(np.abs(diff)) <= 1e-14 * scale, (pieces, t, rod.id)
 
 
+def _draw_simulations():
+    """(truss, simulation, A/Gamma per rod) for the first 200 draws: an impulse on
+    the first rod, run to three times the longest transit time."""
+    for truss in _draws(200):
+        weight = {rod.id: rod.area / truss.rod_properties(rod).impedance for rod in truss.rods}
+        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
+        sim = simulate_wavefronts(truss, [Impulse(truss.rods[0].id, TOWARD_END, -1.0)], t_max=3.0 * tau)
+        yield truss, sim, weight
+
+
+def _power_imbalance(event, weight):
+    p_in = sum(weight[r] * s * s for r, s in event.incoming)
+    p_out = sum(weight[r] * s * s for r, s in event.outgoing)
+    return abs(p_out - p_in) / p_in
+
+
 def test_scattering_conserves_power_at_mechanism_joints():
     # every draw of the first 200 with a mechanism joint: at each event there
     # the joint's T is a Lambda-reflection on its rods' span, so power is kept
     events = 0
-    for truss in _draws(200):
+    for truss, sim, weight in _draw_simulations():
         mechanisms = set(_span_frames(truss)[1])
-        if not mechanisms:
-            continue
-        weight = {rod.id: rod.area / truss.rod_properties(rod).impedance for rod in truss.rods}
-        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
-        sim = simulate_wavefronts(truss, [Impulse(truss.rods[0].id, TOWARD_END, -1.0)], t_max=3.0 * tau)
         for ev in sim.events:
             if ev.joint not in mechanisms:
                 continue
             events += 1
-            p_in = sum(weight[r] * s * s for r, s in ev.incoming)
-            p_out = sum(weight[r] * s * s for r, s in ev.outgoing)
-            assert abs(p_out - p_in) <= 1e-12 * p_in, (ev.time, ev.joint)
-    assert events == 598
+            assert _power_imbalance(ev, weight) <= 1e-12, (ev.time, ev.joint)
+    assert events == 543
+
+
+def test_scattering_conserves_power_at_every_event_of_the_first_200_draws():
+    # T comes from a QR factorization, so it is an exact Lambda-reflection to
+    # round-off however nearly parallel a joint's rods are (draw 31's j0: the
+    # smallest to largest singular value of its rod directions is 1.4e-3)
+    for _, sim, weight in _draw_simulations():
+        for ev in sim.events:
+            assert _power_imbalance(ev, weight) <= 1e-13, (ev.time, ev.joint)

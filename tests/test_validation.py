@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spectruss import laplacian_determinant
+from spectruss import PoleProximityError, laplacian_determinant
+from spectruss.assembly import POLE_GUARD
 from spectruss.validation import (
     BRIDGE_POLYNOMIAL_ROOTS,
     SquareClosedForm,
@@ -27,6 +28,32 @@ def test_bridge_polynomial_roots():
 def test_bridge_polynomial_at_one():
     # direct arithmetic on the printed factors: (27/64) * 1 * 1 * 4 * 2
     assert bridge_polynomial(1.0) == pytest.approx(27.0 / 8.0, rel=1e-15)
+
+
+def test_square_closed_form_rejects_a_missing_rod():
+    unit = SquareClosedForm.unit()
+    lambdas = {r: v for r, v in unit.lambdas.items() if r != "23"}
+    with pytest.raises(ValueError, match=r"missing square rods \['23'\]"):
+        SquareClosedForm(lambdas=lambdas, taus=unit.taus)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_square_closed_form_rejects_a_non_positive_value(value):
+    unit = SquareClosedForm.unit()
+    with pytest.raises(ValueError, match="must be positive"):
+        SquareClosedForm(lambdas=unit.lambdas, taus=dict(unit.taus, **{"13": value}))
+
+
+def test_square_condition_refuses_omega_within_the_pole_guard():
+    # the side rods resonate at pi (n = 1), the diagonal at pi/sqrt2 and 2pi/sqrt2
+    unit = SquareClosedForm.unit()
+    for omega, rod, order in ((math.pi, "12", 1), (math.pi / math.sqrt(2.0), "23", 1),
+                              (2.0 * math.pi / math.sqrt(2.0), "23", 2)):
+        for shift in (0.0, 0.5 * POLE_GUARD, -0.5 * POLE_GUARD):
+            with pytest.raises(PoleProximityError) as err:
+                closed_form_square_condition(unit, omega + shift / unit.taus[rod])
+            assert (err.value.rod_id, err.value.order) == (rod, order)
+        closed_form_square_condition(unit, omega + 2.0 * POLE_GUARD)
 
 
 def test_condition_diverges_negative_near_zero():
