@@ -6,6 +6,10 @@ polish on the sign of a real determinant, so timing comparisons between the
 methods measure the matrices, not the root finder. determinant gives count
 and sign for real symmetric stacks, bordered_determinant for the Schur
 complement of a bordered one, unitary_determinant for the matching system.
+A real symmetric count is the inertia of one Bunch-Kaufman LDL^T per matrix
+(_ldl_inertia), which also gives the sign and log|det| there (SignedCount),
+so the polish starts from bracket ends the count has evaluated and factors,
+by LU, only the points it adds.
 modulus_minima, a grid search of |det| minima, is the reference the
 tests hold the matching sweep to.
 """
@@ -18,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import lapack
 
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
 # longer lists of frequencies are evaluated chunk by chunk.
@@ -58,19 +63,73 @@ def _chunked(build, point_bytes, reduce, budget=None):
     return evaluate
 
 
+def _ldl_inertia(stack):
+    """(negative eigenvalue counts, sign, log|det|) of each symmetric matrix of an (m, n, n) stack.
+
+    One Bunch-Kaufman LDL^T per matrix (scipy.linalg.lapack.dsytrf, on the
+    lower triangle, as eigvalsh reads it): A = P U D U^T P^T with D block
+    diagonal, so by Sylvester's law of inertia A has D's negative eigenvalues,
+    and det A = det D (Bunch & Kaufman, Math. Comp. 31 (1977) 163-179). Each
+    2 x 2 block [[p, q], [q, r]], marked by two negative pivots, is replaced on
+    the diagonal by a pair with its determinant and its negative eigenvalues;
+    then every count, sign and log|det| is read off the diagonal. An exact
+    zero pivot gives sign 0 and log|det| -inf.
+    """
+    m, n = stack.shape[:2]
+    diag, upper = np.ones((m, n)), np.zeros((m, max(n - 1, 0)))
+    pivots = np.ones((m, n), dtype=np.int32)
+    if n:
+        lwork = int(lapack.dsytrf_lwork(n)[0])
+        for i, a in enumerate(stack):
+            lu, pivots[i], _ = lapack.dsytrf(a.T, lwork=lwork)  # a.T's upper triangle is a's lower
+            diag[i], upper[i] = lu.diagonal(), lu.diagonal(1)
+    if pivots.min(initial=1) < 0:
+        # a block's pivots are consecutive, so its first has an odd count of negatives up to it
+        two = pivots < 0
+        i, k = np.nonzero(two & (np.cumsum(two, axis=1) % 2 == 1))
+        p, q, r = diag[i, k], upper[i, k], diag[i, k + 1]
+        det = p * r - q * q
+        # det < 0: one negative eigenvalue; else both have the sign of the trace
+        s = np.where(det < 0.0, 1.0, np.sign(p + r))
+        diag[i, k], diag[i, k + 1] = det * s, s
+    with np.errstate(divide="ignore"):
+        logabs = np.log(np.abs(diag)).sum(axis=1)
+    return np.count_nonzero(diag < 0.0, axis=1), np.prod(np.sign(diag), axis=1), logabs
+
+
+class SignedCount:
+    """A root count whose factorization also gives each point's (sign, log|det|).
+
+    count(xs) -> (counts,), as every count; count.signed(xs) -> (counts, sign,
+    log|det|). find_brackets keeps the latter for the points it counts, so
+    the polish starts from bracket ends already evaluated.
+    """
+
+    def __init__(self, signed):
+        self.signed = signed
+
+    def __call__(self, xs):
+        return self.signed(xs)[:1]
+
+
 def determinant(build, point_bytes: int):
     """(func, count) of the real symmetric matrix stack build(xs) -> (m, n, n), in chunks.
 
-    func(xs) -> (sign, log|det|) arrays. count(xs) -> (negative eigenvalue
-    counts,), which rise by one at each simple root of det between poles
-    (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263-284).
+    func(xs) -> (sign, log|det|) arrays, by LU (slogdet). count is a
+    SignedCount of the negative eigenvalue counts, which rise by one at each
+    simple root of det between poles (Wittrick & Williams, Q. J. Mech. Appl.
+    Math. 24 (1971) 263-284), and its signed form also gives the sign and
+    log|det|, all from one LDL^T per matrix (_ldl_inertia).
     """
-
-    def negative(xs, stack):
-        return (np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1),)
-
     slogdet = _chunked(build, point_bytes, lambda xs, stack: np.linalg.slogdet(stack))
-    return slogdet, _chunked(build, point_bytes, negative)
+    return slogdet, SignedCount(_chunked(build, point_bytes, lambda xs, stack: _ldl_inertia(stack)))
+
+
+def _unborder(corner, sign, logabs):
+    """B's sign and log|det| less those of its corner diag(c), c as (m, k): D's, by the Schur complement."""
+    if not corner.size:
+        return sign, logabs
+    return sign * np.prod(np.sign(corner), axis=-1), logabs - np.log(np.abs(corner)).sum(axis=-1)
 
 
 def bordered_determinant(build, widths, size: int):
@@ -110,17 +169,14 @@ def bordered_determinant(build, widths, size: int):
 
     def slogdet(xs, built):
         stack, corner = built
-        sign, logabs = np.linalg.slogdet(stack)
-        if not corner.size:
-            return sign, logabs
-        return sign * np.prod(np.sign(corner), axis=-1), logabs - np.log(np.abs(corner)).sum(axis=-1)
+        return _unborder(corner, *np.linalg.slogdet(stack))
 
-    def negative(xs, built):
+    def signed(xs, built):
         stack, corner = built
-        below = np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1)
-        return (below - np.count_nonzero(corner < 0.0, axis=-1),)
+        below, sign, logabs = _ldl_inertia(stack)
+        return (below - np.count_nonzero(corner < 0.0, axis=-1), *_unborder(corner, sign, logabs))
 
-    return by_width(slogdet), by_width(negative)
+    return by_width(slogdet), SignedCount(by_width(signed))
 
 
 def unitary_determinant(build, point_bytes: int, delay: float):
@@ -153,7 +209,7 @@ def unitary_determinant(build, point_bytes: int, delay: float):
     return _chunked(build, point_bytes, secular), _chunked(build, point_bytes, winding)
 
 
-def find_brackets(count, segments, tol_at, threads=1, ends=None):
+def find_brackets(count, segments, tol_at, threads=1, ends=None, known=None):
     """Count stage of the sweep: one-root brackets, multiple roots and warnings.
 
     count(xs) -> (counts,) must rise by one at every simple root inside each
@@ -161,21 +217,30 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
     eigenvalues of D(omega) between two poles (the Wittrick-Williams count
     less its constant rod term) or of K - w^2 M, or a winding count. Every
     segment's ends are counted in one batched_eval call, unless the caller
-    passes their counts as ends (in np.ravel(segments) order). Then every
-    interval that holds two or more roots is halved, one call per level,
-    until it holds one root (a bracket) or is narrower than tol_at, where
-    _even_roots reports its roots. An interval whose count falls is
+    passes what the count gives there as ends (in np.ravel(segments) order).
+    Then every interval that holds two or more roots is halved, one call per
+    level, until it holds one root (a bracket) or is narrower than tol_at,
+    where _even_roots reports its roots. An interval whose count falls is
     reported in the returned warnings and dropped; halving never crosses a
-    seam between segments.
+    seam between segments. A SignedCount is evaluated in its signed form, and
+    each counted point's (sign, log|det|) is put in the dict known, if given.
 
     Returns (roots, brackets, warnings); a bracket is (lo, hi).
     """
     if not segments:
         return [], [], []
+    evaluate = getattr(count, "signed", count)
+
+    def keep(xs, values):
+        if values and known is not None:
+            known.update(zip(xs.tolist(), zip(*(v.tolist() for v in values))))
+
     lo, hi = np.array(segments, dtype=float).T
     if ends is None:
-        (ends,) = batched_eval(count, np.ravel(segments), threads)
-    n_lo, n_hi = np.reshape(ends, (-1, 2)).T
+        ends = batched_eval(evaluate, np.ravel(segments), threads)
+    n_ends, *values = ends
+    keep(np.ravel(segments), values)
+    n_lo, n_hi = np.reshape(n_ends, (-1, 2)).T
     roots, brackets, falls = [], [], []
     while True:
         k = n_hi - n_lo
@@ -194,7 +259,8 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None):
         if not split.any():
             break
         lo, hi, n_lo, n_hi, mid = (a[split] for a in (lo, hi, n_lo, n_hi, mid))
-        (n_mid,) = batched_eval(count, mid, threads)
+        n_mid, *values = batched_eval(evaluate, mid, threads)
+        keep(mid, values)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         n_lo, n_hi = np.concatenate([n_lo, n_mid]), np.concatenate([n_mid, n_hi])
     return roots, brackets, [message for _, message in sorted(falls)]
@@ -230,7 +296,7 @@ def _secant_step(a, b, c, width, shrunk, tol):
     return x
 
 
-def bisect_brackets(func, brackets, tol_at, threads=1):
+def bisect_brackets(func, brackets, tol_at, threads=1, known=None):
     """The root of each one-root bracket (lo, hi), to tol_at(x); in bracket order.
 
     func(xs) -> (sign, log|f|). Brent's safeguarded secant (_secant_step) on
@@ -238,13 +304,18 @@ def bisect_brackets(func, brackets, tol_at, threads=1):
     of smaller |f|, a the end across the root and c the point the secant pairs
     with b (the previous b, or the newest point if that is not the best). The
     count stage has put one root and no pole in each bracket, so each one ends
-    as a root: the midpoint of a bracket narrower than the tolerance.
+    as a root: the midpoint of a bracket narrower than the tolerance. Bracket
+    ends in the dict known (x -> (sign, log|f|), as find_brackets fills it)
+    are not evaluated again, nor is an end two brackets share.
     """
     if not brackets:
         return []
-    ends = np.array(brackets, dtype=float).ravel()
-    sign, logf = batched_eval(func, ends, threads)
-    points = list(zip(ends.tolist(), sign.tolist(), logf.tolist()))
+    ends = np.array(brackets, dtype=float).ravel().tolist()
+    known = dict(known or {})
+    new = np.unique([x for x in ends if x not in known])
+    if new.size:
+        known.update(zip(new.tolist(), zip(*(v.tolist() for v in batched_eval(func, new, threads)))))
+    points = [(x, *known[x]) for x in ends]
     # per bracket [a, b, c, width two steps ago, width one step ago]; the first
     # step bisects, since a secant from ends of very unequal |f| (one beside a
     # pole) barely moves
@@ -281,12 +352,14 @@ def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
     """Sorted roots of det over (lo, hi) segments, k times a k-fold one, and warnings.
 
     The count stage (find_brackets, which takes ends) covers every segment,
-    and one polish (bisect_brackets) every one-root bracket. func and count
+    and one polish (bisect_brackets) every one-root bracket, starting from
+    the ends' (sign, log|det|) where a SignedCount gave them. func and count
     come from one determinant or unitary_determinant call; count must not
     fall inside a segment, so poles belong on seams.
     """
-    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends)
-    roots.extend(bisect_brackets(func, brackets, tol_at, threads=threads))
+    known = {}
+    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends, known)
+    roots.extend(bisect_brackets(func, brackets, tol_at, threads, known))
     return sorted(roots), warnings
 
 
@@ -295,9 +368,14 @@ def window_roots(func, count, window, threads=1):
     roots, warnings = sign_sweep_roots(
         func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
     )
-    for message in warnings:
-        logging.getLogger("spectruss").warning(message)
+    log_warnings(warnings)
     return dedupe_sorted(roots, window.tol_at)
+
+
+def log_warnings(messages):
+    """Each of a sweep's warnings, through the "spectruss" logger."""
+    for message in messages:
+        logging.getLogger("spectruss").warning(message)
 
 
 def _golden(f, bracket, tol):

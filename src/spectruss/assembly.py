@@ -21,7 +21,9 @@ serves one matrix or a batch, at every size. The sweeps evaluate these
 matrices in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory
 does not grow with the number of frequencies evaluated at once: FEM through
 `_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
-which borders the rods near a resonance (spectrum).
+which borders the rods near a resonance (spectrum). Each counted matrix is
+factored once, as LDL^T, for its inertia, sign and log|det|; the root polish
+factors its new points by LU.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces.
@@ -242,7 +244,7 @@ def check_pole_guard(truss: Truss, omega: float):
 def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     """Reusable batched D(omega) builder: the pattern times the rod coefficients.
 
-    Sweeps call the returned function many times (counts and root polish);
+    Sweeps call the returned function many times (the LDL^T count and the LU polish);
     it maps a 1-D array of frequencies to the (m, size, size) stack in the
     pattern's coordinates and applies no pole guard.
     """

@@ -10,7 +10,9 @@ finite through the pole, with D as its Schur complement on the border:
 det D = det B / det C, and D has N(B) - N(C) negative eigenvalues. One
 counting sweep locates every natural frequency with the Wittrick-Williams
 count J = J0 + N(D), J0 = sum_r floor(omega*tau_r/pi): J rises by the
-multiplicity of each one, at a pole too. Within BORDER_RADIUS of a
+multiplicity of each one, at a pole too. N is the inertia of one LDL^T
+factorization per counted point, which also gives the sign and log|det| at
+the bracket ends the polish starts from. Within BORDER_RADIUS of a
 resonance the count and the polish's determinant come from B, elsewhere
 from D itself, and each pole is cut out of the window by a band as wide as
 the root tolerance; which pole's band holds omega, and which rods resonate
@@ -25,7 +27,9 @@ while the border amplitudes xi absorb the other rods' forces, F u + Q xi = 0
 (kind "resonant"), or keeps them at rest, u = 0 and Q xi = 0, the resonant
 rods vibrating between them (kind "interior"). The relative singular-value
 cutoff is MODE_TOL at a polished root and 1e-13 at a pole, whose frequency
-is exact.
+is exact; there, where J rises across the pole's band by more than that
+null space holds, a root of the band off the pole's frequency, the nearest
+directions within MODE_TOL make up the difference.
 """
 
 from __future__ import annotations
@@ -268,11 +272,12 @@ def _det_eval(truss: Truss):
     leave it regular. J = J0 + N(D): J0 = sum_r floor(omega*tau_r/pi) counts
     the rods' clamped-end modes below omega and N(D) the negative eigenvalues
     of D, so J rises by the multiplicity of every natural frequency, at a pole
-    too. Each point is evaluated on D bordered at exactly the rods within
-    BORDER_RADIUS of a resonance (_border_builder, through
-    _roots.bordered_determinant), the points of each border width together;
-    with no rod near, that is the swept D itself. Near a pole D's own
-    numbers lose their accuracy, B's do not.
+    too. count is a _roots.SignedCount: its signed form gives J with the sign
+    and log|det D| of the same LDL^T. Each point is evaluated on D bordered
+    at exactly the rods within BORDER_RADIUS of a resonance (_border_builder,
+    through _roots.bordered_determinant), the points of each border width
+    together; with no rod near, that is the swept D itself. Near a pole D's
+    own numbers lose their accuracy, B's do not.
     """
     pattern, build = _border_builder(truss, True)
     taus, _ = _rod_constants(truss)
@@ -282,12 +287,13 @@ def _det_eval(truss: Truss):
         pattern.size,
     )
 
-    def count(xs):
+    def signed(xs):
         xs = np.asarray(xs, dtype=float)
         clamped = np.floor(np.multiply.outer(xs, taus) / math.pi).sum(axis=1).astype(int)
-        return (negative(xs)[0] + clamped,)
+        below, sign, logabs = negative.signed(xs)
+        return below + clamped, sign, logabs
 
-    return func, count
+    return func, _roots.SignedCount(signed)
 
 
 def _bands(poles):
@@ -295,6 +301,14 @@ def _bands(poles):
     but from the band below's end where they overlap, so no resonance lies in two."""
     bands = [(p.omega - _half_band(p.omega), p.omega + _half_band(p.omega)) for p in poles]
     return [(max(lo, below), hi) for (lo, hi), (_, below) in zip(bands, [(0.0, 0.0), *bands])]
+
+
+def _pole_band(truss: Truss, pole: float):
+    """(lo, hi) of the band _bands cuts around pole, found from the pole's neighbours
+    (_resonances): it starts where the band of a pole just below ends, if that overlaps."""
+    lo = pole - _half_band(pole)
+    below = _resonances(truss, lo)[0]
+    return (lo if below == pole else below + _half_band(below)), pole + _half_band(pole)
 
 
 def _segments(window: FrequencyWindow, poles):
@@ -309,13 +323,16 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     One counting sweep of the Wittrick-Williams count J (_det_eval) runs over
     the segments between the poles' bands, each band as wide as the root
     tolerance: J rises by one at each simple root, and a pole's multiplicity
-    is the rise of J across its band. Each pole is dispatched to
+    is the rise of J across its band. Every segment and band end is counted
+    in one call, whose LDL^T factorizations also give the polish its bracket
+    ends' signs and log|det|. Each pole is dispatched to
     resonant_mode_check, except where that rise is 0 in a truss without
     mechanism joints (at mechanism joints the count near a pole is not yet
     trusted). A count that falls, or a rise that differs from the modes
-    found at the pole, is reported in the warnings. Output is sorted by
-    frequency, one mode per rise of J: a multiple regular root, its interval
-    narrower than the root tolerance, is listed as often as J rises across it.
+    found at the pole, is reported in the warnings and logged through
+    logging.getLogger("spectruss"). Output is sorted by frequency, one mode
+    per rise of J: a multiple regular root, its interval narrower than the
+    root tolerance, is listed as often as J rises across it.
     """
     poles = pole_set(truss, window)
     bands = _bands(poles)
@@ -323,15 +340,16 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     mechanisms = list(_span_frames(truss)[1])
     func, count = _det_eval(truss)
     points = np.unique(np.ravel(segments + bands))
-    counted = dict(zip(points.tolist(), _roots.batched_eval(count, points, threads)[0].tolist()))
-    ends = np.array([counted[x] for x in np.ravel(segments).tolist()], dtype=int)
+    counted = _roots.batched_eval(count.signed, points, threads)
+    at = {x: i for i, x in enumerate(points.tolist())}
+    ends = tuple(v[[at[x] for x in np.ravel(segments).tolist()]] for v in counted)
     roots, warnings = _roots.sign_sweep_roots(
         func, count, segments, window.tol_at, threads=threads, ends=ends
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
     for pole, (lo, hi) in zip(poles, bands):
-        rise = counted[hi] - counted[lo]
+        rise = int(counted[0][at[hi]] - counted[0][at[lo]])
         if rise == 0 and not mechanisms:
             continue
         found = resonant_mode_check(truss, pole.omega)
@@ -342,6 +360,7 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
                 f"but {len(found)} resonant modes were found there"
             )
     modes.sort(key=lambda m: m.omega)
+    _roots.log_warnings(warnings)
     return SweepResult(modes=modes, warnings=warnings, mechanisms=mechanisms)
 
 
@@ -384,6 +403,10 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
     has more than one, those nearest the null space are kept, as many as J
     rises across omega's band (the sweep's multiplicity): a rod just outside
     BORDER_RADIUS inflates max |eigenvalue| and can take in an ordinary one.
+    At a pole a root of its band need not lie on the pole's exact frequency,
+    and then leaves B a direction above the cutoff but within MODE_TOL: the
+    nearest such directions are added while fewer than J rises across the
+    band (_pole_band) are below the cutoff.
     Anchor forces are the anchored rows of [F | Q] times (u, xi). Raises
     NotARootError when no mode is below the cutoff.
     """
@@ -394,7 +417,12 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
     values, vectors = np.linalg.eigh(bordered[kept][:, kept])
     svals = np.abs(values)  # B's singular values
     smax = svals.max(initial=0.0)
-    null = vectors[:, svals <= cutoff * smax].T
+    chosen = svals <= cutoff * smax
+    close = np.count_nonzero(svals <= MODE_TOL * smax)
+    if order is not None and close > chosen.sum():
+        low, high = _det_eval(truss)[1](_pole_band(truss, omega))[0]
+        chosen[np.argsort(svals)[: min(close, high - low)]] = True
+    null = vectors[:, chosen].T
     interior = null[:0]
     if len(kept) > free.size:  # a border: split off the u = 0 directions
         _, s, right = np.linalg.svd(null[:, : free.size].T)
@@ -470,7 +498,10 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     """Every natural mode at a rod resonance, or an empty list when none exists.
 
     They are the null space of D at the pole whose band holds omega_pole
-    (_resonances; [] if none does), bordered at its rods (_border_builder).
+    (_resonances; [] if none does), bordered (_border_builder) at every rod
+    within BORDER_RADIUS of a resonance there, as at a regular root: the
+    pole's own rods and any whose resonance lies just beside it, whose
+    diverging terms would otherwise inflate max |eigenvalue| past the cutoff.
     Kind "resonant": the joints move, meeting the end-motion constraint
     (-1)^n e^T u_a - e^T u_b = 0 of every resonant rod, and the border
     absorbs the forces of the rest. Kind "interior": the joints stay at rest
@@ -481,11 +512,12 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     # the pole's omega is exact, so its null singular values are round-off
     # (~1e-16 s_max); MODE_TOL, for a root polished to the sweep's tolerance,
     # would also take in regular roots beside the pole
-    pole, near, n = _resonances(truss, omega_pole)
+    pole, resonant, n = _resonances(truss, omega_pole)
     if pole is None:
         return []
+    near = _near_resonances(_rod_constants(truss)[0], np.array([pole]))[0][0]
     try:
-        return _null_modes(truss, pole, near, n, 1e-13, order=int(n[near].min()))
+        return _null_modes(truss, pole, near, n, 1e-13, order=int(n[resonant].min()))
     except NotARootError:
         return []
 

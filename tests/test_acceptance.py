@@ -301,11 +301,12 @@ def test_criterion_06_method_equivalence():
     assert report("criterion 06 method equivalence", ok, "; ".join(detail))
 
 
-def _best_times(fns, repeats=3):
+def _best_times(fns, repeats=7):
     """Best wall time of each fn over repeats; each repeat runs every fn once, in turn.
 
     Interleaving the repeats lets every method see the same host speed, so a
-    short host slowdown cannot land on one method only.
+    short host slowdown cannot land on one method only; with seven of them a
+    loaded host seldom slows every repeat of one method.
     """
     best = [float("inf")] * len(fns)
     for _ in range(repeats):

@@ -416,36 +416,36 @@ def _braced_lattice(side):
     return Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
 
 
-def _spy(monkeypatch, name):
-    """Byte size of every stack passed to numpy.linalg.<name>."""
+def _spy(monkeypatch, owner, name):
+    """Byte size of every stack passed to owner.<name>."""
     sizes = []
-    real = getattr(np.linalg, name)
+    real = getattr(owner, name)
 
     def spy(a):
         sizes.append(np.asarray(a).nbytes)
         return real(a)
 
-    monkeypatch.setattr(np.linalg, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return sizes
 
 
 @pytest.fixture
 def slogdet_sizes(monkeypatch):
-    return _spy(monkeypatch, "slogdet")
+    return _spy(monkeypatch, np.linalg, "slogdet")
 
 
 @pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    return _spy(monkeypatch, "eigvalsh")
+def inertia_sizes(monkeypatch):
+    return _spy(monkeypatch, _roots, "_ldl_inertia")
 
 
 @pytest.fixture
 def eigvals_sizes(monkeypatch):
-    return _spy(monkeypatch, "eigvals")
+    return _spy(monkeypatch, np.linalg, "eigvals")
 
 
 def test_sweep_determinants_are_chunked_within_budget(
-    slogdet_sizes, eigvalsh_sizes, eigvals_sizes, monkeypatch
+    slogdet_sizes, inertia_sizes, eigvals_sizes, monkeypatch
 ):
     lattice = _braced_lattice(5)
     assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
@@ -460,15 +460,15 @@ def test_sweep_determinants_are_chunked_within_budget(
 
     grid = np.linspace(0.06, 2.0, 4001)  # below the first pole, pi/sqrt(2)
 
-    # (func, count), the stack builder, the count's eigenvalue routine, the
+    # (func, count), the stack builder, the count's kernel, the
     # frequencies (four chunks each), the reference count given the count at
     # omegas[0], the budget. D's and K - w^2 M's counts are their negative
     # eigenvalues; the matching count has an arbitrary offset, and it rises
     # from omegas[0] = grid[0] by the natural frequencies D's count passes.
     cases = [
-        (spectrum._det_eval(lattice), network, eigvalsh_sizes, grid,
+        (spectrum._det_eval(lattice), network, inertia_sizes, grid,
          lambda xs, first: negative(network, xs), _roots.BATCH_BYTES),
-        (_roots.determinant(fem, k.nbytes), fem, eigvalsh_sizes, grid,
+        (_roots.determinant(fem, k.nbytes), fem, inertia_sizes, grid,
          lambda xs, first: negative(fem, xs), _roots.BATCH_BYTES),
     ]
     # the matching count (eigvals of a complex 112 x 112 matrix) costs about
@@ -498,20 +498,20 @@ def test_sweep_determinants_are_chunked_within_budget(
 
 
 def test_fem_and_matching_determinants_stay_within_budget(
-    slogdet_sizes, eigvalsh_sizes, eigvals_sizes
+    slogdet_sizes, inertia_sizes, eigvals_sizes
 ):
     lattice = _braced_lattice(5)
     window = FrequencyWindow(0.06, 2.0)
     roots = fem_frequencies(lattice, window)
     matching = reverberation_frequencies(lattice, window)
-    assert eigvalsh_sizes[0] == 2 * 8 * 40 * 40  # the count at the window's two ends
+    assert inertia_sizes[0] == 2 * 8 * 40 * 40  # the count at the window's two ends
     assert eigvals_sizes[0] == 2 * 16 * 112 * 112
-    assert max(slogdet_sizes + eigvalsh_sizes + eigvals_sizes) <= _roots.BATCH_BYTES
+    assert max(slogdet_sizes + inertia_sizes + eigvals_sizes) <= _roots.BATCH_BYTES
     assert matching == pytest.approx(find_natural_frequencies(lattice, window).omegas, rel=1e-8)
     # under a budget of three matrices the counts and the bisection run in
     # full chunks, and the roots stay the same
     for sweep, found, sizes, matrix_bytes in [
-        (fem_frequencies, roots, eigvalsh_sizes, 8 * 40 * 40),
+        (fem_frequencies, roots, inertia_sizes, 8 * 40 * 40),
         (reverberation_frequencies, matching, eigvals_sizes, 16 * 112 * 112),
     ]:
         budget, _roots.BATCH_BYTES = _roots.BATCH_BYTES, 3 * matrix_bytes

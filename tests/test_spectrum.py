@@ -506,6 +506,34 @@ def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
     assert sign_sweep_roots(never, never, [], tol) == ([], [])
 
 
+def test_polish_starts_from_the_counted_ends():
+    # a SignedCount's points carry the sign and log|det| of their LDL^T, so
+    # the polish evaluates no bracket end again; a plain count gives none,
+    # and the polish evaluates each end once, an end two brackets share too
+    from spectruss._roots import SignedCount, determinant, sign_sweep_roots
+
+    tol = lambda x: 1e-12
+    segments = [(0.1, 1.4), (1.6, 2.2), (2.3, 3.0)]
+    func, count = determinant(_seam_stack, 8 * 7 * 7)
+    counted, polished = [], []
+
+    def spy(fn, seen):
+        def wrapped(xs):
+            seen.extend(np.asarray(xs).tolist())
+            return fn(xs)
+        return wrapped
+
+    signed = SignedCount(spy(count.signed, counted))
+    roots, _ = sign_sweep_roots(spy(func, polished), signed, segments, tol)
+    assert roots == pytest.approx(list(_SEAM_ROOTS), abs=1e-9)
+    assert counted and polished and not set(counted) & set(polished)
+
+    counted.clear(), polished.clear()
+    plain, _ = sign_sweep_roots(spy(func, polished), spy(count, counted), segments, tol)
+    assert plain == pytest.approx(roots, abs=1e-9)
+    assert len(polished) == len(set(polished)) and set(counted) & set(polished)
+
+
 def test_count_that_falls_is_a_warning():
     # an eigenvalue that rises through zero at 1.2 takes the count down, which
     # no root explains; the sweep says so and reports no root for it
@@ -917,3 +945,114 @@ def test_each_resonance_has_one_pole_where_two_bands_overlap():
     assert [(m.omega, m.kind) for m in sweep] == [(poles[0].omega, "interior")]
     counts = _wittrick_williams_count(star, np.ravel(_bands(poles))).reshape(-1, 2)
     assert [n_hi - n_lo for n_lo, n_hi in counts] == [1, 0]
+
+
+def test_a_pole_borders_its_neighbours_rods_and_lists_only_its_bands_modes():
+    # at the second pole of the tuned star, bordering r2 alone let r0's and
+    # r1's diverging terms inflate max |eigenvalue| past the cutoff and an
+    # interior mode appeared that neither J nor the sweep has; bordered at
+    # every rod within BORDER_RADIUS the pole has none. The first pole keeps
+    # the three rods' interior mode, a root of its band off its frequency
+    star = _tuned_star([0.0, 0.6, 1.4])
+    first, second = pole_set(star, FrequencyWindow(3.0, 3.2))
+    assert resonant_mode_check(star, second.omega) == []
+    with pytest.raises(NotARootError):
+        extract_modes(star, second.omega)
+    (mode,) = resonant_mode_check(star, first.omega)
+    assert mode.kind == "interior" and mode.omega == first.omega
+    assert [m.kind for m in extract_modes(star, first.omega)] == ["interior"]
+
+
+def test_network_sweep_logs_its_warnings(caplog):
+    # draw 47's pole at 1.481659345, where the count rises by 0 but the
+    # resonance check finds a mode, is logged as SweepResult.warnings holds it
+    truss = _draws(48)[47]
+    with caplog.at_level(logging.WARNING, logger="spectruss"):
+        sweep = find_natural_frequencies(truss, _default_window(truss))
+    message = "count rises by 0 across the pole at 1.481659345, but 1 resonant modes were found there"
+    assert message in sweep.warnings
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("spectruss", logging.WARNING, m) for m in sweep.warnings
+    ]
+
+
+# -- the count's LDL^T kernel ---------------------------------------------------------
+
+
+def _assert_inertia(stack):
+    below, sign, logabs = _roots._ldl_inertia(stack)
+    assert below.tolist() == np.count_nonzero(np.linalg.eigvalsh(stack) < 0.0, axis=-1).tolist()
+    ref_sign, ref_log = np.linalg.slogdet(stack)
+    assert sign.tolist() == ref_sign.tolist()
+    assert np.max(np.abs(logabs - ref_log), initial=0.0) <= 1e-9
+
+
+def test_ldl_inertia_matches_eigvalsh_and_slogdet_on_random_symmetric_stacks():
+    rng = np.random.default_rng(7)
+    pivots = 0
+    for n in (1, 2, 3, 5, 8, 20, 60):
+        a = rng.standard_normal((25, n, n))
+        for stack in (a + a.transpose(0, 2, 1), a @ a.transpose(0, 2, 1) + n * np.eye(n)):
+            _assert_inertia(stack)
+            for matrix in stack:
+                pivots += np.any(_roots.lapack.dsytrf(matrix)[1] < 0)
+    assert pivots >= 50  # most indefinite matrices take a 2 x 2 pivot
+
+
+def test_ldl_inertia_takes_two_by_two_pivots_and_exact_zeros():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # no 1 x 1 pivot: one 2 x 2 block
+    assert _roots.lapack.dsytrf(swap)[1].tolist() == [-1, -1]
+    blocks = np.zeros((4, 4))
+    blocks[:2, :2], blocks[2:, 2:] = swap, -np.array([[1.0, 3.0], [3.0, 1.0]])
+    negative = np.array([[-1.0, -3.0, 0.0], [-3.0, -1e-3, 2.0], [0.0, 2.0, -4.0]])
+    _assert_inertia(np.array([swap, -swap]))
+    _assert_inertia(np.array([blocks, -blocks]))
+    _assert_inertia(negative[None])
+
+    singular = np.array([np.diag([2.0, 0.0, -1.0]), np.zeros((3, 3)), np.ones((3, 3))])
+    with np.errstate(all="raise"):
+        below, sign, logabs = _roots._ldl_inertia(singular)
+    assert below.tolist() == [1, 0, 0]
+    assert sign.tolist() == [0.0, 0.0, 0.0]
+    assert logabs.tolist() == [-math.inf] * 3
+
+
+def test_ldl_inertia_of_an_empty_stack_and_of_zero_by_zero_matrices():
+    # an all-anchored truss leaves D zero by zero: no negative eigenvalue, det 1
+    for m in (0, 3):
+        below, sign, logabs = _roots._ldl_inertia(np.zeros((m, 0, 0)))
+        assert below.tolist() == [0] * m and sign.tolist() == [1.0] * m
+        assert logabs.tolist() == [0.0] * m
+    below, sign, logabs = _roots._ldl_inertia(np.zeros((0, 4, 4)))
+    assert below.shape == sign.shape == logabs.shape == (0,)
+
+
+def test_signed_count_matches_its_parts_on_bordered_stacks():
+    # B = [[F, Q], [Q^T, diag(c)]]: the count less N(diag(c)), det B / prod(c),
+    # at widths 0, 1 and 3 in one call; the plain count is the signed one's first part
+    size, widths = 6, np.array([0, 1, 3, 1, 0, 3])
+
+    def bordered(x, k):
+        rng = np.random.default_rng(int(x))
+        a = rng.standard_normal((size + k, size + k))
+        a = a + a.T
+        corner = rng.uniform(-2.0, 2.0, k)
+        a[size:, size:] = np.diag(corner)
+        return a, corner
+
+    def build(xs, k):
+        stack, corner = zip(*(bordered(x, k) for x in xs))
+        return np.array(stack), np.array(corner).reshape(xs.size, k)
+
+    xs = np.arange(widths.size, dtype=float)
+    func, count = _roots.bordered_determinant(build, lambda xs: widths[xs.astype(int)], size)
+    below, sign, logabs = count.signed(xs)
+    for i, x in enumerate(xs):
+        b, corner = bordered(x, widths[i])
+        schur = b[:size, :size] - b[:size, size:] @ np.diag(1.0 / corner) @ b[size:, :size]
+        assert below[i] == np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0)
+        ref_sign, ref_log = np.linalg.slogdet(schur)
+        assert sign[i] == ref_sign and abs(logabs[i] - ref_log) <= 1e-9
+        assert func(xs[i : i + 1])[0][0] == ref_sign
+    (plain,) = count(xs)
+    assert plain.tolist() == below.tolist()
