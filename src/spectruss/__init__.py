@@ -23,26 +23,25 @@ from .model import (
     truss_to_json,
 )
 from .assembly import (
-    PoleProximityError,
-    SingularAtFrequencyError,
     SpectralMatrix,
     StiffnessMatrix,
     assemble_laplacian,
     assemble_stiffness,
-    laplacian_determinant,
-    solve_forced_response,
 )
 from .spectrum import (
     FrequencyWindow,
     ModeResult,
     NotARootError,
     Pole,
+    SingularAtFrequencyError,
     SweepResult,
     anchor_forces,
     extract_modes,
     find_natural_frequencies,
+    laplacian_determinant,
     pole_set,
     resonant_mode_check,
+    solve_forced_response,
 )
 from .fem import MassMatrix, assemble_mass, fem_determinant, fem_frequencies
 from .scattering import (

@@ -3,8 +3,9 @@
 Each of them is a sum of per-rod e e^T blocks in the global aligned frame
 (e_ba = -e_ab), scaled by one factor on the diagonal blocks and one on the
 coupling blocks of rod ab. With an orthonormal frame B_j per joint (the
-identity in the public builders, the rod-span frame of each free joint in the
-sweeps) the blocks are
+identity in the joint-coordinate builders assemble_laplacian,
+assemble_stiffness and assemble_mass, the rod-span frame of each free joint
+in everything spectrum solves) the blocks are
 
     X[a,a] += diag_r * (B_a^T e)(B_a^T e)^T    for every rod r at a
     X[a,b]  = off_r  * (B_a^T e)(B_b^T e)^T    for rod r = ab
@@ -26,12 +27,13 @@ factored once, as LDL^T, for its inertia, sign and log|det|; the root polish
 factors its new points by LU.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
-displacement amplitudes to applied joint forces.
+displacement amplitudes to applied joint forces. Both are solved in spectrum,
+on D in rod-span frames, bordered near a rod resonance: the sweeps,
+laplacian_determinant and solve_forced_response alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,35 +41,6 @@ import numpy as np
 from scipy import sparse
 
 from .model import Truss
-
-# Distance (in omega*tau radians) from a rod resonance omega*tau = n*pi, n >= 1,
-# below which the public single-matrix builders (assemble_laplacian and what
-# calls it) and the closed-form oracles of validation refuse to evaluate
-# cot/csc entries, which are corrupted there. The sweeps and mode extraction
-# take no guard: near a resonance they border the rod (spectrum). omega*tau
-# -> 0 is a removable limit (D -> K), not a pole, so n = 0 never trips it.
-POLE_GUARD = 1e-5
-
-# Reciprocal condition estimate below this means "omega is a natural frequency".
-RCOND_SINGULAR = 1e-12
-
-
-class PoleProximityError(Exception):
-    """omega*tau is within the pole guard of a rod resonance n*pi."""
-
-    def __init__(self, rod_id, order, omega):
-        self.rod_id = rod_id
-        self.order = order
-        self.omega = omega
-        super().__init__(
-            f"omega={omega!r} puts rod '{rod_id}' within {POLE_GUARD} of its "
-            f"resonance omega*tau = {order}*pi, where D itself is not built; "
-            "extract_modes and resonant_mode_check border the rod instead"
-        )
-
-
-class SingularAtFrequencyError(Exception):
-    """D(omega) is numerically singular: omega is a natural frequency."""
 
 
 @dataclass
@@ -230,23 +203,12 @@ def _spectral_coefficients(taus, lams, omegas: np.ndarray) -> np.ndarray:
     return np.concatenate([lam_omega * np.cos(x) / s, -lam_omega / s])
 
 
-def check_pole_guard(truss: Truss, omega: float):
-    """Raise PoleProximityError if any rod resonance n*pi (n >= 1) is too close."""
-    taus, _ = _rod_constants(truss)
-    x = omega * taus
-    n = np.round(x / math.pi)
-    near = np.flatnonzero((n >= 1) & (np.abs(x - n * math.pi) < POLE_GUARD))
-    if near.size:
-        r = int(near[0])
-        raise PoleProximityError(truss.rods[r].id, int(n[r]), omega)
-
-
 def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     """Reusable batched D(omega) builder: the pattern times the rod coefficients.
 
     Sweeps call the returned function many times (the LDL^T count and the LU polish);
     it maps a 1-D array of frequencies to the (m, size, size) stack in the
-    pattern's coordinates and applies no pole guard.
+    pattern's coordinates.
     """
     taus, lams = _rod_constants(truss)
 
@@ -257,17 +219,12 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     return build
 
 
-def laplacian_batch(truss: Truss, omegas, reduce_anchors: bool = True) -> np.ndarray:
-    """D(omega) stacked over a 1-D array of frequencies; no pole guard."""
-    return laplacian_evaluator(truss, _pattern(truss, reduce_anchors))(omegas)
-
-
 def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> SpectralMatrix:
+    """D(omega) in joint coordinates, unbordered: its entries diverge at a rod resonance."""
     if not (omega > 0.0):
         raise ValueError(f"omega must be > 0, got {omega}")
-    check_pole_guard(truss, omega)
     pattern = _pattern(truss, reduce_anchors)
-    entries = laplacian_batch(truss, [omega], reduce_anchors)[0]
+    entries = laplacian_evaluator(truss, pattern)([omega])[0]
     return SpectralMatrix(
         omega=omega, entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors
     )
@@ -280,45 +237,3 @@ def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> StiffnessMa
     k = lams / taus
     entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
     return StiffnessMatrix(entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors)
-
-
-def laplacian_determinant(truss: Truss, omega: float, reduce_anchors: bool = True) -> float:
-    return float(np.linalg.det(assemble_laplacian(truss, omega, reduce_anchors).entries))
-
-
-def solve_forced_response(truss: Truss, omega: float, forces) -> dict:
-    """Displacement amplitudes U of the free joints under applied forces P, D U = P.
-
-    `forces` maps free-joint ids to force vectors; omitted joints carry zero
-    force. Raises SingularAtFrequencyError when omega is (numerically) a
-    natural frequency and the response is undefined.
-    """
-    matrix = assemble_laplacian(truss, omega, reduce_anchors=True)
-    index_map = matrix.index_map
-    dim = truss.dimension
-    rhs = np.zeros(matrix.entries.shape[0])
-    for jid, vec in forces.items():
-        if jid not in index_map:
-            raise ValueError(f"force applied to unknown or anchored joint '{jid}'")
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (dim,):
-            raise ValueError(f"force vector for joint '{jid}' must have {dim} components")
-        rhs[index_map[jid] : index_map[jid] + dim] = vec
-
-    d = matrix.entries
-    if d.size:
-        if 1.0 / np.linalg.cond(d) < RCOND_SINGULAR:
-            raise SingularAtFrequencyError(
-                f"D(omega) is singular at omega={omega!r}: natural frequency"
-            )
-    solution = np.linalg.solve(d, rhs) if d.size else rhs.copy()
-    # one step of iterative refinement keeps the residual near round-off
-    solution += np.linalg.solve(d, rhs - d @ solution) if d.size else 0.0
-    scale = np.linalg.norm(rhs)
-    if scale > 0.0 and np.linalg.norm(d @ solution - rhs) > 1e-9 * scale:
-        raise SingularAtFrequencyError(
-            f"forced response residual exceeds tolerance at omega={omega!r}"
-        )
-    return {
-        jid: solution[offset : offset + dim].copy() for jid, offset in index_map.items()
-    }

@@ -16,10 +16,9 @@ import time
 from pathlib import Path
 
 from . import fem, scattering, spectrum, validation
-from .assembly import PoleProximityError, SingularAtFrequencyError
 from .model import TrussError, builtin_structure, load_truss, truss_to_json
 from .scattering import EventExplosionError
-from .spectrum import FrequencyWindow, NotARootError
+from .spectrum import FrequencyWindow, NotARootError, SingularAtFrequencyError
 
 METHODS = ("laplacian", "reverberation", "fem-consistent", "fem-lumped")
 
@@ -352,12 +351,7 @@ def main(argv=None) -> int:
     except TrussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        PoleProximityError,
-        SingularAtFrequencyError,
-        NotARootError,
-        EventExplosionError,
-    ) as exc:
+    except (SingularAtFrequencyError, NotARootError, EventExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Natural-frequency sweep through the rod resonances and null-space mode extraction.
+"""Natural-frequency sweep, null-space modes and forced response, through the rod resonances.
 
 At a rod resonance omega*tau = n*pi the entries of D(omega) diverge, each
 resonant rod through a rank-one term. Moved into a border, those terms leave
@@ -76,6 +76,10 @@ class NotARootError(Exception):
             f"omega={omega:.17g} is a rod resonance with no natural mode" if smallest_relative_sv is None
             else f"D({omega!r}) has no null space: smallest relative singular value {smallest_relative_sv:.3e}"
         )
+
+
+class SingularAtFrequencyError(Exception):
+    """omega is a natural frequency: the forced response is undefined there."""
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,17 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     return pattern, build
 
 
+def _bordered_at(truss: Truss, omega: float, reduce_anchors: bool):
+    """(pattern, B, c, near) at one omega > 0, B and c as stacks of one: the sweep's D,
+    bordered (_border_builder) at the rods near marks, those within BORDER_RADIUS of a resonance."""
+    if not (omega > 0.0):
+        raise ValueError(f"omega must be > 0, got {omega}")
+    pattern, build = _border_builder(truss, reduce_anchors)
+    omegas = np.array([float(omega)])
+    near, n = _near_resonances(_rod_constants(truss)[0], omegas)
+    return pattern, *build(omegas, near, n), near[0]
+
+
 def _det_eval(truss: Truss):
     """(func, count) of the network sweep: (sign, log|det D|) and the Wittrick-Williams count J.
 
@@ -309,6 +324,16 @@ def _pole_band(truss: Truss, pole: float):
     lo = pole - _half_band(pole)
     below = _resonances(truss, lo)[0]
     return (lo if below == pole else below + _half_band(below)), pole + _half_band(pole)
+
+
+def _rise(truss: Truss, omega: float) -> int:
+    """How far the Wittrick-Williams count J rises across omega's band: that of the
+    pole whose band holds omega (_pole_band), elsewhere omega -/+ half a band.
+    It is omega's multiplicity as a natural frequency, 0 where it is none."""
+    pole = _resonances(truss, omega)[0]
+    ends = (omega - _half_band(omega), omega + _half_band(omega)) if pole is None else _pole_band(truss, pole)
+    low, high = _det_eval(truss)[1](np.array(ends))[0]
+    return int(high - low)
 
 
 def _segments(window: FrequencyWindow, poles):
@@ -385,10 +410,10 @@ def _anchor_rows(truss: Truss, index_map, forces):
     }
 
 
-def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
-    """Modes at omega from the null space of D bordered at the rods near marks.
+def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
+    """Modes at omega from the null space of D bordered at the rods within BORDER_RADIUS of a resonance.
 
-    B (_border_builder) is built on the unreduced pattern, so the anchored
+    B (_bordered_at) is built on the unreduced pattern, so the anchored
     rows of [F | Q] give reactions. Without those rows and columns B is
     symmetric, and the eigenvectors (one eigh) of its eigenvalues at or below
     cutoff * max |eigenvalue| span its null space, each a displacement u and
@@ -410,8 +435,7 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
     Anchor forces are the anchored rows of [F | Q] times (u, xi). Raises
     NotARootError when no mode is below the cutoff.
     """
-    full, build = _border_builder(truss, False)
-    bordered = build(np.array([float(omega)]), near[None], n[None])[0][0]
+    full, (bordered,), _, near = _bordered_at(truss, omega, False)
     free = _pattern(truss, reduce_anchors=True, span=True)
     kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
     values, vectors = np.linalg.eigh(bordered[kept][:, kept])
@@ -420,8 +444,7 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
     chosen = svals <= cutoff * smax
     close = np.count_nonzero(svals <= MODE_TOL * smax)
     if order is not None and close > chosen.sum():
-        low, high = _det_eval(truss)[1](_pole_band(truss, omega))[0]
-        chosen[np.argsort(svals)[: min(close, high - low)]] = True
+        chosen[np.argsort(svals)[: min(close, _rise(truss, omega))]] = True
     null = vectors[:, chosen].T
     interior = null[:0]
     if len(kept) > free.size:  # a border: split off the u = 0 directions
@@ -432,7 +455,7 @@ def _null_modes(truss: Truss, omega: float, near, n, cutoff: float, order=None):
         if order is None:
             interior = interior[:0]
     if order is None and len(null) > 1:
-        rise = int(np.ptp(_det_eval(truss)[1]([omega - _half_band(omega), omega + _half_band(omega)])[0]))
+        rise = _rise(truss, omega)
         if 0 < rise < len(null):
             residual = np.linalg.norm(null @ bordered[kept][:, kept], axis=1) / np.linalg.norm(null, axis=1)
             null = null[np.sort(np.argsort(residual)[:rise])]
@@ -490,8 +513,7 @@ def extract_modes(truss: Truss, omega_star: float):
         if not modes:
             raise NotARootError(omega_star)
         return modes
-    near, n = _near_resonances(_rod_constants(truss)[0], np.array([float(omega_star)]))
-    return _null_modes(truss, omega_star, near[0], n[0], MODE_TOL)
+    return _null_modes(truss, omega_star, MODE_TOL)
 
 
 def resonant_mode_check(truss: Truss, omega_pole: float):
@@ -515,9 +537,8 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     pole, resonant, n = _resonances(truss, omega_pole)
     if pole is None:
         return []
-    near = _near_resonances(_rod_constants(truss)[0], np.array([pole]))[0][0]
     try:
-        return _null_modes(truss, pole, near, n, 1e-13, order=int(n[resonant].min()))
+        return _null_modes(truss, pole, 1e-13, order=int(n[resonant].min()))
     except NotARootError:
         return []
 
@@ -542,3 +563,53 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
     for jid, u in mode.displacements.items():
         vec[full.index_map[jid] : full.index_map[jid] + dim] = u
     return _anchor_rows(truss, full.index_map, full.entries @ vec)
+
+
+# -- single-frequency solves ----------------------------------------------------
+
+
+def laplacian_determinant(truss: Truss, omega: float, reduce_anchors: bool = True) -> float:
+    """det D(omega) in rod-span frames, bordered as in the sweep: det B / prod(c).
+
+    On a truss without mechanism joints every frame is the identity, so this
+    is det D in joint coordinates; at a mechanism joint it is that of D on
+    the directions its rods span, so it vanishes at the natural frequencies
+    only. A force outside that span moves nothing (solve_forced_response).
+    """
+    _, stack, corner, _ = _bordered_at(truss, omega, reduce_anchors)
+    sign, logabs = _roots._unborder(corner, *np.linalg.slogdet(stack))
+    return float(sign[0] * np.exp(logabs[0]))
+
+
+def solve_forced_response(truss: Truss, omega: float, forces) -> dict:
+    """Displacement amplitudes U of the free joints under applied forces P, D U = P.
+
+    `forces` maps free-joint ids to force vectors; omitted joints carry zero
+    force. D is the sweep's, in rod-span frames F: one LU solve of
+    B [u; xi] = [F^T p; 0] (_bordered_at) gives D u = F^T p, finite through
+    a rod resonance that is no natural frequency. A force component outside
+    a mechanism joint's span is dropped by F^T p and moves nothing, as in
+    scattering's force_coupling. U is lifted to joint coordinates. Raises
+    SingularAtFrequencyError where J rises across omega's band (_rise), a
+    natural frequency, or where the residual on B exceeds 1e-9 of the load.
+    """
+    pattern, (matrix,), _, _ = _bordered_at(truss, omega, reduce_anchors=True)
+    dim = truss.dimension
+    rhs = np.zeros(len(matrix))
+    for jid, vec in forces.items():
+        if jid not in pattern.index_map:
+            raise ValueError(f"force applied to unknown or anchored joint '{jid}'")
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (dim,):
+            raise ValueError(f"force vector for joint '{jid}' must have {dim} components")
+        frame = pattern.frames[jid]
+        rhs[pattern.index_map[jid] : pattern.index_map[jid] + frame.shape[1]] = vec @ frame
+    rise = _rise(truss, omega)
+    if rise > 0:
+        raise SingularAtFrequencyError(f"omega={omega!r} is a natural frequency: J rises by {rise} across it")
+    solution = np.linalg.solve(matrix, rhs)
+    scale = np.linalg.norm(rhs)
+    if scale > 0.0 and np.linalg.norm(matrix @ solution - rhs) > 1e-9 * scale:
+        raise SingularAtFrequencyError(f"forced response residual exceeds tolerance at omega={omega!r}")
+    joint = pattern.lift @ solution[: pattern.size]
+    return dict(zip(pattern.index_map, joint.reshape(-1, dim)))

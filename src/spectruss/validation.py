@@ -12,9 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import POLE_GUARD, PoleProximityError
+# Distance (in omega*tau radians) from a rod resonance n*pi, n >= 1, within which
+# the closed forms below, the package's last unbordered cot/csc, refuse omega.
+POLE_GUARD = 1e-5
 
 SQUARE_RODS = ("12", "24", "34", "13", "23")
+
+
+class PoleProximityError(Exception):
+    """omega*tau is within POLE_GUARD of a rod resonance n*pi, where the closed forms diverge."""
+
+    def __init__(self, rod_id, order, omega):
+        self.rod_id, self.order, self.omega = rod_id, order, omega
+        super().__init__(f"omega={omega!r} puts rod '{rod_id}' within {POLE_GUARD} of omega*tau = {order}*pi")
 
 
 @dataclass(frozen=True)
@@ -231,7 +241,7 @@ class CheckResult:
 
 def verify_square(truss=None):
     """Determinant-equivalence and dispersion-condition checks for the square."""
-    from . import assembly, spectrum
+    from . import spectrum
     from .model import builtin_structure
 
     if truss is None:
@@ -244,7 +254,7 @@ def verify_square(truss=None):
     worst = 0.0
     for w in samples:
         expected = closed_form_square_det(cfg, w)
-        actual = assembly.laplacian_determinant(truss, w, reduce_anchors=False)
+        actual = spectrum.laplacian_determinant(truss, w, reduce_anchors=False)
         worst = max(worst, abs(actual - expected) / max(abs(expected), 1e-300))
     checks.append(CheckResult("square det(D) vs closed form, max rel err", 0.0, worst, worst <= 1e-10))
 
@@ -255,7 +265,7 @@ def verify_square(truss=None):
     worst = 0.0
     for w in samples:
         expected = closed_form_square_det(cfg_rand, w)
-        actual = assembly.laplacian_determinant(truss_rand, w, reduce_anchors=False)
+        actual = spectrum.laplacian_determinant(truss_rand, w, reduce_anchors=False)
         worst = max(worst, abs(actual - expected) / max(abs(expected), 1e-300))
     checks.append(
         CheckResult("square det(D) vs closed form, random impedances", 0.0, worst, worst <= 1e-10)
@@ -362,10 +372,7 @@ def verify_generic(truss):
     worst = 0.0
     for x in (0.37, 0.93, 2.41):
         omega = x / tau_min
-        try:
-            d = assembly.assemble_laplacian(truss, omega, reduce_anchors=False).entries
-        except assembly.PoleProximityError:
-            continue
+        d = assembly.assemble_laplacian(truss, omega, reduce_anchors=False).entries
         scale = np.max(np.abs(d))
         worst = max(worst, float(np.max(np.abs(d - d.T)) / scale))
     checks.append(CheckResult("network matrix symmetry, max rel asymmetry", 0.0, worst, worst <= 1e-10))

@@ -13,7 +13,6 @@ from spectruss import (
     FrequencyWindow,
     Joint,
     Material,
-    PoleProximityError,
     Rod,
     SingularAtFrequencyError,
     Truss,
@@ -31,7 +30,6 @@ from spectruss import (
     subdivide,
 )
 from spectruss import _roots, assembly, scattering, spectrum
-from spectruss.assembly import laplacian_batch
 from spectruss.scattering import matching_evaluator
 from spectruss.validation import SquareClosedForm, closed_form_square_det
 
@@ -133,10 +131,7 @@ def test_symmetry_over_random_structures():
     for _ in range(100):
         truss = random_truss(rng)
         omega = float(rng.uniform(0.1, 2.0)) / truss.tau_min
-        try:
-            d = assemble_laplacian(truss, omega, reduce_anchors=False).entries
-        except PoleProximityError:
-            continue
+        d = assemble_laplacian(truss, omega, reduce_anchors=False).entries
         assert np.max(np.abs(d - d.T)) <= 1e-10 * np.max(np.abs(d))
 
 
@@ -169,14 +164,6 @@ def test_spectral_factor_identity(square):
     identity = (off / scale) ** 2 - (diag / scale) ** 2
     assert identity[far] == pytest.approx(np.ones(far.sum()), rel=1e-9)
     assert far.sum() > 100
-
-
-def test_pole_guard_raises(square):
-    with pytest.raises(PoleProximityError) as err:
-        assemble_laplacian(square, math.pi * (1.0 + 1e-9), reduce_anchors=False)
-    assert err.value.order == 1
-    # the static side omega*tau -> 0 is a removable limit, not a pole
-    assemble_laplacian(square, 1e-7, reduce_anchors=False)
 
 
 def test_forced_response_zero_force(bridge):
@@ -316,6 +303,7 @@ def test_pattern_matrices_match_block_formulas(reduce_anchors, span):
         third, sixth = [m / 3.0 for m in masses], [m / 6.0 for m in masses]
         stiffness = _reference(truss, reduce_anchors, k, [-x for x in k])
         consistent = _reference(truss, reduce_anchors, third, sixth)
+        batch = assembly.laplacian_evaluator(truss, assembly._pattern(truss, reduce_anchors))(omegas)
         if span:
             # the swept matrices, in the rod-span frame of each free joint
             pattern = assembly._pattern(truss, reduce_anchors, span=True)
@@ -331,14 +319,13 @@ def test_pattern_matrices_match_block_formulas(reduce_anchors, span):
                 _assert_close(matrix, lift.T @ reference @ lift)
             if not mechanisms:
                 joint = [
-                    *laplacian_batch(truss, omegas, reduce_anchors),
+                    *batch,
                     assemble_stiffness(truss, reduce_anchors).entries,
                     assemble_mass(truss, "consistent", reduce_anchors).entries,
                 ]
                 assert all(np.array_equal(a, b) for a, b in zip(got, joint))
             continue
 
-        batch = laplacian_batch(truss, omegas, reduce_anchors)
         for omega, got in zip(omegas, batch):
             expected = _reference(truss, reduce_anchors, *_spectral(truss, omega))
             _assert_close(got, expected)

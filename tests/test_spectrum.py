@@ -11,20 +11,25 @@ from spectruss import (
     Material,
     NotARootError,
     Rod,
+    SingularAtFrequencyError,
     Truss,
     anchor_forces,
+    assemble_mass,
+    assemble_stiffness,
     builtin_structure,
     extract_modes,
     fem_frequencies,
     find_natural_frequencies,
+    laplacian_determinant,
     pole_set,
     resonant_mode_check,
     reverberation_frequencies,
+    solve_forced_response,
     subdivide,
 )
 from spectruss import _roots
-from spectruss.assembly import laplacian_batch
-from spectruss.spectrum import _bands, _free_basis, _segments
+from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
+from spectruss.spectrum import _bands, _free_basis, _rise, _segments
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -443,11 +448,22 @@ def test_forced_response_anchor_reactions(bridge):
     assert np.max(np.abs(total)) <= 1e-6 * np.linalg.norm(applied["3"])
 
 
-def test_sweep_independent_of_thread_count(bridge):
-    window = FrequencyWindow(0.05, 1.05 * math.pi)
+def test_sweep_independent_of_thread_count(bridge, monkeypatch):
+    # a window to omega = 10 gives count and polish calls of 8 points or
+    # more, which batched_eval splits over two threads
+    window = FrequencyWindow(0.05, 10.0)
     serial = find_natural_frequencies(bridge, window, threads=1)
-    threaded = find_natural_frequencies(bridge, window, threads=4)
-    assert [m.omega for m in serial.modes] == [m.omega for m in threaded.modes]
+    calls = []
+    batched_eval = _roots.batched_eval
+
+    def spy(func, xs, threads=1):
+        calls.append((len(xs), threads))
+        return batched_eval(func, xs, threads)
+
+    monkeypatch.setattr(_roots, "batched_eval", spy)
+    threaded = find_natural_frequencies(bridge, window, threads=2)
+    assert any(threads == 2 and size >= 4 * threads for size, threads in calls)
+    assert [(m.omega, m.kind) for m in serial.modes] == [(m.omega, m.kind) for m in threaded.modes]
 
 
 def test_pole_bracket_discarded():
@@ -576,7 +592,7 @@ def _default_window(truss):
 def _negative_count(truss, omegas):
     """Negative eigenvalues of the anchor-reduced D(omega), projected onto the rod-span basis."""
     basis, _ = _free_basis(truss)
-    d = basis.T @ laplacian_batch(truss, omegas) @ basis
+    d = basis.T @ laplacian_evaluator(truss, _pattern(truss, True))(omegas) @ basis
     return np.sum(np.linalg.eigvalsh(d) < 0.0, axis=1)
 
 
@@ -780,8 +796,8 @@ def test_every_pole_of_the_first_200_draws_has_its_counted_modes():
 
 
 def test_roots_within_the_pole_guard_are_found():
-    # draws 42, 174 and 190 have regular roots within 1e-5 rad of a pole
-    # (assembly.POLE_GUARD), where D's entries are too large to sample it
+    # draws 42, 174 and 190 have regular roots within 1e-5 rad of a pole,
+    # where D's entries are too large to sample it
     # alone; extract_modes borders the near rod, and the mode leaves a
     # round-off residual in D itself
     draws = _draws(191)
@@ -792,7 +808,7 @@ def test_roots_within_the_pole_guard_are_found():
         assert len(inside) == expected, k
         free = [j.id for j in truss.free_joints]
         for omega in inside:
-            d = laplacian_batch(truss, [omega])[0]
+            d = laplacian_evaluator(truss, _pattern(truss, True))([omega])[0]
             (mode,) = extract_modes(truss, omega)
             u = mode_vector(mode, free)
             assert np.linalg.norm(d @ u) <= 1e-9 * np.linalg.norm(d, 2), (k, omega)
@@ -974,6 +990,129 @@ def test_network_sweep_logs_its_warnings(caplog):
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("spectruss", logging.WARNING, m) for m in sweep.warnings
     ]
+
+
+# -- the forced response and the determinant on the sweep's matrix -------------------
+
+
+def _largest(response):
+    return max(float(np.max(np.abs(u))) for u in response.values())
+
+
+@pytest.mark.parametrize("name", ["bridge", "square"])
+def test_forced_response_at_the_parent_joints_does_not_move_under_subdivision(name):
+    # every interior joint of a subdivided rod is a mechanism joint, which
+    # the rod-span frames keep regular
+    truss = builtin_structure(name)
+    rng = np.random.default_rng(5)
+    forces = {j.id: rng.normal(size=2) for j in truss.free_joints}
+    for omega in (0.5, 1.3):
+        base = solve_forced_response(truss, omega, forces)
+        for k in (2, 3):
+            fine = solve_forced_response(subdivide(truss, k), omega, forces)
+            worst = max(float(np.max(np.abs(fine[jid] - u))) for jid, u in base.items())
+            assert worst <= 1e-10 * _largest(base), (omega, k)
+
+
+@pytest.mark.parametrize("draw", [0, 6, 7])
+def test_forced_response_is_finite_at_a_pole_that_is_no_natural_frequency(draw):
+    # at its first pole where J does not rise, B is regular: the response
+    # there is finite and moves linearly in eps at pole * (1 + eps), on both
+    # sides; draws 0 and 7 have a mechanism joint, draw 6 none
+    truss = _draws(draw + 1)[draw]
+    pole = next(p.omega for p in pole_set(truss, _default_window(truss)) if _rise(truss, p.omega) == 0)
+    force = {truss.free_joints[0].id: np.ones(truss.dimension)}
+    at = solve_forced_response(truss, pole, force)
+    assert np.isfinite(_largest(at))
+    steps = []
+    for eps in (1e-9, 2e-9, -1e-9):
+        moved = solve_forced_response(truss, pole * (1.0 + eps), force)
+        steps.append(max(float(np.max(np.abs(moved[jid] - u))) for jid, u in at.items()))
+    assert steps[1] / steps[0] == pytest.approx(2.0, rel=1e-3)
+    assert steps[2] / steps[0] == pytest.approx(1.0, rel=1e-3)
+
+
+def test_forced_response_raises_at_every_natural_frequency_of_the_bridge(bridge):
+    # J rises by 1 at each regular root and by 3 at pi (one resonant and two
+    # interior modes)
+    window = FrequencyWindow(0.05, 1.05 * math.pi)
+    omegas = sorted(set(find_natural_frequencies(bridge, window).omegas))
+    assert [_rise(bridge, omega) for omega in omegas] == [1] * 5 + [3]
+    assert omegas[-1] == pytest.approx(math.pi, abs=1e-12)
+    for omega in omegas:
+        with pytest.raises(SingularAtFrequencyError, match="natural frequency"):
+            solve_forced_response(bridge, omega, {"3": [0.0, 1.0]})
+
+
+def test_a_force_outside_a_mechanism_joints_span_moves_nothing(bridge):
+    # the rule scattering's force_coupling follows: the response to p equals
+    # that to F F^T p, F the joint's rod-span frame
+    fine = subdivide(bridge, 2)
+    frame = dict(zip((j.id for j in fine.joints), _span_frames(fine)[0]))["13#1"]
+    assert frame.shape == (2, 1)
+    p = np.array([0.3, 0.8])
+    full = solve_forced_response(fine, 0.5, {"13#1": p})
+    spanned = solve_forced_response(fine, 0.5, {"13#1": frame @ (frame.T @ p)})
+    across = solve_forced_response(fine, 0.5, {"13#1": p - frame @ (frame.T @ p)})
+    for jid, u in full.items():
+        assert np.max(np.abs(spanned[jid] - u)) <= 1e-13 * _largest(full)
+        assert np.max(np.abs(across[jid])) <= 1e-13 * _largest(full)
+
+
+def test_determinant_of_a_truss_with_mechanism_joints_is_regular(square):
+    # det D in rod-span frames: non-zero off the roots, ~0 at one
+    fine = subdivide(square, 2)
+    det = laplacian_determinant(fine, 0.5, reduce_anchors=False)
+    assert np.isfinite(det) and det != 0.0
+    root = 0.9201511845297538
+    near = laplacian_determinant(fine, root, reduce_anchors=False)
+    assert abs(near) <= 1e-9 * abs(laplacian_determinant(fine, root + 0.1, reduce_anchors=False))
+
+
+def test_consistent_fem_response_converges_to_the_network_response(bridge):
+    # the paper's FEM equivalence beyond the roots: (K - w^2 M)^-1 P on the
+    # x n subdivided bridge, in its rod-span frames, tends to the network
+    # response at the parent joints at the consistent mass's O(h^2) rate
+    # (3.2e-4, 8.0e-5 and 2.0e-5 relative)
+    omega = 0.5
+    forces = {"2": np.array([0.3, 0.1]), "3": np.array([0.0, -1.0])}
+    exact = solve_forced_response(bridge, omega, forces)
+    errors = []
+    for n in (8, 16, 32):
+        fine = subdivide(bridge, n)
+        k = assemble_stiffness(fine)
+        m = assemble_mass(fine, "consistent")
+        basis, _ = _free_basis(fine)
+        load = np.zeros(len(k.entries))
+        for jid, vec in forces.items():
+            load[k.index_map[jid] : k.index_map[jid] + 2] = vec
+        u = basis @ np.linalg.solve(basis.T @ (k.entries - omega**2 * m.entries) @ basis, basis.T @ load)
+        errors.append(
+            max(float(np.max(np.abs(u[k.index_map[j] : k.index_map[j] + 2] - exact[j]))) for j in exact)
+            / _largest(exact)
+        )
+    assert errors[-1] <= 1e-4
+    assert all(0.2 <= fine / coarse <= 0.3 for coarse, fine in zip(errors, errors[1:])), errors
+
+
+@pytest.mark.parametrize("name", ["bridge", "square"])
+def test_mode_shapes_at_the_parent_joints_do_not_move_under_subdivision(name):
+    truss = builtin_structure(name)
+    parents = [j.id for j in truss.free_joints]
+
+    def shape(structure, omega):
+        (mode,) = extract_modes(structure, omega)
+        vec = mode_vector(mode, parents)
+        return vec / np.linalg.norm(vec)
+
+    sweep = find_natural_frequencies(truss, _default_window(truss))
+    regular = [m.omega for m in sweep if m.kind == "regular"]
+    assert len(regular) >= 4
+    for omega in regular:
+        base = shape(truss, omega)
+        for k in (2, 3):
+            fine = align_sign(shape(subdivide(truss, k), omega), base)
+            assert np.max(np.abs(fine - base)) <= 1e-9, (omega, k)
 
 
 # -- the count's LDL^T kernel ---------------------------------------------------------

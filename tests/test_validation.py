@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spectruss import PoleProximityError, laplacian_determinant
-from spectruss.assembly import POLE_GUARD
+from spectruss import laplacian_determinant
 from spectruss.validation import (
     BRIDGE_POLYNOMIAL_ROOTS,
+    POLE_GUARD,
+    PoleProximityError,
     SquareClosedForm,
     bridge_polynomial,
     bridge_reference_modes,
