@@ -9,7 +9,8 @@ complement of a bordered one, unitary_determinant for the matching system.
 A real symmetric count is the inertia of one Bunch-Kaufman LDL^T per matrix
 (_ldl_inertia), which also gives the sign and log|det| there (SignedCount),
 so the polish starts from bracket ends the count has evaluated and factors,
-by LU, only the points it adds.
+by LU, only the points it adds. near_null gives the modes their null space
+from a partial eigensolve: the eigenpairs near zero only.
 modulus_minima, a grid search of |det| minima, is the reference the
 tests hold the matching sweep to.
 """
@@ -95,6 +96,53 @@ def _ldl_inertia(stack):
     with np.errstate(divide="ignore"):
         logabs = np.log(np.abs(diag)).sum(axis=1)
     return np.count_nonzero(diag < 0.0, axis=1), np.prod(np.sign(diag), axis=1), logabs
+
+
+def _lapack_check(info, routine):
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
+
+
+def near_null(matrix, tol):
+    """(smax, values, vectors) of a symmetric matrix: smax = max |eigenvalue|, and the
+    eigenpairs of |eigenvalue| <= tol * smax, values ascending, vectors as columns.
+
+    A partial eigensolve (Demmel, Applied Numerical Linear Algebra (1997)
+    5.3): one Householder reduction to a tridiagonal T (dsytrd, on the lower
+    triangle, as eigh reads it); Sturm-sequence bisection on T (dstebz) for
+    its least and greatest eigenvalues, then for those in the window, whose
+    lower end is widened by one ulp since dstebz takes (vl, vu]; inverse
+    iteration on T (dstein) for their eigenvectors only, which the reflectors
+    map back to the matrix's coordinates (dormqr). Raises
+    np.linalg.LinAlgError where a LAPACK call fails.
+    """
+    n = len(matrix)
+    if not n:
+        return 0.0, np.zeros(0), np.zeros((0, 0))
+    c, d, e, tau, info = lapack.dsytrd(matrix, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+    _lapack_check(info, "dsytrd")
+    e = e if n > 1 else np.zeros(1)  # the wrappers take an off-diagonal of at least one entry
+    abstol = 2.0 * np.finfo(float).tiny  # dstebz's most accurate setting, for dstein
+    ends = []
+    for i in (1, n):  # range 2: by index
+        _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, abstol, b"E")
+        _lapack_check(info, "dstebz")
+        ends.append(w[0])
+    smax = max(-ends[0], ends[1])
+    bound = tol * smax
+    # range 1: by value; order "B" groups them by split-off block, as dstein needs
+    m, w, block, split, info = lapack.dstebz(d, e, 1, math.nextafter(-bound, -math.inf), bound, 0, 0, abstol, b"B")
+    _lapack_check(info, "dstebz")
+    if not m:
+        return smax, np.zeros(0), np.zeros((n, 0))
+    z, info = lapack.dstein(d, e, w[:m], block, split)
+    _lapack_check(info, "dstein")
+    if n > 1:  # Q = diag(1, H_1 ... H_{n-1}), the reflectors below c's subdiagonal
+        # lwork m, the least: the unblocked form, which suits the window's few columns
+        z[1:], _, info = lapack.dormqr(b"L", b"N", c[1:, : n - 1], tau, z[1:], m)
+        _lapack_check(info, "dormqr")
+    order = np.argsort(w[:m], kind="stable")
+    return smax, w[order], z[:, order]
 
 
 class SignedCount:

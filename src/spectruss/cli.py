@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fem, scattering, spectrum, validation
 from .model import TrussError, builtin_structure, load_truss, truss_to_json
 from .scattering import EventExplosionError
-from .spectrum import FrequencyWindow, NotARootError, SingularAtFrequencyError
+from .spectrum import FrequencyWindow, NotARootError
 
 METHODS = ("laplacian", "reverberation", "fem-consistent", "fem-lumped")
 
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except TrussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SingularAtFrequencyError, NotARootError, EventExplosionError) as exc:
+    except (NotARootError, EventExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -62,9 +62,17 @@ def assemble_mass(truss: Truss, kind: str = "consistent", reduce_anchors: bool =
 def fem_determinant(
     truss: Truss, omega: float, kind: str = "consistent", reduce_anchors: bool = True
 ) -> float:
+    """det(K - w^2 M) in rod-span frames, reduced or not, as laplacian_determinant takes det D.
+
+    At a mechanism joint the transverse directions carry no stiffness, and
+    the determinant in joint coordinates would vanish at every omega; on a
+    truss without one every frame is the identity. The frames are
+    orthonormal, so a lumped mass c*I stays c*I in them.
+    """
+    lift = _pattern(truss, reduce_anchors, span=True).lift
     k = assemble_stiffness(truss, reduce_anchors).entries
     m = assemble_mass(truss, kind, reduce_anchors).entries
-    return float(np.linalg.det(k - omega**2 * m))
+    return float(np.linalg.det(lift.T @ (k - omega**2 * m) @ lift))
 
 
 def fem_frequencies(

@@ -17,8 +17,10 @@ resonance the count and the polish's determinant come from B, elsewhere
 from D itself, and each pole is cut out of the window by a band as wide as
 the root tolerance; which pole's band holds omega, and which rods resonate
 there, is decided in one place (_resonances). One routine reads modes off a
-null space, from one symmetric eigendecomposition: of D at a regular root
-(of B if a rod is near its resonance), of B at a pole. There a mode either moves the joints, its
+null space, from a partial symmetric eigensolve (_roots.near_null: one
+tridiagonal reduction, bisection for the spectrum's ends and the eigenvalues
+within MODE_TOL of zero, eigenvectors for those only): of D at a regular
+root (of B if a rod is near its resonance), of B at a pole. There a mode either moves the joints, its
 displacements u meeting each resonant rod's end-motion constraint
 
     (-1)^n e^T u_a - e^T u_b = 0        (Q^T u = 0)
@@ -415,7 +417,7 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
 
     B (_bordered_at) is built on the unreduced pattern, so the anchored
     rows of [F | Q] give reactions. Without those rows and columns B is
-    symmetric, and the eigenvectors (one eigh) of its eigenvalues at or below
+    symmetric, and the eigenvectors of its eigenvalues at or below
     cutoff * max |eigenvalue| span its null space, each a displacement u and
     border amplitudes xi with F u + Q xi = 0. With a border, the right
     singular vectors of the null space's u-block split it: those of singular
@@ -431,20 +433,24 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     At a pole a root of its band need not lie on the pole's exact frequency,
     and then leaves B a direction above the cutoff but within MODE_TOL: the
     nearest such directions are added while fewer than J rises across the
-    band (_pole_band) are below the cutoff.
-    Anchor forces are the anchored rows of [F | Q] times (u, xi). Raises
-    NotARootError when no mode is below the cutoff.
+    band (_pole_band) are below the cutoff. All of these come from one
+    partial eigensolve (_roots.near_null), which gives max |eigenvalue| and
+    the eigenpairs of |eigenvalue| <= MODE_TOL * max |eigenvalue| only.
+    Anchor forces are the anchored rows of [F | Q] times (u, xi). Where no
+    mode is below the cutoff, a pole gives [] and a regular root raises
+    NotARootError, whose smallest relative singular value over the directions
+    that move the joints comes from one full eigh, as it may lie outside
+    that window.
     """
     full, (bordered,), _, near = _bordered_at(truss, omega, False)
     free = _pattern(truss, reduce_anchors=True, span=True)
     kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
-    values, vectors = np.linalg.eigh(bordered[kept][:, kept])
-    svals = np.abs(values)  # B's singular values
-    smax = svals.max(initial=0.0)
+    matrix = bordered[kept][:, kept]
+    smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
+    svals = np.abs(values)  # B's singular values within MODE_TOL
     chosen = svals <= cutoff * smax
-    close = np.count_nonzero(svals <= MODE_TOL * smax)
-    if order is not None and close > chosen.sum():
-        chosen[np.argsort(svals)[: min(close, _rise(truss, omega))]] = True
+    if order is not None and not chosen.all():
+        chosen[np.argsort(svals)[: _rise(truss, omega)]] = True
     null = vectors[:, chosen].T
     interior = null[:0]
     if len(kept) > free.size:  # a border: split off the u = 0 directions
@@ -457,11 +463,16 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     if order is None and len(null) > 1:
         rise = _rise(truss, omega)
         if 0 < rise < len(null):
-            residual = np.linalg.norm(null @ bordered[kept][:, kept], axis=1) / np.linalg.norm(null, axis=1)
+            residual = np.linalg.norm(null @ matrix, axis=1) / np.linalg.norm(null, axis=1)
             null = null[np.sort(np.argsort(residual)[:rise])]
     if not (len(null) or len(interior)):
+        if order is not None:
+            return []
+        # the diagnostic needs the least |eigenvalue| among directions that move the joints,
+        # which may lie outside the window: one full eigh, on this path only
+        values, vectors = np.linalg.eigh(matrix)
         joints = np.linalg.norm(vectors[: free.size], axis=0) > MOVING_U
-        raise NotARootError(omega, float(svals[joints].min(initial=smax) / smax) if smax else 0.0)
+        raise NotARootError(omega, float(np.abs(values[joints]).min(initial=smax) / smax) if smax else 0.0)
 
     kind = "regular" if order is None else "resonant"
     rows = bordered[: full.size, kept]  # [F | Q] on every row, anchors included
@@ -537,10 +548,7 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     pole, resonant, n = _resonances(truss, omega_pole)
     if pole is None:
         return []
-    try:
-        return _null_modes(truss, pole, 1e-13, order=int(n[resonant].min()))
-    except NotARootError:
-        return []
+    return _null_modes(truss, pole, 1e-13, order=int(n[resonant].min()))
 
 
 def anchor_forces(truss: Truss, mode: ModeResult) -> dict:

@@ -120,6 +120,9 @@ def test_modes_between_roots(capsys, bridge_file):
     code, _, err = run(capsys, "modes", bridge_file, "--omega", "1.5")
     assert code == 3
     assert "nearest root" in err
+    code, _, err = run(capsys, "modes", bridge_file, "--omega", "1.0")
+    assert code == 3
+    assert "smallest relative singular value 1.238e-01" in err
 
 
 def test_modes_outside_the_pole_guard_of_a_long_rod(capsys, tmp_path):

@@ -98,6 +98,19 @@ def test_fem_determinant_static_limit(bridge):
     assert fem_determinant(bridge, 0.0, "consistent") > 0.0
 
 
+def test_fem_determinant_in_rod_span_frames(square, bridge):
+    # mechanism joints leave joint coordinates singular at every omega, but not the sweep's frames
+    assert fem_determinant(square, 0.5) == -0.024319285390297412
+    assert fem_determinant(subdivide(square, 2), 0.5, reduce_anchors=False) != 0.0
+    fine = subdivide(bridge, 2)
+    basis, _ = _free_basis(fine)
+    k = basis.T @ assemble_stiffness(fine).entries @ basis
+    for kind in ("consistent", "lumped"):
+        m = basis.T @ assemble_mass(fine, kind).entries @ basis
+        det = fem_determinant(fine, 0.5, kind)
+        assert det != 0.0 and det == pytest.approx(np.linalg.det(k - 0.25 * m), rel=1e-12)
+
+
 def test_mass_kinds_differ(square):
     d1 = fem_determinant(square, 1.0, "consistent", reduce_anchors=False)
     d2 = fem_determinant(square, 1.0, "lumped", reduce_anchors=False)

@@ -29,7 +29,7 @@ from spectruss import (
 )
 from spectruss import _roots
 from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
-from spectruss.spectrum import _bands, _free_basis, _rise, _segments
+from spectruss.spectrum import MODE_TOL, _bands, _free_basis, _rise, _segments
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -140,9 +140,12 @@ def test_extract_modes_self_residual(square):
         assert np.linalg.norm(d.entries @ vec) <= 1e-6 * np.max(np.abs(d.entries))
 
 
-def test_extract_modes_not_a_root(bridge):
-    with pytest.raises(NotARootError):
-        extract_modes(bridge, 1.0)
+def test_extract_modes_not_a_root(bridge, square):
+    # the least |eigenvalue| / max of a joint-moving direction lies far outside the modes' window
+    for truss, ratio in ((bridge, 0.12382099258269805), (square, 0.038173346703049414)):
+        with pytest.raises(NotARootError) as raised:
+            extract_modes(truss, 1.0)
+        assert raised.value.smallest_relative_sv == pytest.approx(ratio, rel=1e-9)
 
 
 def test_mode_sign_convention(bridge):
@@ -1195,3 +1198,62 @@ def test_signed_count_matches_its_parts_on_bordered_stacks():
         assert func(xs[i : i + 1])[0][0] == ref_sign
     (plain,) = count(xs)
     assert plain.tolist() == below.tolist()
+
+
+# -- the modes' partial eigensolve ----------------------------------------------------
+
+
+def _assert_near_null(matrix):
+    """near_null against eigh: smax, the window's count, orthonormal vectors spanning eigh's."""
+    smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
+    ref_values, ref_vectors = np.linalg.eigh(matrix)
+    ref_smax = np.abs(ref_values).max()
+    assert abs(smax - ref_smax) <= 1e-14 * ref_smax
+    window = np.abs(ref_values) <= MODE_TOL * ref_smax
+    assert values.size == np.count_nonzero(window)
+    assert vectors.shape == (len(matrix), values.size) and np.all(np.diff(values) >= 0.0)
+    assert np.abs(vectors.T @ vectors - np.eye(values.size)).max(initial=0.0) <= 1e-12
+    basis = ref_vectors[:, window]
+    assert np.abs(basis @ (basis.T @ vectors) - vectors).max(initial=0.0) <= 1e-12
+    return values.size
+
+
+def test_near_null_matches_eigh_on_planted_null_clusters():
+    rng = np.random.default_rng(3)
+    # multiplicity 1, 2 and 3, exact zeros and +- pairs, among eigenvalues of size 0.5 to 3
+    clusters = ([2e-9], [0.0], [1e-10, -4e-10], [3e-9, -3e-9], [0.0, 0.0, 5e-10], [-1e-9, 1e-9, 0.0])
+    found = []
+    for n in (2, 17, 112):
+        for near in clusters:
+            if len(near) >= n:
+                continue
+            far = rng.uniform(0.5, 3.0, n - len(near)) * rng.choice([-1.0, 1.0], n - len(near))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = (q * np.concatenate([near, far])) @ q.T
+            found.append(_assert_near_null(0.5 * (a + a.T)))
+    assert found == [1, 1] + [1, 1, 2, 2, 3, 3] * 2
+
+
+def test_near_null_of_matrices_whose_reflectors_vanish():
+    # a reflector with tau = 0 is the identity: diagonal, block-diagonal and tridiagonal input
+    rng = np.random.default_rng(5)
+    diagonal = np.diag([3.0, 0.0, -2.0, 1e-9, 0.0, -1e-9, 2.5])
+    a = rng.standard_normal((3, 3))
+    blocks = np.zeros((17, 17))
+    blocks[:3, :3], blocks[3:5, 3:5] = a + a.T, [[1.0, 1.0], [1.0, 1.0]]  # the second is singular
+    blocks[6:, 6:] = np.diag(rng.uniform(1.0, 2.0, 11))  # and row 5 is zero
+    path = 2.0 * np.eye(17) - np.eye(17, k=1) - np.eye(17, k=-1)
+    path[0, 0] = path[-1, -1] = 1.0  # a path graph's Laplacian: one zero eigenvalue
+    for matrix, count, every in ((diagonal, 4, True), (blocks, 2, False), (path, 1, True)):
+        tau = _roots.lapack.dsytrd(matrix, lower=1)[3]
+        assert (tau == 0.0).all() if every else (tau == 0.0).any()
+        assert _assert_near_null(matrix) == count
+
+
+def test_near_null_of_one_by_one_and_empty_matrices():
+    for value, count in ((0.0, 1), (2.0, 0), (-3.0, 0)):
+        smax, values, vectors = _roots.near_null(np.array([[value]]), MODE_TOL)
+        assert smax == abs(value) and values.tolist() == [value] * count
+        assert np.abs(vectors).tolist() == [[1.0] * count]
+    smax, values, vectors = _roots.near_null(np.zeros((0, 0)), MODE_TOL)
+    assert smax == 0.0 and values.shape == (0,) and vectors.shape == (0, 0)
