@@ -24,7 +24,11 @@ does not grow with the number of frequencies evaluated at once: FEM through
 `_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
 which borders the rods near a resonance (spectrum). Each counted matrix is
 factored once, as LDL^T, for its inertia, sign and log|det|; the root polish
-factors its new points by LU.
+factors its new points by LU. Where the swept D is narrow, the polish's
+unbordered points are assembled straight into LAPACK band storage, on the
+pattern's band (the same scatter, its rows at their band positions, made
+on first use by _roots.band_layout and kept with the pattern), and
+factored by banded LU.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces. Both are solved in spectrum,
@@ -34,12 +38,13 @@ laplacian_determinant and solve_forced_response alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
+from . import _roots
 from .model import Truss
 
 
@@ -65,9 +70,12 @@ class _Pattern:
     The coefficient vector is [diag_0 .. diag_{R-1}, off_0 .. off_{R-1}] for R
     rods. Row k of `scatter` holds the (B_a^T e)(B_b^T e)^T values whose
     products with those coefficients sum, in rod order, to the entry at flat
-    position rows[k] (i * size + j). Joint j has frame B_j = frames[j] at
-    offset index_map[j]; `lift` maps these coordinates to `dim` joint
-    coordinates per joint, and `embedding` places them in the unreduced system.
+    position rows[k] of the matrix's (size, width) storage: i * size + j for
+    entry (i, j) of the square matrix, whose width is size, and
+    j * width + 2 kl + i - j in the band storage of `band`. Joint j has frame
+    B_j = frames[j] at offset index_map[j]; `lift` maps these coordinates to
+    `dim` joint coordinates per joint, and `embedding` places them in the
+    unreduced system.
     """
 
     index_map: dict
@@ -76,10 +84,18 @@ class _Pattern:
     scatter: sparse.csr_array
     embedding: np.ndarray
     frames: dict
+    width: int
 
     @cached_property
     def lift(self) -> sparse.csr_array:
         return sparse.csr_array(_lift(list(self.frames.values())))
+
+    @cached_property
+    def band(self):
+        """This pattern in band storage, width 3 kl + 1 (_roots.band_layout), or None where
+        its matrix is factored dense."""
+        layout = _roots.band_layout(self.rows, self.size)
+        return layout and replace(self, rows=layout[1], width=3 * layout[0] + 1)
 
 
 def _lift(frames) -> np.ndarray:
@@ -163,7 +179,7 @@ def _build_pattern(truss: Truss, reduce_anchors: bool, span: bool) -> _Pattern:
     scatter.sort_indices()
     embedding = np.flatnonzero(np.repeat(kept, width))
     kept_frames = {j.id: f for j, f, k in zip(truss.joints, frames, kept) if k}
-    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames)
+    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames, size)
 
 
 def _pattern(truss: Truss, reduce_anchors: bool, span: bool = False) -> _Pattern:
@@ -188,11 +204,11 @@ def _rod_constants(truss: Truss):
 
 
 def _assemble(pattern: _Pattern, coefficients: np.ndarray) -> np.ndarray:
-    """Joint matrices, one per coefficient column: (2 * rods, m) -> (m, size, size)."""
+    """Joint matrices, one per coefficient column: (2 * rods, m) -> (m, size, width)."""
     m = coefficients.shape[1]
-    out = np.zeros((m, pattern.size * pattern.size))
+    out = np.zeros((m, pattern.size * pattern.width))
     out[:, pattern.rows] = (pattern.scatter @ coefficients).T
-    return out.reshape(m, pattern.size, pattern.size)
+    return out.reshape(m, pattern.size, pattern.width)
 
 
 def _spectral_coefficients(taus, lams, omegas: np.ndarray) -> np.ndarray:
@@ -208,7 +224,8 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
 
     Sweeps call the returned function many times (the LDL^T count and the LU polish);
     it maps a 1-D array of frequencies to the (m, size, size) stack in the
-    pattern's coordinates.
+    pattern's coordinates, or on a pattern's band to the band stack
+    (m, size, 3 kl + 1) that the polish factors by banded LU.
     """
     taus, lams = _rod_constants(truss)
 

@@ -294,14 +294,19 @@ def _det_eval(truss: Truss):
     at exactly the rods within BORDER_RADIUS of a resonance (_border_builder,
     through _roots.bordered_determinant), the points of each border width
     together; with no rod near, that is the swept D itself. Near a pole D's
-    own numbers lose their accuracy, B's do not.
+    own numbers lose their accuracy, B's do not. func factors each point by
+    LU: the unbordered D by banded LU where its pattern has a band
+    (_roots.band_layout), built straight into band storage; bordered points
+    and every other D by dense LU (slogdet).
     """
     pattern, build = _border_builder(truss, True)
     taus, _ = _rod_constants(truss)
+    band = pattern.band
     func, negative = _roots.bordered_determinant(
         lambda xs, k: build(xs, *_near_resonances(taus, xs)) if k else build(xs),
         lambda xs: _near_resonances(taus, xs)[0].sum(axis=1),
         pattern.size,
+        band and (band.width, laplacian_evaluator(truss, band)),
     )
 
     def signed(xs):

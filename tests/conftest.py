@@ -33,6 +33,26 @@ def random_truss(rng):
     return Truss(dim, joints, rods, {"m": Material("m", 1.0, 1.0)})
 
 
+def braced_lattice(side):
+    """Unit grid: joint (i, j) has rods to (i+1, j), (i, j+1) and (i+1, j+1); row j=0 anchored.
+
+    At side 8 this is the benchmark's lattice: 112 free DOF, half-bandwidth 19.
+    """
+    joints = [
+        Joint(f"{i},{j}", (float(i), float(j)), anchored=(j == 0))
+        for j in range(side)
+        for i in range(side)
+    ]
+    rods = []
+    for j in range(side):
+        for i in range(side):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                a, b = i + di, j + dj
+                if a < side and b < side:
+                    rods.append(Rod(f"{i},{j}-{a},{b}", (f"{i},{j}", f"{a},{b}"), 1.0, "unit"))
+    return Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
+
+
 def align_sign(candidate, reference):
     """Flip candidate so it points along reference; both stay un-normalized."""
     candidate = np.asarray(candidate, dtype=float)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_truss
+from conftest import braced_lattice, random_truss
 from spectruss import (
     FrequencyWindow,
     Joint,
@@ -386,23 +386,6 @@ def test_bordered_matrix_matches_block_formulas():
 # -- memory-bounded batches --------------------------------------------------------
 
 
-def _braced_lattice(side):
-    """Unit grid with rods (i,j)-(i+1,j), (i,j)-(i,j+1), (i,j)-(i+1,j+1); row j=0 anchored."""
-    joints = [
-        Joint(f"{i},{j}", (float(i), float(j)), anchored=(j == 0))
-        for j in range(side)
-        for i in range(side)
-    ]
-    rods = []
-    for j in range(side):
-        for i in range(side):
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
-                a, b = i + di, j + dj
-                if a < side and b < side:
-                    rods.append(Rod(f"{i},{j}-{a},{b}", (f"{i},{j}", f"{a},{b}"), 1.0, "unit"))
-    return Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
-
-
 def _spy(monkeypatch, owner, name):
     """Byte size of every stack passed to owner.<name>."""
     sizes = []
@@ -434,7 +417,7 @@ def eigvals_sizes(monkeypatch):
 def test_sweep_determinants_are_chunked_within_budget(
     slogdet_sizes, inertia_sizes, eigvals_sizes, monkeypatch
 ):
-    lattice = _braced_lattice(5)
+    lattice = braced_lattice(5)
     assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
     network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True, span=True))
     k, m = assemble_stiffness(lattice).entries, assemble_mass(lattice).entries
@@ -483,11 +466,27 @@ def test_sweep_determinants_are_chunked_within_budget(
         assert np.array_equal(counts[::20], [count(np.array([w]))[0][0] for w in sample])
         assert np.array_equal(counts[::20], reference(sample, counts[0]))
 
+    # the side-8 lattice's D is narrow: its polish factors band stacks
+    # (band_slogdet), four chunks of them within the budget, and no dense one
+    lattice = braced_lattice(8)
+    band_sizes = _spy(monkeypatch, _roots, "band_slogdet")
+    func, _ = spectrum._det_eval(lattice)
+    omegas = np.linspace(0.06, 2.0, 150)  # below the first pole, pi/sqrt(2)
+    width = assembly._pattern(lattice, True, span=True).band.width
+    assert omegas.size * 8 * 112 * width > 3 * _roots.BATCH_BYTES
+    slogdet_sizes.clear()
+    sign, logabs = func(omegas)
+    assert slogdet_sizes == [] and len(band_sizes) == 4
+    assert max(band_sizes) <= _roots.BATCH_BYTES
+    points = [func(np.array([w])) for w in omegas]
+    assert np.array_equal(sign, [s[0] for s, _ in points])
+    assert np.array_equal(logabs, [x[0] for _, x in points])
+
 
 def test_fem_and_matching_determinants_stay_within_budget(
     slogdet_sizes, inertia_sizes, eigvals_sizes
 ):
-    lattice = _braced_lattice(5)
+    lattice = braced_lattice(5)
     window = FrequencyWindow(0.06, 2.0)
     roots = fem_frequencies(lattice, window)
     matching = reverberation_frequencies(lattice, window)
@@ -513,7 +512,7 @@ def test_fem_and_matching_determinants_stay_within_budget(
 
 def test_counting_sweep_evaluates_few_points_per_root(monkeypatch):
     # the grid scan this sweep replaced built 153 D matrices per root here
-    lattice = _braced_lattice(5)
+    lattice = braced_lattice(5)
     points = []
     evaluator = spectrum.laplacian_evaluator
 
@@ -585,7 +584,7 @@ def test_memo_does_not_keep_the_truss_alive():
 
 
 def test_memo_hands_every_thread_the_same_pattern():
-    truss = _braced_lattice(4)
+    truss = braced_lattice(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

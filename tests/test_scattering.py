@@ -19,7 +19,7 @@ from spectruss import (
     subdivide,
     transmission_matrix,
 )
-from conftest import random_truss
+from conftest import braced_lattice, random_truss
 from spectruss import _roots
 from spectruss.assembly import _span_frames
 from spectruss.scattering import (
@@ -442,23 +442,6 @@ def test_anchored_joint_reflects_with_velocity_inversion(bridge):
     assert amp_out == pytest.approx(-1.0)  # anchored wall keeps the stress sign
 
 
-def _braced_lattice(side):
-    """Unit grid: joint (i, j) has rods to (i+1, j), (i, j+1) and (i+1, j+1); row j=0 anchored."""
-    joints = [
-        Joint(f"{i},{j}", (float(i), float(j)), anchored=(j == 0))
-        for j in range(side)
-        for i in range(side)
-    ]
-    rods = []
-    for j in range(side):
-        for i in range(side):
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
-                a, b = i + di, j + dj
-                if a < side and b < side:
-                    rods.append(Rod(f"{i},{j}-{a},{b}", (f"{i},{j}", f"{a},{b}"), 1.0, "m"))
-    return Truss(2, joints, rods, {"m": Material("m", 1.0, 1.0)})
-
-
 def _spanning_draw():
     """Conftest draw 16 (seed 0): a planar truss whose every joint spans the plane."""
     rng = np.random.default_rng(0)
@@ -473,7 +456,7 @@ def test_scattering_conserves_power(square, bridge):
     # Each run has a few hundred scattering events at most.
     draw = _spanning_draw()
     draw_tau = max(draw.rod_properties(rod).transit_time for rod in draw.rods)
-    lattice = _braced_lattice(4)
+    lattice = braced_lattice(4)
     cases = [
         (square, [fig2_impulse()], 6.0),
         (bridge, [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)], 8.0),
@@ -531,7 +514,7 @@ def _rebuilt_profile(truss, impulses, events, t):
 
 
 def test_stress_profile_matches_rebuild_from_events(square, bridge):
-    lattice = _braced_lattice(4)
+    lattice = braced_lattice(4)
     bridge_impulses = [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)]
     cases = [
         (square, [fig2_impulse()], 6.0, 0.0),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import align_sign, mode_vector, random_truss
+from conftest import align_sign, braced_lattice, mode_vector, random_truss
 from spectruss import (
     FrequencyWindow,
     Joint,
@@ -452,21 +452,24 @@ def test_forced_response_anchor_reactions(bridge):
 
 
 def test_sweep_independent_of_thread_count(bridge, monkeypatch):
-    # a window to omega = 10 gives count and polish calls of 8 points or
-    # more, which batched_eval splits over two threads
-    window = FrequencyWindow(0.05, 10.0)
-    serial = find_natural_frequencies(bridge, window, threads=1)
-    calls = []
+    # a window to omega = 10 gives the bridge count and polish calls of 8 points
+    # or more, which batched_eval splits over two threads; the side-8 lattice's
+    # polish factors by banded LU
     batched_eval = _roots.batched_eval
+    cases = [(bridge, FrequencyWindow(0.05, 10.0)), (braced_lattice(8), FrequencyWindow(0.05, 2.5))]
+    for truss, window in cases:
+        serial = find_natural_frequencies(truss, window, threads=1)
+        calls = []
 
-    def spy(func, xs, threads=1):
-        calls.append((len(xs), threads))
-        return batched_eval(func, xs, threads)
+        def spy(func, xs, threads=1):
+            calls.append((len(xs), threads))
+            return batched_eval(func, xs, threads)
 
-    monkeypatch.setattr(_roots, "batched_eval", spy)
-    threaded = find_natural_frequencies(bridge, window, threads=2)
-    assert any(threads == 2 and size >= 4 * threads for size, threads in calls)
-    assert [(m.omega, m.kind) for m in serial.modes] == [(m.omega, m.kind) for m in threaded.modes]
+        monkeypatch.setattr(_roots, "batched_eval", spy)
+        threaded = find_natural_frequencies(truss, window, threads=2)
+        monkeypatch.setattr(_roots, "batched_eval", batched_eval)
+        assert any(threads == 2 and size >= 4 * threads for size, threads in calls)
+        assert [(m.omega, m.kind) for m in serial.modes] == [(m.omega, m.kind) for m in threaded.modes]
 
 
 def test_pole_bracket_discarded():
@@ -727,9 +730,7 @@ def test_interior_modes_of_the_bridge_keep_the_joints_at_rest(bridge):
 
 
 def test_braced_lattice_has_seven_interior_modes_at_pi():
-    from test_assembly import _braced_lattice
-
-    lattice = _braced_lattice(8)
+    lattice = braced_lattice(8)
     pole = next(p for p in pole_set(lattice, FrequencyWindow(3.0, 3.2)))
     modes = resonant_mode_check(lattice, pole.omega)
     assert pole.omega == pytest.approx(math.pi) and len(pole.rods) == 112
@@ -1167,6 +1168,100 @@ def test_ldl_inertia_of_an_empty_stack_and_of_zero_by_zero_matrices():
         assert logabs.tolist() == [0.0] * m
     below, sign, logabs = _roots._ldl_inertia(np.zeros((0, 4, 4)))
     assert below.shape == sign.shape == logabs.shape == (0,)
+
+
+# -- the polish's banded LU ------------------------------------------------------------
+
+
+def _band_stack(matrices, kl):
+    """Each matrix's band storage as band_layout lays it out: entry (i, j) at [j, 2 kl + i - j]."""
+    m, n = matrices.shape[:2]
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kl)
+    stack = np.zeros((m, n, 3 * kl + 1))
+    stack[:, j, 2 * kl + i - j] = matrices[:, i, j]
+    return stack
+
+
+def _assert_band_slogdet(matrices, kl):
+    sign, logabs = _roots.band_slogdet(_band_stack(matrices, kl))
+    ref_sign, ref_log = np.linalg.slogdet(matrices)
+    assert sign.tolist() == ref_sign.tolist()
+    finite = np.isfinite(ref_log)
+    assert logabs[~finite].tolist() == ref_log[~finite].tolist()
+    error = np.abs(logabs[finite] - ref_log[finite])
+    assert np.all(error <= 1e-12 * np.maximum(np.abs(ref_log[finite]), 1.0))
+
+
+def test_band_slogdet_matches_slogdet_on_random_banded_stacks():
+    rng = np.random.default_rng(3)
+    exchanges = 0
+    for n in (1, 2, 3, 7, 20):
+        for kl in range(n):
+            a = rng.standard_normal((6, n, n))
+            a[:, np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > kl] = 0.0
+            for stack in (a, a + a.transpose(0, 2, 1)):
+                _assert_band_slogdet(stack, kl)
+                exchanges += sum(
+                    np.any(_roots.lapack.dgbtrf(band.T, kl, kl)[1] != np.arange(n))
+                    for band in _band_stack(stack, kl)
+                )
+    assert exchanges >= 100  # the sign takes the row exchanges' parity
+
+
+def test_band_slogdet_matches_slogdet_on_the_braced_lattice():
+    lattice = braced_lattice(8)
+    pattern = _pattern(lattice, True, span=True)
+    omegas = np.linspace(0.05, 1.2 * math.pi, 41)  # across poles, where D's entries are large
+    dense = laplacian_evaluator(lattice, pattern)(omegas)
+    band = laplacian_evaluator(lattice, pattern.band)(omegas)
+    assert np.array_equal(band, _band_stack(dense, 19))  # the band's positions
+    _assert_band_slogdet(dense, 19)
+
+
+def test_band_slogdet_of_singular_one_by_one_and_empty_stacks():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 9, 9))
+    a[:, np.abs(np.subtract.outer(np.arange(9), np.arange(9))) > 2] = 0.0
+    a[0, :, 4] = 0.0  # an exact zero pivot, at the fifth column
+    a[1] = 0.0
+    with np.errstate(all="raise"):
+        sign, logabs = _roots.band_slogdet(_band_stack(a, 2))
+    assert sign[:2].tolist() == [0.0, 0.0] and logabs[:2].tolist() == [-math.inf] * 2
+    assert _roots.lapack.dgbtrf(_band_stack(a, 2)[0].T, 2, 2)[2] == 5
+    _assert_band_slogdet(a, 2)
+    _assert_band_slogdet(np.array([[[2.5]], [[-0.5]], [[0.0]]]), 0)
+    sign, logabs = _roots.band_slogdet(np.zeros((0, 5, 4)))
+    assert sign.shape == logabs.shape == (0,)
+
+
+def test_band_rule_takes_the_lattice_and_leaves_small_trusses_dense(square, bridge):
+    # the rule reads n and kl off the swept pattern; the benchmark's lattice is
+    # narrow, and every truss criterion 07 and the generator's draws sweep stays dense
+    assert _pattern(braced_lattice(8), True, span=True).band.width == 3 * 19 + 1
+    rng = np.random.default_rng(0)
+    dense = [square, bridge, braced_lattice(5), *(random_truss(rng) for _ in range(40))]
+    assert all(_pattern(truss, True, span=True).band is None for truss in dense)
+
+
+def test_band_polish_finds_the_dense_polish_roots(monkeypatch):
+    window = FrequencyWindow(0.05, 1.2 * math.pi)
+    points = []
+    band_slogdet = _roots.band_slogdet
+
+    def spy(stack):
+        points.append(len(stack))
+        return band_slogdet(stack)
+
+    monkeypatch.setattr(_roots, "band_slogdet", spy)
+    banded = [m.omega for m in find_natural_frequencies(braced_lattice(8), window) if m.kind == "regular"]
+    assert sum(points) > len(banded)  # the polish factors its points by banded LU
+    # a fresh lattice, whose pattern the rule leaves dense: the same sweep, polished by slogdet
+    monkeypatch.setattr(_roots, "band_layout", lambda rows, n: None)
+    points.clear()
+    dense = [m.omega for m in find_natural_frequencies(braced_lattice(8), window) if m.kind == "regular"]
+    assert points == []
+    assert len(banded) == len(dense) == 187
+    assert all(abs(a - b) <= window.tol_at(a) for a, b in zip(banded, dense))
 
 
 def test_signed_count_matches_its_parts_on_bordered_stacks():
