@@ -15,17 +15,19 @@ D where its pattern is narrow, built straight into band storage
 dense one (slogdet) elsewhere. near_null gives the modes their null space
 from a partial eigensolve: the eigenpairs near zero only.
 modulus_minima, a grid search of |det| minima, is the reference the
-tests hold the matching sweep to.
+tests hold the matching sweep to. scipy.optimize, which only it uses, loads
+on first use of modulus_minima, never on import: the module __getattr__
+binds the attribute optimize when it is first read.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import lapack
 
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
@@ -478,11 +480,34 @@ def log_warnings(messages):
         logging.getLogger("spectruss").warning(message)
 
 
+def __getattr__(name):
+    """Import scipy.optimize on the first read of the attribute optimize and bind it here.
+
+    Imported with the package, it would add about a third to every start-up.
+    A module __getattr__ (PEP 562) is consulted only for names not yet bound.
+    """
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+
+    globals()["optimize"] = optimize
+    return optimize
+
+
+def _optimize():
+    """The module attribute optimize: scipy.optimize, or whatever has replaced it.
+
+    A bare name inside the module never consults __getattr__, so
+    _golden and modulus_minima read it through the module.
+    """
+    return sys.modules[__name__].optimize
+
+
 def _golden(f, bracket, tol):
     """The golden-section minimum of f in bracket (a, b, c), to about tol; b if it holds none."""
     b = bracket[1]
     try:
-        res = optimize.minimize_scalar(
+        res = _optimize().minimize_scalar(
             f, bracket=bracket, method="golden",
             options={"xtol": tol / max(abs(b), 1e-30), "maxiter": 200},
         )
@@ -524,7 +549,7 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
             # method's tolerance has a term relative to |t|, which x would make
             # ~1e-8 relative to omega, too coarse for the zero test
             x0, width = grid[end], grid[inner] - grid[end]
-            res = optimize.minimize_scalar(
+            res = _optimize().minimize_scalar(
                 lambda t: scalar(x0 + t * width), bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": xtol_at(x0) / abs(width)},
             )

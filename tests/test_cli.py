@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spectruss import load_truss
+import spectruss
+from spectruss import _roots, load_truss
 from spectruss.cli import main
 
 
@@ -302,3 +308,34 @@ def test_verify_user_truss_generic_only(capsys, bridge_file):
     assert code == 0
     assert "Taylor" in out
     assert "reference table" not in out
+
+
+def test_import_leaves_scipy_optimize_to_first_use(monkeypatch):
+    src = Path(spectruss.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spectruss, spectruss.cli; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
+
+    import scipy.optimize
+
+    assert _roots.optimize is scipy.optimize
+    # the stand-in the benchmark's tracer puts in place is the object both searches call
+    methods = []
+
+    class StandIn:
+        def minimize_scalar(self, *args, **kwargs):
+            methods.append(kwargs["method"])
+            return scipy.optimize.minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(_roots, "optimize", StandIn())
+    assert _roots._golden(lambda x: (x - 1.0) ** 2, (0.0, 0.5, 3.0), 1e-10) == pytest.approx(1.0, abs=1e-6)
+    assert methods == ["golden"]
+    # the first grid cell holds pi, so the end search runs as well as the interior one
+    minima = _roots.modulus_minima(lambda xs: np.log(np.abs(np.sin(xs))), math.pi - 0.01, 7.0, 50,
+                                   lambda x: 1e-12)
+    assert sorted(minima) == pytest.approx([math.pi, 2 * math.pi], abs=1e-9)
+    assert sorted(methods) == ["bounded", "golden", "golden"]
