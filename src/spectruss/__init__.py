@@ -22,12 +22,7 @@ from .model import (
     subdivide,
     truss_to_json,
 )
-from .assembly import (
-    SpectralMatrix,
-    StiffnessMatrix,
-    assemble_laplacian,
-    assemble_stiffness,
-)
+from .assembly import AssembledMatrix, assemble_laplacian, assemble_stiffness
 from .spectrum import (
     FrequencyWindow,
     ModeResult,
@@ -43,7 +38,7 @@ from .spectrum import (
     resonant_mode_check,
     solve_forced_response,
 )
-from .fem import MassMatrix, assemble_mass, fem_determinant, fem_frequencies
+from .fem import assemble_mass, fem_determinant, fem_frequencies
 from .scattering import (
     EventExplosionError,
     Impulse,

@@ -2,10 +2,12 @@
 
 Each of them is a sum of per-rod e e^T blocks in the global aligned frame
 (e_ba = -e_ab), scaled by one factor on the diagonal blocks and one on the
-coupling blocks of rod ab. With an orthonormal frame B_j per joint (the
-identity in the joint-coordinate builders assemble_laplacian,
-assemble_stiffness and assemble_mass, the rod-span frame of each free joint
-in everything spectrum solves) the blocks are
+coupling blocks of rod ab. Every matrix takes each joint's coordinates in its
+rod-span frame B_j (_span_frames): the directions its rods span at a
+mechanism joint, the identity at every other joint. So the builders
+assemble_laplacian, assemble_stiffness and assemble_mass return the matrices
+everything in spectrum and fem solves, and on a truss without mechanism
+joints those are the joint-coordinate ones. The blocks are
 
     X[a,a] += diag_r * (B_a^T e)(B_a^T e)^T    for every rod r at a
     X[a,b]  = off_r  * (B_a^T e)(B_b^T e)^T    for rod r = ab
@@ -16,9 +18,9 @@ in everything spectrum solves) the blocks are
 
 So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
 vector [diag_r, off_r] to the structurally nonzero entries, applied to one
-coefficient column per frequency. The pattern is built on first use per truss,
-anchor reduction and choice of frames, and kept with the truss; the same path
-serves one matrix or a batch, at every size. The sweeps evaluate these
+coefficient column per frequency. The pattern is built on first use per truss
+and anchor reduction, and kept with the truss; the same path serves one
+matrix or a batch, at every size. The sweeps evaluate these
 matrices in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory
 does not grow with the number of frequencies evaluated at once: FEM through
 `_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
@@ -32,8 +34,8 @@ factored by banded LU.
 
 Natural frequencies are the omega where det(D) vanishes; D*U = P relates joint
 displacement amplitudes to applied joint forces. Both are solved in spectrum,
-on D in rod-span frames, bordered near a rod resonance: the sweeps,
-laplacian_determinant and solve_forced_response alike.
+on D bordered near a rod resonance: the sweeps, laplacian_determinant and
+solve_forced_response alike.
 """
 
 from __future__ import annotations
@@ -49,18 +51,11 @@ from .model import Truss
 
 
 @dataclass
-class SpectralMatrix:
-    omega: float
+class AssembledMatrix:
+    """A builder's matrix on the truss's pattern; joint j's coordinates start at index_map[j]."""
+
     entries: np.ndarray
     index_map: dict
-    reduced: bool
-
-
-@dataclass
-class StiffnessMatrix:
-    entries: np.ndarray
-    index_map: dict
-    reduced: bool
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,14 @@ class _Pattern:
 
     @cached_property
     def lift(self) -> sparse.csr_array:
-        return sparse.csr_array(_lift(list(self.frames.values())))
+        """Block-diagonal map from the frames' coordinates to the joint coordinates."""
+        frames = list(self.frames.values())
+        lift = np.zeros((sum(f.shape[0] for f in frames), self.size))
+        row = col = 0
+        for f in frames:
+            lift[row : row + f.shape[0], col : col + f.shape[1]] = f
+            row, col = row + f.shape[0], col + f.shape[1]
+        return sparse.csr_array(lift)
 
     @cached_property
     def band(self):
@@ -98,16 +100,6 @@ class _Pattern:
         return layout and replace(self, rows=layout[1], width=3 * layout[0] + 1)
 
 
-def _lift(frames) -> np.ndarray:
-    """Block-diagonal map from the frames' coordinates to the joint coordinates, dense."""
-    lift = np.zeros((sum(f.shape[0] for f in frames), sum(f.shape[1] for f in frames)))
-    row = col = 0
-    for f in frames:
-        lift[row : row + f.shape[0], col : col + f.shape[1]] = f
-        row, col = row + f.shape[0], col + f.shape[1]
-    return lift
-
-
 def _span_frames(truss: Truss):
     """(frames, mechanism joint ids): per joint, a basis of the directions its rods span.
 
@@ -115,8 +107,8 @@ def _span_frames(truss: Truss):
     such as every interior joint of a subdivided rod) makes det(D) vanish
     identically; its frame keeps the spanned directions only. Every other
     joint, anchored ones included, keeps the identity. Built once per truss;
-    the sweeps' patterns and scattering's transmission matrices both take
-    their frames from here.
+    every pattern and scattering's transmission matrices take their frames
+    from here.
     """
 
     def build():
@@ -142,11 +134,11 @@ def _span_frames(truss: Truss):
     return truss._cached("span_frames", build)
 
 
-def _build_pattern(truss: Truss, reduce_anchors: bool, span: bool) -> _Pattern:
+def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     dim = truss.dimension
     n_rods = len(truss.rods)
     local = np.arange(dim)
-    frames = _span_frames(truss)[0] if span else (np.eye(dim),) * len(truss.joints)
+    frames = _span_frames(truss)[0]
     width = np.array([f.shape[1] for f in frames])
     kept = np.array([not (reduce_anchors and j.anchored) for j in truss.joints])
     offset = np.cumsum(np.where(kept, width, 0)) - width  # meaningful at kept joints only
@@ -182,11 +174,9 @@ def _build_pattern(truss: Truss, reduce_anchors: bool, span: bool) -> _Pattern:
     return _Pattern(index_map, size, rows, scatter, embedding, kept_frames, size)
 
 
-def _pattern(truss: Truss, reduce_anchors: bool, span: bool = False) -> _Pattern:
-    """The truss's pattern in identity (or, with span, rod-span) frames, built once and kept."""
-    span = span and bool(_span_frames(truss)[1])  # no mechanism joint: every frame is the identity
-    key = ("pattern", reduce_anchors, span)
-    return truss._cached(key, lambda: _build_pattern(truss, reduce_anchors, span))
+def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
+    """The truss's pattern in rod-span frames, built once and kept."""
+    return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
 
 
 def _rod_constants(truss: Truss):
@@ -236,21 +226,19 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     return build
 
 
-def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> SpectralMatrix:
-    """D(omega) in joint coordinates, unbordered: its entries diverge at a rod resonance."""
+def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> AssembledMatrix:
+    """D(omega) in rod-span frames, unbordered: its entries diverge at a rod resonance."""
     if not (omega > 0.0):
         raise ValueError(f"omega must be > 0, got {omega}")
     pattern = _pattern(truss, reduce_anchors)
     entries = laplacian_evaluator(truss, pattern)([omega])[0]
-    return SpectralMatrix(
-        omega=omega, entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors
-    )
+    return AssembledMatrix(entries, dict(pattern.index_map))
 
 
-def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> StiffnessMatrix:
-    """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit)."""
+def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> AssembledMatrix:
+    """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit), in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors)
     taus, lams = _rod_constants(truss)
     k = lams / taus
     entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
-    return StiffnessMatrix(entries=entries, index_map=dict(pattern.index_map), reduced=reduce_anchors)
+    return AssembledMatrix(entries, dict(pattern.index_map))

@@ -44,7 +44,6 @@ import numpy as np
 from . import _roots
 from .assembly import (
     _assemble,
-    _lift,
     _pattern,
     _rod_constants,
     _span_frames,
@@ -185,18 +184,7 @@ def _resonances(truss: Truss, omega: float):
     return pole, (n >= 1) & (resonance >= pole) & (resonance - pole <= _half_band(pole)), n
 
 
-# -- deficient-joint handling -------------------------------------------------
-
-
-def _free_basis(truss: Truss):
-    """Rod-span basis of the free joints, dense, and the mechanism joint ids.
-
-    basis.T @ X @ basis projects an anchor-reduced joint matrix X onto the
-    rod-span frames (assembly._span_frames) that the sweeps solve in.
-    """
-    frames, mechanisms = _span_frames(truss)
-    free = [f for j, f in zip(truss.joints, frames) if not j.anchored]
-    return _lift(free), list(mechanisms)
+# -- D bordered near a resonance -----------------------------------------------
 
 
 def _near_resonances(taus, omegas):
@@ -224,7 +212,7 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     joints. B_a^T e and B_b^T e of every rod are kept with the truss as
     (index, value) entries, padded to dim with index size, which build drops.
     """
-    pattern = _pattern(truss, reduce_anchors, span=True)
+    pattern = _pattern(truss, reduce_anchors)
     taus, lams = _rod_constants(truss)
     size = pattern.size
     plain = laplacian_evaluator(truss, pattern)
@@ -448,7 +436,7 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     that window.
     """
     full, (bordered,), _, near = _bordered_at(truss, omega, False)
-    free = _pattern(truss, reduce_anchors=True, span=True)
+    free = _pattern(truss, reduce_anchors=True)
     kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
     matrix = bordered[kept][:, kept]
     smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
@@ -562,7 +550,8 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
     A mode from the sweep or from extract_modes carries them already. For
     any other free-joint displacement state at a regular frequency -- a
     forced-response result wrapped in a ModeResult -- they are recovered via
-    the anchored rows of the unreduced matrix.
+    the anchored rows of the unreduced D, the displacements taken into its
+    rod-span frames.
     """
     if mode.displacements is None:
         raise ValueError("mode carries no displacements; extract modes first")
@@ -571,10 +560,10 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
     if not truss.anchored_joints:
         return {}
     full = assemble_laplacian(truss, mode.omega, reduce_anchors=False)
-    dim = truss.dimension
+    frames = _pattern(truss, False).frames
     vec = np.zeros(full.entries.shape[0])
     for jid, u in mode.displacements.items():
-        vec[full.index_map[jid] : full.index_map[jid] + dim] = u
+        vec[full.index_map[jid] : full.index_map[jid] + frames[jid].shape[1]] = u @ frames[jid]
     return _anchor_rows(truss, full.index_map, full.entries @ vec)
 
 

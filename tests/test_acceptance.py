@@ -32,7 +32,6 @@ from spectruss import (
 from spectruss.assembly import _pattern, laplacian_evaluator
 from spectruss.fem import fem_frequencies
 from spectruss.scattering import TOWARD_END, reverberation_dof, reverberation_frequencies
-from spectruss.spectrum import _free_basis
 from spectruss.validation import (
     BRIDGE_POLYNOMIAL_ROOTS,
     SquareClosedForm,
@@ -183,13 +182,11 @@ def test_criterion_04_subdivision_invariance():
 
 
 def _fem_with_multiplicity(square, kind, divisions, roots):
-    """Expand det-sweep roots by their pencil null-space multiplicity."""
-    sub = subdivide(square, divisions)
-    k = assemble_stiffness(sub, reduce_anchors=False).entries
-    m = assemble_mass(sub, kind, reduce_anchors=False).entries
-    basis, _ = _free_basis(sub)
-    if basis is not None:
-        k, m = basis.T @ k @ basis, basis.T @ m @ basis
+    """Expand det-sweep roots by their pencil null-space multiplicity, K and M from the
+    block formulas in rod-span frames (test_assembly)."""
+    from test_assembly import _fem_reference
+
+    k, m = _fem_reference(subdivide(square, divisions), kind)
     out = []
     for r in roots:
         svals = np.linalg.svd(k - r**2 * m, compute_uv=False)

@@ -77,10 +77,13 @@ def test_single_rod_stiffness_blocks():
         {"m": mat},
     )
     k = assemble_stiffness(truss, reduce_anchors=False)
+    # both ends span the rod's direction only; lifted back to joint coordinates
+    lift = assembly._pattern(truss, False).lift.toarray()
+    joint = lift @ k.entries @ lift.T
     unit = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(block(k, "a", "a"), unit)
-    assert np.allclose(block(k, "b", "b"), unit)
-    assert np.allclose(block(k, "a", "b"), -unit)
+    assert np.allclose(joint[:2, :2], unit)
+    assert np.allclose(joint[2:, 2:], unit)
+    assert np.allclose(joint[:2, 2:], -unit)
 
 
 def test_stiffness_from_richardson_extrapolation(square):
@@ -136,9 +139,8 @@ def test_symmetry_over_random_structures():
 
 
 def test_taylor_remainder_ratio(square, bridge):
-    from spectruss.fem import assemble_mass
-
-    for truss in (square, bridge):
+    # the x2 trusses' midpoints are mechanism joints: D, K and M in rod-span frames
+    for truss in (square, bridge, subdivide(square, 2), subdivide(bridge, 2)):
         k = assemble_stiffness(truss, reduce_anchors=False).entries
         m = assemble_mass(truss, "consistent", reduce_anchors=False).entries
         tau_min = truss.tau_min
@@ -288,61 +290,58 @@ def _pattern_cases():
     return trusses + [builtin_structure("square"), builtin_structure("bridge")]
 
 
-@pytest.mark.parametrize(
-    "reduce_anchors, span", [(True, False), (False, False), (True, True)], ids=["True", "False", "span"]
-)
-def test_pattern_matrices_match_block_formulas(reduce_anchors, span):
+def _static_references(truss, reduce_anchors):
+    """K, consistent M and lumped M (0.5 m I at both ends of every rod) in joint
+    coordinates, rod by rod."""
+    props = [truss.rod_properties(rod) for rod in truss.rods]
+    k = [p.line_impedance / p.transit_time for p in props]
+    masses = [truss.materials[rod.material].density * rod.area * p.length for rod, p in zip(truss.rods, props)]
+    dim = truss.dimension
+    kept = [j.id for j in truss.joints if not (reduce_anchors and j.anchored)]
+    index = {jid: dim * i for i, jid in enumerate(kept)}
+    lumped = np.zeros((dim * len(kept), dim * len(kept)))
+    for rod, m in zip(truss.rods, masses):
+        for jid in rod.joints:
+            if jid in index:
+                lumped[index[jid] : index[jid] + dim, index[jid] : index[jid] + dim] += 0.5 * m * np.eye(dim)
+    return {
+        "stiffness": _reference(truss, reduce_anchors, k, [-x for x in k]),
+        "consistent": _reference(truss, reduce_anchors, [m / 3.0 for m in masses], [m / 6.0 for m in masses]),
+        "lumped": lumped,
+    }
+
+
+def _fem_reference(truss, kind, reduce_anchors=True):
+    """K and M of the kind from the block formulas, lifted into the rod-span frames: lift^T X lift."""
+    references = _static_references(truss, reduce_anchors)
+    lift = assembly._pattern(truss, reduce_anchors).lift.toarray()
+    return lift.T @ references["stiffness"] @ lift, lift.T @ references[kind] @ lift
+
+
+@pytest.mark.parametrize("reduce_anchors", [True, False])
+def test_pattern_matrices_match_block_formulas(reduce_anchors):
+    # the builders' and the sweeps' matrices are the block formulas in the
+    # rod-span frame of each joint, lift^T X lift, on every truss: the draws'
+    # mechanism joints, whose frames are narrower than dim, included
+    narrow = 0
     for truss in _pattern_cases():
-        props = [truss.rod_properties(rod) for rod in truss.rods]
         omegas = np.array([0.31, 0.77, 1.9]) / truss.tau_min
-        k = [p.line_impedance / p.transit_time for p in props]
-        masses = [
-            truss.materials[rod.material].density * rod.area * p.length
-            for rod, p in zip(truss.rods, props)
+        pattern = assembly._pattern(truss, reduce_anchors)
+        lift = pattern.lift.toarray()
+        _assert_close(lift.T @ lift, np.eye(pattern.size))  # orthonormal frames
+        narrow += sum(f.shape[1] < truss.dimension for f in pattern.frames.values())
+        got = [
+            *assembly.laplacian_evaluator(truss, pattern)(omegas),
+            *(assemble_laplacian(truss, w, reduce_anchors).entries for w in omegas),
+            assemble_stiffness(truss, reduce_anchors).entries,
+            assemble_mass(truss, "consistent", reduce_anchors).entries,
+            assemble_mass(truss, "lumped", reduce_anchors).entries,
         ]
-        third, sixth = [m / 3.0 for m in masses], [m / 6.0 for m in masses]
-        stiffness = _reference(truss, reduce_anchors, k, [-x for x in k])
-        consistent = _reference(truss, reduce_anchors, third, sixth)
-        batch = assembly.laplacian_evaluator(truss, assembly._pattern(truss, reduce_anchors))(omegas)
-        if span:
-            # the swept matrices, in the rod-span frame of each free joint
-            pattern = assembly._pattern(truss, reduce_anchors, span=True)
-            lift, mechanisms = spectrum._free_basis(truss)
-            assert np.array_equal(pattern.lift.toarray(), lift)
-            coefficients = np.array([k + [-x for x in k], third + sixth]).T
-            got = [
-                *assembly.laplacian_evaluator(truss, pattern)(omegas),
-                *assembly._assemble(pattern, coefficients),
-            ]
-            references = [_reference(truss, reduce_anchors, *_spectral(truss, w)) for w in omegas]
-            for matrix, reference in zip(got, references + [stiffness, consistent]):
-                _assert_close(matrix, lift.T @ reference @ lift)
-            if not mechanisms:
-                joint = [
-                    *batch,
-                    assemble_stiffness(truss, reduce_anchors).entries,
-                    assemble_mass(truss, "consistent", reduce_anchors).entries,
-                ]
-                assert all(np.array_equal(a, b) for a, b in zip(got, joint))
-            continue
-
-        for omega, got in zip(omegas, batch):
-            expected = _reference(truss, reduce_anchors, *_spectral(truss, omega))
-            _assert_close(got, expected)
-            single = assemble_laplacian(truss, omega, reduce_anchors).entries
-            _assert_close(single, expected)
-
-        _assert_close(assemble_stiffness(truss, reduce_anchors).entries, stiffness)
-        _assert_close(assemble_mass(truss, "consistent", reduce_anchors).entries, consistent)
-        lumped = assemble_mass(truss, "lumped", reduce_anchors)
-        expected = np.zeros_like(lumped.entries)
-        dim = truss.dimension
-        for rod, m in zip(truss.rods, masses):
-            for jid in rod.joints:
-                if jid in lumped.index_map:
-                    off = lumped.index_map[jid]
-                    expected[off : off + dim, off : off + dim] += 0.5 * m * np.eye(dim)
-        _assert_close(lumped.entries, expected)
+        dynamic = [_reference(truss, reduce_anchors, *_spectral(truss, w)) for w in omegas]
+        references = [*dynamic, *dynamic, *_static_references(truss, reduce_anchors).values()]
+        for matrix, reference in zip(got, references, strict=True):
+            _assert_close(matrix, lift.T @ reference @ lift)
+    assert narrow >= 10
 
 
 def test_bordered_matrix_matches_block_formulas():
@@ -355,8 +354,8 @@ def test_bordered_matrix_matches_block_formulas():
         orders = dict(zip(pole.rods, pole.orders))
         near = np.array([[rod.id in orders for rod in truss.rods]])
         n = np.array([[orders.get(rod.id, 0) for rod in truss.rods]], dtype=float)
-        lift = assembly._pattern(truss, False, span=True).lift.toarray()
-        free = assembly._pattern(truss, True, span=True)
+        lift = assembly._pattern(truss, False).lift.toarray()
+        free = assembly._pattern(truss, True)
         full, build = spectrum._border_builder(truss, False)
         for omega in pole.omega * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3]):
             finite, border, corner = _bordered_reference(truss, omega, orders, False)
@@ -418,8 +417,8 @@ def test_sweep_determinants_are_chunked_within_budget(
     slogdet_sizes, inertia_sizes, eigvals_sizes, monkeypatch
 ):
     lattice = braced_lattice(5)
-    assert spectrum._free_basis(lattice)[1] == []  # no mechanism joints
-    network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True, span=True))
+    assert assembly._span_frames(lattice)[1] == ()  # no mechanism joints
+    network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True))
     k, m = assemble_stiffness(lattice).entries, assemble_mass(lattice).entries
 
     def fem(w):
@@ -472,7 +471,7 @@ def test_sweep_determinants_are_chunked_within_budget(
     band_sizes = _spy(monkeypatch, _roots, "band_slogdet")
     func, _ = spectrum._det_eval(lattice)
     omegas = np.linspace(0.06, 2.0, 150)  # below the first pole, pi/sqrt(2)
-    width = assembly._pattern(lattice, True, span=True).band.width
+    width = assembly._pattern(lattice, True).band.width
     assert omegas.size * 8 * 112 * width > 3 * _roots.BATCH_BYTES
     slogdet_sizes.clear()
     sign, logabs = func(omegas)
@@ -561,16 +560,23 @@ def test_memo_keeps_alternating_structures_apart():
 
 
 @pytest.mark.parametrize("reduce_anchors", [True, False])
-def test_span_pattern_is_the_identity_pattern_without_mechanism_joints(reduce_anchors):
-    for name in ("square", "bridge"):
-        truss = builtin_structure(name)
-        assert assembly._pattern(truss, reduce_anchors, span=True) is assembly._pattern(
-            truss, reduce_anchors
-        )
+def test_builders_are_the_block_formulas_without_mechanism_joints(reduce_anchors):
+    # every frame is the identity there: the builders give the joint-coordinate
+    # matrices, bit for bit
+    cases = [t for t in _pattern_cases() if not assembly._span_frames(t)[1]]
+    assert len(cases) >= 15
+    for truss in cases:
+        omega = 0.77 / truss.tau_min
+        references = _static_references(truss, reduce_anchors)
+        for got, expected in [
+            (assemble_laplacian(truss, omega, reduce_anchors), _reference(truss, reduce_anchors, *_spectral(truss, omega))),
+            (assemble_stiffness(truss, reduce_anchors), references["stiffness"]),
+            (assemble_mass(truss, "consistent", reduce_anchors), references["consistent"]),
+            (assemble_mass(truss, "lumped", reduce_anchors), references["lumped"]),
+        ]:
+            assert np.array_equal(got.entries, expected)
     fine = subdivide(builtin_structure("square"), 2)  # midpoints span one direction
-    assert assembly._pattern(fine, reduce_anchors, span=True) is not assembly._pattern(
-        fine, reduce_anchors
-    )
+    assert assemble_stiffness(fine, reduce_anchors).entries.shape[0] < 2 * len(fine.joints)
 
 
 def test_memo_does_not_keep_the_truss_alive():

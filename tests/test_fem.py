@@ -18,14 +18,7 @@ from spectruss import (
     fem_frequencies,
     subdivide,
 )
-from spectruss.spectrum import _free_basis
-
-
-def block(matrix, i, j, dim=2):
-    return matrix.entries[
-        matrix.index_map[i] : matrix.index_map[i] + dim,
-        matrix.index_map[j] : matrix.index_map[j] + dim,
-    ]
+from spectruss.assembly import _pattern
 
 
 def test_shape_function_integrals_match_blocks():
@@ -46,11 +39,14 @@ def test_shape_function_integrals_match_blocks():
         {"m": mat},
     )
     m = assemble_mass(truss, "consistent", reduce_anchors=False)
+    # both ends span the rod's direction only; lifted back to joint coordinates
+    lift = _pattern(truss, False).lift.toarray()
+    joint = lift @ m.entries @ lift.T
     unit = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(block(m, "a", "a"), diag_integral * unit, rtol=1e-12)
+    assert np.allclose(joint[:2, :2], diag_integral * unit, rtol=1e-12)
     # global-frame coupling block: the two end directions are opposite, so the
     # negated integral comes back positive
-    assert np.allclose(block(m, "a", "b"), cross_integral * unit, rtol=1e-12)
+    assert np.allclose(joint[:2, 2:], cross_integral * unit, rtol=1e-12)
 
 
 def test_single_rod_lumped_blocks():
@@ -62,15 +58,19 @@ def test_single_rod_lumped_blocks():
         {"m": mat},
     )
     m = assemble_mass(truss, "lumped", reduce_anchors=False)
-    assert np.allclose(block(m, "a", "a"), 0.5 * np.eye(2))
-    assert np.allclose(block(m, "b", "b"), 0.5 * np.eye(2))
-    assert np.all(block(m, "a", "b") == 0.0)
+    # each end spans the rod's direction only: half the rod's mass on its one
+    # coordinate, none across
+    assert m.index_map == {"a": 0, "b": 1}
+    assert np.array_equal(m.entries, 0.5 * np.eye(2))
 
 
 def test_lumped_trace_identity(square, bridge):
-    for truss in (square, bridge, subdivide(square, 4)):
+    # half of each rod's mass on every coordinate of its two ends; a
+    # subdivision joint spans its rod's direction only, so the transverse
+    # half-masses at a rod's n - 1 interior joints, (n - 1)/n of its mass, drop out
+    for truss, coordinates in ((square, 2.0), (bridge, 2.0), (subdivide(square, 4), 2.0 - 0.75)):
         m = assemble_mass(truss, "lumped", reduce_anchors=False)
-        expected = truss.dimension * truss.total_rod_mass()
+        expected = coordinates * truss.total_rod_mass()
         assert np.trace(m.entries) == pytest.approx(expected, rel=1e-12)
 
 
@@ -100,13 +100,13 @@ def test_fem_determinant_static_limit(bridge):
 
 def test_fem_determinant_in_rod_span_frames(square, bridge):
     # mechanism joints leave joint coordinates singular at every omega, but not the sweep's frames
+    from test_assembly import _fem_reference
+
     assert fem_determinant(square, 0.5) == -0.024319285390297412
     assert fem_determinant(subdivide(square, 2), 0.5, reduce_anchors=False) != 0.0
     fine = subdivide(bridge, 2)
-    basis, _ = _free_basis(fine)
-    k = basis.T @ assemble_stiffness(fine).entries @ basis
     for kind in ("consistent", "lumped"):
-        m = basis.T @ assemble_mass(fine, kind).entries @ basis
+        k, m = _fem_reference(fine, kind)
         det = fem_determinant(fine, 0.5, kind)
         assert det != 0.0 and det == pytest.approx(np.linalg.det(k - 0.25 * m), rel=1e-12)
 
@@ -118,8 +118,9 @@ def test_mass_kinds_differ(square):
 
 
 def test_consistent_mass_from_second_derivative(square, bridge):
-    # M = -(1/2) d^2 D / dw^2 at w -> 0; central difference with one Richardson step
-    for truss in (square, bridge):
+    # M = -(1/2) d^2 D / dw^2 at w -> 0; central difference with one Richardson step,
+    # in rod-span frames at the x2 trusses' midpoints
+    for truss in (square, bridge, subdivide(square, 2), subdivide(bridge, 2)):
         h = 1e-3 / truss.tau_min
 
         def second(hh):
@@ -148,12 +149,10 @@ def test_bridge_lumped_has_six_frequencies(bridge):
 
 def test_fem_frequencies_match_generalized_eigensolve(square):
     # cross-check the determinant sweep against a QZ generalized eigensolve
+    from test_assembly import _fem_reference
+
     divisions = 2
-    fine = subdivide(square, divisions)
-    k = assemble_stiffness(fine, reduce_anchors=False).entries
-    m = assemble_mass(fine, "consistent", reduce_anchors=False).entries
-    basis, _ = _free_basis(fine)
-    kp, mp = basis.T @ k @ basis, basis.T @ m @ basis
+    kp, mp = _fem_reference(subdivide(square, divisions), "consistent")
     vals = linalg.eig(kp, mp, right=False)
     vals = np.real(vals[np.isfinite(vals) & (np.abs(vals.imag) <= 1e-9 * np.abs(vals))])
     vals = np.sqrt(np.sort(vals[vals > 1e-8]))
@@ -195,14 +194,14 @@ def _fem_cases():
 
 @pytest.mark.parametrize("kind", ["consistent", "lumped"])
 def test_fem_roots_are_the_generalized_eigenvalues(kind):
-    # oracle: the symmetric-definite eigensolve of the projected K and M
+    # oracle: the symmetric-definite eigensolve of the block formulas' K and M
+    # in rod-span frames
+    from test_assembly import _fem_reference
+
     divisions = 4
     for truss in _fem_cases():
         window = FrequencyWindow(0.05 / truss.tau_min, 1.2 * math.pi / truss.tau_min)
-        fine = subdivide(truss, divisions)
-        basis, _ = _free_basis(fine)
-        k = basis.T @ assemble_stiffness(fine).entries @ basis
-        m = basis.T @ assemble_mass(fine, kind).entries @ basis
+        k, m = _fem_reference(subdivide(truss, divisions), kind)
         vals = linalg.eigh(k, m, eigvals_only=True)
         omegas = np.sqrt(vals[(vals > window.omega_min**2) & (vals < window.omega_max**2)])
         expected = [w for i, w in enumerate(omegas) if i == 0 or w - omegas[i - 1] > 1e-9 * w]

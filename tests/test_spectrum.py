@@ -29,7 +29,7 @@ from spectruss import (
 )
 from spectruss import _roots
 from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
-from spectruss.spectrum import MODE_TOL, _bands, _free_basis, _rise, _segments
+from spectruss.spectrum import MODE_TOL, _bands, _rise, _segments
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -171,17 +171,19 @@ def test_anchor_forces_resonant_zero(bridge):
 
 def test_anchor_forces_stored_equal_recomputed(bridge):
     # extract_modes stores the anchored rows of [F | Q] (u, xi); anchor_forces
-    # rebuilds D only for a mode that carries none
+    # rebuilds D only for a mode that carries none, taking the x2 bridge's
+    # midpoint displacements into their rod-span frames
     import dataclasses
 
-    (mode,) = extract_modes(bridge, math.acos(-1.0 / 3.0))
-    stored = anchor_forces(bridge, mode)
-    assert stored.keys() == mode.anchor_forces.keys() == {"1", "5"}
-    recomputed = anchor_forces(bridge, dataclasses.replace(mode, anchor_forces=None))
-    assert recomputed.keys() == stored.keys()
-    scale = max(np.max(np.abs(v)) for v in stored.values())
-    for jid, force in stored.items():
-        assert np.max(np.abs(force - recomputed[jid])) <= 1e-12 * scale
+    for truss in (bridge, subdivide(bridge, 2)):
+        (mode,) = extract_modes(truss, math.acos(-1.0 / 3.0))
+        stored = anchor_forces(truss, mode)
+        assert stored.keys() == mode.anchor_forces.keys() == {"1", "5"}
+        recomputed = anchor_forces(truss, dataclasses.replace(mode, anchor_forces=None))
+        assert recomputed.keys() == stored.keys()
+        scale = max(np.max(np.abs(v)) for v in stored.values())
+        for jid, force in stored.items():
+            assert np.max(np.abs(force - recomputed[jid])) <= 1e-12 * scale
 
 
 def test_resonant_bridge_matches_reference(bridge):
@@ -350,6 +352,8 @@ def _anchored_truss_with_mechanism_joint() -> Truss:
 
 
 def test_anchored_truss_with_mechanism_joint():
+    import dataclasses
+
     from spectruss.assembly import assemble_laplacian
 
     truss = _anchored_truss_with_mechanism_joint()
@@ -364,6 +368,7 @@ def test_anchored_truss_with_mechanism_joint():
         assert abs(mode.omega - want) <= window.tol_at(want)
 
     e_bd = truss.rod_properties(truss.rod("bd")).unit_vector
+    lift = _pattern(truss, True).lift  # D is in rod-span frames: e_bd at d
     for omega in result.omegas:
         d = assemble_laplacian(truss, omega).entries
         modes = extract_modes(truss, omega)
@@ -371,9 +376,10 @@ def test_anchored_truss_with_mechanism_joint():
         for mode in modes:
             u_d = mode.displacements["d"]
             assert np.linalg.norm(u_d - (u_d @ e_bd) * e_bd) <= 1e-12
-            vec = mode_vector(mode, ("b", "c", "d"))
+            vec = lift.T @ mode_vector(mode, ("b", "c", "d"))
             assert np.linalg.norm(d @ vec) <= 1e-8 * np.linalg.norm(d)
-            recovered = anchor_forces(truss, mode)
+            # the unbordered D's anchored rows, d's displacement taken into e_bd
+            recovered = anchor_forces(truss, dataclasses.replace(mode, anchor_forces=None))
             assert set(recovered) == set(mode.anchor_forces) == {"a"}
             assert np.max(np.abs(recovered["a"] - mode.anchor_forces["a"])) <= 1e-12
 
@@ -439,16 +445,19 @@ def test_polish_closes_on_a_point_at_the_root():
 
 def test_forced_response_anchor_reactions(bridge):
     # reactions recovered through the anchored rows balance the applied load
-    # in the static limit (sum of external + reaction forces is zero)
+    # in the static limit (sum of external + reaction forces is zero); the x2
+    # bridge's midpoints are mechanism joints, whose displacements enter D in
+    # their rod-span frames
     from spectruss import ModeResult, solve_forced_response
 
     omega = 1e-6
     applied = {"3": np.array([0.4, -1.0])}
-    disp = solve_forced_response(bridge, omega, applied)
-    state = ModeResult(omega=omega, kind="regular", displacements=disp)
-    reactions = anchor_forces(bridge, state)
-    total = applied["3"] + sum(reactions.values())
-    assert np.max(np.abs(total)) <= 1e-6 * np.linalg.norm(applied["3"])
+    for truss in (bridge, subdivide(bridge, 2)):
+        disp = solve_forced_response(truss, omega, applied)
+        state = ModeResult(omega=omega, kind="regular", displacements=disp)
+        reactions = anchor_forces(truss, state)
+        total = applied["3"] + sum(reactions.values())
+        assert np.max(np.abs(total)) <= 1e-6 * np.linalg.norm(applied["3"])
 
 
 def test_sweep_independent_of_thread_count(bridge, monkeypatch):
@@ -596,21 +605,24 @@ def _default_window(truss):
 
 
 def _negative_count(truss, omegas):
-    """Negative eigenvalues of the anchor-reduced D(omega), projected onto the rod-span basis."""
-    basis, _ = _free_basis(truss)
-    d = basis.T @ laplacian_evaluator(truss, _pattern(truss, True))(omegas) @ basis
-    return np.sum(np.linalg.eigvalsh(d) < 0.0, axis=1)
+    """Negative eigenvalues of test_assembly's reference anchor-reduced D(omega), lifted into
+    the rod-span frames."""
+    from test_assembly import _reference, _spectral
+
+    lift = _pattern(truss, True).lift.toarray()
+    d = [lift.T @ _reference(truss, True, *_spectral(truss, w)) @ lift for w in omegas]
+    return np.sum(np.linalg.eigvalsh(np.array(d)) < 0.0, axis=1)
 
 
 def _wittrick_williams_count(truss, omegas):
     """J = sum_r floor(omega*tau_r/pi) + N(B) - N(C), rod by rod and independent of the sweep.
 
     B is test_assembly's reference D bordered at every rod within 1e-3 rad
-    of a resonance, projected onto the rod-span basis; C is its corner.
+    of a resonance, lifted into the rod-span frames; C is its corner.
     """
     from test_assembly import _bordered_reference
 
-    basis, _ = _free_basis(truss)
+    basis = _pattern(truss, True).lift.toarray()
     taus = [truss.rod_properties(rod).transit_time for rod in truss.rods]
     counts = []
     for omega in omegas:
@@ -785,7 +797,7 @@ def test_every_pole_of_the_first_200_draws_has_its_counted_modes():
     # interior modes at each pole number the rise of J across its band
     poles_checked = 0
     for truss in _draws(200):
-        if _free_basis(truss)[1]:
+        if _span_frames(truss)[1]:
             continue
         window = _default_window(truss)
         sweep = find_natural_frequencies(truss, window)
@@ -811,10 +823,11 @@ def test_roots_within_the_pole_guard_are_found():
         inside = [m.omega for m in sweep if m.kind == "regular" and _pole_distance(truss, m.omega) < 1e-5]
         assert len(inside) == expected, k
         free = [j.id for j in truss.free_joints]
+        pattern = _pattern(truss, True)
         for omega in inside:
-            d = laplacian_evaluator(truss, _pattern(truss, True))([omega])[0]
+            d = laplacian_evaluator(truss, pattern)([omega])[0]
             (mode,) = extract_modes(truss, omega)
-            u = mode_vector(mode, free)
+            u = pattern.lift.T @ mode_vector(mode, free)
             assert np.linalg.norm(d @ u) <= 1e-9 * np.linalg.norm(d, 2), (k, omega)
 
 
@@ -1086,11 +1099,10 @@ def test_consistent_fem_response_converges_to_the_network_response(bridge):
         fine = subdivide(bridge, n)
         k = assemble_stiffness(fine)
         m = assemble_mass(fine, "consistent")
-        basis, _ = _free_basis(fine)
-        load = np.zeros(len(k.entries))
+        load = np.zeros(len(k.entries))  # the parent joints' frames are the identity
         for jid, vec in forces.items():
             load[k.index_map[jid] : k.index_map[jid] + 2] = vec
-        u = basis @ np.linalg.solve(basis.T @ (k.entries - omega**2 * m.entries) @ basis, basis.T @ load)
+        u = np.linalg.solve(k.entries - omega**2 * m.entries, load)
         errors.append(
             max(float(np.max(np.abs(u[k.index_map[j] : k.index_map[j] + 2] - exact[j]))) for j in exact)
             / _largest(exact)
@@ -1210,7 +1222,7 @@ def test_band_slogdet_matches_slogdet_on_random_banded_stacks():
 
 def test_band_slogdet_matches_slogdet_on_the_braced_lattice():
     lattice = braced_lattice(8)
-    pattern = _pattern(lattice, True, span=True)
+    pattern = _pattern(lattice, True)
     omegas = np.linspace(0.05, 1.2 * math.pi, 41)  # across poles, where D's entries are large
     dense = laplacian_evaluator(lattice, pattern)(omegas)
     band = laplacian_evaluator(lattice, pattern.band)(omegas)
@@ -1237,10 +1249,10 @@ def test_band_slogdet_of_singular_one_by_one_and_empty_stacks():
 def test_band_rule_takes_the_lattice_and_leaves_small_trusses_dense(square, bridge):
     # the rule reads n and kl off the swept pattern; the benchmark's lattice is
     # narrow, and every truss criterion 07 and the generator's draws sweep stays dense
-    assert _pattern(braced_lattice(8), True, span=True).band.width == 3 * 19 + 1
+    assert _pattern(braced_lattice(8), True).band.width == 3 * 19 + 1
     rng = np.random.default_rng(0)
     dense = [square, bridge, braced_lattice(5), *(random_truss(rng) for _ in range(40))]
-    assert all(_pattern(truss, True, span=True).band is None for truss in dense)
+    assert all(_pattern(truss, True).band is None for truss in dense)
 
 
 def test_band_polish_finds_the_dense_polish_roots(monkeypatch):
