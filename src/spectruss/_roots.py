@@ -6,14 +6,17 @@ polish on the sign of a real determinant, so timing comparisons between the
 methods measure the matrices, not the root finder. determinant gives count
 and sign for real symmetric stacks, bordered_determinant for the Schur
 complement of a bordered one, unitary_determinant for the matching system.
-A real symmetric count is the inertia of one Bunch-Kaufman LDL^T per matrix
-(_ldl_inertia), which also gives the sign and log|det| there (SignedCount),
-so the polish starts from bracket ends the count has evaluated and factors,
-by LU, only the points it adds: a banded LU (band_slogdet) of the unbordered
-D where its pattern is narrow, built straight into band storage
-(band_layout, whose one rule on the size and half-bandwidth decides), a
-dense one (slogdet) elsewhere. near_null gives the modes their null space
-from a partial eigensolve: the eigenpairs near zero only.
+Every count gives one record per point, (count, sign, log|det|): a real
+symmetric count is the inertia of one Bunch-Kaufman LDL^T per matrix
+(_ldl_inertia), which also gives the sign and log|det| there, and the
+matching count's eigenvalues of I - V give them as their product. A sweep
+keeps the records in one dict, so the polish starts from bracket ends the
+count has evaluated and factors, by LU, only the points it adds: a banded LU
+(band_slogdet) of the unbordered D where its pattern is narrow, built
+straight into band storage (band_layout, whose one rule on the size and
+half-bandwidth decides), a dense one (slogdet) elsewhere. near_null gives
+the modes their null space from a partial eigensolve: the eigenpairs near
+zero only.
 modulus_minima, a grid search of |det| minima, is the reference the
 tests hold the matching sweep to. scipy.optimize, which only it uses, loads
 on first use of modulus_minima, never on import: the module __getattr__
@@ -193,32 +196,17 @@ def near_null(matrix, tol):
     return smax, w[order], z[:, order]
 
 
-class SignedCount:
-    """A root count whose factorization also gives each point's (sign, log|det|).
-
-    count(xs) -> (counts,), as every count; count.signed(xs) -> (counts, sign,
-    log|det|). find_brackets keeps the latter for the points it counts, so
-    the polish starts from bracket ends already evaluated.
-    """
-
-    def __init__(self, signed):
-        self.signed = signed
-
-    def __call__(self, xs):
-        return self.signed(xs)[:1]
-
-
 def determinant(build, point_bytes: int):
     """(func, count) of the real symmetric matrix stack build(xs) -> (m, n, n), in chunks.
 
-    func(xs) -> (sign, log|det|) arrays, by LU (slogdet). count is a
-    SignedCount of the negative eigenvalue counts, which rise by one at each
+    func(xs) -> (sign, log|det|) arrays, by LU (slogdet). count(xs) ->
+    (counts, sign, log|det|), a record per point from one LDL^T per matrix
+    (_ldl_inertia): the negative eigenvalue counts, which rise by one at each
     simple root of det between poles (Wittrick & Williams, Q. J. Mech. Appl.
-    Math. 24 (1971) 263-284), and its signed form also gives the sign and
-    log|det|, all from one LDL^T per matrix (_ldl_inertia).
+    Math. 24 (1971) 263-284), with the sign and log|det| that func gives.
     """
     slogdet = _chunked(build, point_bytes, lambda xs, stack: np.linalg.slogdet(stack))
-    return slogdet, SignedCount(_chunked(build, point_bytes, lambda xs, stack: _ldl_inertia(stack)))
+    return slogdet, _chunked(build, point_bytes, lambda xs, stack: _ldl_inertia(stack))
 
 
 def _unborder(corner, sign, logabs):
@@ -238,11 +226,11 @@ def bordered_determinant(build, widths, size: int, band=None):
     size within the BATCH_BYTES in force when func and count are made. D
     itself is never formed: det D = det B / prod(c) and, by Haynsworth's
     inertia additivity, D has N(B) - N(diag(c)) negative eigenvalues. So
-    where the entries of D diverge as c -> 0, its sign, log|det| and count
-    come from the finite B. band is None where D is factored dense, else
-    (width, build_band), build_band(xs) -> D's band stack (m, size, width)
-    (band_layout) for points of border width 0, whose func then takes one
-    banded LU each (band_slogdet).
+    where the entries of D diverge as c -> 0, the record count gives, its
+    count, sign and log|det|, comes from the finite B. band is None where D
+    is factored dense, else (width, build_band), build_band(xs) -> D's band
+    stack (m, size, width) (band_layout) for points of border width 0, whose
+    func then takes one banded LU each (band_slogdet).
     """
     budget = BATCH_BYTES
 
@@ -272,13 +260,13 @@ def bordered_determinant(build, widths, size: int, band=None):
         stack, corner = built
         return _unborder(corner, *np.linalg.slogdet(stack))
 
-    def signed(xs, built):
+    def inertia(xs, built):
         stack, corner = built
         below, sign, logabs = _ldl_inertia(stack)
         return (below - np.count_nonzero(corner < 0.0, axis=-1), *_unborder(corner, sign, logabs))
 
     banded = band and _chunked(band[1], 8 * size * band[0], lambda xs, stack: band_slogdet(stack), budget)
-    return by_width(slogdet, banded), SignedCount(by_width(signed))
+    return by_width(slogdet, banded), by_width(inertia)
 
 
 def unitary_determinant(build, point_bytes: int, delay: float):
@@ -289,60 +277,74 @@ def unitary_determinant(build, point_bytes: int, delay: float):
     and turn clockwise (d theta_j/dx = -v_j* diag(tau) v_j < 0), and a root is
     where one passes through 1.
 
-    count(xs) -> (floor(y + 1/4),), y = (sum_j arg0 lambda_j + x delay) / 2 pi
-    with arg0 in [0, 2 pi): as sum_j theta_j = arg det V(0) - x delay and
-    det V(0) = +-1, y is an integer or an integer plus 1/2, and it rises by k
-    at a root of multiplicity k. func(xs) -> (sign, log|det|), the sign being
-    that of the real secular function det(I - V) exp(i x delay / 2) / u,
-    u = (-i)^n sqrt(det V(0)), which is prod_j 2 sin(theta_j / 2) up to a
-    constant sign (Kottos & Smilansky, Ann. Phys. 274 (1999) 76-124).
+    count(xs) -> (floor(y + 1/4), sign, log|det|), y = (sum_j arg0 lambda_j +
+    x delay) / 2 pi with arg0 in [0, 2 pi): as sum_j theta_j = arg det V(0) -
+    x delay and det V(0) = +-1, y is an integer or an integer plus 1/2, and
+    it rises by k at a root of multiplicity k. func(xs) -> (sign, log|det|),
+    the sign being that of the real secular function det(I - V) exp(i x
+    delay / 2) / u, u = (-i)^n sqrt(det V(0)), which is prod_j 2 sin(theta_j
+    / 2) up to a constant sign (Kottos & Smilansky, Ann. Phys. 274 (1999)
+    76-124). func takes them from one LU (slogdet); count from the
+    eigenvalues mu_j of I - V it has for y, as det(I - V) = prod_j mu_j: one
+    complex log sum, whose real part is log|det| and whose imaginary part its
+    phase. An exact zero mu_j gives log|det| -inf.
     """
     m0 = build(np.zeros(1))[0]
     u = (-1j) ** len(m0) * np.sqrt(complex(np.linalg.det(np.eye(len(m0)) - m0).real))
+    arg_u = np.angle(u)
 
     def secular(xs, stack):
         sign, logabs = np.linalg.slogdet(stack)
         return np.sign((sign * np.exp(0.5j * delay * xs) / u).real), logabs
 
     def winding(xs, stack):
-        turns = (np.angle(1.0 - np.linalg.eigvals(stack)) % (2.0 * math.pi)).sum(axis=-1)
-        return (np.floor((turns + xs * delay) / (2.0 * math.pi) + 0.25).astype(int),)
+        mu = np.linalg.eigvals(stack)
+        turns = (np.angle(1.0 - mu) % (2.0 * math.pi)).sum(axis=-1)
+        with np.errstate(divide="ignore"):
+            log = np.log(mu).sum(axis=-1)
+        return (
+            np.floor((turns + xs * delay) / (2.0 * math.pi) + 0.25).astype(int),
+            np.sign(np.cos(log.imag + 0.5 * delay * xs - arg_u)),
+            log.real,
+        )
 
     return _chunked(build, point_bytes, secular), _chunked(build, point_bytes, winding)
 
 
-def find_brackets(count, segments, tol_at, threads=1, ends=None, known=None):
+def record_counts(count, xs, known, threads=1):
+    """count's counts at xs, by batched_eval; each point's (count, sign, log|det|) is put in known."""
+    values = batched_eval(count, xs, threads)
+    known.update(zip(xs.tolist(), zip(*(v.tolist() for v in values))))
+    return values[0]
+
+
+def find_brackets(count, segments, tol_at, threads=1, known=None):
     """Count stage of the sweep: one-root brackets, multiple roots and warnings.
 
-    count(xs) -> (counts,) must rise by one at every simple root inside each
-    (lo, hi) segment and have no jump elsewhere, as the number of negative
-    eigenvalues of D(omega) between two poles (the Wittrick-Williams count
-    less its constant rod term) or of K - w^2 M, or a winding count. Every
-    segment's ends are counted in one batched_eval call, unless the caller
-    passes what the count gives there as ends (in np.ravel(segments) order).
-    Then every interval that holds two or more roots is halved, one call per
-    level, until it holds one root (a bracket) or is narrower than tol_at,
-    where _even_roots reports its roots. An interval whose count falls is
-    reported in the returned warnings and dropped; halving never crosses a
-    seam between segments. A SignedCount is evaluated in its signed form, and
-    each counted point's (sign, log|det|) is put in the dict known, if given.
+    count(xs) -> (counts, sign, log|det|) must rise by one at every simple
+    root inside each (lo, hi) segment and have no jump elsewhere, as the
+    number of negative eigenvalues of D(omega) between two poles (the
+    Wittrick-Williams count less its constant rod term) or of K - w^2 M, or a
+    winding count. Every counted point's record is put in the dict known, x
+    -> (count, sign, log|det|), which the caller may pre-fill: the segment
+    ends it lacks are counted in one batched_eval call. Then every interval
+    that holds two or more roots is halved, one call per level, until it
+    holds one root (a bracket) or is narrower than tol_at, where _even_roots
+    reports its roots. An interval whose count falls is reported in the
+    returned warnings and dropped; halving never crosses a seam between
+    segments.
 
     Returns (roots, brackets, warnings); a bracket is (lo, hi).
     """
     if not segments:
         return [], [], []
-    evaluate = getattr(count, "signed", count)
-
-    def keep(xs, values):
-        if values and known is not None:
-            known.update(zip(xs.tolist(), zip(*(v.tolist() for v in values))))
-
+    known = {} if known is None else known
+    ends = np.ravel(segments).tolist()
+    missing = [x for x in dict.fromkeys(ends) if x not in known]
+    if missing:
+        record_counts(count, np.array(missing), known, threads)
     lo, hi = np.array(segments, dtype=float).T
-    if ends is None:
-        ends = batched_eval(evaluate, np.ravel(segments), threads)
-    n_ends, *values = ends
-    keep(np.ravel(segments), values)
-    n_lo, n_hi = np.reshape(n_ends, (-1, 2)).T
+    n_lo, n_hi = np.reshape([known[x][0] for x in ends], (-1, 2)).T
     roots, brackets, falls = [], [], []
     while True:
         k = n_hi - n_lo
@@ -361,8 +363,7 @@ def find_brackets(count, segments, tol_at, threads=1, ends=None, known=None):
         if not split.any():
             break
         lo, hi, n_lo, n_hi, mid = (a[split] for a in (lo, hi, n_lo, n_hi, mid))
-        n_mid, *values = batched_eval(evaluate, mid, threads)
-        keep(mid, values)
+        n_mid = record_counts(count, mid, known, threads)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         n_lo, n_hi = np.concatenate([n_lo, n_mid]), np.concatenate([n_mid, n_hi])
     return roots, brackets, [message for _, message in sorted(falls)]
@@ -398,26 +399,22 @@ def _secant_step(a, b, c, width, shrunk, tol):
     return x
 
 
-def bisect_brackets(func, brackets, tol_at, threads=1, known=None):
+def bisect_brackets(func, brackets, tol_at, known, threads=1):
     """The root of each one-root bracket (lo, hi), to tol_at(x); in bracket order.
 
-    func(xs) -> (sign, log|f|). Brent's safeguarded secant (_secant_step) on
-    each bracket, all brackets in one batched_eval call per step: b is the end
-    of smaller |f|, a the end across the root and c the point the secant pairs
-    with b (the previous b, or the newest point if that is not the best). The
-    count stage has put one root and no pole in each bracket, so each one ends
-    as a root: the midpoint of a bracket narrower than the tolerance. Bracket
-    ends in the dict known (x -> (sign, log|f|), as find_brackets fills it)
-    are not evaluated again, nor is an end two brackets share.
+    func(xs) -> (sign, log|f|). Both ends of every bracket are in the dict
+    known, x -> (count, sign, log|f|), as find_brackets records them, so the
+    polish evaluates only the points it adds. Brent's safeguarded secant
+    (_secant_step) on each bracket, all brackets in one batched_eval call per
+    step: b is the end of smaller |f|, a the end across the root and c the
+    point the secant pairs with b (the previous b, or the newest point if
+    that is not the best). The count stage has put one root and no pole in
+    each bracket, so each one ends as a root: the midpoint of a bracket
+    narrower than the tolerance.
     """
     if not brackets:
         return []
-    ends = np.array(brackets, dtype=float).ravel().tolist()
-    known = dict(known or {})
-    new = np.unique([x for x in ends if x not in known])
-    if new.size:
-        known.update(zip(new.tolist(), zip(*(v.tolist() for v in batched_eval(func, new, threads)))))
-    points = [(x, *known[x]) for x in ends]
+    points = [(x, *known[x][1:]) for x in np.ravel(brackets).tolist()]
     # per bracket [a, b, c, width two steps ago, width one step ago]; the first
     # step bisects, since a secant from ends of very unequal |f| (one beside a
     # pole) barely moves
@@ -450,18 +447,19 @@ def bisect_brackets(func, brackets, tol_at, threads=1, known=None):
         active = stepping
 
 
-def sign_sweep_roots(func, count, segments, tol_at, threads=1, ends=None):
+def sign_sweep_roots(func, count, segments, tol_at, threads=1, known=None):
     """Sorted roots of det over (lo, hi) segments, k times a k-fold one, and warnings.
 
-    The count stage (find_brackets, which takes ends) covers every segment,
-    and one polish (bisect_brackets) every one-root bracket, starting from
-    the ends' (sign, log|det|) where a SignedCount gave them. func and count
-    come from one determinant or unitary_determinant call; count must not
-    fall inside a segment, so poles belong on seams.
+    The count stage (find_brackets) covers every segment and records each
+    counted point in known, which the caller may pre-fill; one polish
+    (bisect_brackets) then starts every one-root bracket from those records.
+    func and count come from one determinant, bordered_determinant or
+    unitary_determinant call; count must not fall inside a segment, so
+    poles belong on seams.
     """
-    known = {}
-    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, ends, known)
-    roots.extend(bisect_brackets(func, brackets, tol_at, threads, known))
+    known = {} if known is None else known
+    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, known)
+    roots.extend(bisect_brackets(func, brackets, tol_at, known, threads))
     return sorted(roots), warnings
 
 

@@ -70,7 +70,9 @@ class _Pattern:
     j * width + 2 kl + i - j in the band storage of `band`. Joint j has frame
     B_j = frames[j] at offset index_map[j]; `lift` maps these coordinates to
     `dim` joint coordinates per joint, and `embedding` places them in the
-    unreduced system.
+    unreduced system. `ends` = (index, value), each (2, rods, dim), holds
+    B_a^T e and B_b^T e of every rod as entries of a size-vector, padded to
+    dim with index size past each frame's width and at reduced-away joints.
     """
 
     index_map: dict
@@ -80,6 +82,7 @@ class _Pattern:
     embedding: np.ndarray
     frames: dict
     width: int
+    ends: tuple
 
     @cached_property
     def lift(self) -> sparse.csr_array:
@@ -171,7 +174,11 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     scatter.sort_indices()
     embedding = np.flatnonzero(np.repeat(kept, width))
     kept_frames = {j.id: f for j, f, k in zip(truss.joints, frames, kept) if k}
-    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames, size)
+    # B^T e of every rod end as (index, value), index size where it has no coordinate
+    valid = kept[ends.T][..., None] & (local < width[ends.T][..., None])
+    index = np.where(valid, offset[ends.T][..., None] + local, size)
+    rod_ends = (index, np.stack([pa, pb]))
+    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames, size, rod_ends)
 
 
 def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:

@@ -75,12 +75,7 @@ def _sweep(truss, method, window, divisions, threads):
 
 
 def cmd_example(args) -> int:
-    try:
-        truss = builtin_structure(args.name, scale=args.scale)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sys.stdout.write(truss_to_json(truss))
+    sys.stdout.write(truss_to_json(builtin_structure(args.name, scale=args.scale)))
     return 0
 
 
@@ -348,13 +343,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TrussError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotARootError, EventExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # TrussError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

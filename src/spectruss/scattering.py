@@ -376,9 +376,7 @@ def simulate_wavefronts(
         launch(port, v_far, port.impedance * v_far, imp.start_time)
 
     while heap:
-        t_first = heap[0][0]
-        if t_first > horizon:
-            break
+        t_first = heap[0][0]  # launch queues no arrival past the horizon
         # everything within the merge tolerance scatters now, grouped per joint
         groups = {}
         while heap and heap[0][0] - t_first <= time_tol:

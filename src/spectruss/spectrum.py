@@ -208,28 +208,15 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     analytic through the pole and its Schur complement on the border is D.
     The Lambda*omega scaling puts both blocks in force units. With no near
     given, or none marked, B is D itself, built by laplacian_evaluator. F is
-    on the rod-span pattern, reduced or not; q is zero at reduced-away
-    joints. B_a^T e and B_b^T e of every rod are kept with the truss as
-    (index, value) entries, padded to dim with index size, which build drops.
+    on the rod-span pattern, reduced or not, and q is read off its ends:
+    those padded with index size, at reduced-away joints too, are dropped.
     """
     pattern = _pattern(truss, reduce_anchors)
     taus, lams = _rod_constants(truss)
     size = pattern.size
     plain = laplacian_evaluator(truss, pattern)
 
-    def border_ends():
-        index = np.full((2, len(taus), truss.dimension), size)
-        value = np.zeros((2, len(taus), truss.dimension))
-        for r, rod in enumerate(truss.rods):
-            e = truss.rod_properties(rod).unit_vector
-            for side, jid in enumerate(rod.joints):
-                if jid in pattern.index_map:
-                    frame = pattern.frames[jid]
-                    index[side, r, : frame.shape[1]] = pattern.index_map[jid] + np.arange(frame.shape[1])
-                    value[side, r, : frame.shape[1]] = e @ frame
-        return index, value
-
-    index, value = truss._cached(("border_ends", reduce_anchors), border_ends)
+    index, value = pattern.ends
 
     def build(omegas, near=None, n=None):
         if near is None or not near.any():
@@ -277,11 +264,11 @@ def _det_eval(truss: Truss):
     leave it regular. J = J0 + N(D): J0 = sum_r floor(omega*tau_r/pi) counts
     the rods' clamped-end modes below omega and N(D) the negative eigenvalues
     of D, so J rises by the multiplicity of every natural frequency, at a pole
-    too. count is a _roots.SignedCount: its signed form gives J with the sign
-    and log|det D| of the same LDL^T. Each point is evaluated on D bordered
-    at exactly the rods within BORDER_RADIUS of a resonance (_border_builder,
-    through _roots.bordered_determinant), the points of each border width
-    together; with no rod near, that is the swept D itself. Near a pole D's
+    too. count(xs) -> (J, sign, log|det D|), all three from the same LDL^T.
+    Each point is evaluated on D bordered at exactly the rods within
+    BORDER_RADIUS of a resonance (_border_builder, through
+    _roots.bordered_determinant), the points of each border width together;
+    with no rod near, that is the swept D itself. Near a pole D's
     own numbers lose their accuracy, B's do not. func factors each point by
     LU: the unbordered D by banded LU where its pattern has a band
     (_roots.band_layout), built straight into band storage; bordered points
@@ -297,13 +284,13 @@ def _det_eval(truss: Truss):
         band and (band.width, laplacian_evaluator(truss, band)),
     )
 
-    def signed(xs):
+    def count(xs):
         xs = np.asarray(xs, dtype=float)
         clamped = np.floor(np.multiply.outer(xs, taus) / math.pi).sum(axis=1).astype(int)
-        below, sign, logabs = negative.signed(xs)
+        below, sign, logabs = negative(xs)
         return below + clamped, sign, logabs
 
-    return func, _roots.SignedCount(signed)
+    return func, count
 
 
 def _bands(poles):
@@ -344,8 +331,9 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     the segments between the poles' bands, each band as wide as the root
     tolerance: J rises by one at each simple root, and a pole's multiplicity
     is the rise of J across its band. Every segment and band end is counted
-    in one call, whose LDL^T factorizations also give the polish its bracket
-    ends' signs and log|det|. Each pole is dispatched to
+    in one call, and each counted point's record (J, sign, log|det|), from
+    one LDL^T, is kept in one dict that the count stage, the polish and the
+    poles' rises all read. Each pole is dispatched to
     resonant_mode_check, except where that rise is 0 in a truss without
     mechanism joints (at mechanism joints the count near a pole is not yet
     trusted). A count that falls, or a rise that differs from the modes
@@ -359,17 +347,15 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     segments = _segments(window, poles)
     mechanisms = list(_span_frames(truss)[1])
     func, count = _det_eval(truss)
-    points = np.unique(np.ravel(segments + bands))
-    counted = _roots.batched_eval(count.signed, points, threads)
-    at = {x: i for i, x in enumerate(points.tolist())}
-    ends = tuple(v[[at[x] for x in np.ravel(segments).tolist()]] for v in counted)
+    known = {}
+    _roots.record_counts(count, np.unique(np.ravel(segments + bands)), known, threads)
     roots, warnings = _roots.sign_sweep_roots(
-        func, count, segments, window.tol_at, threads=threads, ends=ends
+        func, count, segments, window.tol_at, threads=threads, known=known
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
     for pole, (lo, hi) in zip(poles, bands):
-        rise = int(counted[0][at[hi]] - counted[0][at[lo]])
+        rise = known[hi][0] - known[lo][0]
         if rise == 0 and not mechanisms:
             continue
         found = resonant_mode_check(truss, pole.omega)

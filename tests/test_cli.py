@@ -296,6 +296,26 @@ def test_simulate_bad_impulse(capsys, square_file):
     assert "99" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "{square}", "--impulse", "12:1"),
+         "error: impulse '12:1' must be ROD:LAUNCH_JOINT:STRESS[:START_TIME]"),
+        (("simulate", "{square}", "--impulse", "12:4:-1.0"),
+         "error: joint '4' is not an endpoint of rod '12'"),
+        (("compare", "{square}", "--divisions", "x"), "error: invalid divisions list 'x'"),
+        (("compare", "{square}", "--divisions", "0"), "error: divisions must be positive integers, got '0'"),
+        (("verify",), "error: provide a structure file or --builtin"),
+        (("example", "square", "--scale", "0"), "error: scale must be > 0, got 0.0"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, square_file, argv, message):
+    code, out, err = run(capsys, *(arg.format(square=square_file) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_verify_builtins(capsys):
     for name in ("square", "bridge"):
         code, out, _ = run(capsys, "verify", "--builtin", name)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spectruss import (
     Material,
     Rod,
     Truss,
+    TrussParseError,
     TrussValidationError,
     builtin_structure,
     load_truss,
@@ -85,6 +88,79 @@ def test_mixed_dimension_names_joint():
     doc["joints"] = SQUARE_DOC["joints"][:-1] + [{"id": "4", "position": [1.0, 1.0, 0.0]}]
     with pytest.raises(TrussValidationError, match="'4'"):
         load_truss(json.dumps(doc))
+
+
+def _edit(field, value):
+    """SQUARE_DOC, parsed, with one field replaced: a top-level key, or (list, index, key) inside one."""
+    doc = copy.deepcopy(SQUARE_DOC)
+    if isinstance(field, tuple):
+        where, index, key = field
+        doc[where][index][key] = value
+    elif value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        (_edit("dimension", 4), TrussValidationError, "dimension must be 2 or 3, got 4"),
+        (_edit("joints", []), TrussValidationError, "truss has no joints"),
+        (_edit("rods", []), TrussValidationError, "truss has no rods"),
+        (_edit(("joints", 2, "position"), [0.0, math.inf]), TrussValidationError,
+         "joint '3' has non-finite coordinates"),
+        (_edit(("rods", 1, "id"), "12"), TrussValidationError, "duplicate rod id '12'"),
+        (_edit(("rods", 0, "joints"), ["1", "9"]), TrussValidationError,
+         "rod '19' references unknown joint '9'"),
+        (_edit(("rods", 0, "joints"), ["2", "2"]), TrussValidationError,
+         "rod '22' connects joint '2' to itself"),
+        (_edit(("rods", 0, "joints"), ["3", "2"]), TrussValidationError,
+         "rod '23' duplicates endpoint pair ('2', '3')"),
+        (_edit(("rods", 2, "area"), 0.0), TrussValidationError,
+         "rod '24': area must be a positive finite number"),
+        (_edit(("rods", 2, "area"), math.nan), TrussValidationError,
+         "rod '24': area must be a positive finite number"),
+        (_edit("rods", None), TrussParseError, "missing required field 'rods'"),
+        (_edit("materials", {"m": {"youngs_modulus": 1.0}}), TrussParseError,
+         "material 'm': 'density'"),
+        (_edit(("joints", 0, "position"), None), TrussParseError,
+         "joint entry {'id': '1', 'position': None}"),
+        (_edit(("rods", 4, "area"), "wide"), TrussParseError,
+         "rod entry {'joints': ['2', '3'], 'area': 'wide'"),
+        (_edit(("rods", 4, "joints"), ["2", "3", "4"]), TrussValidationError,
+         "rod entry {'joints': ['2', '3', '4'], 'area': 1.0, 'material': 'm'} "
+         "must reference exactly two joints"),
+    ],
+)
+def test_invalid_document_names_the_offender(doc, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        load_truss(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "invalid JSON: Expecting property name"), ("[1, 2]", "structure document must be a JSON object")],
+)
+def test_unparsable_text_is_a_parse_error(text, message):
+    with pytest.raises(TrussParseError, match=re.escape(message)):
+        load_truss(text)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Material("steel", 0.0, 7850.0), "material 'steel': youngs_modulus must be > 0, got 0.0"),
+        (lambda: Material("steel", 200e9, -1.0), "material 'steel': density must be > 0, got -1.0"),
+        (lambda: subdivide(builtin_structure("square"), 0), "subdivision count must be >= 1, got 0"),
+        (lambda: builtin_structure("bridge", scale=-2.0), "scale must be > 0, got -2.0"),
+        (lambda: builtin_structure("tower"), "unknown builtin structure 'tower'"),
+    ],
+)
+def test_invalid_arguments_raise_value_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_disconnected_warns():

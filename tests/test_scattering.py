@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,8 +297,38 @@ def test_matching_count_rises_by_three_across_the_bridge_pole(bridge):
     # its count sees the multiplicity directly
     _, count = _matching_eval(bridge)
     for gap in (1e-3, 1e-8):
-        (n,) = count(np.array([math.pi - gap, math.pi + gap]))
+        n = count(np.array([math.pi - gap, math.pi + gap]))[0]
         assert n[1] - n[0] == 3
+
+
+def test_matching_count_gives_the_secular_sign_and_log_det(bridge):
+    # the count's sign and log|det| come from the eigenvalues of I - V that
+    # give its winding number; func's from an LU of the same matrix
+    for truss in (braced_lattice(3), bridge):
+        window = _default_window(truss)
+        xs = np.linspace(window.omega_min, window.omega_max, 200)
+        func, count = _matching_eval(truss)
+        _, sign, logabs = count(xs)
+        ref_sign, ref_log = func(xs)
+        assert sign.tolist() == ref_sign.tolist()
+        assert np.all(np.abs(logabs - ref_log) <= 1e-9 * np.maximum(1.0, np.abs(ref_log)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: simulate_wavefronts(t, [], 2.0).stress_profile(2.5),
+         "snapshot time 2.5 exceeds simulated horizon 2.0"),
+        (lambda t: simulate_wavefronts(t, [], -1.0), "t_max must be >= 0, got -1.0"),
+        (lambda t: simulate_wavefronts(t, [Impulse("99", TOWARD_END, 1.0)], 1.0),
+         "impulse references unknown rod '99'"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", "sideways", 1.0)], 1.0),
+         "impulse direction must be toward_end/toward_start, got 'sideways'"),
+    ],
+)
+def test_invalid_simulation_input_raises(bridge, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bridge)
 
 
 def test_reverberation_modulus_positive_between_roots(bridge):

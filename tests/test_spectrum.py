@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from spectruss import (
     FrequencyWindow,
     Joint,
     Material,
+    ModeResult,
     NotARootError,
     Rod,
     SingularAtFrequencyError,
     Truss,
     anchor_forces,
+    assemble_laplacian,
     assemble_mass,
     assemble_stiffness,
     builtin_structure,
@@ -417,7 +420,7 @@ def test_counting_sweep_finds_roots_one_grid_cell_would_merge():
         return np.sign(vals), np.log(np.abs(vals) + 1e-300)
 
     def count(xs):
-        return (np.floor(10.0 * np.asarray(xs) / math.pi).astype(int),)
+        return (np.floor(10.0 * np.asarray(xs) / math.pi).astype(int), *func(xs))
 
     roots, warnings = sign_sweep_roots(func, count, [(0.1, 2.0)], lambda x: 1e-12)
     assert warnings == []
@@ -438,9 +441,12 @@ def test_polish_closes_on_a_point_at_the_root():
         return np.sign(vals), np.log(np.abs(vals))
 
     tol = lambda x: 1e-10 * abs(x)
-    (root,) = bisect_brackets(func, [(150.05, 150.9)], tol)
+    ends = np.array([150.05, 150.9])
+    known = dict(zip(ends.tolist(), zip([0, 1], *(v.tolist() for v in func(ends)))))
+    calls.clear()
+    (root,) = bisect_brackets(func, [(150.05, 150.9)], tol, known)
     assert abs(root - 150.3) <= tol(150.3)
-    assert len(calls) <= 8
+    assert len(calls) <= 7
 
 
 def test_forced_response_anchor_reactions(bridge):
@@ -458,6 +464,26 @@ def test_forced_response_anchor_reactions(bridge):
         reactions = anchor_forces(truss, state)
         total = applied["3"] + sum(reactions.values())
         assert np.max(np.abs(total)) <= 1e-6 * np.linalg.norm(applied["3"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: FrequencyWindow(0.0, 1.0), "need 0 < omega_min < omega_max, got (0.0, 1.0)"),
+        (lambda t: FrequencyWindow(2.0, 1.0), "need 0 < omega_min < omega_max, got (2.0, 1.0)"),
+        (lambda t: extract_modes(t, 0.0), "omega must be > 0, got 0.0"),
+        (lambda t: laplacian_determinant(t, -1.0), "omega must be > 0, got -1.0"),
+        (lambda t: solve_forced_response(t, 0.0, {}), "omega must be > 0, got 0.0"),
+        (lambda t: assemble_laplacian(t, -0.5), "omega must be > 0, got -0.5"),
+        (lambda t: anchor_forces(t, ModeResult(omega=1.0, kind="regular")),
+         "mode carries no displacements; extract modes first"),
+        (lambda t: solve_forced_response(t, 1.0, {"3": [1.0, 0.0, 0.0]}),
+         "force vector for joint '3' must have 2 components"),
+    ],
+)
+def test_invalid_spectrum_input_raises(bridge, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bridge)
 
 
 def test_sweep_independent_of_thread_count(bridge, monkeypatch):
@@ -537,32 +563,43 @@ def test_sign_sweep_segments_share_one_pass_without_crossing_seams():
     assert sign_sweep_roots(never, never, [], tol) == ([], [])
 
 
-def test_polish_starts_from_the_counted_ends():
-    # a SignedCount's points carry the sign and log|det| of their LDL^T, so
-    # the polish evaluates no bracket end again; a plain count gives none,
-    # and the polish evaluates each end once, an end two brackets share too
-    from spectruss._roots import SignedCount, determinant, sign_sweep_roots
+def _spy(fn, seen):
+    def wrapped(xs):
+        seen.extend(np.asarray(xs).tolist())
+        return fn(xs)
+    return wrapped
+
+
+def test_polish_starts_from_the_counted_ends(bridge, monkeypatch):
+    # every count gives each point's (count, sign, log|det|), so the polish
+    # evaluates no point the count evaluated: on a stack with a double root
+    # and a pole, and in the bridge's network, FEM and matching sweeps
+    from spectruss._roots import determinant, sign_sweep_roots
 
     tol = lambda x: 1e-12
     segments = [(0.1, 1.4), (1.6, 2.2), (2.3, 3.0)]
     func, count = determinant(_seam_stack, 8 * 7 * 7)
     counted, polished = [], []
-
-    def spy(fn, seen):
-        def wrapped(xs):
-            seen.extend(np.asarray(xs).tolist())
-            return fn(xs)
-        return wrapped
-
-    signed = SignedCount(spy(count.signed, counted))
-    roots, _ = sign_sweep_roots(spy(func, polished), signed, segments, tol)
+    roots, _ = sign_sweep_roots(_spy(func, polished), _spy(count, counted), segments, tol)
     assert roots == pytest.approx(list(_SEAM_ROOTS), abs=1e-9)
     assert counted and polished and not set(counted) & set(polished)
 
-    counted.clear(), polished.clear()
-    plain, _ = sign_sweep_roots(spy(func, polished), spy(count, counted), segments, tol)
-    assert plain == pytest.approx(roots, abs=1e-9)
-    assert len(polished) == len(set(polished)) and set(counted) & set(polished)
+    sweeps = []
+
+    def spied(func, count, segments, tol_at, threads=1, known=None):
+        known = {} if known is None else known
+        counted, polished = list(known), []  # the network sweep pre-counts its ends
+        sweeps.append((counted, polished))
+        return sign_sweep_roots(_spy(func, polished), _spy(count, counted), segments, tol_at, threads, known)
+
+    monkeypatch.setattr(_roots, "sign_sweep_roots", spied)
+    window = _default_window(bridge)
+    find_natural_frequencies(bridge, window)
+    fem_frequencies(bridge, window, divisions=2)
+    reverberation_frequencies(bridge, window)
+    assert len(sweeps) == 3
+    for counted, polished in sweeps:
+        assert counted and polished and not set(counted) & set(polished)
 
 
 def test_count_that_falls_is_a_warning():
@@ -651,7 +688,7 @@ def test_one_evaluation_mixes_bordered_and_plain_points(square):
     xs = np.array([math.pi / math.sqrt(2) * (1 + 2e-4), 2.0, math.pi * (1 - 3e-4),
                    math.pi * (1 + 1e-11), 3.5, math.pi / math.sqrt(2) * (1 - 1e-10)])
     sign, logabs = func(xs)
-    (counts,) = count(xs)
+    counts = count(xs)[0]
     assert counts.tolist() == _wittrick_williams_count(square, xs).tolist()
     for i, omega in enumerate(xs):
         alone = func(xs[i : i + 1])
@@ -1278,7 +1315,7 @@ def test_band_polish_finds_the_dense_polish_roots(monkeypatch):
 
 def test_signed_count_matches_its_parts_on_bordered_stacks():
     # B = [[F, Q], [Q^T, diag(c)]]: the count less N(diag(c)), det B / prod(c),
-    # at widths 0, 1 and 3 in one call; the plain count is the signed one's first part
+    # at widths 0, 1 and 3 in one call
     size, widths = 6, np.array([0, 1, 3, 1, 0, 3])
 
     def bordered(x, k):
@@ -1295,7 +1332,7 @@ def test_signed_count_matches_its_parts_on_bordered_stacks():
 
     xs = np.arange(widths.size, dtype=float)
     func, count = _roots.bordered_determinant(build, lambda xs: widths[xs.astype(int)], size)
-    below, sign, logabs = count.signed(xs)
+    below, sign, logabs = count(xs)
     for i, x in enumerate(xs):
         b, corner = bordered(x, widths[i])
         schur = b[:size, :size] - b[:size, size:] @ np.diag(1.0 / corner) @ b[size:, :size]
@@ -1303,8 +1340,6 @@ def test_signed_count_matches_its_parts_on_bordered_stacks():
         ref_sign, ref_log = np.linalg.slogdet(schur)
         assert sign[i] == ref_sign and abs(logabs[i] - ref_log) <= 1e-9
         assert func(xs[i : i + 1])[0][0] == ref_sign
-    (plain,) = count(xs)
-    assert plain.tolist() == below.tolist()
 
 
 # -- the modes' partial eigensolve ----------------------------------------------------
