@@ -279,6 +279,8 @@ def load_truss(document) -> Truss:
                 density=float(m["density"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, TrussError):
+                raise
             raise TrussParseError(f"material '{name}': {exc}") from exc
 
     joints = []

@@ -18,12 +18,24 @@ L^{-1/2} Q R^{-T} F^T; its part outside F does not.
 The global matching system couples one forward amplitude per rod end through
 the per-rod phase factors exp(-i w tau); its singular frequencies coincide with
 the zeros of det(D) but over twice as many unknowns.
+
+The wavefront simulator steps one lookahead window at a time (the lookahead
+of conservative discrete-event simulation, Chandy & Misra, IEEE TSE 5
+(1979)). Every front takes at least tau_min to cross its rod, so a front
+launched in a window that opens at the earliest pending arrival t arrives at
+or after t + tau_min: it can neither join nor precede a merged cluster that
+starts more than the merge tolerance before then. All of the window's
+arrivals therefore scatter at once, one matrix product per joint degree.
+Merging and ordering are those of one event at a time: clusters of arrivals
+within 1e-12 tau_min of their first, events in (cluster, joint id) order,
+arrivals summed in (time, rod id, launch) order, fronts launched in (event,
+rod) order.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -232,19 +244,6 @@ def _covering_sums(points, lo, hi, stress):
     return sums
 
 
-class _Port(NamedTuple):
-    """One way out of a joint: a rod, seen from the joint a front leaves."""
-
-    rod: int  # rod index
-    rod_id: str
-    sign: int  # +1 when the rod starts here, so the front heads to its second endpoint
-    impedance: float
-    z0: float  # launch position along the rod
-    transit: float
-    far_joint: str
-    far_slot: int  # the rod's position among the far joint's neighbors
-
-
 def _rod_column(truss: Truss, name: str) -> np.ndarray:
     return np.array([getattr(truss.rod_properties(rod), name) for rod in truss.rods])
 
@@ -302,6 +301,74 @@ class WavefrontSimulation:
         return profiles
 
 
+class _Slots(NamedTuple):
+    """Every rod end of the truss, joint by joint, each joint's in neighbor order.
+
+    Joint j's k-th neighbor rod is slot start[j] + k. A front leaves a joint
+    by a slot and arrives at the rod's slot at the other joint, far.
+    """
+
+    start: np.ndarray  # each joint's first slot, then the slot count
+    joint: np.ndarray  # the joint a slot belongs to
+    rod: np.ndarray  # rod index
+    sign: np.ndarray  # +1 when the rod starts at the slot's joint: a front leaving heads to its end
+    impedance: np.ndarray
+    z0: np.ndarray  # launch position along the rod
+    transit: np.ndarray
+    far: np.ndarray
+
+
+def _slots(truss: Truss):
+    """The truss's _Slots and its (joint id, rod id) -> slot map."""
+    degree = [len(truss.neighbors(joint.id)) for joint in truss.joints]
+    start = np.concatenate(([0], np.cumsum(degree, dtype=int)))
+    at = {}
+    rows = []
+    for j, joint in enumerate(truss.joints):
+        for k, (other, rod) in enumerate(truss.neighbors(joint.id)):
+            at[joint.id, rod.id] = start[j] + k
+            props = truss.rod_properties(rod)
+            sign = 1 if rod.joints[0] == joint.id else -1
+            rows.append((j, truss._rod_index[rod.id], sign, props.impedance,
+                         0.0 if sign > 0 else props.length, props.transit_time, (other, rod.id)))
+    joint, rod, sign, impedance, z0, transit, far = zip(*rows) if rows else [()] * 7
+    slots = _Slots(start, np.array(joint, dtype=int), np.array(rod, dtype=int),
+                   np.array(sign, dtype=int), np.array(impedance, dtype=float),
+                   np.array(z0, dtype=float), np.array(transit, dtype=float),
+                   np.array([at[end] for end in far], dtype=int))
+    return slots, at
+
+
+def _ranks(ids) -> np.ndarray:
+    """Each id's position among the ids sorted as strings."""
+    rank = np.empty(len(ids), dtype=int)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _window_clusters(times, limit: float, tol: float) -> list:
+    """The ends of the merged clusters of sorted arrival times that one window scatters.
+
+    A cluster runs from its first time s over every time with times[k] - s <=
+    tol, the merge's own test. The first cluster is always taken, as its own
+    fronts are launched after it, and the next ones while limit - s > tol:
+    every front the window launches arrives at or after limit, so it can
+    neither join nor precede these clusters.
+    """
+    ends = []
+    i = 0
+    while i < len(times) and (not ends or limit - times[i] > tol):
+        s = times[i]
+        end = bisect_right(times, s + tol, i + 1)  # s + tol rounds: settle the edge by the test
+        while end < len(times) and times[end] - s <= tol:
+            end += 1
+        while times[end - 1] - s > tol:
+            end -= 1
+        ends.append(end)
+        i = end
+    return ends
+
+
 def simulate_wavefronts(
     truss: Truss,
     impulses,
@@ -315,106 +382,130 @@ def simulate_wavefronts(
     velocity steps scatter through the joint's transmission matrix (-I at an
     anchor, which inverts the velocity). Children whose |stress| falls below
     min_amplitude are dropped. Simultaneous arrivals at one joint merge into a
-    single scattering event.
+    single scattering event. Time advances one lookahead window at a time (see
+    the module docstring). More than front_cap pending arrivals raise
+    EventExplosionError.
     """
     if t_max < 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    rod_index = {rod.id: i for i, rod in enumerate(truss.rods)}
-    slot = {
-        (joint.id, rod.id): k
-        for joint in truss.joints
-        for k, (_, rod) in enumerate(truss.neighbors(joint.id))
-    }
-    # per joint: its transmission matrix and its ports in neighbor order
-    joint_data = {}
-    for joint in truss.joints:
-        ports = []
-        for other, rod in truss.neighbors(joint.id):
-            props = truss.rod_properties(rod)
-            sign = 1 if rod.joints[0] == joint.id else -1
-            ports.append(_Port(rod_index[rod.id], rod.id, sign, props.impedance,
-                               0.0 if sign > 0 else props.length, props.transit_time,
-                               other, slot[other, rod.id]))
-        joint_data[joint.id] = (transmission_matrix(truss, joint.id), ports)
+    slots, at = _slots(truss)
+    joint_ids = np.array([joint.id for joint in truss.joints], dtype=object)
+    rod_ids = np.array([rod.id for rod in truss.rods], dtype=object)
+    joint_rank, rod_rank = _ranks(joint_ids), _ranks(rod_ids)
+    degree = np.diff(slots.start)
+    # each degree's transmission matrices, stacked: joint j's is stacks[degree[j]][stack_pos[j]]
+    stacks = {}
+    stack_pos = np.empty(len(truss.joints), dtype=int)
+    for j, joint in enumerate(truss.joints):
+        stack = stacks.setdefault(int(degree[j]), [])
+        stack_pos[j] = len(stack)
+        stack.append(transmission_matrix(truss, joint.id).entries)
+    stacks = {d: np.array(stack) for d, stack in stacks.items()}
 
-    time_tol = 1e-12 * truss.tau_min
+    tau_min = truss.tau_min
+    time_tol = 1e-12 * tau_min
     horizon = t_max + time_tol
-    # heap entries: (t_arrive, far joint, rod id, front index, slot at the far
-    # joint, velocity step in the far joint's frame, stress step)
-    heap = []
-    rod_col, sign_col = array("q"), array("b")
-    stress_col, t0_col, z0_col, arrive_col = (array("d") for _ in range(4))
+    # the _FrontColumns: rod, sign, stress, t0, z0, t_arrive
+    columns = tuple(array(code) for code in "qbdddd")
     events = []
 
-    def launch(port, v_far, stress, t0):
-        """Record a front leaving by port at t0; queue its arrival if that is within t_max."""
-        rod, rod_id, sign, _, z0, transit, far_joint, far_slot = port
-        t_arrive = t0 + transit
-        rod_col.append(rod)
-        sign_col.append(sign)
-        stress_col.append(stress)
-        t0_col.append(t0)
-        z0_col.append(z0)
-        arrive_col.append(t_arrive)
-        if t_arrive <= horizon:
-            entry = (t_arrive, far_joint, rod_id, len(t0_col), far_slot, v_far, stress)
-            heapq.heappush(heap, entry)
-            if len(heap) > front_cap:
-                raise EventExplosionError(
-                    f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
-                )
+    def explosion():
+        return EventExplosionError(
+            f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
+        )
 
+    # pending arrivals: time, slot at the far joint, front index, velocity step
+    # in the far joint's frame, stress step
+    queued = []
     for imp in impulses:
-        if imp.rod not in rod_index:
+        if imp.rod not in truss._rod_index:
             raise ValueError(f"impulse references unknown rod '{imp.rod}'")
         if imp.direction not in (TOWARD_END, TOWARD_START):
             raise ValueError(f"impulse direction must be toward_end/toward_start, got {imp.direction!r}")
-        rod = truss.rods[rod_index[imp.rod]]
-        launch_joint = rod.joints[0] if imp.direction == TOWARD_END else rod.joints[1]
-        port = joint_data[launch_joint][1][slot[launch_joint, rod.id]]
-        v_far = imp.stress_amplitude / port.impedance  # a front's stress is Gamma * v_far
-        launch(port, v_far, port.impedance * v_far, imp.start_time)
+        rod = truss.rod(imp.rod)
+        port = at[rod.joints[0] if imp.direction == TOWARD_END else rod.joints[1], rod.id]
+        impedance = float(slots.impedance[port])
+        v_far = imp.stress_amplitude / impedance  # a front's stress is Gamma * v_far
+        t_arrive = imp.start_time + float(slots.transit[port])
+        for col, value in zip(columns, (slots.rod[port], slots.sign[port], impedance * v_far,
+                                        imp.start_time, slots.z0[port], t_arrive)):
+            col.append(value)
+        if t_arrive <= horizon:
+            queued.append((t_arrive, slots.far[port], len(columns[0]) - 1, v_far, impedance * v_far))
+            if len(queued) > front_cap:
+                raise explosion()
+    t, slot, front, velocity, stress = (np.array(col, dtype=kind) for col, kind in zip(
+        zip(*queued) if queued else [()] * 5, (float, int, int, float, float)))
 
-    while heap:
-        t_first = heap[0][0]  # launch queues no arrival past the horizon
-        # everything within the merge tolerance scatters now, grouped per joint
-        groups = {}
-        while heap and heap[0][0] - t_first <= time_tol:
-            entry = heapq.heappop(heap)
-            groups.setdefault(entry[1], []).append(entry)
+    while t.size:
+        limit = float(t.min()) + tau_min
+        near = np.flatnonzero(t <= limit)
+        near = near[np.argsort(t[near], kind="stable")]
+        ends = _window_clusters(t[near].tolist(), limit, time_tol)
+        take = near[:ends[-1]]
+        cluster = np.searchsorted(ends, np.arange(ends[-1]), side="right")
+        # the window's arrivals in the order the merge meets them: by cluster,
+        # joint id and time, then rod id and launch
+        joint = slots.joint[slot[take]]
+        order = np.lexsort((front[take], rod_rank[slots.rod[slot[take]]], t[take],
+                            joint_rank[joint], cluster))
+        take, joint, cluster = take[order], joint[order], cluster[order]
+        starts = np.concatenate(([True], (cluster[1:] != cluster[:-1]) | (joint[1:] != joint[:-1])))
+        first, event = np.flatnonzero(starts), np.cumsum(starts) - 1
+        ev_joint, ev_time, ev_cluster = joint[first], t[take[first]], cluster[first]
 
-        for joint_id in sorted(groups):
-            batch = groups[joint_id]
-            t_event = min(entry[0] for entry in batch)
-            tm, ports = joint_data[joint_id]
-            incoming = [0.0] * len(ports)
-            incoming_stress = {}
-            for _, _, rod_id, _, k, v_joint, stress in batch:
-                incoming[k] += v_joint
-                incoming_stress[rod_id] = incoming_stress.get(rod_id, 0.0) + stress
+        # one row per (event, port): the ports of each event's joint in neighbor order
+        width = degree[ev_joint]
+        offset = np.concatenate(([0], np.cumsum(width)))
+        port_event = np.repeat(np.arange(first.size), width)
+        port = np.arange(offset[-1]) - offset[port_event] + slots.start[ev_joint][port_event]
+        row = offset[event] + slot[take] - slots.start[joint]
+        v_in, stress_in = np.zeros(offset[-1]), np.zeros(offset[-1])
+        np.add.at(v_in, row, velocity[take])
+        np.add.at(stress_in, row, stress[take])
+        v_out = np.empty(offset[-1])
+        for d in set(width.tolist()):
+            sel = np.flatnonzero(width == d)
+            rows = offset[sel, None] + np.arange(d)
+            v_out[rows] = np.matmul(stacks[d][stack_pos[ev_joint[sel]]], v_in[rows, None])[..., 0]
+        sigma = -slots.impedance[port] * v_out  # outgoing waves leave the joint
+        # children at round-off of the incoming amplitude are not real fronts
+        noise_floor = 1e-14 * np.maximum.reduceat(np.abs(stress_in), offset[:-1])
+        size = np.abs(sigma)
+        kept = np.flatnonzero(~((size <= noise_floor[port_event]) | (size < min_amplitude)))
 
-            incoming = np.array(incoming)
-            outgoing = tm.entries @ incoming
-            # children at round-off of the incoming amplitude are not real fronts
-            noise_floor = 1e-14 * max(map(abs, incoming_stress.values()))
+        child, child_event, child_stress = port[kept], port_event[kept], sigma[kept]
+        t0 = ev_time[child_event]
+        t_arrive = t0 + slots.transit[child]
+        live = t_arrive <= horizon
+        pushes = np.bincount(ev_cluster[child_event[live]], minlength=len(ends))
+        # pending at each cluster's end: before the window, less the pops, plus the pushes
+        if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
+            raise explosion()
+        new_front = len(columns[0]) + np.flatnonzero(live)
+        for col, values in zip(columns, (slots.rod[child], slots.sign[child], child_stress,
+                                         t0, slots.z0[child], t_arrive)):
+            col.frombytes(np.asarray(values, dtype=col.typecode).tobytes())
 
-            out_log = []
-            for port, v_joint in zip(ports, outgoing.tolist()):
-                sigma = -port.impedance * v_joint  # outgoing wave leaves the joint
-                if abs(sigma) <= noise_floor or abs(sigma) < min_amplitude:
-                    continue
-                launch(port, -v_joint, sigma, t_event)
-                out_log.append((port.rod_id, sigma))
+        # the window's records: incoming by rod id, outgoing in launch order
+        inc = np.unique(row)
+        inc = inc[np.lexsort((rod_rank[slots.rod[port[inc]]], port_event[inc]))]
+        incoming = list(zip(rod_ids[slots.rod[port[inc]]].tolist(), stress_in[inc].tolist()))
+        outgoing = list(zip(rod_ids[slots.rod[child]].tolist(), child_stress.tolist()))
+        cuts = np.arange(first.size + 1)
+        in_cut = np.searchsorted(port_event[inc], cuts).tolist()
+        out_cut = np.searchsorted(child_event, cuts).tolist()
+        events.extend(map(
+            ScatterEvent, ev_time.tolist(), joint_ids[ev_joint].tolist(),
+            [tuple(incoming[a:b]) for a, b in zip(in_cut, in_cut[1:])],
+            [tuple(outgoing[a:b]) for a, b in zip(out_cut, out_cut[1:])],
+        ))
 
-            events.append(
-                ScatterEvent(
-                    time=t_event,
-                    joint=joint_id,
-                    incoming=tuple(sorted(incoming_stress.items())),
-                    outgoing=tuple(out_log),
-                )
-            )
+        rest = np.ones(t.size, dtype=bool)
+        rest[take] = False
+        t, slot, front, velocity, stress = (np.concatenate((old[rest], new)) for old, new in zip(
+            (t, slot, front, velocity, stress),
+            (t_arrive[live], slots.far[child[live]], new_front, -v_out[kept][live], child_stress[live])))
 
-    history = _FrontColumns(*(np.asarray(col) for col in (
-        rod_col, sign_col, stress_col, t0_col, z0_col, arrive_col)))
+    history = _FrontColumns(*(np.asarray(col) for col in columns))
     return WavefrontSimulation(truss=truss, t_max=t_max, events=events, _history=history)

@@ -132,10 +132,12 @@ def _edit(field, value):
         (_edit(("rods", 4, "joints"), ["2", "3", "4"]), TrussValidationError,
          "rod entry {'joints': ['2', '3', '4'], 'area': 1.0, 'material': 'm'} "
          "must reference exactly two joints"),
+        (_edit("materials", {"m": {"youngs_modulus": -1, "density": 1.0}}), TrussValidationError,
+         "material 'm': youngs_modulus must be > 0, got -1.0"),
     ],
 )
 def test_invalid_document_names_the_offender(doc, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error, match="^" + re.escape(message)):
         load_truss(doc)
 
 

@@ -1,5 +1,8 @@
+import heapq
 import math
 import re
+from array import array
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from spectruss import (
     Material,
     Rod,
     Truss,
+    builtin_structure,
     find_natural_frequencies,
     reverberation_determinant,
     reverberation_frequencies,
@@ -26,6 +30,7 @@ from spectruss.assembly import _span_frames
 from spectruss.scattering import (
     TOWARD_END,
     TOWARD_START,
+    ScatterEvent,
     _matching_eval,
     matching_evaluator,
     reverberation_dof,
@@ -655,3 +660,184 @@ def test_scattering_conserves_power_at_every_event_of_the_first_200_draws():
     for _, sim, weight in _draw_simulations():
         for ev in sim.events:
             assert _power_imbalance(ev, weight) <= 1e-13, (ev.time, ev.joint)
+
+
+# -- the per-event heap loop the windowed simulator replaced, as its reference ----
+
+
+class _Port(NamedTuple):
+    """One way out of a joint: a rod, seen from the joint a front leaves."""
+
+    rod: int  # rod index
+    rod_id: str
+    sign: int  # +1 when the rod starts here, so the front heads to its second endpoint
+    impedance: float
+    z0: float  # launch position along the rod
+    transit: float
+    far_joint: str
+    far_slot: int  # the rod's position among the far joint's neighbors
+
+
+def _heap_simulation(truss, impulses, t_max, min_amplitude=0.0, front_cap=1_000_000):
+    """simulate_wavefronts as one heap pop per arrival and one scattering per event.
+
+    Returns its events, its front columns (rod, sign, stress, t0, z0,
+    t_arrive) and the largest heap length it reached.
+    """
+    rod_index = {rod.id: i for i, rod in enumerate(truss.rods)}
+    slot = {
+        (joint.id, rod.id): k
+        for joint in truss.joints
+        for k, (_, rod) in enumerate(truss.neighbors(joint.id))
+    }
+    # per joint: its transmission matrix and its ports in neighbor order
+    joint_data = {}
+    for joint in truss.joints:
+        ports = []
+        for other, rod in truss.neighbors(joint.id):
+            props = truss.rod_properties(rod)
+            sign = 1 if rod.joints[0] == joint.id else -1
+            ports.append(_Port(rod_index[rod.id], rod.id, sign, props.impedance,
+                               0.0 if sign > 0 else props.length, props.transit_time,
+                               other, slot[other, rod.id]))
+        joint_data[joint.id] = (transmission_matrix(truss, joint.id), ports)
+
+    time_tol = 1e-12 * truss.tau_min
+    horizon = t_max + time_tol
+    # heap entries: (t_arrive, far joint, rod id, front index, slot at the far
+    # joint, velocity step in the far joint's frame, stress step)
+    heap = []
+    peak = 0
+    rod_col, sign_col = array("q"), array("b")
+    stress_col, t0_col, z0_col, arrive_col = (array("d") for _ in range(4))
+    events = []
+
+    def launch(port, v_far, stress, t0):
+        """Record a front leaving by port at t0; queue its arrival if that is within t_max."""
+        nonlocal peak
+        rod, rod_id, sign, _, z0, transit, far_joint, far_slot = port
+        t_arrive = t0 + transit
+        rod_col.append(rod)
+        sign_col.append(sign)
+        stress_col.append(stress)
+        t0_col.append(t0)
+        z0_col.append(z0)
+        arrive_col.append(t_arrive)
+        if t_arrive <= horizon:
+            entry = (t_arrive, far_joint, rod_id, len(t0_col), far_slot, v_far, stress)
+            heapq.heappush(heap, entry)
+            peak = max(peak, len(heap))
+            if len(heap) > front_cap:
+                raise EventExplosionError(
+                    f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
+                )
+
+    for imp in impulses:
+        rod = truss.rods[rod_index[imp.rod]]
+        launch_joint = rod.joints[0] if imp.direction == TOWARD_END else rod.joints[1]
+        port = joint_data[launch_joint][1][slot[launch_joint, rod.id]]
+        v_far = imp.stress_amplitude / port.impedance  # a front's stress is Gamma * v_far
+        launch(port, v_far, port.impedance * v_far, imp.start_time)
+
+    while heap:
+        t_first = heap[0][0]  # launch queues no arrival past the horizon
+        # everything within the merge tolerance scatters now, grouped per joint
+        groups = {}
+        while heap and heap[0][0] - t_first <= time_tol:
+            entry = heapq.heappop(heap)
+            groups.setdefault(entry[1], []).append(entry)
+
+        for joint_id in sorted(groups):
+            batch = groups[joint_id]
+            t_event = min(entry[0] for entry in batch)
+            tm, ports = joint_data[joint_id]
+            incoming = [0.0] * len(ports)
+            incoming_stress = {}
+            for _, _, rod_id, _, k, v_joint, stress in batch:
+                incoming[k] += v_joint
+                incoming_stress[rod_id] = incoming_stress.get(rod_id, 0.0) + stress
+
+            incoming = np.array(incoming)
+            outgoing = tm.entries @ incoming
+            # children at round-off of the incoming amplitude are not real fronts
+            noise_floor = 1e-14 * max(map(abs, incoming_stress.values()))
+
+            out_log = []
+            for port, v_joint in zip(ports, outgoing.tolist()):
+                sigma = -port.impedance * v_joint  # outgoing wave leaves the joint
+                if abs(sigma) <= noise_floor or abs(sigma) < min_amplitude:
+                    continue
+                launch(port, -v_joint, sigma, t_event)
+                out_log.append((port.rod_id, sigma))
+
+            events.append(
+                ScatterEvent(
+                    time=t_event,
+                    joint=joint_id,
+                    incoming=tuple(sorted(incoming_stress.items())),
+                    outgoing=tuple(out_log),
+                )
+            )
+
+    columns = (rod_col, sign_col, stress_col, t0_col, z0_col, arrive_col)
+    return events, [np.asarray(col) for col in columns], peak
+
+
+def _reference_cases():
+    """(name, truss, impulses, t_max, min_amplitude) the windowed loop must match the heap on."""
+    square, bridge = builtin_structure("square"), builtin_structure("bridge")
+    lattice = braced_lattice(4)
+    cases = [
+        ("square", square, [fig2_impulse()], 6.0, 0.0),
+        ("bridge", bridge, [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)],
+         8.0, 0.0),
+        # three fronts on one rod merge at one slot, the first launched last
+        ("bridge, one rod thrice", bridge, [Impulse("12", TOWARD_START, 0.3, 1e-13),
+                                            Impulse("12", TOWARD_START, 0.1),
+                                            Impulse("12", TOWARD_START, 0.2)], 6.0, 0.0),
+        ("crossbar", _rect_with_crossbar(), [Impulse("12", TOWARD_END, -1.0)], 12.0, 0.3),
+        ("lattice", lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 10.0, 1e-3),
+    ]
+    for k, truss in enumerate(_draws(40)):  # draws with mechanism joints among them
+        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
+        cases.append((f"draw {k}", truss, [Impulse(truss.rods[0].id, TOWARD_END, -1.0)], 3.0 * tau, 0.0))
+    return cases
+
+
+def test_windowed_simulator_matches_the_heap_loop():
+    # the same events in the same order; the stresses have matched bit for bit
+    # on OpenBLAS, and the 1e-12 tolerance leaves room for a BLAS whose batched
+    # matrix product rounds apart from one product per event
+    for name, truss, impulses, t_max, min_amplitude in _reference_cases():
+        sim = simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude)
+        events, columns, _ = _heap_simulation(truss, impulses, t_max, min_amplitude)
+        assert len(sim.events) == len(events) > len(impulses), name
+        scale = max(abs(s) for ev in events for _, s in ev.incoming + ev.outgoing)
+        for got, want in zip(sim.events, events):
+            assert (got.time, got.joint) == (want.time, want.joint), name
+            for mine, theirs in ((got.incoming, want.incoming), (got.outgoing, want.outgoing)):
+                assert [r for r, _ in mine] == [r for r, _ in theirs], (name, want.time, want.joint)
+                diff = max((abs(a - b) for (_, a), (_, b) in zip(mine, theirs)), default=0.0)
+                assert diff <= 1e-12 * scale, (name, want.time, want.joint)
+        h = sim._history
+        for got, want in zip((h.rod, h.sign, h.t0, h.z0, h.t_arrive), columns[:2] + columns[3:]):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.max(np.abs(h.stress - columns[2]), initial=0.0) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("case", ["crossbar", "lattice"])
+def test_front_cap_binds_where_the_heap_peaks(case):
+    # the cap bounds the pending arrivals: the heap's largest length is allowed, one less is not
+    if case == "crossbar":
+        truss, impulses, t_max, min_amplitude = (
+            _rect_with_crossbar(), [Impulse("12", TOWARD_END, -1.0)], 12.0, 0.0)
+    else:
+        truss = braced_lattice(4)
+        impulses, t_max, min_amplitude = [Impulse(truss.rods[-1].id, TOWARD_START, -1.0)], 10.0, 1e-3
+    *_, peak = _heap_simulation(truss, impulses, t_max, min_amplitude)
+    assert peak > 1
+    simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude, front_cap=peak)
+    with pytest.raises(EventExplosionError, match=f"more than {peak - 1} live fronts"):
+        simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude, front_cap=peak - 1)
+    with pytest.raises(EventExplosionError, match=f"more than {peak - 1} live fronts"):
+        _heap_simulation(truss, impulses, t_max, min_amplitude, front_cap=peak - 1)
