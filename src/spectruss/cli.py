@@ -10,7 +10,6 @@ import argparse
 import bisect
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,16 +35,6 @@ def _read_truss(path: str):
     except OSError as exc:
         raise TrussError(f"cannot read '{path}': {exc}") from exc
     return load_truss(text)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("TRUSS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _window(truss, args) -> FrequencyWindow:
@@ -286,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_window(p):
         p.add_argument("--omega-min", type=float, default=None)
         p.add_argument("--omega-max", type=float, default=None)
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("freqs", help="natural frequencies in a window")
     p.add_argument("file")

@@ -89,6 +89,8 @@ class Truss:
     """
 
     def __init__(self, dimension, joints, rods, materials, dimensionless=False):
+        if dimension not in (2, 3):  # refuses 2.7 too, which int() would take for 2
+            raise TrussValidationError(f"dimension must be 2 or 3, got {dimension}")
         self.dimension = int(dimension)
         self.joints = tuple(joints)
         self.rods = tuple(rods)
@@ -111,8 +113,6 @@ class Truss:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        if self.dimension not in (2, 3):
-            raise TrussValidationError(f"dimension must be 2 or 3, got {self.dimension}")
         if not self.joints:
             raise TrussValidationError("truss has no joints")
         if not self.rods:
@@ -250,6 +250,20 @@ class Truss:
 # -- structure files ---------------------------------------------------------
 
 
+def _number(value, name: str) -> float:
+    """float(value), refusing a JSON boolean, which float() would take for 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _flag(value, name: str) -> bool:
+    """value if it is a JSON boolean: bool() would take any string or nonzero number for true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
 def load_truss(document) -> Truss:
     """Build a Truss from a JSON structure document (text or parsed dict)."""
     if isinstance(document, (str, bytes)):
@@ -269,14 +283,19 @@ def load_truss(document) -> Truss:
         rods_raw = data["rods"]
     except KeyError as exc:
         raise TrussParseError(f"missing required field {exc}") from exc
+    try:
+        dimension = _number(dimension, "dimension")
+        dimensionless = _flag(data.get("dimensionless", False), "dimensionless")
+    except (TypeError, ValueError) as exc:
+        raise TrussParseError(str(exc)) from exc
 
     materials = {}
     for name, m in materials_raw.items():
         try:
             materials[name] = Material(
                 name=name,
-                youngs_modulus=float(m["youngs_modulus"]),
-                density=float(m["density"]),
+                youngs_modulus=_number(m["youngs_modulus"], "youngs_modulus"),
+                density=_number(m["density"], "density"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TrussError):
@@ -289,8 +308,8 @@ def load_truss(document) -> Truss:
             joints.append(
                 Joint(
                     id=str(entry["id"]),
-                    position=tuple(float(x) for x in entry["position"]),
-                    anchored=bool(entry.get("anchored", False)),
+                    position=tuple(_number(x, "coordinate") for x in entry["position"]),
+                    anchored=_flag(entry.get("anchored", False), "anchored"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -308,7 +327,7 @@ def load_truss(document) -> Truss:
                 Rod(
                     id=str(entry.get("id", ends[0] + ends[1])),
                     joints=ends,
-                    area=float(entry["area"]),
+                    area=_number(entry["area"], "area"),
                     material=str(entry["material"]),
                 )
             )
@@ -322,7 +341,7 @@ def load_truss(document) -> Truss:
         joints=joints,
         rods=rods,
         materials=materials,
-        dimensionless=bool(data.get("dimensionless", False)),
+        dimensionless=dimensionless,
     )
 
 

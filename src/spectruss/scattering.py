@@ -15,8 +15,12 @@ L^{1/2} e_S^T = QR and no G^{-1}, so T^2 = I to round-off however nearly
 parallel the rods. A force couples through F too, by e_S^T G^{-1} F^T =
 L^{-1/2} Q R^{-T} F^T; its part outside F does not.
 
-The global matching system couples one forward amplitude per rod end through
-the per-rod phase factors exp(-i w tau); its singular frequencies coincide with
+Both wave methods read one rod-end layout, built once per truss and kept
+with it: a slot per rod end, joint by joint in neighbor order, which is the
+order of the joint's T, each slot knowing the rod's slot at the other joint
+(_Slots), and every joint's T (_transmission). The global matching system
+has one unknown per slot, the amplitude leaving by it, coupled through the
+per-rod phase factors exp(-i w tau); its singular frequencies coincide with
 the zeros of det(D) but over twice as many unknowns.
 
 The wavefront simulator steps one lookahead window at a time (the lookahead
@@ -102,33 +106,22 @@ def scatter(tm: TransmissionMatrix, incoming, force=None, omega=None):
 def matching_evaluator(truss: Truss):
     """Reusable batched builder of the complex matching system.
 
-    Rows: for each directed rod end (a, b), the outgoing amplitude F_ab minus
-    the scattered incoming amplitudes; incoming waves are the index-exchanged
-    opposite-end amplitudes delayed by exp(-i w tau). An anchor's T is -I, so
-    each incident rod reflects with F = -B.
+    One unknown per slot (_Slots), the amplitude leaving by it, numbered by
+    the slot's rod end. Row of a slot: its amplitude minus its joint's T
+    applied to the amplitudes arriving at the joint, each the one that left
+    the far slot, delayed by exp(-i w tau). An anchor's T is -I, so each
+    incident rod reflects with F = -B.
     """
-    edge_index = {}  # directed rod end (a, b) -> unknown
-    for i, rod in enumerate(truss.rods):
-        a, b = rod.joints
-        edge_index[(a, b)] = 2 * i
-        edge_index[(b, a)] = 2 * i + 1
-    size = 2 * len(truss.rods)
-    entries = []  # (row, col, coefficient, tau) of every phase-carrying term
-    for joint in truss.joints:
-        edges = truss.neighbors(joint.id)
-        tm = transmission_matrix(truss, joint.id)
-        for row_pos, (other, rod) in enumerate(edges):
-            row = edge_index[(joint.id, other)]
-            for col_pos, (other2, rod2) in enumerate(edges):
-                coeff = tm.entries[row_pos, col_pos]
-                if coeff == 0.0:
-                    continue
-                col = edge_index[(other2, joint.id)]
-                entries.append((row, col, coeff, truss.rod_properties(rod2).transit_time))
-    rows = np.array([e[0] for e in entries], dtype=int)
-    cols = np.array([e[1] for e in entries], dtype=int)
-    coeffs = np.array([e[2] for e in entries])
-    taus = np.array([e[3] for e in entries])
+    slots = _slots(truss)
+    size = slots.end.size
+    # every joint's (leaving, arriving) slot pairs, in the row-major order of its T
+    blocks = [np.arange(a, b) for a, b in zip(slots.start[:-1].tolist(), slots.start[1:].tolist())]
+    leave = np.concatenate([np.repeat(block, block.size) for block in blocks])
+    arrive = np.concatenate([np.tile(block, block.size) for block in blocks])
+    coeffs = np.concatenate([tm.ravel() for tm in _transmission(truss)])
+    kept = coeffs != 0.0
+    rows, cols = slots.end[leave[kept]], slots.end[slots.far[arrive[kept]]]
+    coeffs, taus = coeffs[kept], slots.transit[arrive[kept]]
 
     def build(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
@@ -302,41 +295,57 @@ class WavefrontSimulation:
 
 
 class _Slots(NamedTuple):
-    """Every rod end of the truss, joint by joint, each joint's in neighbor order.
+    """Every rod end of the truss, one slot each, joint by joint, each joint's in neighbor order.
 
-    Joint j's k-th neighbor rod is slot start[j] + k. A front leaves a joint
-    by a slot and arrives at the rod's slot at the other joint, far.
+    Joint j's k-th neighbor rod is slot start[j] + k, the order of the rows
+    and columns of its T. A front leaves a joint by a slot and arrives at the
+    rod's slot at the other joint, far; the matching system's unknown of a
+    slot is the amplitude leaving by it. Built once per truss (_slots).
     """
 
     start: np.ndarray  # each joint's first slot, then the slot count
     joint: np.ndarray  # the joint a slot belongs to
     rod: np.ndarray  # rod index
     sign: np.ndarray  # +1 when the rod starts at the slot's joint: a front leaving heads to its end
+    end: np.ndarray  # rod end: 2 * rod where the rod starts at the slot's joint, 2 * rod + 1 where it ends
     impedance: np.ndarray
     z0: np.ndarray  # launch position along the rod
     transit: np.ndarray
     far: np.ndarray
 
 
-def _slots(truss: Truss):
-    """The truss's _Slots and its (joint id, rod id) -> slot map."""
-    degree = [len(truss.neighbors(joint.id)) for joint in truss.joints]
-    start = np.concatenate(([0], np.cumsum(degree, dtype=int)))
-    at = {}
-    rows = []
-    for j, joint in enumerate(truss.joints):
-        for k, (other, rod) in enumerate(truss.neighbors(joint.id)):
-            at[joint.id, rod.id] = start[j] + k
-            props = truss.rod_properties(rod)
-            sign = 1 if rod.joints[0] == joint.id else -1
-            rows.append((j, truss._rod_index[rod.id], sign, props.impedance,
-                         0.0 if sign > 0 else props.length, props.transit_time, (other, rod.id)))
-    joint, rod, sign, impedance, z0, transit, far = zip(*rows) if rows else [()] * 7
-    slots = _Slots(start, np.array(joint, dtype=int), np.array(rod, dtype=int),
-                   np.array(sign, dtype=int), np.array(impedance, dtype=float),
-                   np.array(z0, dtype=float), np.array(transit, dtype=float),
-                   np.array([at[end] for end in far], dtype=int))
-    return slots, at
+def _slots(truss: Truss) -> _Slots:
+    """The truss's _Slots, built once and kept with it, every array read-only."""
+
+    def build():
+        rows = []
+        for j, joint in enumerate(truss.joints):
+            for _, rod in truss.neighbors(joint.id):
+                props = truss.rod_properties(rod)
+                sign = 1 if rod.joints[0] == joint.id else -1
+                rows.append((j, truss._rod_index[rod.id], sign, props.impedance,
+                             0.0 if sign > 0 else props.length, props.transit_time))
+        joint, rod, sign, impedance, z0, transit = (np.array(col) for col in zip(*rows))
+        start = np.searchsorted(joint, np.arange(len(truss.joints) + 1))
+        end = 2 * rod + (sign < 0)
+        slots = _Slots(start, joint, rod, sign, end, impedance, z0, transit, np.argsort(end)[end ^ 1])
+        for column in slots:
+            column.setflags(write=False)
+        return slots
+
+    return truss._cached("slots", build)
+
+
+def _transmission(truss: Truss) -> tuple:
+    """Every joint's T, in joint order, built once and kept with the truss, read-only."""
+
+    def build():
+        entries = tuple(transmission_matrix(truss, joint.id).entries for joint in truss.joints)
+        for tm in entries:
+            tm.setflags(write=False)
+        return entries
+
+    return truss._cached("transmission", build)
 
 
 def _ranks(ids) -> np.ndarray:
@@ -388,7 +397,7 @@ def simulate_wavefronts(
     """
     if t_max < 0.0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    slots, at = _slots(truss)
+    slots = _slots(truss)
     joint_ids = np.array([joint.id for joint in truss.joints], dtype=object)
     rod_ids = np.array([rod.id for rod in truss.rods], dtype=object)
     joint_rank, rod_rank = _ranks(joint_ids), _ranks(rod_ids)
@@ -396,10 +405,10 @@ def simulate_wavefronts(
     # each degree's transmission matrices, stacked: joint j's is stacks[degree[j]][stack_pos[j]]
     stacks = {}
     stack_pos = np.empty(len(truss.joints), dtype=int)
-    for j, joint in enumerate(truss.joints):
-        stack = stacks.setdefault(int(degree[j]), [])
+    for j, tm in enumerate(_transmission(truss)):
+        stack = stacks.setdefault(len(tm), [])
         stack_pos[j] = len(stack)
-        stack.append(transmission_matrix(truss, joint.id).entries)
+        stack.append(tm)
     stacks = {d: np.array(stack) for d, stack in stacks.items()}
 
     tau_min = truss.tau_min
@@ -414,30 +423,37 @@ def simulate_wavefronts(
             f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
         )
 
-    # pending arrivals: time, slot at the far joint, front index, velocity step
-    # in the far joint's frame, stress step
-    queued = []
+    def launch(port, t0, velocity):
+        """Record a front leaving by each slot of port at t0 with its velocity step
+        (in the far joint's frame; its stress is Gamma * velocity) and return the
+        pending arrivals of those that reach the far joint by the horizon: time,
+        slot at the far joint, front index, velocity step and stress step."""
+        stress = slots.impedance[port] * velocity
+        t_arrive = t0 + slots.transit[port]
+        live = np.flatnonzero(t_arrive <= horizon)
+        front = len(columns[0]) + live
+        for col, values in zip(columns, (slots.rod[port], slots.sign[port], stress,
+                                         t0, slots.z0[port], t_arrive)):
+            col.frombytes(np.asarray(values, dtype=col.typecode).tobytes())
+        return t_arrive[live], slots.far[port[live]], front, velocity[live], stress[live]
+
+    impulses = tuple(impulses)  # a generator too: it is read more than once below
     for imp in impulses:
         if imp.rod not in truss._rod_index:
             raise ValueError(f"impulse references unknown rod '{imp.rod}'")
         if imp.direction not in (TOWARD_END, TOWARD_START):
             raise ValueError(f"impulse direction must be toward_end/toward_start, got {imp.direction!r}")
-        rod = truss.rod(imp.rod)
-        port = at[rod.joints[0] if imp.direction == TOWARD_END else rod.joints[1], rod.id]
-        impedance = float(slots.impedance[port])
-        v_far = imp.stress_amplitude / impedance  # a front's stress is Gamma * v_far
-        t_arrive = imp.start_time + float(slots.transit[port])
-        for col, value in zip(columns, (slots.rod[port], slots.sign[port], impedance * v_far,
-                                        imp.start_time, slots.z0[port], t_arrive)):
-            col.append(value)
-        if t_arrive <= horizon:
-            queued.append((t_arrive, slots.far[port], len(columns[0]) - 1, v_far, impedance * v_far))
-            if len(queued) > front_cap:
-                raise explosion()
-    t, slot, front, velocity, stress = (np.array(col, dtype=kind) for col, kind in zip(
-        zip(*queued) if queued else [()] * 5, (float, int, int, float, float)))
+    # an impulse toward a rod's end leaves by the slot at its first joint, rod end 2 * rod
+    end = [2 * truss._rod_index[imp.rod] + (imp.direction == TOWARD_START) for imp in impulses]
+    port = np.argsort(slots.end)[np.array(end, dtype=int)]
+    amplitude = np.array([imp.stress_amplitude for imp in impulses], dtype=float)
+    start_time = np.array([imp.start_time for imp in impulses], dtype=float)
+    pending = launch(port, start_time, amplitude / slots.impedance[port])
+    if pending[0].size > front_cap:
+        raise explosion()
 
-    while t.size:
+    while pending[0].size:
+        t, slot, front, velocity, stress = pending
         limit = float(t.min()) + tau_min
         near = np.flatnonzero(t <= limit)
         near = near[np.argsort(t[near], kind="stable")]
@@ -474,24 +490,20 @@ def simulate_wavefronts(
         size = np.abs(sigma)
         kept = np.flatnonzero(~((size <= noise_floor[port_event]) | (size < min_amplitude)))
 
-        child, child_event, child_stress = port[kept], port_event[kept], sigma[kept]
-        t0 = ev_time[child_event]
-        t_arrive = t0 + slots.transit[child]
-        live = t_arrive <= horizon
+        child, child_event = port[kept], port_event[kept]
+        fronts = len(columns[0])
+        arrivals = launch(child, ev_time[child_event], -v_out[kept])
+        live = arrivals[2] - fronts  # the children that arrive by the horizon
         pushes = np.bincount(ev_cluster[child_event[live]], minlength=len(ends))
         # pending at each cluster's end: before the window, less the pops, plus the pushes
         if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
             raise explosion()
-        new_front = len(columns[0]) + np.flatnonzero(live)
-        for col, values in zip(columns, (slots.rod[child], slots.sign[child], child_stress,
-                                         t0, slots.z0[child], t_arrive)):
-            col.frombytes(np.asarray(values, dtype=col.typecode).tobytes())
 
         # the window's records: incoming by rod id, outgoing in launch order
         inc = np.unique(row)
         inc = inc[np.lexsort((rod_rank[slots.rod[port[inc]]], port_event[inc]))]
         incoming = list(zip(rod_ids[slots.rod[port[inc]]].tolist(), stress_in[inc].tolist()))
-        outgoing = list(zip(rod_ids[slots.rod[child]].tolist(), child_stress.tolist()))
+        outgoing = list(zip(rod_ids[slots.rod[child]].tolist(), sigma[kept].tolist()))
         cuts = np.arange(first.size + 1)
         in_cut = np.searchsorted(port_event[inc], cuts).tolist()
         out_cut = np.searchsorted(child_event, cuts).tolist()
@@ -503,9 +515,7 @@ def simulate_wavefronts(
 
         rest = np.ones(t.size, dtype=bool)
         rest[take] = False
-        t, slot, front, velocity, stress = (np.concatenate((old[rest], new)) for old, new in zip(
-            (t, slot, front, velocity, stress),
-            (t_arrive[live], slots.far[child[live]], new_front, -v_out[kept][live], child_stress[live])))
+        pending = tuple(np.concatenate((old[rest], new)) for old, new in zip(pending, arrivals))
 
     history = _FrontColumns(*(np.asarray(col) for col in columns))
     return WavefrontSimulation(truss=truss, t_max=t_max, events=events, _history=history)

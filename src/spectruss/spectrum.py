@@ -15,8 +15,9 @@ factorization per counted point, which also gives the sign and log|det| at
 the bracket ends the polish starts from. Within BORDER_RADIUS of a
 resonance the count and the polish's determinant come from B, elsewhere
 from D itself, and each pole is cut out of the window by a band as wide as
-the root tolerance; which pole's band holds omega, and which rods resonate
-there, is decided in one place (_resonances). One routine reads modes off a
+the root tolerance; which resonances make a pole, which rods resonate there
+and its band are decided in one place (_chain), for the window's poles and
+for the pole whose band holds one omega alike. One routine reads modes off a
 null space, from a partial symmetric eigensolve (_roots.near_null: one
 tridiagonal reduction, bisection for the spectrum's ends and the eigenvalues
 within MODE_TOL of zero, eigenvectors for those only): of D at a regular
@@ -37,6 +38,7 @@ directions within MODE_TOL make up the difference.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,22 +137,24 @@ class SweepResult:
 
 
 def pole_set(truss: Truss, window: FrequencyWindow):
-    """All rod resonances omega*tau = n*pi inside the window, grouped into poles (_chain), sorted.
+    """All rod resonances omega*tau = n*pi inside the window, grouped into poles (_chain), sorted."""
+    return [Pole(pole, tuple(truss.rods[r].id for r in rods), orders)
+            for pole, rods, orders, _ in _window_poles(truss, window)]
 
-    Each pole's rods and orders are _resonances'. The window is widened by half
-    a band at each end, so that a pole at an end keeps the rods whose
-    resonance rounds to just outside it.
-    """
+
+def _window_poles(truss: Truss, window: FrequencyWindow):
+    """_chain's poles in the window, widened by half a band at each end, so that a pole
+    at an end keeps the rods whose resonance rounds to just outside it; the resonances
+    up to half a band past the top are chained too, as members of a pole there."""
     lo = window.omega_min - _half_band(window.omega_min)
     hi = window.omega_max + _half_band(window.omega_max)
-    events = sorted(
-        n * math.pi / tau
-        for tau in _rod_constants(truss)[0].tolist()
-        for n in range(max(1, math.ceil(lo * tau / math.pi)), math.floor(hi * tau / math.pi) + 1)
-    )
-    ids = np.array([rod.id for rod in truss.rods], dtype=object)
-    found = [_resonances(truss, omega) for omega in _chain(events)]
-    return [Pole(pole, tuple(ids[near]), tuple(n[near].astype(int).tolist())) for pole, near, n in found]
+    taus = _rod_constants(truss)[0]
+    top = hi + _half_band(hi)
+    rods, orders = np.array([
+        (r, n) for r, tau in enumerate(taus.tolist())
+        for n in range(max(1, math.ceil(lo * tau / math.pi)), math.floor(top * tau / math.pi) + 1)
+    ], dtype=int).reshape(-1, 2).T
+    return [pole for pole in _chain(orders * math.pi / taus[rods], rods, orders) if pole[0] <= hi]
 
 
 def _half_band(omega: float) -> float:
@@ -158,30 +162,46 @@ def _half_band(omega: float) -> float:
     return 0.5 * DEFAULT_ROOT_RTOL * omega
 
 
-def _chain(resonances):
-    """The poles among sorted resonances: the lowest, then each one more than half
-    a band above the pole before it. A pole holds those up to half a band above it."""
-    pole = None
-    for omega in resonances:
-        if pole is None or omega - pole > _half_band(pole):
-            pole = omega
-            yield omega
+def _chain(omegas, rods, orders):
+    """The poles among resonances given as arrays listed rod by rod, rod rods[k]'s
+    orders[k]*pi/tau at omegas[k]: (pole, rods, orders, (lo, hi)) in order of omega,
+    each pole's rods in rod order.
+
+    The lowest resonance is a pole, then each one more than half a band above
+    the pole before it, and a pole holds the resonances up to half a band
+    above it. Its band, cut out of the sweep, runs half a band either side of
+    it, but from the band below's end where they overlap, so no resonance
+    lies in two. An order of 0 is no resonance. Which resonances make a pole,
+    and its band, is decided here only.
+    """
+    by_omega = np.argsort(omegas, kind="stable")  # ties stay in rod order
+    omegas, rods, orders = omegas[by_omega].tolist(), rods[by_omega].tolist(), orders[by_omega].tolist()
+    start, below = bisect_right(omegas, 0.0), 0.0
+    while start < len(omegas):
+        pole = omegas[start]
+        half = _half_band(pole)
+        end = bisect_right(omegas, half, start + 1, key=lambda omega: omega - pole)
+        members = rods[start:end], orders[start:end]
+        if omegas[end - 1] != pole:  # else they tie, in rod order already
+            members = zip(*sorted(zip(*members)))
+        band = (max(pole - half, below), pole + half)
+        yield pole, *map(tuple, members), band
+        start, below = end, band[1]
 
 
-def _resonances(truss: Truss, omega: float):
-    """(pole, near, n): the pole whose band (_bands) holds omega, or None, and over
-    the rods, near marks those whose resonance n*pi/tau the pole holds (_chain).
-    Whether omega is a pole, and which rods resonate there, is decided here only."""
+def _pole_at(truss: Truss, omega: float):
+    """_chain's pole whose band holds omega, or None.
+
+    Chained are each rod's nearest resonance n*pi/tau: a resonance more than
+    half a band above the one below starts a pole, so these alone find the
+    poles near omega.
+    """
     taus, _ = _rod_constants(truss)
-    n = np.rint(omega * taus / math.pi)
-    resonance = n * math.pi / taus  # each rod's nearest omega
-    # a resonance more than half a band above the one below starts a pole, so
-    # _chain finds the poles near omega from these alone
-    poles = _chain(sorted(resonance[n >= 1].tolist()))
-    pole = next((p for p in poles if p + _half_band(p) >= omega), None)
-    if pole is None or pole - _half_band(pole) > omega:
-        return None, np.zeros(n.shape, dtype=bool), n
-    return pole, (n >= 1) & (resonance >= pole) & (resonance - pole <= _half_band(pole)), n
+    n = np.rint(omega * taus / math.pi).astype(int)
+    poles = _chain(n * math.pi / taus, np.arange(taus.size), n)
+    # the first pole whose band reaches omega holds it, unless that band starts above omega
+    found = next((pole for pole in poles if pole[3][1] >= omega), None)
+    return found if found and found[3][0] <= omega else None
 
 
 # -- D bordered near a resonance -----------------------------------------------
@@ -293,34 +313,19 @@ def _det_eval(truss: Truss):
     return func, count
 
 
-def _bands(poles):
-    """(lo, hi) of the band cut out around each pole: half a band either side of it,
-    but from the band below's end where they overlap, so no resonance lies in two."""
-    bands = [(p.omega - _half_band(p.omega), p.omega + _half_band(p.omega)) for p in poles]
-    return [(max(lo, below), hi) for (lo, hi), (_, below) in zip(bands, [(0.0, 0.0), *bands])]
-
-
-def _pole_band(truss: Truss, pole: float):
-    """(lo, hi) of the band _bands cuts around pole, found from the pole's neighbours
-    (_resonances): it starts where the band of a pole just below ends, if that overlaps."""
-    lo = pole - _half_band(pole)
-    below = _resonances(truss, lo)[0]
-    return (lo if below == pole else below + _half_band(below)), pole + _half_band(pole)
-
-
 def _rise(truss: Truss, omega: float) -> int:
     """How far the Wittrick-Williams count J rises across omega's band: that of the
-    pole whose band holds omega (_pole_band), elsewhere omega -/+ half a band.
+    pole whose band holds omega (_pole_at), elsewhere omega -/+ half a band.
     It is omega's multiplicity as a natural frequency, 0 where it is none."""
-    pole = _resonances(truss, omega)[0]
-    ends = (omega - _half_band(omega), omega + _half_band(omega)) if pole is None else _pole_band(truss, pole)
+    pole = _pole_at(truss, omega)
+    ends = (omega - _half_band(omega), omega + _half_band(omega)) if pole is None else pole[3]
     low, high = _det_eval(truss)[1](np.array(ends))[0]
     return int(high - low)
 
 
-def _segments(window: FrequencyWindow, poles):
-    """(lo, hi) of the intervals between the pole bands (_bands)."""
-    cuts = [window.omega_min, *(x for band in _bands(poles) for x in band), window.omega_max]
+def _segments(window: FrequencyWindow, bands):
+    """(lo, hi) of the intervals between the poles' bands."""
+    cuts = [window.omega_min, *(x for band in bands for x in band), window.omega_max]
     return [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if hi > lo]
 
 
@@ -342,9 +347,9 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     per rise of J: a multiple regular root, its interval narrower than the
     root tolerance, is listed as often as J rises across it.
     """
-    poles = pole_set(truss, window)
-    bands = _bands(poles)
-    segments = _segments(window, poles)
+    poles = _window_poles(truss, window)
+    bands = [band for *_, band in poles]
+    segments = _segments(window, bands)
     mechanisms = list(_span_frames(truss)[1])
     func, count = _det_eval(truss)
     known = {}
@@ -354,15 +359,15 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
-    for pole, (lo, hi) in zip(poles, bands):
+    for pole, _, _, (lo, hi) in poles:
         rise = known[hi][0] - known[lo][0]
         if rise == 0 and not mechanisms:
             continue
-        found = resonant_mode_check(truss, pole.omega)
+        found = resonant_mode_check(truss, pole)
         modes.extend(found)
         if rise != len(found):
             warnings.append(
-                f"count rises by {rise} across the pole at {pole.omega:.10g}, "
+                f"count rises by {rise} across the pole at {pole:.10g}, "
                 f"but {len(found)} resonant modes were found there"
             )
     modes.sort(key=lambda m: m.omega)
@@ -412,7 +417,7 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     At a pole a root of its band need not lie on the pole's exact frequency,
     and then leaves B a direction above the cutoff but within MODE_TOL: the
     nearest such directions are added while fewer than J rises across the
-    band (_pole_band) are below the cutoff. All of these come from one
+    band (_pole_at) are below the cutoff. All of these come from one
     partial eigensolve (_roots.near_null), which gives max |eigenvalue| and
     the eigenpairs of |eigenvalue| <= MODE_TOL * max |eigenvalue| only.
     Anchor forces are the anchored rows of [F | Q] times (u, xi). Where no
@@ -488,7 +493,7 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
 def extract_modes(truss: Truss, omega_star: float):
     """Null-space mode shapes of the anchored structure's D(omega*).
 
-    In a pole's band (_resonances) they are the pole's, resonant_mode_check's;
+    In a pole's band (_pole_at) they are the pole's, resonant_mode_check's;
     a pole without one raises NotARootError. Elsewhere one unreduced D(omega*),
     in rod-span frames (the identity at anchors), serves both the null space
     (its free block, the matrix the sweep solves) and the anchor forces (its
@@ -498,7 +503,7 @@ def extract_modes(truss: Truss, omega_star: float):
     """
     if not (omega_star > 0.0):
         raise ValueError(f"omega must be > 0, got {omega_star}")
-    if _resonances(truss, omega_star)[0] is not None:
+    if _pole_at(truss, omega_star) is not None:
         modes = resonant_mode_check(truss, omega_star)
         if not modes:
             raise NotARootError(omega_star)
@@ -510,7 +515,7 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     """Every natural mode at a rod resonance, or an empty list when none exists.
 
     They are the null space of D at the pole whose band holds omega_pole
-    (_resonances; [] if none does), bordered (_border_builder) at every rod
+    (_pole_at; [] if none does), bordered (_border_builder) at every rod
     within BORDER_RADIUS of a resonance there, as at a regular root: the
     pole's own rods and any whose resonance lies just beside it, whose
     diverging terms would otherwise inflate max |eigenvalue| past the cutoff.
@@ -524,10 +529,8 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     # the pole's omega is exact, so its null singular values are round-off
     # (~1e-16 s_max); MODE_TOL, for a root polished to the sweep's tolerance,
     # would also take in regular roots beside the pole
-    pole, resonant, n = _resonances(truss, omega_pole)
-    if pole is None:
-        return []
-    return _null_modes(truss, pole, 1e-13, order=int(n[resonant].min()))
+    found = _pole_at(truss, omega_pole)
+    return [] if found is None else _null_modes(truss, found[0], 1e-13, order=min(found[2]))
 
 
 def anchor_forces(truss: Truss, mode: ModeResult) -> dict:

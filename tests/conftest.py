@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spectruss import Joint, Material, Rod, Truss, builtin_structure
+
+# the @given tests draw the same examples on every run, locally and in CI
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

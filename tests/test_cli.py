@@ -88,15 +88,6 @@ def test_freqs_reverberation_method(capsys, bridge_file):
     assert float(rows[-1].split(",")[1]) == pytest.approx(math.pi, abs=1e-8)
 
 
-def test_threads_env_fallback(monkeypatch):
-    from spectruss.cli import _default_threads
-
-    monkeypatch.setenv("TRUSS_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("TRUSS_THREADS", "junk")
-    assert _default_threads() >= 1
-
-
 def test_freqs_missing_file(capsys):
     code, out, err = run(capsys, "freqs", "/no/such/file.json")
     assert code == 2

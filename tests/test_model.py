@@ -134,6 +134,22 @@ def _edit(field, value):
          "must reference exactly two joints"),
         (_edit("materials", {"m": {"youngs_modulus": -1, "density": 1.0}}), TrussValidationError,
          "material 'm': youngs_modulus must be > 0, got -1.0"),
+        # values that int(), bool() or float() would take silently
+        (_edit("dimension", 2.7), TrussValidationError, "dimension must be 2 or 3, got 2.7"),
+        (_edit("dimension", True), TrussParseError, "dimension must be a number, not True"),
+        (_edit("dimensionless", "false"), TrussParseError, "dimensionless must be true or false, not 'false'"),
+        (_edit(("joints", 0, "anchored"), "false"), TrussParseError,
+         "joint entry {'id': '1', 'position': [0.0, 0.0], 'anchored': 'false'}: "
+         "anchored must be true or false, not 'false'"),
+        (_edit(("joints", 0, "anchored"), 0.5), TrussParseError,
+         "joint entry {'id': '1', 'position': [0.0, 0.0], 'anchored': 0.5}: "
+         "anchored must be true or false, not 0.5"),
+        (_edit(("joints", 2, "position"), [0.0, False]), TrussParseError,
+         "joint entry {'id': '3', 'position': [0.0, False]}: coordinate must be a number, not False"),
+        (_edit(("rods", 2, "area"), True), TrussParseError,
+         "rod entry {'joints': ['2', '4'], 'area': True, 'material': 'm'}: area must be a number, not True"),
+        (_edit("materials", {"m": {"youngs_modulus": 1.0, "density": True}}), TrussParseError,
+         "material 'm': density must be a number, not True"),
     ],
 )
 def test_invalid_document_names_the_offender(doc, error, message):
@@ -158,6 +174,7 @@ def test_unparsable_text_is_a_parse_error(text, message):
         (lambda: subdivide(builtin_structure("square"), 0), "subdivision count must be >= 1, got 0"),
         (lambda: builtin_structure("bridge", scale=-2.0), "scale must be > 0, got -2.0"),
         (lambda: builtin_structure("tower"), "unknown builtin structure 'tower'"),
+        (lambda: Truss(2.5, [], [], {}), "dimension must be 2 or 3, got 2.5"),
     ],
 )
 def test_invalid_arguments_raise_value_errors(make, message):

@@ -253,6 +253,64 @@ def test_matching_count_finds_every_zero_of_the_grid_reference(square, bridge):
         assert extra == pytest.approx(gained.get(name, []), rel=1e-9), name
 
 
+# -- the directed-end matching builder the slot layout replaced, as its reference ----
+
+
+def _matching_reference(truss: Truss):
+    """Reusable batched builder of the complex matching system.
+
+    Rows: for each directed rod end (a, b), the outgoing amplitude F_ab minus
+    the scattered incoming amplitudes; incoming waves are the index-exchanged
+    opposite-end amplitudes delayed by exp(-i w tau). An anchor's T is -I, so
+    each incident rod reflects with F = -B.
+    """
+    edge_index = {}  # directed rod end (a, b) -> unknown
+    for i, rod in enumerate(truss.rods):
+        a, b = rod.joints
+        edge_index[(a, b)] = 2 * i
+        edge_index[(b, a)] = 2 * i + 1
+    size = 2 * len(truss.rods)
+    entries = []  # (row, col, coefficient, tau) of every phase-carrying term
+    for joint in truss.joints:
+        edges = truss.neighbors(joint.id)
+        tm = transmission_matrix(truss, joint.id)
+        for row_pos, (other, rod) in enumerate(edges):
+            row = edge_index[(joint.id, other)]
+            for col_pos, (other2, rod2) in enumerate(edges):
+                coeff = tm.entries[row_pos, col_pos]
+                if coeff == 0.0:
+                    continue
+                col = edge_index[(other2, joint.id)]
+                entries.append((row, col, coeff, truss.rod_properties(rod2).transit_time))
+    rows = np.array([e[0] for e in entries], dtype=int)
+    cols = np.array([e[1] for e in entries], dtype=int)
+    coeffs = np.array([e[2] for e in entries])
+    taus = np.array([e[3] for e in entries])
+
+    def build(omegas) -> np.ndarray:
+        omegas = np.asarray(omegas, dtype=float)
+        out = np.zeros((omegas.size, size, size), dtype=complex)
+        out[:, np.arange(size), np.arange(size)] = 1.0
+        terms = coeffs[None, :] * np.exp(-1j * omegas[:, None] * taus[None, :])
+        out[:, rows, cols] = terms  # every (row, col) is distinct and off the diagonal
+        return out
+
+    return build
+
+
+def test_matching_system_on_the_slot_layout_matches_the_directed_end_builder():
+    # entry for entry, at the window's ends, inside it and 1e-4 rad above the
+    # first rod's first resonance; the draws include mechanism joints
+    square, bridge = builtin_structure("square"), builtin_structure("bridge")
+    cases = [square, bridge, braced_lattice(3), *_draws(40)]
+    cases += [subdivide(truss, k) for truss in (square, bridge) for k in (2, 3)]
+    for truss in cases:
+        window = _default_window(truss)
+        tau = truss.rod_properties(truss.rods[0]).transit_time
+        omegas = [window.omega_min, 0.37 * window.omega_max, window.omega_max, (math.pi + 1e-4) / tau]
+        assert np.array_equal(matching_evaluator(truss)(omegas), _matching_reference(truss)(omegas))
+
+
 def _distinct(omegas, rtol=1e-8):
     out = []
     for w in omegas:

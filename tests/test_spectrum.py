@@ -32,7 +32,7 @@ from spectruss import (
 )
 from spectruss import _roots
 from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
-from spectruss.spectrum import MODE_TOL, _bands, _rise, _segments
+from spectruss.spectrum import MODE_TOL, _pole_at, _rise, _segments, _window_poles
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -641,6 +641,11 @@ def _default_window(truss):
     return FrequencyWindow(0.05 / truss.tau_min, 1.2 * math.pi / truss.tau_min)
 
 
+def _bands(truss, window):
+    """The (lo, hi) band the sweep cuts out around each of the window's poles."""
+    return [band for *_, band in _window_poles(truss, window)]
+
+
 def _negative_count(truss, omegas):
     """Negative eigenvalues of test_assembly's reference anchor-reduced D(omega), lifted into
     the rod-span frames."""
@@ -717,8 +722,9 @@ def test_roots_of_each_segment_match_the_negative_eigenvalue_count():
         sweep = find_natural_frequencies(truss, window)
         assert sweep.warnings == []
         poles = pole_set(truss, window)
-        segments = _segments(window, poles)
-        assert [hi - lo for lo, hi in _bands(poles)] == pytest.approx(
+        bands = _bands(truss, window)
+        segments = _segments(window, bands)
+        assert [hi - lo for lo, hi in bands] == pytest.approx(
             [window.tol_at(p.omega) for p in poles], rel=1e-6
         )
         regular = [m.omega for m in sweep if m.kind == "regular"]
@@ -726,7 +732,7 @@ def test_roots_of_each_segment_match_the_negative_eigenvalue_count():
         for (lo, hi), (n_lo, n_hi) in zip(segments, ends):
             found = sum(len(extract_modes(truss, w)) for w in regular if lo <= w <= hi)
             assert found == n_hi - n_lo, (lo, hi)
-        for pole, (lo, hi) in zip(poles, _bands(poles)):
+        for pole, (lo, hi) in zip(poles, bands):
             at_pole = [m for m in sweep if m.kind != "regular" and m.omega == pole.omega]
             n_lo, n_hi = _wittrick_williams_count(truss, [lo, hi])
             assert len(at_pole) == n_hi - n_lo, pole.omega
@@ -741,7 +747,7 @@ def test_pole_whose_count_disagrees_with_its_modes_is_a_warning(bridge, monkeypa
     at_pi = [m.kind for m in sweep if m.kind != "regular"]
     assert at_pi == ["resonant", "interior", "interior"]
     assert sweep.warnings == []
-    lo, hi = _bands(pole_set(bridge, _default_window(bridge)))[0]
+    lo, hi = _bands(bridge, _default_window(bridge))[0]
     assert np.ptp(_wittrick_williams_count(bridge, [lo, hi])) == 3
 
     original = spectrum.resonant_mode_check
@@ -809,7 +815,7 @@ def test_star_at_pi_has_an_interior_mode_per_rod_past_its_free_coordinates(dim, 
     sweep = find_natural_frequencies(star, window)
     assert sweep.warnings == []
     assert [m.kind for m in sweep] == ["interior"] * (rods - dim)
-    n_lo, n_hi = _wittrick_williams_count(star, _bands([pole])[0])
+    n_lo, n_hi = _wittrick_williams_count(star, _bands(star, window)[0])
     assert n_hi - n_lo == rods - dim
     _, border, _ = _bordered_reference(star, pole.omega, dict(zip(pole.rods, pole.orders)), True)
     xis = np.array([[m.rod_amplitudes[rod.id] for rod in star.rods] for m in sweep])
@@ -840,7 +846,7 @@ def test_every_pole_of_the_first_200_draws_has_its_counted_modes():
         sweep = find_natural_frequencies(truss, window)
         assert sweep.warnings == []
         poles = pole_set(truss, window)
-        counts = _wittrick_williams_count(truss, np.ravel(_bands(poles))).reshape(-1, 2)
+        counts = _wittrick_williams_count(truss, np.ravel(_bands(truss, window))).reshape(-1, 2)
         for pole, (n_lo, n_hi) in zip(poles, counts):
             at_pole = [m for m in sweep if m.kind != "regular" and m.omega == pole.omega]
             assert len(at_pole) == n_hi - n_lo, pole.omega
@@ -996,24 +1002,24 @@ def test_each_resonance_has_one_pole_where_two_bands_overlap():
     # the root tolerance above the first and starts a pole of its own, and
     # the second, within half a band of both poles, is the first's only. The
     # second pole's band starts where the first's ends, so the one interior
-    # mode of the three rods is counted and listed once
-    from spectruss.spectrum import _resonances
-
+    # mode of the three rods is counted and listed once; the single-omega
+    # lookup finds each resonance's pole with the band the window's chain gives
     star = _tuned_star([0.0, 0.6, 1.4])
     window = FrequencyWindow(3.0, 3.2)
     poles = pole_set(star, window)
     assert [p.rods for p in poles] == [("r0", "r1"), ("r2",)]
-    (lo1, hi1), (lo2, hi2) = _bands(poles)
+    bands = _bands(star, window)
+    (lo1, hi1), (lo2, hi2) = bands
     assert lo1 < poles[0].omega < hi1 == lo2 < poles[1].omega < hi2
     resonances = [math.pi / star.rod_properties(rod).transit_time for rod in star.rods]
-    for omega, pole in zip(resonances, (poles[0], poles[0], poles[1])):
-        found, near, _ = _resonances(star, omega)
-        assert found == pole.omega
-        assert tuple(rod.id for rod, hit in zip(star.rods, near) if hit) == pole.rods
+    for omega, k in zip(resonances, (0, 0, 1)):
+        found, rods, _, band = _pole_at(star, omega)
+        assert found == poles[k].omega and band == bands[k]
+        assert tuple(star.rods[r].id for r in rods) == poles[k].rods
     sweep = find_natural_frequencies(star, window)
     assert sweep.warnings == []
     assert [(m.omega, m.kind) for m in sweep] == [(poles[0].omega, "interior")]
-    counts = _wittrick_williams_count(star, np.ravel(_bands(poles))).reshape(-1, 2)
+    counts = _wittrick_williams_count(star, np.ravel(bands)).reshape(-1, 2)
     assert [n_hi - n_lo for n_lo, n_hi in counts] == [1, 0]
 
 
