@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -130,6 +131,10 @@ class Truss:
                 )
             if not all(math.isfinite(x) for x in j.position):
                 raise TrussValidationError(f"joint '{j.id}' has non-finite coordinates")
+            if not isinstance(j.anchored, (bool, np.bool_)):  # a string or number would be truthy
+                raise TrussValidationError(
+                    f"joint '{j.id}': anchored must be True or False, not {j.anchored!r}"
+                )
 
         pos = {j.id: np.array(j.position, dtype=float) for j in self.joints}
         pairs = set()
@@ -251,8 +256,8 @@ class Truss:
 
 
 def _number(value, name: str) -> float:
-    """float(value), refusing a JSON boolean, which float() would take for 0 or 1."""
-    if isinstance(value, bool):
+    """float(value) for a real number: float() would take a JSON boolean for 0 or 1 and parse a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, not {value!r}")
     return float(value)
 
@@ -355,7 +360,7 @@ def truss_to_json(truss: Truss) -> str:
             for name, m in truss.materials.items()
         },
         "joints": [
-            {"id": j.id, "position": list(j.position), "anchored": j.anchored}
+            {"id": j.id, "position": list(j.position), "anchored": bool(j.anchored)}
             for j in truss.joints
         ],
         "rods": [

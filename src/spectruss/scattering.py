@@ -217,24 +217,7 @@ class _FrontColumns:
         return self.rod.size
 
 
-_COVER_BLOCK = 1 << 20  # span-by-point entries built at once
-
-
-def _covering_sums(points, lo, hi, stress):
-    """At each point, the sum of the stress of the spans [lo, hi) that cover it.
-
-    A running total from 0.0 over the spans in their given order, so each sum
-    is the float that adding its covering spans one by one gives; a point no
-    span covers reads 0.0. Built a block of points at a time to bound memory.
-    """
-    sums = np.empty(points.size)
-    rows = max(1, _COVER_BLOCK // (lo.size + 1))
-    for start in range(0, points.size, rows):
-        at = points[start:start + rows, None]
-        terms = np.zeros((at.shape[0], lo.size + 1))
-        terms[:, 1:] = np.where((lo <= at) & (at < hi), stress, 0.0)
-        sums[start:start + rows] = terms.cumsum(axis=1)[:, -1]
-    return sums
+_COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 
 def _rod_column(truss: Truss, name: str) -> np.ndarray:
@@ -268,30 +251,87 @@ class WavefrontSimulation:
         ]
 
     def stress_profile(self, t: float):
-        """Piecewise-constant stress per rod at time t: (z_lo, z_hi, sigma) spans."""
+        """Piecewise-constant stress per rod at time t: (z_lo, z_hi, sigma) spans.
+
+        A launched front spans the part of its rod it has swept, the whole
+        rod once it has arrived. The rod's breaks are its ends and the ends
+        of its spans in flight; each segment between two breaks carries the
+        stress of the spans [lo, hi) that hold its midpoint, added one by one
+        from 0.0 in launch order. All rods go at once. The arrived fronts
+        launched before a rod's first front in flight are summed once per rod
+        (np.add.at adds in index order), and each segment starts from that
+        sum. Every other span holds a run of its rod's segments, as midpoints
+        rise with the breaks, and adds its stress to each, launch by launch,
+        in blocks of at most _COVER_BLOCK (segment, span) pairs.
+        """
         if t > self.t_max:
             raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
         h = self._history
+        rods = len(self.truss.rods)
         length = _rod_column(self.truss, "length")
-        launched = h.t0 <= t
-        rod, sign, z0 = h.rod[launched], h.sign[launched], h.z0[launched]
-        travelled = _rod_column(self.truss, "wave_speed")[rod] * (
-            np.minimum(t, h.t_arrive[launched]) - h.t0[launched]
-        )
-        forward = sign > 0
-        lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))
-        hi = np.where(forward, np.minimum(length[rod], z0 + travelled), z0)
-        span = np.flatnonzero(hi > lo)
-        span = span[np.argsort(rod[span], kind="stable")]
-        rod, lo, hi, stress = rod[span], lo[span], hi[span], h.stress[launched][span]
-        bounds = np.searchsorted(rod, np.arange(len(self.truss.rods) + 1))
-        profiles = {}
-        for k, rod_id in enumerate(r.id for r in self.truss.rods):
-            cut = slice(bounds[k], bounds[k + 1])
-            breaks = np.unique(np.concatenate(([0.0, length[k]], lo[cut], hi[cut])))
-            sigma = _covering_sums(0.5 * (breaks[:-1] + breaks[1:]), lo[cut], hi[cut], stress[cut])
-            profiles[rod_id] = list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), sigma.tolist()))
-        return profiles
+        front = np.flatnonzero(h.t0 <= t)  # launched, in launch order
+        rod, stress = h.rod[front], h.stress[front]
+        arrived = h.t_arrive[front] <= t
+        flying = np.flatnonzero(~arrived)
+        f = front[flying]
+        travelled = _rod_column(self.truss, "wave_speed")[rod[flying]] * (t - h.t0[f])
+        forward = h.sign[f] > 0
+        lo = np.where(forward, h.z0[f], np.maximum(0.0, h.z0[f] - travelled))
+        hi = np.where(forward, np.minimum(length[rod[flying]], h.z0[f] + travelled), h.z0[f])
+        swept = hi > lo
+        flying, lo, hi = flying[swept], lo[swept], hi[swept]
+
+        # each rod's sum of the arrived fronts launched before its first in flight
+        first = np.full(rods, front.size)
+        np.minimum.at(first, rod[flying], flying)
+        summed = arrived & (np.arange(front.size) < first[rod])
+        prefix = np.zeros(rods)
+        np.add.at(prefix, rod[summed], stress[summed])
+
+        # the breaks, as entries: every rod's 0, every rod's length, each flying span's lo, its hi
+        entry_rod = np.concatenate((np.arange(rods), np.arange(rods), rod[flying], rod[flying]))
+        z = np.concatenate((np.zeros(rods), length, lo, hi))
+        order = np.lexsort((z, entry_rod))
+        distinct = np.ones(z.size, dtype=bool)
+        distinct[1:] = (entry_rod[order[1:]] != entry_rod[order[:-1]]) | (z[order[1:]] != z[order[:-1]])
+        entry_break = np.empty(z.size, dtype=int)
+        entry_break[order] = np.cumsum(distinct) - 1
+        break_rod, z = entry_rod[order[distinct]], z[order[distinct]]
+        seg = np.flatnonzero(break_rod[1:] == break_rod[:-1])
+        seg_rod, z_lo, z_hi = break_rod[seg], z[seg], z[seg + 1]
+        mid = 0.5 * (z_lo + z_hi)
+        # each break's first segment whose midpoint is not below it: the one it
+        # starts (a rod's breaks run one ahead of its segments per rod before
+        # it), or the one before where that midpoint rounds onto the break
+        seg_from = np.arange(z.size) - break_rod
+        seg_from[seg + 1] -= mid == z_hi
+        # a midpoint that rounds onto its rod's far end lies in no span
+        sigma = np.where(mid < length[seg_rod], prefix[seg_rod], 0.0)
+
+        # every other span, in launch order, holds the segments [k0, k1) from the
+        # break at its lo to the one at its hi: its rod's ends once it has arrived
+        lo_entry, hi_entry = rod.copy(), rods + rod
+        lo_entry[flying] = 2 * rods + np.arange(flying.size)
+        hi_entry[flying] = lo_entry[flying] + flying.size
+        rest = arrived & ~summed
+        rest[flying] = True
+        rest = np.flatnonzero(rest)
+        k0, k1 = (seg_from[entry_break[entry[rest]]] for entry in (lo_entry, hi_entry))
+        add = stress[rest]
+        pairs = k1 - k0
+        pair_end = np.cumsum(pairs)
+        a = 0
+        while a < pairs.size:
+            base = pair_end[a] - pairs[a]
+            b = max(a + 1, int(np.searchsorted(pair_end, base + _COVER_BLOCK, "right")))
+            # the block's pairs span by span: pair j of span i is segment k0[i] + j
+            shift = np.repeat(k0[a:b] - pair_end[a:b] + pairs[a:b] + base, pairs[a:b])
+            np.add.at(sigma, np.arange(pair_end[b - 1] - base) + shift, np.repeat(add[a:b], pairs[a:b]))
+            a = b
+
+        segments = list(zip(z_lo.tolist(), z_hi.tolist(), sigma.tolist()))
+        bounds = np.searchsorted(seg_rod, np.arange(rods + 1)).tolist()
+        return {r.id: segments[bounds[k]:bounds[k + 1]] for k, r in enumerate(self.truss.rods)}
 
 
 class _Slots(NamedTuple):

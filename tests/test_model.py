@@ -150,6 +150,14 @@ def _edit(field, value):
          "rod entry {'joints': ['2', '4'], 'area': True, 'material': 'm'}: area must be a number, not True"),
         (_edit("materials", {"m": {"youngs_modulus": 1.0, "density": True}}), TrussParseError,
          "material 'm': density must be a number, not True"),
+        # strings that float() would parse
+        (_edit("dimension", "2"), TrussParseError, "dimension must be a number, not '2'"),
+        (_edit("materials", {"m": {"youngs_modulus": "1.0", "density": 1.0}}), TrussParseError,
+         "material 'm': youngs_modulus must be a number, not '1.0'"),
+        (_edit(("joints", 2, "position"), ["0", 1.0]), TrussParseError,
+         "joint entry {'id': '3', 'position': ['0', 1.0]}: coordinate must be a number, not '0'"),
+        (_edit(("rods", 2, "area"), "1.5"), TrussParseError,
+         "rod entry {'joints': ['2', '4'], 'area': '1.5', 'material': 'm'}: area must be a number, not '1.5'"),
     ],
 )
 def test_invalid_document_names_the_offender(doc, error, message):
@@ -175,11 +183,25 @@ def test_unparsable_text_is_a_parse_error(text, message):
         (lambda: builtin_structure("bridge", scale=-2.0), "scale must be > 0, got -2.0"),
         (lambda: builtin_structure("tower"), "unknown builtin structure 'tower'"),
         (lambda: Truss(2.5, [], [], {}), "dimension must be 2 or 3, got 2.5"),
+        (lambda: _anchored_truss("false"), "joint 'a': anchored must be True or False, not 'false'"),
+        (lambda: _anchored_truss(1), "joint 'a': anchored must be True or False, not 1"),
     ],
 )
 def test_invalid_arguments_raise_value_errors(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+def _anchored_truss(anchored):
+    """One rod from joint a, anchored as given, to a free joint b."""
+    joints = [Joint("a", (0.0, 0.0), anchored=anchored), Joint("b", (1.0, 0.0))]
+    return Truss(2, joints, [Rod("ab", ("a", "b"), 1.0, "m")], {"m": Material("m", 1.0, 1.0)})
+
+
+def test_numpy_bool_anchors_a_joint():
+    truss = _anchored_truss(np.bool_(True))
+    assert [j.id for j in truss.anchored_joints] == ["a"]
+    assert load_truss(truss_to_json(truss)).joint("a").anchored is True
 
 
 def test_disconnected_warns():

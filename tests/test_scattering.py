@@ -1,6 +1,7 @@
 import heapq
 import math
 import re
+import tracemalloc
 from array import array
 from typing import NamedTuple
 
@@ -31,7 +32,10 @@ from spectruss.scattering import (
     TOWARD_END,
     TOWARD_START,
     ScatterEvent,
+    WavefrontSimulation,
+    _FrontColumns,
     _matching_eval,
+    _rod_column,
     matching_evaluator,
     reverberation_dof,
 )
@@ -574,7 +578,8 @@ def _rebuilt_profile(truss, impulses, events, t):
     """Stress profile at t rebuilt from the impulses and the public scattering events.
 
     Every impulse and every outgoing (rod, sigma) is a step that leaves its
-    joint at the rod's wave speed and stops at the rod's far end.
+    joint at the rod's wave speed and stops at the rod's far end; once it has
+    arrived there it spans the whole rod.
     """
     steps = [(imp.rod, imp.direction == TOWARD_END, imp.start_time, imp.stress_amplitude)
              for imp in impulses]
@@ -586,7 +591,10 @@ def _rebuilt_profile(truss, impulses, events, t):
         if launch > t:
             continue
         props = truss.rod_properties(rod_id)
-        reach = props.wave_speed * (min(t, launch + props.transit_time) - launch)
+        if launch + props.transit_time <= t:
+            reach = props.length
+        else:
+            reach = props.wave_speed * (t - launch)
         if from_start:
             lo, hi = 0.0, min(props.length, reach)
         else:
@@ -899,3 +907,151 @@ def test_front_cap_binds_where_the_heap_peaks(case):
         simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude, front_cap=peak - 1)
     with pytest.raises(EventExplosionError, match=f"more than {peak - 1} live fronts"):
         _heap_simulation(truss, impulses, t_max, min_amplitude, front_cap=peak - 1)
+
+
+# -- the per-rod stress profile the one-pass profile replaced, as its reference ---
+
+
+def _covering_sums(points, lo, hi, stress):
+    """At each point, the sum of the stress of the spans [lo, hi) that cover it.
+
+    A running total from 0.0 over the spans in their given order, so each sum
+    is the float that adding its covering spans one by one gives; a point no
+    span covers reads 0.0. Built a block of points at a time to bound memory.
+    """
+    sums = np.empty(points.size)
+    rows = max(1, (1 << 20) // (lo.size + 1))
+    for start in range(0, points.size, rows):
+        at = points[start:start + rows, None]
+        terms = np.zeros((at.shape[0], lo.size + 1))
+        terms[:, 1:] = np.where((lo <= at) & (at < hi), stress, 0.0)
+        sums[start:start + rows] = terms.cumsum(axis=1)[:, -1]
+    return sums
+
+
+def _per_rod_profile(sim, t):
+    """stress_profile one rod at a time, every segment summing all of its rod's spans."""
+    h = sim._history
+    length = _rod_column(sim.truss, "length")
+    launched = h.t0 <= t
+    rod, sign, z0 = h.rod[launched], h.sign[launched], h.z0[launched]
+    travelled = _rod_column(sim.truss, "wave_speed")[rod] * (
+        np.minimum(t, h.t_arrive[launched]) - h.t0[launched]
+    )
+    forward = sign > 0
+    lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))
+    hi = np.where(forward, np.minimum(length[rod], z0 + travelled), z0)
+    arrived = h.t_arrive[launched] <= t  # an arrived front spans its whole rod
+    lo, hi = np.where(arrived, 0.0, lo), np.where(arrived, length[rod], hi)
+    span = np.flatnonzero(hi > lo)
+    span = span[np.argsort(rod[span], kind="stable")]
+    rod, lo, hi, stress = rod[span], lo[span], hi[span], h.stress[launched][span]
+    bounds = np.searchsorted(rod, np.arange(len(sim.truss.rods) + 1))
+    profiles = {}
+    for k, rod_id in enumerate(r.id for r in sim.truss.rods):
+        cut = slice(bounds[k], bounds[k + 1])
+        breaks = np.unique(np.concatenate(([0.0, length[k]], lo[cut], hi[cut])))
+        sigma = _covering_sums(0.5 * (breaks[:-1] + breaks[1:]), lo[cut], hi[cut], stress[cut])
+        profiles[rod_id] = list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), sigma.tolist()))
+    return profiles
+
+
+def _assert_same_profile(got, want, where):
+    """Every break and every sum equal as floats, the sign of every zero too."""
+    assert list(got) == list(want), where
+    for rod_id, segs in want.items():
+        assert len(got[rod_id]) == len(segs), (where, rod_id)
+        for mine, theirs in zip(got[rod_id], segs):
+            assert mine == theirs, (where, rod_id, theirs)
+            assert [math.copysign(1.0, x) for x in mine] == [math.copysign(1.0, x) for x in theirs], (
+                where, rod_id, theirs)
+
+
+def _profile_cases():
+    """(name, truss, impulses, t_max, min_amplitude): impulses out of start-time order,
+    so a rod's fronts in flight can be launched before fronts that have arrived."""
+    cases = []
+    for name in ("square", "bridge"):
+        for pieces in (1, 2, 3):
+            truss = builtin_structure(name)
+            truss = subdivide(truss, pieces) if pieces > 1 else truss
+            first, last = truss.rods[0].id, truss.rods[-1].id
+            impulses = [Impulse(first, TOWARD_END, -1.0, 0.5), Impulse(last, TOWARD_START, 0.3),
+                        Impulse(first, TOWARD_START, 0.2, 0.25), Impulse(first, TOWARD_END, 0.1)]
+            cases.append((f"{name} x{pieces}", truss, impulses, 6.0, 0.0))
+    lattice = braced_lattice(4)
+    last = lattice.rods[-1].id
+    cases.append(("lattice", lattice, [Impulse(last, TOWARD_START, -1.0), Impulse(last, TOWARD_END, 0.5, 0.3),
+                                       Impulse(lattice.rods[3].id, TOWARD_END, 0.5, 0.7)], 12.0, 1e-3))
+    for k, truss in enumerate(_draws(40)):
+        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
+        impulses = [Impulse(truss.rods[0].id, TOWARD_END, -1.0, 0.3 * tau),
+                    Impulse(truss.rods[-1].id, TOWARD_START, 0.7)]
+        cases.append((f"draw {k}", truss, impulses, 3.0 * tau, 0.0))
+    return cases
+
+
+def test_stress_profile_matches_the_per_rod_reference():
+    # snapshots at the impulses' start times and at event times, where spans
+    # have zero length or have just arrived, and one ulp before event times,
+    # where fronts in flight end an ulp short of a joint
+    for name, truss, impulses, t_max, min_amplitude in _profile_cases():
+        sim = simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude)
+        times = sorted({ev.time for ev in sim.events})
+        times = times[::max(1, len(times) // 12)]
+        times = {0.0, t_max, *(imp.start_time for imp in impulses), *times,
+                 *np.nextafter(times, -np.inf).tolist()}
+        for t in sorted(times):
+            _assert_same_profile(sim.stress_profile(t), _per_rod_profile(sim, t), (name, t))
+
+
+def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
+    # hand-made histories on the square: launch times a few ulps apart put
+    # breaks an ulp from each other and from the rod ends, where a segment's
+    # midpoint rounds onto its upper break and so lies in no span ending there
+    square = builtin_structure("square")
+    length, transit = _rod_column(square, "length"), _rod_column(square, "transit_time")
+    rng = np.random.default_rng(7)
+    rounded = 0
+    for trial in range(400):
+        n = int(rng.integers(1, 30))
+        rod = rng.integers(0, length.size, n)
+        sign = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+        t = float(rng.choice([0.5, 1.0, 1.5, 1.0 - 2.0 ** -53, 2.0]))
+        near = rng.choice([0.0, 0.5, 1.0, t - 1.0, t - math.sqrt(2.0)], n)
+        t0 = near + rng.integers(-3, 4, n) * np.spacing(np.where(near == 0.0, 1.0, near))
+        t0 = np.where(rng.random(n) < 0.5, t0, rng.uniform(-0.5, 2.0, n))
+        stress = rng.choice([1.0, -1.0, 0.1, 1e-17, 3.3, -0.0], n) * rng.uniform(0.5, 2.0, n)
+        history = _FrontColumns(rod, sign, stress, t0, np.where(sign > 0, 0.0, length[rod]), t0 + transit[rod])
+        sim = WavefrontSimulation(square, 2.0, [], history)
+        want = _per_rod_profile(sim, t)
+        _assert_same_profile(sim.stress_profile(t), want, trial)
+        rounded += sum(0.5 * (z0 + z1) == z1 for segs in want.values() for z0, z1, _ in segs)
+    assert rounded > 0
+
+
+def test_arrived_fronts_leave_no_end_slivers():
+    # an arrived front spans its whole rod, not c * (t_arrive - t0), which
+    # rounds to an ulp off the rod's length
+    lattice = braced_lattice(4)
+    sim = simulate_wavefronts(lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 12.0,
+                              min_amplitude=1e-3)
+    for rod_id, segs in sim.stress_profile(12.0).items():
+        length = lattice.rod_properties(rod_id).length
+        assert min(z1 - z0 for z0, z1, _ in segs) > 1e-12 * length, rod_id
+
+
+def test_stress_profile_memory_is_bounded_in_blocks(square):
+    # 5,000 fronts in flight on one rod, launched at distinct times, cut it
+    # into 5,001 segments that hold 12.5M (segment, front) pairs; built at
+    # once, their index and stress arrays took 301 MB, in blocks 2.3 MB
+    impulses = [Impulse("12", TOWARD_END, 1.0, k * 1e-4) for k in range(5000)]
+    sim = simulate_wavefronts(square, impulses, t_max=0.5)  # the rod's transit time is 1
+    tracemalloc.start()
+    try:
+        profile = sim.stress_profile(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [sigma for *_, sigma in profile["12"]] == [5000.0 - k for k in range(5000)] + [0.0]
+    assert peak < 8e6
