@@ -34,14 +34,12 @@ class Material:
     density: float  # kg/m^3
 
     def __post_init__(self):
-        if not (self.youngs_modulus > 0.0):
-            raise TrussValidationError(
-                f"material '{self.name}': youngs_modulus must be > 0, got {self.youngs_modulus}"
-            )
-        if not (self.density > 0.0):
-            raise TrussValidationError(
-                f"material '{self.name}': density must be > 0, got {self.density}"
-            )
+        for field in ("youngs_modulus", "density"):
+            value = getattr(self, field)
+            if not _is_number(value):
+                raise TrussValidationError(f"material '{self.name}': {field} must be a number, not {value!r}")
+            if not (value > 0.0):
+                raise TrussValidationError(f"material '{self.name}': {field} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,9 @@ class Truss:
                     f"joint '{j.id}' has {len(j.position)} coordinates in a "
                     f"{self.dimension}-dimensional truss"
                 )
+            for x in j.position:
+                if not _is_number(x):
+                    raise TrussValidationError(f"joint '{j.id}': coordinate must be a number, not {x!r}")
             if not all(math.isfinite(x) for x in j.position):
                 raise TrussValidationError(f"joint '{j.id}' has non-finite coordinates")
             if not isinstance(j.anchored, (bool, np.bool_)):  # a string or number would be truthy
@@ -155,6 +156,8 @@ class Truss:
             pairs.add(key)
             if r.material not in self.materials:
                 raise TrussValidationError(f"rod '{r.id}' references unknown material '{r.material}'")
+            if not _is_number(r.area):
+                raise TrussValidationError(f"rod '{r.id}': area must be a number, not {r.area!r}")
             if not (r.area > 0.0) or not math.isfinite(r.area):
                 raise TrussValidationError(f"rod '{r.id}': area must be a positive finite number")
             if float(np.linalg.norm(pos[b] - pos[a])) <= 0.0:
@@ -255,9 +258,14 @@ class Truss:
 # -- structure files ---------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A real number and not a bool: float() would take a boolean for 0 or 1 and parse a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(value, name: str) -> float:
-    """float(value) for a real number: float() would take a JSON boolean for 0 or 1 and parse a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """float(value) for a number (_is_number)."""
+    if not _is_number(value):
         raise TypeError(f"{name} must be a number, not {value!r}")
     return float(value)
 

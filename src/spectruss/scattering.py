@@ -29,11 +29,15 @@ of conservative discrete-event simulation, Chandy & Misra, IEEE TSE 5
 launched in a window that opens at the earliest pending arrival t arrives at
 or after t + tau_min: it can neither join nor precede a merged cluster that
 starts more than the merge tolerance before then. All of the window's
-arrivals therefore scatter at once, one matrix product per joint degree.
-Merging and ordering are those of one event at a time: clusters of arrivals
-within 1e-12 tau_min of their first, events in (cluster, joint id) order,
-arrivals summed in (time, rod id, launch) order, fronts launched in (event,
-rod) order.
+arrivals therefore scatter at once, in one matrix product over its events,
+each joint's T zero-padded to the largest joint degree. Padding costs
+events x degree^2 a window, small for the joint degrees of 1 to 6 of the
+trusses the tests and benchmark run, so one path serves them all; a hub
+joint of many rods would make every event pay for its degree. Merging and
+ordering are those of one event at a time: clusters of arrivals within
+1e-12 tau_min of their first, events in (cluster, joint id) order, arrivals
+summed in (time, rod id, launch) order, fronts launched in (event, rod)
+order.
 """
 
 from __future__ import annotations
@@ -255,13 +259,14 @@ class WavefrontSimulation:
 
         A launched front spans the part of its rod it has swept, the whole
         rod once it has arrived. The rod's breaks are its ends and the ends
-        of its spans in flight; each segment between two breaks carries the
-        stress of the spans [lo, hi) that hold its midpoint, added one by one
-        from 0.0 in launch order. All rods go at once. The arrived fronts
-        launched before a rod's first front in flight are summed once per rod
-        (np.add.at adds in index order), and each segment starts from that
-        sum. Every other span holds a run of its rod's segments, as midpoints
-        rise with the breaks, and adds its stress to each, launch by launch,
+        of its spans in flight; each segment [z_lo, z_hi) between two breaks
+        carries the stress of the spans [lo, hi) that hold it, lo <= z_lo and
+        z_hi <= hi, added one by one from 0.0 in launch order. All rods go at
+        once. The arrived fronts launched before a rod's first front in flight
+        are summed once per rod (np.add.at adds in index order), and each
+        segment starts from that sum. Every other span holds the run of its
+        rod's segments from the break at its lo to the break at its hi, read
+        off the break indices, and adds its stress to each, launch by launch,
         in blocks of at most _COVER_BLOCK (segment, span) pairs.
         """
         if t > self.t_max:
@@ -299,14 +304,10 @@ class WavefrontSimulation:
         break_rod, z = entry_rod[order[distinct]], z[order[distinct]]
         seg = np.flatnonzero(break_rod[1:] == break_rod[:-1])
         seg_rod, z_lo, z_hi = break_rod[seg], z[seg], z[seg + 1]
-        mid = 0.5 * (z_lo + z_hi)
-        # each break's first segment whose midpoint is not below it: the one it
-        # starts (a rod's breaks run one ahead of its segments per rod before
-        # it), or the one before where that midpoint rounds onto the break
+        # the segment each break starts: a rod's breaks run one ahead of its
+        # segments per rod before it, and its far end starts the next rod's first
         seg_from = np.arange(z.size) - break_rod
-        seg_from[seg + 1] -= mid == z_hi
-        # a midpoint that rounds onto its rod's far end lies in no span
-        sigma = np.where(mid < length[seg_rod], prefix[seg_rod], 0.0)
+        sigma = prefix[seg_rod]
 
         # every other span, in launch order, holds the segments [k0, k1) from the
         # break at its lo to the one at its hi: its rod's ends once it has arrived
@@ -398,23 +399,19 @@ def _ranks(ids) -> np.ndarray:
 def _window_clusters(times, limit: float, tol: float) -> list:
     """The ends of the merged clusters of sorted arrival times that one window scatters.
 
-    A cluster runs from its first time s over every time with times[k] - s <=
-    tol, the merge's own test. The first cluster is always taken, as its own
-    fronts are launched after it, and the next ones while limit - s > tol:
-    every front the window launches arrives at or after limit, so it can
-    neither join nor precede these clusters.
+    A cluster runs from its first time s up to the first later time with
+    times[k] - s > tol, found by bisection on the merge's own test (x - s is
+    monotone in x, where s + tol would round). The first cluster is always
+    taken, as its own fronts are launched after it, and the next ones while
+    limit - s > tol: every front the window launches arrives at or after
+    limit, so it can neither join nor precede these clusters.
     """
     ends = []
     i = 0
     while i < len(times) and (not ends or limit - times[i] > tol):
         s = times[i]
-        end = bisect_right(times, s + tol, i + 1)  # s + tol rounds: settle the edge by the test
-        while end < len(times) and times[end] - s <= tol:
-            end += 1
-        while times[end - 1] - s > tol:
-            end -= 1
-        ends.append(end)
-        i = end
+        i = bisect_right(times, tol, i + 1, key=lambda x: x - s)
+        ends.append(i)
     return ends
 
 
@@ -442,14 +439,11 @@ def simulate_wavefronts(
     rod_ids = np.array([rod.id for rod in truss.rods], dtype=object)
     joint_rank, rod_rank = _ranks(joint_ids), _ranks(rod_ids)
     degree = np.diff(slots.start)
-    # each degree's transmission matrices, stacked: joint j's is stacks[degree[j]][stack_pos[j]]
-    stacks = {}
-    stack_pos = np.empty(len(truss.joints), dtype=int)
+    ports = np.arange(degree.max())
+    # every joint's T, zero-padded to the largest degree
+    padded = np.zeros((degree.size, ports.size, ports.size))
     for j, tm in enumerate(_transmission(truss)):
-        stack = stacks.setdefault(len(tm), [])
-        stack_pos[j] = len(stack)
-        stack.append(tm)
-    stacks = {d: np.array(stack) for d, stack in stacks.items()}
+        padded[j, :len(tm), :len(tm)] = tm
 
     tau_min = truss.tau_min
     time_tol = 1e-12 * tau_min
@@ -510,23 +504,17 @@ def simulate_wavefronts(
         first, event = np.flatnonzero(starts), np.cumsum(starts) - 1
         ev_joint, ev_time, ev_cluster = joint[first], t[take[first]], cluster[first]
 
-        # one row per (event, port): the ports of each event's joint in neighbor order
-        width = degree[ev_joint]
-        offset = np.concatenate(([0], np.cumsum(width)))
-        port_event = np.repeat(np.arange(first.size), width)
-        port = np.arange(offset[-1]) - offset[port_event] + slots.start[ev_joint][port_event]
-        row = offset[event] + slot[take] - slots.start[joint]
-        v_in, stress_in = np.zeros(offset[-1]), np.zeros(offset[-1])
-        np.add.at(v_in, row, velocity[take])
-        np.add.at(stress_in, row, stress[take])
-        v_out = np.empty(offset[-1])
-        for d in set(width.tolist()):
-            sel = np.flatnonzero(width == d)
-            rows = offset[sel, None] + np.arange(d)
-            v_out[rows] = np.matmul(stacks[d][stack_pos[ev_joint[sel]]], v_in[rows, None])[..., 0]
+        # one row per event, its joint's ports in neighbor order and zeros past its degree
+        cell = (event, slot[take] - slots.start[joint])
+        v_in, stress_in = np.zeros((2, first.size, ports.size))
+        np.add.at(v_in, cell, velocity[take])
+        np.add.at(stress_in, cell, stress[take])
+        port_event, local = np.nonzero(ports < degree[ev_joint, None])
+        port = slots.start[ev_joint[port_event]] + local
+        v_out = np.matmul(padded[ev_joint], v_in[..., None])[port_event, local, 0]
         sigma = -slots.impedance[port] * v_out  # outgoing waves leave the joint
         # children at round-off of the incoming amplitude are not real fronts
-        noise_floor = 1e-14 * np.maximum.reduceat(np.abs(stress_in), offset[:-1])
+        noise_floor = 1e-14 * np.abs(stress_in).max(axis=1)
         size = np.abs(sigma)
         kept = np.flatnonzero(~((size <= noise_floor[port_event]) | (size < min_amplitude)))
 
@@ -540,12 +528,14 @@ def simulate_wavefronts(
             raise explosion()
 
         # the window's records: incoming by rod id, outgoing in launch order
-        inc = np.unique(row)
-        inc = inc[np.lexsort((rod_rank[slots.rod[port[inc]]], port_event[inc]))]
-        incoming = list(zip(rod_ids[slots.rod[port[inc]]].tolist(), stress_in[inc].tolist()))
+        inc_event, inc_local = np.divmod(np.unique(event * ports.size + cell[1]), ports.size)
+        inc_rod = slots.rod[slots.start[ev_joint[inc_event]] + inc_local]
+        inc = np.lexsort((rod_rank[inc_rod], inc_event))
+        inc_stress = stress_in[inc_event[inc], inc_local[inc]]
+        incoming = list(zip(rod_ids[inc_rod[inc]].tolist(), inc_stress.tolist()))
         outgoing = list(zip(rod_ids[slots.rod[child]].tolist(), sigma[kept].tolist()))
         cuts = np.arange(first.size + 1)
-        in_cut = np.searchsorted(port_event[inc], cuts).tolist()
+        in_cut = np.searchsorted(inc_event, cuts).tolist()
         out_cut = np.searchsorted(child_event, cuts).tolist()
         events.extend(map(
             ScatterEvent, ev_time.tolist(), joint_ids[ev_joint].tolist(),

@@ -185,6 +185,13 @@ def test_unparsable_text_is_a_parse_error(text, message):
         (lambda: Truss(2.5, [], [], {}), "dimension must be 2 or 3, got 2.5"),
         (lambda: _anchored_truss("false"), "joint 'a': anchored must be True or False, not 'false'"),
         (lambda: _anchored_truss(1), "joint 'a': anchored must be True or False, not 1"),
+        # strings and booleans, which comparisons and math.isfinite would take or fail on with TypeError
+        (lambda: Material("m", "1", 1.0), "material 'm': youngs_modulus must be a number, not '1'"),
+        (lambda: Material("m", 1.0, True), "material 'm': density must be a number, not True"),
+        (lambda: _two_joint_truss(_UNIT, length="1"), "joint 'b': coordinate must be a number, not '1'"),
+        (lambda: _two_joint_truss(_UNIT, length=True), "joint 'b': coordinate must be a number, not True"),
+        (lambda: _two_joint_truss(_UNIT, area="1.5"), "rod 'ab': area must be a number, not '1.5'"),
+        (lambda: _two_joint_truss(_UNIT, area=False), "rod 'ab': area must be a number, not False"),
     ],
 )
 def test_invalid_arguments_raise_value_errors(make, message):
@@ -192,10 +199,13 @@ def test_invalid_arguments_raise_value_errors(make, message):
         make()
 
 
+_UNIT = Material("m", 1.0, 1.0)
+
+
 def _anchored_truss(anchored):
     """One rod from joint a, anchored as given, to a free joint b."""
     joints = [Joint("a", (0.0, 0.0), anchored=anchored), Joint("b", (1.0, 0.0))]
-    return Truss(2, joints, [Rod("ab", ("a", "b"), 1.0, "m")], {"m": Material("m", 1.0, 1.0)})
+    return Truss(2, joints, [Rod("ab", ("a", "b"), 1.0, "m")], {"m": _UNIT})
 
 
 def test_numpy_bool_anchors_a_joint():

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ from spectruss.scattering import (
     _FrontColumns,
     _matching_eval,
     _rod_column,
+    _window_clusters,
     matching_evaluator,
     reverberation_dof,
 )
@@ -871,9 +873,10 @@ def _reference_cases():
 
 
 def test_windowed_simulator_matches_the_heap_loop():
-    # the same events in the same order; the stresses have matched bit for bit
-    # on OpenBLAS, and the 1e-12 tolerance leaves room for a BLAS whose batched
-    # matrix product rounds apart from one product per event
+    # the same events in the same order; the stresses agree to round-off, as
+    # the window pads each joint's T to the largest degree and a BLAS rounds
+    # a padded product apart from the joint's own (on OpenBLAS by at most
+    # 1.1e-16 of the largest stress of the run)
     for name, truss, impulses, t_max, min_amplitude in _reference_cases():
         sim = simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude)
         events, columns, _ = _heap_simulation(truss, impulses, t_max, min_amplitude)
@@ -889,6 +892,41 @@ def test_windowed_simulator_matches_the_heap_loop():
         for got, want in zip((h.rod, h.sign, h.t0, h.z0, h.t_arrive), columns[:2] + columns[3:]):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.max(np.abs(h.stress - columns[2]), initial=0.0) <= 1e-12 * scale, name
+
+
+def _scanned_clusters(times, limit, tol):
+    """_window_clusters by a linear scan: a cluster ends at the first later time t with t - s > tol."""
+    ends, i = [], 0
+    while i < len(times) and (not ends or limit - times[i] > tol):
+        s, i = times[i], i + 1
+        while i < len(times) and not times[i] - s > tol:
+            i += 1
+        ends.append(i)
+    return ends
+
+
+def test_window_clusters_match_a_linear_scan():
+    # sorted times at s + tol and one ulp either side of it for earlier times
+    # s, where s + tol rounds off the merge's test, and limits that cut the
+    # window inside a cluster or an ulp from a cluster's own limit
+    rng = np.random.default_rng(3)
+    rounded = 0
+    for trial in range(3000):
+        tol = 1e-12 * float(rng.choice([1.0, 0.3, SQRT2]))
+        times = [float(rng.choice([0.0, 1.0, 3.7, 1e3 / 3]))]
+        for _ in range(int(rng.integers(0, 12))):
+            s = float(rng.choice(times))
+            edge = s + tol
+            times.append(float(rng.choice([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf),
+                                           s, s + rng.uniform(0.0, 3.0) * tol])))
+        times.sort()
+        edge = float(rng.choice(times)) + tol * float(rng.choice([0.5, 1.0, 1.5, 2.0, 40.0]))
+        limit = float(rng.choice([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]))
+        ends = _window_clusters(times, limit, tol)
+        assert ends == _scanned_clusters(times, limit, tol), (trial, times, limit, tol)
+        starts = [0] + ends[:-1]
+        rounded += sum(bisect_right(times, times[i] + tol, i + 1) != end for i, end in zip(starts, ends))
+    assert rounded > 0
 
 
 @pytest.mark.parametrize("case", ["crossbar", "lattice"])
@@ -912,19 +950,21 @@ def test_front_cap_binds_where_the_heap_peaks(case):
 # -- the per-rod stress profile the one-pass profile replaced, as its reference ---
 
 
-def _covering_sums(points, lo, hi, stress):
-    """At each point, the sum of the stress of the spans [lo, hi) that cover it.
+def _covering_sums(z_lo, z_hi, lo, hi, stress):
+    """For each segment [z_lo, z_hi), the sum of the stress of the spans [lo, hi) that hold it.
 
-    A running total from 0.0 over the spans in their given order, so each sum
-    is the float that adding its covering spans one by one gives; a point no
-    span covers reads 0.0. Built a block of points at a time to bound memory.
+    A span holds a segment when lo <= z_lo and z_hi <= hi, compared on the
+    segment's ends, never on a midpoint, which can round onto a break. A
+    running total from 0.0 over the spans in their given order, so each sum
+    is the float that adding its spans one by one gives; a segment no span
+    holds reads 0.0. Built a block of segments at a time to bound memory.
     """
-    sums = np.empty(points.size)
+    sums = np.empty(z_lo.size)
     rows = max(1, (1 << 20) // (lo.size + 1))
-    for start in range(0, points.size, rows):
-        at = points[start:start + rows, None]
-        terms = np.zeros((at.shape[0], lo.size + 1))
-        terms[:, 1:] = np.where((lo <= at) & (at < hi), stress, 0.0)
+    for start in range(0, z_lo.size, rows):
+        a, b = z_lo[start:start + rows, None], z_hi[start:start + rows, None]
+        terms = np.zeros((a.shape[0], lo.size + 1))
+        terms[:, 1:] = np.where((lo <= a) & (b <= hi), stress, 0.0)
         sums[start:start + rows] = terms.cumsum(axis=1)[:, -1]
     return sums
 
@@ -951,7 +991,7 @@ def _per_rod_profile(sim, t):
     for k, rod_id in enumerate(r.id for r in sim.truss.rods):
         cut = slice(bounds[k], bounds[k + 1])
         breaks = np.unique(np.concatenate(([0.0, length[k]], lo[cut], hi[cut])))
-        sigma = _covering_sums(0.5 * (breaks[:-1] + breaks[1:]), lo[cut], hi[cut], stress[cut])
+        sigma = _covering_sums(breaks[:-1], breaks[1:], lo[cut], hi[cut], stress[cut])
         profiles[rod_id] = list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), sigma.tolist()))
     return profiles
 
@@ -1008,7 +1048,8 @@ def test_stress_profile_matches_the_per_rod_reference():
 def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
     # hand-made histories on the square: launch times a few ulps apart put
     # breaks an ulp from each other and from the rod ends, where a segment's
-    # midpoint rounds onto its upper break and so lies in no span ending there
+    # midpoint rounds onto its upper break; the segment still lies in every
+    # span that holds both of its ends
     square = builtin_structure("square")
     length, transit = _rod_column(square, "length"), _rod_column(square, "transit_time")
     rng = np.random.default_rng(7)
@@ -1028,6 +1069,22 @@ def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
         _assert_same_profile(sim.stress_profile(t), want, trial)
         rounded += sum(0.5 * (z0 + z1) == z1 for segs in want.values() for z0, z1, _ in segs)
     assert rounded > 0
+
+
+def test_a_last_segment_whose_midpoint_rounds_onto_the_rod_end_reads_its_spans():
+    # rod 12 of the square: a front that arrived at t = 1 and one launched
+    # back from z = 1 an ulp of time earlier, which has swept [1 - 2^-53, 1);
+    # that segment's midpoint rounds onto the rod's length, yet it lies in both
+    square = builtin_structure("square")
+    length, transit = _rod_column(square, "length"), _rod_column(square, "transit_time")
+    assert (length[0], transit[0]) == (1.0, 1.0)
+    t0 = np.array([0.0, 1.0 - 2.0 ** -53])
+    history = _FrontColumns(np.array([0, 0]), np.array([1, -1], dtype=np.int8), np.array([1.0, 0.5]),
+                            t0, np.array([0.0, 1.0]), t0 + transit[0])
+    profile = WavefrontSimulation(square, 2.0, [], history).stress_profile(1.0)
+    assert 0.5 * ((1.0 - 2.0 ** -53) + 1.0) == 1.0
+    assert profile["12"] == [(0.0, 1.0 - 2.0 ** -53, 1.0), (1.0 - 2.0 ** -53, 1.0, 1.5)]
+    assert all(segs == [(0.0, length[k], 0.0)] for k, segs in enumerate(profile.values()) if k)
 
 
 def test_arrived_fronts_leave_no_end_slivers():

@@ -1104,6 +1104,19 @@ def test_forced_response_raises_at_every_natural_frequency_of_the_bridge(bridge)
             solve_forced_response(bridge, omega, {"3": [0.0, 1.0]})
 
 
+def test_forced_response_raises_at_every_matching_root_of_draw_47():
+    # draw 47's 3D joints span planes (ROADMAP item 1): J rises at 17 of its
+    # 27 matching roots, and the residual test alone refuses the other 10,
+    # where the solve returned displacements of 2e15 to 4e16 without it
+    truss = _draws(48)[47]
+    omegas = reverberation_frequencies(truss, _default_window(truss))
+    assert len(omegas) == 27
+    forces = {j.id: np.ones(3) for j in truss.free_joints}
+    for omega in omegas:
+        with pytest.raises(SingularAtFrequencyError):
+            solve_forced_response(truss, omega, forces)
+
+
 def test_a_force_outside_a_mechanism_joints_span_moves_nothing(bridge):
     # the rule scattering's force_coupling follows: the response to p equals
     # that to F F^T p, F the joint's rod-span frame
