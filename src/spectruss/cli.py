@@ -165,6 +165,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     truss = _read_truss(args.file)
     impulses = [_parse_impulse(truss, text) for text in args.impulse]
     sim = scattering.simulate_wavefronts(

@@ -42,16 +42,18 @@ order.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _roots
 from .assembly import _span_frames
-from .model import Truss
+from .model import Truss, _is_number
 from .spectrum import FrequencyWindow
 
 TOWARD_END = "toward_end"  # toward the rod's second endpoint
@@ -188,12 +190,7 @@ class Wavefront:
 
 
 class ScatterEvent(NamedTuple):
-    """One scattering at a joint: the fronts that arrived at time and those it launched.
-
-    A NamedTuple, as a pass makes tens of thousands and a tuple builds faster
-    than a frozen dataclass; it stays tracked by the garbage collector all
-    the same, as a subclass of tuple.
-    """
+    """One scattering at a joint: the fronts that arrived at time and those it launched."""
 
     time: float
     joint: str
@@ -221,6 +218,12 @@ class _FrontColumns:
         return self.rod.size
 
 
+def _append(columns, values) -> None:
+    """Append each array of values to its array.array column, in the column's type."""
+    for col, v in zip(columns, values):
+        col.frombytes(np.asarray(v, dtype=col.typecode).tobytes())
+
+
 _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 
@@ -230,10 +233,31 @@ def _rod_column(truss: Truss, name: str) -> np.ndarray:
 
 @dataclass
 class WavefrontSimulation:
+    """A run up to t_max, kept only as columns: every view is read off them."""
+
     truss: Truss
     t_max: float
-    events: list
     _history: _FrontColumns
+    # arrays: each event's time, joint index, arrival and launch counts, then
+    # each arrival's rod index and summed stress, by rod id within its event
+    _events: tuple
+
+    @cached_property
+    def events(self) -> list:
+        """Every scattering event as a ScatterEvent, built on first access and kept."""
+        time, joint, arrivals, launches, rod, stress = self._events
+        h = self._history
+        first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
+        rod_ids = [r.id for r in self.truss.rods]
+        joint_ids = [j.id for j in self.truss.joints]
+
+        def grouped(rods, stresses, counts):  # (rod id, stress) pairs, one tuple per event
+            pairs = list(zip(map(rod_ids.__getitem__, rods.tolist()), stresses.tolist()))
+            cut = np.cumsum(counts).tolist()
+            return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
+
+        return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
+                        grouped(rod, stress, arrivals), grouped(h.rod[first:], h.stress[first:], launches)))
 
     def active_fronts(self, t: float):
         """Fronts still travelling at time t, as public Wavefront records."""
@@ -269,6 +293,8 @@ class WavefrontSimulation:
         off the break indices, and adds its stress to each, launch by launch,
         in blocks of at most _COVER_BLOCK (segment, span) pairs.
         """
+        if math.isnan(t):
+            raise ValueError("snapshot time must be a number, got nan")
         if t > self.t_max:
             raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
         h = self._history
@@ -432,12 +458,13 @@ def simulate_wavefronts(
     the module docstring). More than front_cap pending arrivals raise
     EventExplosionError.
     """
-    if t_max < 0.0:
+    if not (t_max >= 0.0):
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if math.isinf(t_max):  # no horizon: the record could grow without end
+        raise ValueError(f"t_max must be finite, got {t_max}")
     slots = _slots(truss)
-    joint_ids = np.array([joint.id for joint in truss.joints], dtype=object)
-    rod_ids = np.array([rod.id for rod in truss.rods], dtype=object)
-    joint_rank, rod_rank = _ranks(joint_ids), _ranks(rod_ids)
+    joint_rank = _ranks([joint.id for joint in truss.joints])
+    rod_rank = _ranks([rod.id for rod in truss.rods])
     degree = np.diff(slots.start)
     ports = np.arange(degree.max())
     # every joint's T, zero-padded to the largest degree
@@ -450,7 +477,8 @@ def simulate_wavefronts(
     horizon = t_max + time_tol
     # the _FrontColumns: rod, sign, stress, t0, z0, t_arrive
     columns = tuple(array(code) for code in "qbdddd")
-    events = []
+    # the simulation's _events: time, joint, arrivals, launches, rod, stress
+    event_columns = tuple(array(code) for code in "dqqqqd")
 
     def explosion():
         return EventExplosionError(
@@ -466,9 +494,7 @@ def simulate_wavefronts(
         t_arrive = t0 + slots.transit[port]
         live = np.flatnonzero(t_arrive <= horizon)
         front = len(columns[0]) + live
-        for col, values in zip(columns, (slots.rod[port], slots.sign[port], stress,
-                                         t0, slots.z0[port], t_arrive)):
-            col.frombytes(np.asarray(values, dtype=col.typecode).tobytes())
+        _append(columns, (slots.rod[port], slots.sign[port], stress, t0, slots.z0[port], t_arrive))
         return t_arrive[live], slots.far[port[live]], front, velocity[live], stress[live]
 
     impulses = tuple(impulses)  # a generator too: it is read more than once below
@@ -477,6 +503,10 @@ def simulate_wavefronts(
             raise ValueError(f"impulse references unknown rod '{imp.rod}'")
         if imp.direction not in (TOWARD_END, TOWARD_START):
             raise ValueError(f"impulse direction must be toward_end/toward_start, got {imp.direction!r}")
+        for field in ("stress_amplitude", "start_time"):
+            value = getattr(imp, field)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"impulse on rod '{imp.rod}': {field} must be a finite number, not {value!r}")
     # an impulse toward a rod's end leaves by the slot at its first joint, rod end 2 * rod
     end = [2 * truss._rod_index[imp.rod] + (imp.direction == TOWARD_START) for imp in impulses]
     port = np.argsort(slots.end)[np.array(end, dtype=int)]
@@ -527,25 +557,17 @@ def simulate_wavefronts(
         if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
             raise explosion()
 
-        # the window's records: incoming by rod id, outgoing in launch order
+        # the window's events, each one's arrivals by rod id (the fronts they launched are recorded)
         inc_event, inc_local = np.divmod(np.unique(event * ports.size + cell[1]), ports.size)
         inc_rod = slots.rod[slots.start[ev_joint[inc_event]] + inc_local]
         inc = np.lexsort((rod_rank[inc_rod], inc_event))
-        inc_stress = stress_in[inc_event[inc], inc_local[inc]]
-        incoming = list(zip(rod_ids[inc_rod[inc]].tolist(), inc_stress.tolist()))
-        outgoing = list(zip(rod_ids[slots.rod[child]].tolist(), sigma[kept].tolist()))
-        cuts = np.arange(first.size + 1)
-        in_cut = np.searchsorted(inc_event, cuts).tolist()
-        out_cut = np.searchsorted(child_event, cuts).tolist()
-        events.extend(map(
-            ScatterEvent, ev_time.tolist(), joint_ids[ev_joint].tolist(),
-            [tuple(incoming[a:b]) for a, b in zip(in_cut, in_cut[1:])],
-            [tuple(outgoing[a:b]) for a, b in zip(out_cut, out_cut[1:])],
-        ))
+        _append(event_columns, (ev_time, ev_joint, np.bincount(inc_event, minlength=first.size),
+                                np.bincount(child_event, minlength=first.size),
+                                inc_rod[inc], stress_in[inc_event[inc], inc_local[inc]]))
 
         rest = np.ones(t.size, dtype=bool)
         rest[take] = False
         pending = tuple(np.concatenate((old[rest], new)) for old, new in zip(pending, arrivals))
 
-    history = _FrontColumns(*(np.asarray(col) for col in columns))
-    return WavefrontSimulation(truss=truss, t_max=t_max, events=events, _history=history)
+    return WavefrontSimulation(truss, t_max, _FrontColumns(*map(np.asarray, columns)),
+                               tuple(map(np.asarray, event_columns)))

@@ -298,6 +298,12 @@ def test_simulate_bad_impulse(capsys, square_file):
         (("compare", "{square}", "--divisions", "0"), "error: divisions must be positive integers, got '0'"),
         (("verify",), "error: provide a structure file or --builtin"),
         (("example", "square", "--scale", "0"), "error: scale must be > 0, got 0.0"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--t-max", "nan"),
+         "error: t_max must be >= 0, got nan"),
+        (("simulate", "{square}", "--impulse", "12:1:nan"),
+         "error: impulse on rod '12': stress_amplitude must be a finite number, not nan"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--bins", "0"),
+         "error: --bins must be >= 1, got 0"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, square_file, argv, message):

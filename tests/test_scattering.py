@@ -1,3 +1,4 @@
+import gc
 import heapq
 import math
 import re
@@ -393,6 +394,22 @@ def test_matching_count_gives_the_secular_sign_and_log_det(bridge):
          "impulse references unknown rod '99'"),
         (lambda t: simulate_wavefronts(t, [Impulse("12", "sideways", 1.0)], 1.0),
          "impulse direction must be toward_end/toward_start, got 'sideways'"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, "1.5")], 3.0),
+         "impulse on rod '12': stress_amplitude must be a finite number, not '1.5'"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, True)], 3.0),
+         "impulse on rod '12': stress_amplitude must be a finite number, not True"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, math.nan)], 3.0),
+         "impulse on rod '12': stress_amplitude must be a finite number, not nan"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0, "0.25")], 3.0),
+         "impulse on rod '12': start_time must be a finite number, not '0.25'"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0, math.nan)], 3.0),
+         "impulse on rod '12': start_time must be a finite number, not nan"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0, -math.inf)], 3.0),
+         "impulse on rod '12': start_time must be a finite number, not -inf"),
+        (lambda t: simulate_wavefronts(t, [], math.nan), "t_max must be >= 0, got nan"),
+        (lambda t: simulate_wavefronts(t, [], math.inf), "t_max must be finite, got inf"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).stress_profile(math.nan),
+         "snapshot time must be a number, got nan"),
     ],
 )
 def test_invalid_simulation_input_raises(bridge, call, message):
@@ -480,6 +497,24 @@ def test_no_impulses(square):
 
 def truss_len(truss, rod_id):
     return truss.rod_properties(rod_id).length
+
+
+def test_a_run_is_kept_as_columns_until_its_events_are_read():
+    # the simulator records arrays, not objects per event: a run adds fewer
+    # objects for the collector to track than it has events, and its events
+    # are built once, on first access
+    lattice = braced_lattice(4)
+    impulse = Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)
+    gc.collect()
+    gc.disable()  # a collection mid-run would untrack tuples of atoms and hide them
+    try:
+        before = len(gc.get_objects())
+        sim = simulate_wavefronts(lattice, [impulse], 12.0, min_amplitude=1e-3)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added < len(sim.events)
+    assert sim.events is sim.events
 
 
 def test_determinism(square):
@@ -969,6 +1004,9 @@ def _covering_sums(z_lo, z_hi, lo, hi, stress):
     return sums
 
 
+_NO_EVENTS = tuple(np.empty(0, dtype=int) for _ in range(6))  # a simulation's _events: none
+
+
 def _per_rod_profile(sim, t):
     """stress_profile one rod at a time, every segment summing all of its rod's spans."""
     h = sim._history
@@ -1064,7 +1102,7 @@ def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
         t0 = np.where(rng.random(n) < 0.5, t0, rng.uniform(-0.5, 2.0, n))
         stress = rng.choice([1.0, -1.0, 0.1, 1e-17, 3.3, -0.0], n) * rng.uniform(0.5, 2.0, n)
         history = _FrontColumns(rod, sign, stress, t0, np.where(sign > 0, 0.0, length[rod]), t0 + transit[rod])
-        sim = WavefrontSimulation(square, 2.0, [], history)
+        sim = WavefrontSimulation(square, 2.0, history, _NO_EVENTS)
         want = _per_rod_profile(sim, t)
         _assert_same_profile(sim.stress_profile(t), want, trial)
         rounded += sum(0.5 * (z0 + z1) == z1 for segs in want.values() for z0, z1, _ in segs)
@@ -1081,7 +1119,7 @@ def test_a_last_segment_whose_midpoint_rounds_onto_the_rod_end_reads_its_spans()
     t0 = np.array([0.0, 1.0 - 2.0 ** -53])
     history = _FrontColumns(np.array([0, 0]), np.array([1, -1], dtype=np.int8), np.array([1.0, 0.5]),
                             t0, np.array([0.0, 1.0]), t0 + transit[0])
-    profile = WavefrontSimulation(square, 2.0, [], history).stress_profile(1.0)
+    profile = WavefrontSimulation(square, 2.0, history, _NO_EVENTS).stress_profile(1.0)
     assert 0.5 * ((1.0 - 2.0 ** -53) + 1.0) == 1.0
     assert profile["12"] == [(0.0, 1.0 - 2.0 ** -53, 1.0), (1.0 - 2.0 ** -53, 1.0, 1.5)]
     assert all(segs == [(0.0, length[k], 0.0)] for k, segs in enumerate(profile.values()) if k)
