@@ -40,14 +40,14 @@ solve_forced_response alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from . import _roots
-from .model import Truss
+from .model import RodProperties, Truss
 
 
 @dataclass
@@ -152,9 +152,8 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     padded = np.zeros((len(frames), dim, dim))
     for i, f in enumerate(frames):
         padded[i, :, : f.shape[1]] = f
-    position = {j.id: i for i, j in enumerate(truss.joints)}
-    ends = np.array([[position[jid] for jid in rod.joints] for rod in truss.rods])
-    units = np.array([truss.rod_properties(rod).unit_vector for rod in truss.rods])
+    ends = np.array([[truss._joint_index[jid] for jid in rod.joints] for rod in truss.rods])
+    units = _rod_constants(truss).unit_vector
     pa, pb = np.matmul(units[:, None, None, :], padded[ends])[:, :, 0, :].transpose(1, 0, 2)
     ja, jb = ends.T
     r = np.arange(n_rods)
@@ -186,16 +185,18 @@ def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
 
 
-def _rod_constants(truss: Truss):
-    """Per-rod transit times and line impedances, in rod order."""
+def _rod_constants(truss: Truss) -> RodProperties:
+    """The rod table: every RodProperties field as one read-only array over the
+    rods, in rod order (unit_vector of shape (rods, dim)), built once and kept."""
 
     def build():
         props = [truss.rod_properties(rod) for rod in truss.rods]
-        taus = np.array([p.transit_time for p in props])
-        lams = np.array([p.line_impedance for p in props])
-        taus.setflags(write=False)
-        lams.setflags(write=False)
-        return taus, lams
+        columns = {}
+        for field in fields(RodProperties):
+            column = np.array([getattr(p, field.name) for p in props])
+            column.setflags(write=False)
+            columns[field.name] = column
+        return RodProperties(**columns)
 
     return truss._cached("rod_constants", build)
 
@@ -224,11 +225,11 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     pattern's coordinates, or on a pattern's band to the band stack
     (m, size, 3 kl + 1) that the polish factors by banded LU.
     """
-    taus, lams = _rod_constants(truss)
+    table = _rod_constants(truss)
 
     def build(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
-        return _assemble(pattern, _spectral_coefficients(taus, lams, omegas))
+        return _assemble(pattern, _spectral_coefficients(table.transit_time, table.line_impedance, omegas))
 
     return build
 
@@ -245,7 +246,6 @@ def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) 
 def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> AssembledMatrix:
     """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit), in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors)
-    taus, lams = _rod_constants(truss)
-    k = lams / taus
+    k = _rod_constants(truss).spring_stiffness
     entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
     return AssembledMatrix(entries, dict(pattern.index_map))

@@ -176,14 +176,15 @@ def cmd_simulate(args) -> int:
         min_amplitude=args.min_amplitude,
         front_cap=args.front_cap,
     )
+    # every snapshot time is checked before anything is written
+    profiles = [(t, sim.stress_profile(t)) for t in args.snapshot or []]
     print("time,joint,rod_in,rod_out,amplitude")
     for ev in sim.events:
         rod_in = ";".join(r for r, _ in ev.incoming)
         for rod_out, amp in ev.outgoing:
             print(f"{_fmt(ev.time)},{ev.joint},{rod_in},{rod_out},{_fmt(amp)}")
-    for t in args.snapshot or []:
+    for t, profile in profiles:
         path = Path(f"{args.snapshot_prefix}{t:g}.csv")
-        profile = sim.stress_profile(t)
         with path.open("w") as fh:
             fh.write("rod,z_over_L,stress\n")
             for rod in truss.rods:
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", help="mode shapes and anchor forces at a natural frequency")
     p.add_argument("file")
     p.add_argument("--omega", type=float, required=True)
-    add_window(p)
+    p.add_argument("--omega-min", type=float, default=None)  # the window of the nearest-root hint
+    p.add_argument("--omega-max", type=float, default=None)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("compare", help="frequency vs subdivision table for all methods")

@@ -107,6 +107,7 @@ class Truss:
             self._neighbors[b].append((a, r))
         for jid in self._neighbors:
             self._neighbors[jid].sort(key=lambda pair: pair[0])
+        self._check_connected()
         self._derived = {}
 
     # -- validation ---------------------------------------------------------
@@ -163,19 +164,12 @@ class Truss:
             if float(np.linalg.norm(pos[b] - pos[a])) <= 0.0:
                 raise TrussValidationError(f"rod '{r.id}' has zero length")
 
-        self._check_connected()
-
     def _check_connected(self):
-        adjacency = {j.id: set() for j in self.joints}
-        for r in self.rods:
-            a, b = r.joints
-            adjacency[a].add(b)
-            adjacency[b].add(a)
         start = self.joints[0].id
         seen = {start}
         stack = [start]
         while stack:
-            for other in adjacency[stack.pop()]:
+            for other, _ in self._neighbors[stack.pop()]:
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)
@@ -184,7 +178,7 @@ class Truss:
                 f"truss graph is disconnected ({len(seen)} of {len(self.joints)} "
                 "joints reachable from the first)",
                 DisconnectedTrussWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
 
     def _derive(self, rod: Rod) -> RodProperties:

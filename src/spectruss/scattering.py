@@ -18,10 +18,12 @@ L^{-1/2} Q R^{-T} F^T; its part outside F does not.
 Both wave methods read one rod-end layout, built once per truss and kept
 with it: a slot per rod end, joint by joint in neighbor order, which is the
 order of the joint's T, each slot knowing the rod's slot at the other joint
-(_Slots), and every joint's T (_transmission). The global matching system
-has one unknown per slot, the amplitude leaving by it, coupled through the
-per-rod phase factors exp(-i w tau); its singular frequencies coincide with
-the zeros of det(D) but over twice as many unknowns.
+(_Slots), and every joint's T in one stack zero-padded to the largest joint
+degree, read at (joint, leaving port, arriving port) (_transmission). The
+global matching system has one unknown per slot, the amplitude leaving by
+it, coupled through the per-rod phase factors exp(-i w tau); its singular
+frequencies coincide with the zeros of det(D) but over twice as many
+unknowns.
 
 The wavefront simulator steps one lookahead window at a time (the lookahead
 of conservative discrete-event simulation, Chandy & Misra, IEEE TSE 5
@@ -30,14 +32,13 @@ launched in a window that opens at the earliest pending arrival t arrives at
 or after t + tau_min: it can neither join nor precede a merged cluster that
 starts more than the merge tolerance before then. All of the window's
 arrivals therefore scatter at once, in one matrix product over its events,
-each joint's T zero-padded to the largest joint degree. Padding costs
-events x degree^2 a window, small for the joint degrees of 1 to 6 of the
-trusses the tests and benchmark run, so one path serves them all; a hub
-joint of many rods would make every event pay for its degree. Merging and
-ordering are those of one event at a time: clusters of arrivals within
-1e-12 tau_min of their first, events in (cluster, joint id) order, arrivals
-summed in (time, rod id, launch) order, fronts launched in (event, rod)
-order.
+through the padded T stack. Padding costs events x degree^2 a window,
+small for the joint degrees of 1 to 6 of the trusses the tests and
+benchmark run, so one path serves them all; a hub joint of many rods would
+make every event pay for its degree. Merging and ordering are those of one
+event at a time: clusters of arrivals within 1e-12 tau_min of their first,
+events in (cluster, joint id) order, arrivals summed in (time, rod id,
+launch) order, fronts launched in (event, rod) order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _roots
-from .assembly import _span_frames
+from .assembly import _rod_constants, _span_frames
 from .model import Truss, _is_number
 from .spectrum import FrequencyWindow
 
@@ -120,14 +121,12 @@ def matching_evaluator(truss: Truss):
     """
     slots = _slots(truss)
     size = slots.end.size
-    # every joint's (leaving, arriving) slot pairs, in the row-major order of its T
-    blocks = [np.arange(a, b) for a, b in zip(slots.start[:-1].tolist(), slots.start[1:].tolist())]
-    leave = np.concatenate([np.repeat(block, block.size) for block in blocks])
-    arrive = np.concatenate([np.tile(block, block.size) for block in blocks])
-    coeffs = np.concatenate([tm.ravel() for tm in _transmission(truss)])
-    kept = coeffs != 0.0
-    rows, cols = slots.end[leave[kept]], slots.end[slots.far[arrive[kept]]]
-    coeffs, taus = coeffs[kept], slots.transit[arrive[kept]]
+    # each leaving slot's row of its joint's T, by port; exact zeros, the padding's too, drop out
+    row = _transmission(truss)[slots.joint, np.arange(size) - slots.start[slots.joint]]
+    leave, port = np.nonzero(row)
+    arrive = slots.start[slots.joint[leave]] + port
+    rows, cols = slots.end[leave], slots.end[slots.far[arrive]]
+    coeffs, taus = row[leave, port], slots.transit[arrive]
 
     def build(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
@@ -158,7 +157,7 @@ def _matching_eval(truss: Truss):
     V(omega) = V(0) diag(exp(-i omega tau_k)) is unitary up to the impedance
     scaling, each joint's T being a Lambda-reflection; nothing comes from D.
     """
-    delay = 2.0 * sum(truss.rod_properties(rod).transit_time for rod in truss.rods)
+    delay = 2.0 * sum(_rod_constants(truss).transit_time.tolist())
     point_bytes = 16 * (2 * len(truss.rods)) ** 2
     return _roots.unitary_determinant(matching_evaluator(truss), point_bytes, delay)
 
@@ -227,10 +226,6 @@ def _append(columns, values) -> None:
 _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 
-def _rod_column(truss: Truss, name: str) -> np.ndarray:
-    return np.array([getattr(truss.rod_properties(rod), name) for rod in truss.rods])
-
-
 @dataclass
 class WavefrontSimulation:
     """A run up to t_max, kept only as columns: every view is read off them."""
@@ -259,12 +254,20 @@ class WavefrontSimulation:
         return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
                         grouped(rod, stress, arrivals), grouped(h.rod[first:], h.stress[first:], launches)))
 
+    def _check_time(self, t: float) -> None:
+        """Refuse a time the run does not cover: nan, or past its horizon."""
+        if math.isnan(t):
+            raise ValueError("snapshot time must be a number, got nan")
+        if t > self.t_max:
+            raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
+
     def active_fronts(self, t: float):
         """Fronts still travelling at time t, as public Wavefront records."""
+        self._check_time(t)
         h = self._history
         live = (h.t0 <= t) & (t < h.t_arrive)
         rod, sign = h.rod[live], h.sign[live]
-        position = h.z0[live] + sign * _rod_column(self.truss, "wave_speed")[rod] * (t - h.t0[live])
+        position = h.z0[live] + sign * _rod_constants(self.truss).wave_speed[rod] * (t - h.t0[live])
         return [
             Wavefront(
                 rod=self.truss.rods[r].id,
@@ -293,19 +296,16 @@ class WavefrontSimulation:
         off the break indices, and adds its stress to each, launch by launch,
         in blocks of at most _COVER_BLOCK (segment, span) pairs.
         """
-        if math.isnan(t):
-            raise ValueError("snapshot time must be a number, got nan")
-        if t > self.t_max:
-            raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
+        self._check_time(t)
         h = self._history
         rods = len(self.truss.rods)
-        length = _rod_column(self.truss, "length")
+        length = _rod_constants(self.truss).length
         front = np.flatnonzero(h.t0 <= t)  # launched, in launch order
         rod, stress = h.rod[front], h.stress[front]
         arrived = h.t_arrive[front] <= t
         flying = np.flatnonzero(~arrived)
         f = front[flying]
-        travelled = _rod_column(self.truss, "wave_speed")[rod[flying]] * (t - h.t0[f])
+        travelled = _rod_constants(self.truss).wave_speed[rod[flying]] * (t - h.t0[f])
         forward = h.sign[f] > 0
         lo = np.where(forward, h.z0[f], np.maximum(0.0, h.z0[f] - travelled))
         hi = np.where(forward, np.minimum(length[rod[flying]], h.z0[f] + travelled), h.z0[f])
@@ -388,14 +388,14 @@ def _slots(truss: Truss) -> _Slots:
         rows = []
         for j, joint in enumerate(truss.joints):
             for _, rod in truss.neighbors(joint.id):
-                props = truss.rod_properties(rod)
-                sign = 1 if rod.joints[0] == joint.id else -1
-                rows.append((j, truss._rod_index[rod.id], sign, props.impedance,
-                             0.0 if sign > 0 else props.length, props.transit_time))
-        joint, rod, sign, impedance, z0, transit = (np.array(col) for col in zip(*rows))
+                rows.append((j, truss._rod_index[rod.id], 1 if rod.joints[0] == joint.id else -1))
+        joint, rod, sign = (np.array(col) for col in zip(*rows))
+        table = _rod_constants(truss)
         start = np.searchsorted(joint, np.arange(len(truss.joints) + 1))
         end = 2 * rod + (sign < 0)
-        slots = _Slots(start, joint, rod, sign, end, impedance, z0, transit, np.argsort(end)[end ^ 1])
+        slots = _Slots(start, joint, rod, sign, end, table.impedance[rod],
+                       np.where(sign > 0, 0.0, table.length[rod]), table.transit_time[rod],
+                       np.argsort(end)[end ^ 1])
         for column in slots:
             column.setflags(write=False)
         return slots
@@ -403,14 +403,17 @@ def _slots(truss: Truss) -> _Slots:
     return truss._cached("slots", build)
 
 
-def _transmission(truss: Truss) -> tuple:
-    """Every joint's T, in joint order, built once and kept with the truss, read-only."""
+def _transmission(truss: Truss) -> np.ndarray:
+    """Every joint's T, in joint order, zero-padded to the largest joint degree:
+    (joints, degree, degree), built once and kept with the truss, read-only."""
 
     def build():
-        entries = tuple(transmission_matrix(truss, joint.id).entries for joint in truss.joints)
-        for tm in entries:
-            tm.setflags(write=False)
-        return entries
+        degree = np.diff(_slots(truss).start)
+        stack = np.zeros((degree.size, degree.max(), degree.max()))
+        for j, joint in enumerate(truss.joints):
+            stack[j, :degree[j], :degree[j]] = transmission_matrix(truss, joint.id).entries
+        stack.setflags(write=False)
+        return stack
 
     return truss._cached("transmission", build)
 
@@ -466,11 +469,8 @@ def simulate_wavefronts(
     joint_rank = _ranks([joint.id for joint in truss.joints])
     rod_rank = _ranks([rod.id for rod in truss.rods])
     degree = np.diff(slots.start)
-    ports = np.arange(degree.max())
-    # every joint's T, zero-padded to the largest degree
-    padded = np.zeros((degree.size, ports.size, ports.size))
-    for j, tm in enumerate(_transmission(truss)):
-        padded[j, :len(tm), :len(tm)] = tm
+    padded = _transmission(truss)
+    ports = np.arange(padded.shape[1])
 
     tau_min = truss.tau_min
     time_tol = 1e-12 * tau_min

@@ -14,6 +14,7 @@ from spectruss import (
     Joint,
     Material,
     Rod,
+    RodProperties,
     SingularAtFrequencyError,
     Truss,
     assemble_laplacian,
@@ -157,7 +158,8 @@ def test_taylor_remainder_ratio(square, bridge):
 def test_spectral_factor_identity(square):
     # the sweeps' coefficients Lambda*omega*cot(omega*tau) and
     # -Lambda*omega*csc(omega*tau) obey csc^2 - cot^2 = 1 away from the poles
-    taus, lams = assembly._rod_constants(square)
+    table = assembly._rod_constants(square)
+    taus, lams = table.transit_time, table.line_impedance
     omegas = np.random.default_rng(3).uniform(0.05, 6.0, 200)
     diag, off = assembly._spectral_coefficients(taus, lams, omegas).reshape(2, len(taus), -1)
     scale = lams[:, None] * omegas[None, :]
@@ -288,6 +290,18 @@ def _pattern_cases():
         trusses.append(t)
     assert {t.dimension for t in trusses} == {2, 3}
     return trusses + [builtin_structure("square"), builtin_structure("bridge")]
+
+
+def test_rod_table_holds_every_rod_property_read_only():
+    for truss in _pattern_cases():
+        table = assembly._rod_constants(truss)
+        assert table is assembly._rod_constants(truss)
+        for field in dataclasses.fields(RodProperties):
+            column = getattr(table, field.name)
+            assert not column.flags.writeable
+            assert len(column) == len(truss.rods)
+            for k, rod in enumerate(truss.rods):
+                assert np.array_equal(column[k], getattr(truss.rod_properties(rod), field.name))
 
 
 def _static_references(truss, reduce_anchors):

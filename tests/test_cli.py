@@ -281,6 +281,24 @@ def test_simulate_explosion_exit(capsys, square_file, tmp_path):
     assert "min_amplitude" in err
 
 
+def test_simulate_snapshot_past_the_horizon_writes_nothing(capsys, bridge_file, tmp_path):
+    # the snapshot times are checked before the event log is printed
+    code, out, err = run(capsys, "simulate", bridge_file, "--impulse", "12:2:-1.0", "--t-max", "2.0",
+                         "--snapshot", "3.0", "--snapshot-prefix", str(tmp_path / "snap_"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: snapshot time 3.0 exceeds simulated horizon 2.0\n"
+    assert not list(tmp_path.glob("snap_*"))
+
+
+def test_modes_takes_no_threads(capsys, bridge_file):
+    # modes sweeps serially, for its nearest-root hint only
+    with pytest.raises(SystemExit) as exc:
+        main(["modes", bridge_file, "--omega", "3.141592653589793", "--threads", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 7" in capsys.readouterr().err
+
+
 def test_simulate_bad_impulse(capsys, square_file):
     code, _, err = run(capsys, "simulate", square_file, "--impulse", "99:1:-1.0")
     assert code == 2

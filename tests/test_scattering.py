@@ -29,7 +29,7 @@ from spectruss import (
 )
 from conftest import braced_lattice, random_truss
 from spectruss import _roots
-from spectruss.assembly import _span_frames
+from spectruss.assembly import _rod_constants, _span_frames
 from spectruss.scattering import (
     TOWARD_END,
     TOWARD_START,
@@ -37,7 +37,7 @@ from spectruss.scattering import (
     WavefrontSimulation,
     _FrontColumns,
     _matching_eval,
-    _rod_column,
+    _transmission,
     _window_clusters,
     matching_evaluator,
     reverberation_dof,
@@ -191,6 +191,25 @@ def test_scatter_force_injection(square):
     assert out[1] == pytest.approx(0.0)
     with pytest.raises(ValueError):
         scatter(tm, np.zeros(2), force=np.array([1.0, 0.0]))
+
+
+def test_transmission_stack_holds_each_joints_t_zero_padded():
+    # the builtins, the x2 bridge (degree-2 mechanism joints, anchors with T = -I)
+    # and draws whose joints have degrees 1 to 4
+    fine = subdivide(builtin_structure("bridge"), 2)
+    draws = _draws(12)
+    assert {len(t.neighbors(j.id)) for t in draws for j in t.joints} == {1, 2, 3, 4}
+    for truss in (builtin_structure("square"), builtin_structure("bridge"), fine, *draws):
+        stack = _transmission(truss)
+        assert stack is _transmission(truss)
+        assert not stack.flags.writeable
+        assert stack.shape[0] == len(truss.joints)
+        for j, joint in enumerate(truss.joints):
+            d = len(truss.neighbors(joint.id))
+            assert np.array_equal(stack[j, :d, :d], transmission_matrix(truss, joint.id).entries)
+            assert not stack[j, d:].any() and not stack[j, :, d:].any()
+    anchored = [j for j, joint in enumerate(fine.joints) if joint.anchored]
+    assert all(np.array_equal(_transmission(fine)[j, :2, :2], -np.eye(2)) for j in anchored)
 
 
 def test_matching_zeros_of_clamped_rod():
@@ -410,6 +429,11 @@ def test_matching_count_gives_the_secular_sign_and_log_det(bridge):
         (lambda t: simulate_wavefronts(t, [], math.inf), "t_max must be finite, got inf"),
         (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).stress_profile(math.nan),
          "snapshot time must be a number, got nan"),
+        # active_fronts refuses the times stress_profile refuses: fronts are in flight at 5.0
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).active_fronts(math.nan),
+         "snapshot time must be a number, got nan"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).active_fronts(5.0),
+         "snapshot time 5.0 exceeds simulated horizon 2.0"),
     ],
 )
 def test_invalid_simulation_input_raises(bridge, call, message):
@@ -1010,10 +1034,10 @@ _NO_EVENTS = tuple(np.empty(0, dtype=int) for _ in range(6))  # a simulation's _
 def _per_rod_profile(sim, t):
     """stress_profile one rod at a time, every segment summing all of its rod's spans."""
     h = sim._history
-    length = _rod_column(sim.truss, "length")
+    length = _rod_constants(sim.truss).length
     launched = h.t0 <= t
     rod, sign, z0 = h.rod[launched], h.sign[launched], h.z0[launched]
-    travelled = _rod_column(sim.truss, "wave_speed")[rod] * (
+    travelled = _rod_constants(sim.truss).wave_speed[rod] * (
         np.minimum(t, h.t_arrive[launched]) - h.t0[launched]
     )
     forward = sign > 0
@@ -1089,7 +1113,7 @@ def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
     # midpoint rounds onto its upper break; the segment still lies in every
     # span that holds both of its ends
     square = builtin_structure("square")
-    length, transit = _rod_column(square, "length"), _rod_column(square, "transit_time")
+    length, transit = _rod_constants(square).length, _rod_constants(square).transit_time
     rng = np.random.default_rng(7)
     rounded = 0
     for trial in range(400):
@@ -1114,7 +1138,7 @@ def test_a_last_segment_whose_midpoint_rounds_onto_the_rod_end_reads_its_spans()
     # back from z = 1 an ulp of time earlier, which has swept [1 - 2^-53, 1);
     # that segment's midpoint rounds onto the rod's length, yet it lies in both
     square = builtin_structure("square")
-    length, transit = _rod_column(square, "length"), _rod_column(square, "transit_time")
+    length, transit = _rod_constants(square).length, _rod_constants(square).transit_time
     assert (length[0], transit[0]) == (1.0, 1.0)
     t0 = np.array([0.0, 1.0 - 2.0 ** -53])
     history = _FrontColumns(np.array([0, 0]), np.array([1, -1], dtype=np.int8), np.array([1.0, 0.5]),
