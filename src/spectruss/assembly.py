@@ -40,14 +40,14 @@ solve_forced_response alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from . import _roots
-from .model import RodProperties, Truss
+from .model import Truss
 
 
 @dataclass
@@ -116,13 +116,14 @@ def _span_frames(truss: Truss):
 
     def build():
         dim = truss.dimension
+        units = truss._rod_table.unit_vector
         frames = []
         mechanisms = []
         for joint in truss.joints:
             frame = np.eye(dim)
             if not joint.anchored:
                 vecs = [
-                    truss.rod_properties(rod).unit_vector * (1.0 if rod.joints[0] == joint.id else -1.0)
+                    units[truss._rod_index[rod.id]] * (1.0 if rod.joints[0] == joint.id else -1.0)
                     for _, rod in truss.neighbors(joint.id)
                 ]
                 u, s, _ = np.linalg.svd(np.array(vecs).reshape(-1, dim).T, full_matrices=True)
@@ -153,7 +154,7 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     for i, f in enumerate(frames):
         padded[i, :, : f.shape[1]] = f
     ends = np.array([[truss._joint_index[jid] for jid in rod.joints] for rod in truss.rods])
-    units = _rod_constants(truss).unit_vector
+    units = truss._rod_table.unit_vector
     pa, pb = np.matmul(units[:, None, None, :], padded[ends])[:, :, 0, :].transpose(1, 0, 2)
     ja, jb = ends.T
     r = np.arange(n_rods)
@@ -185,22 +186,6 @@ def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
 
 
-def _rod_constants(truss: Truss) -> RodProperties:
-    """The rod table: every RodProperties field as one read-only array over the
-    rods, in rod order (unit_vector of shape (rods, dim)), built once and kept."""
-
-    def build():
-        props = [truss.rod_properties(rod) for rod in truss.rods]
-        columns = {}
-        for field in fields(RodProperties):
-            column = np.array([getattr(p, field.name) for p in props])
-            column.setflags(write=False)
-            columns[field.name] = column
-        return RodProperties(**columns)
-
-    return truss._cached("rod_constants", build)
-
-
 def _assemble(pattern: _Pattern, coefficients: np.ndarray) -> np.ndarray:
     """Joint matrices, one per coefficient column: (2 * rods, m) -> (m, size, width)."""
     m = coefficients.shape[1]
@@ -225,7 +210,7 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     pattern's coordinates, or on a pattern's band to the band stack
     (m, size, 3 kl + 1) that the polish factors by banded LU.
     """
-    table = _rod_constants(truss)
+    table = truss._rod_table
 
     def build(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
@@ -246,6 +231,6 @@ def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) 
 def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> AssembledMatrix:
     """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit), in rod-span frames."""
     pattern = _pattern(truss, reduce_anchors)
-    k = _rod_constants(truss).spring_stiffness
+    k = truss._rod_table.spring_stiffness
     entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
     return AssembledMatrix(entries, dict(pattern.index_map))

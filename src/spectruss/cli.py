@@ -176,27 +176,31 @@ def cmd_simulate(args) -> int:
         min_amplitude=args.min_amplitude,
         front_cap=args.front_cap,
     )
-    # every snapshot time is checked before anything is written
+    # every snapshot time is checked, and every file written, before the event log
+    # is printed: a refused time or an unwritable prefix leaves stdout empty
     profiles = [(t, sim.stress_profile(t)) for t in args.snapshot or []]
+    for t, profile in profiles:
+        path = Path(f"{args.snapshot_prefix}{t:g}.csv")
+        lines = ["rod,z_over_L,stress\n"]
+        for rod in truss.rods:
+            length = truss.rod_properties(rod).length
+            segments = profile[rod.id]
+            starts = [z0 for z0, _, _ in segments]
+            for b in range(args.bins):
+                z = (b + 0.5) / args.bins * length
+                k = bisect.bisect_right(starts, z) - 1
+                sigma = segments[k][2] if k >= 0 and z < segments[k][1] else 0.0
+                lines.append(f"{rod.id},{_fmt(z / length)},{_fmt(sigma)}\n")
+        try:
+            path.write_text("".join(lines))
+        except OSError as exc:
+            raise ValueError(f"cannot write snapshot '{path}': {exc.strerror or exc}") from exc
+        print(f"wrote {path}", file=sys.stderr)
     print("time,joint,rod_in,rod_out,amplitude")
     for ev in sim.events:
         rod_in = ";".join(r for r, _ in ev.incoming)
         for rod_out, amp in ev.outgoing:
             print(f"{_fmt(ev.time)},{ev.joint},{rod_in},{rod_out},{_fmt(amp)}")
-    for t, profile in profiles:
-        path = Path(f"{args.snapshot_prefix}{t:g}.csv")
-        with path.open("w") as fh:
-            fh.write("rod,z_over_L,stress\n")
-            for rod in truss.rods:
-                length = truss.rod_properties(rod).length
-                segments = profile[rod.id]
-                starts = [z0 for z0, _, _ in segments]
-                for b in range(args.bins):
-                    z = (b + 0.5) / args.bins * length
-                    k = bisect.bisect_right(starts, z) - 1
-                    sigma = segments[k][2] if k >= 0 and z < segments[k][1] else 0.0
-                    fh.write(f"{rod.id},{_fmt(z / length)},{_fmt(sigma)}\n")
-        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

@@ -32,20 +32,15 @@ def assemble_mass(truss: Truss, kind: str = "consistent", reduce_anchors: bool =
     if kind not in MASS_KINDS:
         raise ValueError(f"mass kind must be one of {MASS_KINDS}, got {kind!r}")
     pattern = _pattern(truss, reduce_anchors)
-    masses = np.array([
-        truss.materials[rod.material].density * rod.area * truss.rod_properties(rod).length
-        for rod in truss.rods
-    ])
+    masses = truss._rod_masses()
     if kind == "consistent":
         entries = _assemble(pattern, np.concatenate([masses / 3.0, masses / 6.0])[:, None])[0]
     else:  # F^T (c I) F = c I in an orthonormal frame F: c on each of the joint's coordinates
-        diagonal = np.zeros(pattern.size)
-        for rod, mass in zip(truss.rods, masses):
-            for jid in rod.joints:
-                if jid in pattern.index_map:
-                    off = pattern.index_map[jid]
-                    diagonal[off : off + pattern.frames[jid].shape[1]] += 0.5 * mass
-        entries = np.diag(diagonal)
+        # rod by rod, first end then second; index size, the ends' padding, lands past the end
+        index = pattern.ends[0].transpose(1, 0, 2)
+        diagonal = np.zeros(pattern.size + 1)
+        np.add.at(diagonal, index, np.broadcast_to(0.5 * masses[:, None, None], index.shape))
+        entries = np.diag(diagonal[:-1])
     return AssembledMatrix(entries, dict(pattern.index_map))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -83,8 +84,8 @@ class Truss:
 
     All joints share one global coordinate frame; rod direction vectors obey
     e_ba = -e_ab in that frame. Instances are safe to share across threads.
-    Matrix patterns and bases derived from the structure are built on first
-    use and kept with the instance (see _cached), so they live as long as it.
+    The rod table (_build_rod_table) is built at construction; matrix patterns
+    and bases are built on first use and kept with the instance (see _cached).
     """
 
     def __init__(self, dimension, joints, rods, materials, dimensionless=False):
@@ -99,7 +100,7 @@ class Truss:
 
         self._joint_index = {j.id: i for i, j in enumerate(self.joints)}
         self._rod_index = {r.id: i for i, r in enumerate(self.rods)}
-        self._properties = [self._derive(r) for r in self.rods]
+        self._rod_table = self._build_rod_table()
         self._neighbors = {j.id: [] for j in self.joints}
         for r in self.rods:
             a, b = r.joints
@@ -178,29 +179,25 @@ class Truss:
                 f"truss graph is disconnected ({len(seen)} of {len(self.joints)} "
                 "joints reachable from the first)",
                 DisconnectedTrussWarning,
-                stacklevel=2,
+                stacklevel=_caller_level(),
             )
 
-    def _derive(self, rod: Rod) -> RodProperties:
-        mat = self.materials[rod.material]
-        a = np.array(self.joint(rod.joints[0]).position, dtype=float)
-        b = np.array(self.joint(rod.joints[1]).position, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        c = math.sqrt(mat.youngs_modulus / mat.density)
-        gamma = math.sqrt(mat.youngs_modulus * mat.density)
-        lam = rod.area * gamma
+    def _build_rod_table(self) -> RodProperties:
+        """Every RodProperties field as one read-only array over the rods, in rod
+        order (unit_vector of shape (rods, dim)): the truss's only copy of them."""
+        position = np.array([j.position for j in self.joints], dtype=float)
+        ends = np.array([[self._joint_index[jid] for jid in r.joints] for r in self.rods])
+        delta = position[ends[:, 1]] - position[ends[:, 0]]
+        length = np.array([np.linalg.norm(d) for d in delta])  # norm(axis=1) rounds some differently
+        wave = {name: (math.sqrt(m.youngs_modulus / m.density), math.sqrt(m.youngs_modulus * m.density))
+                for name, m in self.materials.items()}
+        c, gamma = np.array([wave[r.material] for r in self.rods]).T.copy()
+        lam = np.array([r.area for r in self.rods], dtype=float) * gamma
         tau = length / c
-        unit = (b - a) / length
-        unit.setflags(write=False)
-        return RodProperties(
-            length=length,
-            wave_speed=c,
-            impedance=gamma,
-            line_impedance=lam,
-            transit_time=tau,
-            spring_stiffness=lam / tau,
-            unit_vector=unit,
-        )
+        table = RodProperties(length, c, gamma, lam, tau, lam / tau, delta / length[:, None])
+        for column in vars(table).values():
+            column.setflags(write=False)
+        return table
 
     # -- lookups ------------------------------------------------------------
 
@@ -211,8 +208,10 @@ class Truss:
         return self.rods[self._rod_index[rod_id]]
 
     def rod_properties(self, rod) -> RodProperties:
-        rod_id = rod.id if isinstance(rod, Rod) else rod
-        return self._properties[self._rod_index[rod_id]]
+        """The rod's row of the rod table: floats, and a read-only view of its unit vector."""
+        k = self._rod_index[rod.id if isinstance(rod, Rod) else rod]
+        *scalars, unit_vector = (column[k] for column in vars(self._rod_table).values())
+        return RodProperties(*map(float, scalars), unit_vector)
 
     def neighbors(self, joint_id: str) -> tuple:
         """(neighbor joint id, connecting rod) pairs, sorted by neighbor id."""
@@ -228,7 +227,7 @@ class Truss:
 
     @property
     def tau_min(self) -> float:
-        return min(p.transit_time for p in self._properties)
+        return float(self._rod_table.transit_time.min())
 
     def _cached(self, key, build):
         """build() on the first call for key, the stored value afterwards.
@@ -242,11 +241,22 @@ class Truss:
         except KeyError:
             return self._derived.setdefault(key, build())
 
+    def _rod_masses(self) -> np.ndarray:
+        """rho * A * L of every rod, in rod order."""
+        rho_area = np.array([self.materials[r.material].density * r.area for r in self.rods])
+        return rho_area * self._rod_table.length
+
     def total_rod_mass(self) -> float:
-        return sum(
-            self.materials[r.material].density * r.area * p.length
-            for r, p in zip(self.rods, self._properties)
-        )
+        return sum(self._rod_masses().tolist())
+
+
+def _caller_level() -> int:
+    """The stacklevel of the first frame outside the package, for a warnings.warn in the
+    function calling this one: the code that built the truss, through load_truss too."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # -- structure files ---------------------------------------------------------

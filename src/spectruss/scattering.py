@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _roots
-from .assembly import _rod_constants, _span_frames
+from .assembly import _span_frames
 from .model import Truss, _is_number
 from .spectrum import FrequencyWindow
 
@@ -75,19 +75,19 @@ class TransmissionMatrix:
 
 def transmission_matrix(truss: Truss, joint_id: str) -> TransmissionMatrix:
     """T and the force coupling of one joint, in its frame F (see the module docstring)."""
-    edges = truss.neighbors(joint_id)
     dim = truss.dimension
-    props = [truss.rod_properties(rod) for _, rod in edges]
-    e_mat = np.array([p.unit_vector if rod.joints[0] == joint_id else -p.unit_vector
-                      for p, (_, rod) in zip(props, edges)]).reshape(-1, dim).T  # dim x |N|
-    root = np.sqrt([p.line_impedance for p in props])  # Lambda^(1/2)
-    anchored = truss.joint(joint_id).anchored
-    frame = np.zeros((dim, 0)) if anchored else _span_frames(truss)[0][truss._joint_index[joint_id]]
+    slots = _slots(truss)
+    j = truss._joint_index[joint_id]
+    port = slice(slots.start[j], slots.start[j + 1])  # the joint's rods, in neighbor order
+    rod, table = slots.rod[port], truss._rod_table
+    e_mat = (slots.sign[port, None] * table.unit_vector[rod]).T  # dim x |N|, away from the joint
+    root = np.sqrt(table.line_impedance[rod])  # Lambda^(1/2)
+    frame = np.zeros((dim, 0)) if truss.joints[j].anchored else _span_frames(truss)[0][j]
     q, r = np.linalg.qr(root[:, None] * (frame.T @ e_mat).T)
     return TransmissionMatrix(
         joint=joint_id,
-        entries=(2.0 * q @ q.T - np.eye(len(edges))) * root[None, :] / root[:, None],
-        column_order=tuple(other for other, _ in edges),
+        entries=(2.0 * q @ q.T - np.eye(rod.size)) * root[None, :] / root[:, None],
+        column_order=tuple(other for other, _ in truss.neighbors(joint_id)),
         force_coupling=(q / root[:, None]) @ np.linalg.solve(r.T, frame.T),
     )
 
@@ -157,7 +157,7 @@ def _matching_eval(truss: Truss):
     V(omega) = V(0) diag(exp(-i omega tau_k)) is unitary up to the impedance
     scaling, each joint's T being a Lambda-reflection; nothing comes from D.
     """
-    delay = 2.0 * sum(_rod_constants(truss).transit_time.tolist())
+    delay = 2.0 * sum(truss._rod_table.transit_time.tolist())
     point_bytes = 16 * (2 * len(truss.rods)) ** 2
     return _roots.unitary_determinant(matching_evaluator(truss), point_bytes, delay)
 
@@ -267,7 +267,7 @@ class WavefrontSimulation:
         h = self._history
         live = (h.t0 <= t) & (t < h.t_arrive)
         rod, sign = h.rod[live], h.sign[live]
-        position = h.z0[live] + sign * _rod_constants(self.truss).wave_speed[rod] * (t - h.t0[live])
+        position = h.z0[live] + sign * self.truss._rod_table.wave_speed[rod] * (t - h.t0[live])
         return [
             Wavefront(
                 rod=self.truss.rods[r].id,
@@ -299,13 +299,13 @@ class WavefrontSimulation:
         self._check_time(t)
         h = self._history
         rods = len(self.truss.rods)
-        length = _rod_constants(self.truss).length
+        length = self.truss._rod_table.length
         front = np.flatnonzero(h.t0 <= t)  # launched, in launch order
         rod, stress = h.rod[front], h.stress[front]
         arrived = h.t_arrive[front] <= t
         flying = np.flatnonzero(~arrived)
         f = front[flying]
-        travelled = _rod_constants(self.truss).wave_speed[rod[flying]] * (t - h.t0[f])
+        travelled = self.truss._rod_table.wave_speed[rod[flying]] * (t - h.t0[f])
         forward = h.sign[f] > 0
         lo = np.where(forward, h.z0[f], np.maximum(0.0, h.z0[f] - travelled))
         hi = np.where(forward, np.minimum(length[rod[flying]], h.z0[f] + travelled), h.z0[f])
@@ -390,7 +390,7 @@ def _slots(truss: Truss) -> _Slots:
             for _, rod in truss.neighbors(joint.id):
                 rows.append((j, truss._rod_index[rod.id], 1 if rod.joints[0] == joint.id else -1))
         joint, rod, sign = (np.array(col) for col in zip(*rows))
-        table = _rod_constants(truss)
+        table = truss._rod_table
         start = np.searchsorted(joint, np.arange(len(truss.joints) + 1))
         end = 2 * rod + (sign < 0)
         slots = _Slots(start, joint, rod, sign, end, table.impedance[rod],
@@ -465,6 +465,10 @@ def simulate_wavefronts(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if math.isinf(t_max):  # no horizon: the record could grow without end
         raise ValueError(f"t_max must be finite, got {t_max}")
+    if not (min_amplitude >= 0.0):  # nan too, which would keep every child
+        raise ValueError(f"min_amplitude must be >= 0, got {min_amplitude}")
+    if not (front_cap >= 1):
+        raise ValueError(f"front_cap must be >= 1, got {front_cap}")
     slots = _slots(truss)
     joint_rank = _ranks([joint.id for joint in truss.joints])
     rod_rank = _ranks([rod.id for rod in truss.rods])

@@ -47,7 +47,6 @@ from . import _roots
 from .assembly import (
     _assemble,
     _pattern,
-    _rod_constants,
     _span_frames,
     _spectral_coefficients,
     assemble_laplacian,
@@ -148,7 +147,7 @@ def _window_poles(truss: Truss, window: FrequencyWindow):
     up to half a band past the top are chained too, as members of a pole there."""
     lo = window.omega_min - _half_band(window.omega_min)
     hi = window.omega_max + _half_band(window.omega_max)
-    taus = _rod_constants(truss).transit_time
+    taus = truss._rod_table.transit_time
     top = hi + _half_band(hi)
     rods, orders = np.array([
         (r, n) for r, tau in enumerate(taus.tolist())
@@ -196,7 +195,7 @@ def _pole_at(truss: Truss, omega: float):
     half a band above the one below starts a pole, so these alone find the
     poles near omega.
     """
-    taus = _rod_constants(truss).transit_time
+    taus = truss._rod_table.transit_time
     n = np.rint(omega * taus / math.pi).astype(int)
     poles = _chain(n * math.pi / taus, np.arange(taus.size), n)
     # the first pole whose band reaches omega holds it, unless that band starts above omega
@@ -232,7 +231,7 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     those padded with index size, at reduced-away joints too, are dropped.
     """
     pattern = _pattern(truss, reduce_anchors)
-    table = _rod_constants(truss)
+    table = truss._rod_table
     taus, lams = table.transit_time, table.line_impedance
     size = pattern.size
     plain = laplacian_evaluator(truss, pattern)
@@ -274,7 +273,7 @@ def _bordered_at(truss: Truss, omega: float, reduce_anchors: bool):
         raise ValueError(f"omega must be > 0, got {omega}")
     pattern, build = _border_builder(truss, reduce_anchors)
     omegas = np.array([float(omega)])
-    near, n = _near_resonances(_rod_constants(truss).transit_time, omegas)
+    near, n = _near_resonances(truss._rod_table.transit_time, omegas)
     return pattern, *build(omegas, near, n), near[0]
 
 
@@ -296,7 +295,7 @@ def _det_eval(truss: Truss):
     and every other D by dense LU (slogdet).
     """
     pattern, build = _border_builder(truss, True)
-    taus = _rod_constants(truss).transit_time
+    taus = truss._rod_table.transit_time
     band = pattern.band
     func, negative = _roots.bordered_determinant(
         lambda xs, k: build(xs, *_near_resonances(taus, xs)) if k else build(xs),

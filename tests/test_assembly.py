@@ -158,7 +158,7 @@ def test_taylor_remainder_ratio(square, bridge):
 def test_spectral_factor_identity(square):
     # the sweeps' coefficients Lambda*omega*cot(omega*tau) and
     # -Lambda*omega*csc(omega*tau) obey csc^2 - cot^2 = 1 away from the poles
-    table = assembly._rod_constants(square)
+    table = square._rod_table
     taus, lams = table.transit_time, table.line_impedance
     omegas = np.random.default_rng(3).uniform(0.05, 6.0, 200)
     diag, off = assembly._spectral_coefficients(taus, lams, omegas).reshape(2, len(taus), -1)
@@ -292,16 +292,41 @@ def _pattern_cases():
     return trusses + [builtin_structure("square"), builtin_structure("bridge")]
 
 
+def _derived_record(truss, rod):
+    """The rod's RodProperties from its joints and material, one rod at a time."""
+    mat = truss.materials[rod.material]
+    a, b = (np.array(truss.joint(jid).position, dtype=float) for jid in rod.joints)
+    length = float(np.linalg.norm(b - a))
+    c = math.sqrt(mat.youngs_modulus / mat.density)
+    gamma = math.sqrt(mat.youngs_modulus * mat.density)
+    lam = rod.area * gamma
+    return RodProperties(length, c, gamma, lam, length / c, lam / (length / c), (b - a) / length)
+
+
 def test_rod_table_holds_every_rod_property_read_only():
-    for truss in _pattern_cases():
-        table = assembly._rod_constants(truss)
-        assert table is assembly._rod_constants(truss)
+    # the truss's one copy of its rod data: every record is a row of its table,
+    # bit for bit, and equals the rod's properties derived one rod at a time;
+    # the last case has two materials, keyed by other names than their own
+    joints = [Joint("a", (0.0, 0.0, 0.0)), Joint("b", (0.3, 1.1, 0.0)), Joint("c", (0.7, 0.2, 0.9))]
+    rods = [Rod("ab", ("a", "b"), 2, "s"), Rod("bc", ("b", "c"), 1e-4, "t"), Rod("ca", ("c", "a"), 0.5, "s")]
+    mixed = Truss(3, joints, rods, {"s": Material("steel", 200e9, 7850.0), "t": Material("al", 70e9, 2700.0)})
+    for truss in [*_pattern_cases(), mixed]:
+        table = truss._rod_table
         for field in dataclasses.fields(RodProperties):
             column = getattr(table, field.name)
             assert not column.flags.writeable
             assert len(column) == len(truss.rods)
-            for k, rod in enumerate(truss.rods):
-                assert np.array_equal(column[k], getattr(truss.rod_properties(rod), field.name))
+        for k, rod in enumerate(truss.rods):
+            props = truss.rod_properties(rod.id if k % 2 else rod)  # by id or by Rod
+            for field in dataclasses.fields(RodProperties):
+                value, row = getattr(props, field.name), getattr(table, field.name)[k]
+                assert np.asarray(value).tobytes() == row.tobytes()
+                expected = getattr(_derived_record(truss, rod), field.name)
+                assert np.asarray(value).tobytes() == np.asarray(expected, dtype=float).tobytes()
+            scalars = [getattr(props, f.name) for f in dataclasses.fields(RodProperties)[:-1]]
+            assert all(type(value) is float for value in scalars)
+            assert np.shares_memory(props.unit_vector, table.unit_vector)
+            assert not props.unit_vector.flags.writeable
 
 
 def _static_references(truss, reduce_anchors):

@@ -322,13 +322,25 @@ def test_simulate_bad_impulse(capsys, square_file):
          "error: impulse on rod '12': stress_amplitude must be a finite number, not nan"),
         (("simulate", "{square}", "--impulse", "12:1:-1.0", "--bins", "0"),
          "error: --bins must be >= 1, got 0"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--min-amplitude", "nan"),
+         "error: min_amplitude must be >= 0, got nan"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--min-amplitude", "-1"),
+         "error: min_amplitude must be >= 0, got -1.0"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--front-cap", "0"),
+         "error: front_cap must be >= 1, got 0"),
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--front-cap", "-5"),
+         "error: front_cap must be >= 1, got -5"),
+        # refused before the event log is printed, as a snapshot past the horizon is
+        (("simulate", "{square}", "--impulse", "12:1:-1.0", "--snapshot", "1.0",
+          "--snapshot-prefix", "{tmp}/no/x_"),
+         "error: cannot write snapshot '{tmp}/no/x_1.csv': No such file or directory"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, square_file, argv, message):
-    code, out, err = run(capsys, *(arg.format(square=square_file) for arg in argv))
+def test_input_errors_exit_2_with_one_line(capsys, square_file, tmp_path, argv, message):
+    code, out, err = run(capsys, *(arg.format(square=square_file, tmp=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""
-    assert err == message + "\n"
+    assert err == message.format(tmp=tmp_path) + "\n"
 
 
 def test_verify_builtins(capsys):

@@ -215,6 +215,8 @@ def test_numpy_bool_anchors_a_joint():
 
 
 def test_disconnected_warns():
+    # the warning names the code that built the truss, not the library's own
+    # lines, whether it built the truss directly or through load_truss
     mat = Material("m", 1.0, 1.0)
     joints = [
         Joint("a", (0.0, 0.0)),
@@ -226,8 +228,11 @@ def test_disconnected_warns():
         Rod("ab", ("a", "b"), 1.0, "m"),
         Rod("cd", ("c", "d"), 1.0, "m"),
     ]
-    with pytest.warns(DisconnectedTrussWarning):
-        Truss(2, joints, rods, {"m": mat})
+    with pytest.warns(DisconnectedTrussWarning) as direct:
+        truss = Truss(2, joints, rods, {"m": mat})
+    with pytest.warns(DisconnectedTrussWarning) as loaded:
+        load_truss(truss_to_json(truss))
+    assert [record.filename for record in (*direct, *loaded)] == [__file__, __file__]
 
 
 # -- derived rod quantities ------------------------------------------------------

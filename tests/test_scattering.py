@@ -29,7 +29,7 @@ from spectruss import (
 )
 from conftest import braced_lattice, random_truss
 from spectruss import _roots
-from spectruss.assembly import _rod_constants, _span_frames
+from spectruss.assembly import _span_frames
 from spectruss.scattering import (
     TOWARD_END,
     TOWARD_START,
@@ -427,6 +427,10 @@ def test_matching_count_gives_the_secular_sign_and_log_det(bridge):
          "impulse on rod '12': start_time must be a finite number, not -inf"),
         (lambda t: simulate_wavefronts(t, [], math.nan), "t_max must be >= 0, got nan"),
         (lambda t: simulate_wavefronts(t, [], math.inf), "t_max must be finite, got inf"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, min_amplitude=math.nan), "min_amplitude must be >= 0, got nan"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, min_amplitude=-1.0), "min_amplitude must be >= 0, got -1.0"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=0), "front_cap must be >= 1, got 0"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=-5), "front_cap must be >= 1, got -5"),
         (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).stress_profile(math.nan),
          "snapshot time must be a number, got nan"),
         # active_fronts refuses the times stress_profile refuses: fronts are in flight at 5.0
@@ -1034,10 +1038,10 @@ _NO_EVENTS = tuple(np.empty(0, dtype=int) for _ in range(6))  # a simulation's _
 def _per_rod_profile(sim, t):
     """stress_profile one rod at a time, every segment summing all of its rod's spans."""
     h = sim._history
-    length = _rod_constants(sim.truss).length
+    length = sim.truss._rod_table.length
     launched = h.t0 <= t
     rod, sign, z0 = h.rod[launched], h.sign[launched], h.z0[launched]
-    travelled = _rod_constants(sim.truss).wave_speed[rod] * (
+    travelled = sim.truss._rod_table.wave_speed[rod] * (
         np.minimum(t, h.t_arrive[launched]) - h.t0[launched]
     )
     forward = sign > 0
@@ -1113,7 +1117,7 @@ def test_stress_profile_matches_the_per_rod_reference_where_midpoints_round():
     # midpoint rounds onto its upper break; the segment still lies in every
     # span that holds both of its ends
     square = builtin_structure("square")
-    length, transit = _rod_constants(square).length, _rod_constants(square).transit_time
+    length, transit = square._rod_table.length, square._rod_table.transit_time
     rng = np.random.default_rng(7)
     rounded = 0
     for trial in range(400):
@@ -1138,7 +1142,7 @@ def test_a_last_segment_whose_midpoint_rounds_onto_the_rod_end_reads_its_spans()
     # back from z = 1 an ulp of time earlier, which has swept [1 - 2^-53, 1);
     # that segment's midpoint rounds onto the rod's length, yet it lies in both
     square = builtin_structure("square")
-    length, transit = _rod_constants(square).length, _rod_constants(square).transit_time
+    length, transit = square._rod_table.length, square._rod_table.transit_time
     assert (length[0], transit[0]) == (1.0, 1.0)
     t0 = np.array([0.0, 1.0 - 2.0 ** -53])
     history = _FrontColumns(np.array([0, 0]), np.array([1, -1], dtype=np.int8), np.array([1.0, 0.5]),
