@@ -18,20 +18,23 @@ half-bandwidth decides), a dense one (slogdet) elsewhere. near_null gives
 the modes their null space from a partial eigensolve: the eigenpairs near
 zero only.
 modulus_minima, a grid search of |det| minima, is the reference the
-tests hold the matching sweep to. scipy.optimize, which only it uses, loads
-on first use of modulus_minima, never on import: the module __getattr__
-binds the attribute optimize when it is first read.
+tests hold the matching sweep to. scipy loads at the first factorization,
+never on import: the module __getattr__ binds the attribute lapack
+(scipy.linalg.lapack, which _ldl_inertia, band_slogdet and near_null call)
+and optimize (scipy.optimize, which only modulus_minima uses) when each is
+first read. So the wavefront simulator, which factors nothing, runs without
+scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import lapack
 
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
 # longer lists of frequencies are evaluated chunk by chunk.
@@ -88,6 +91,7 @@ def _ldl_inertia(stack):
     diag, upper = np.ones((m, n)), np.zeros((m, max(n - 1, 0)))
     pivots = np.ones((m, n), dtype=np.int32)
     if n:
+        lapack = _scipy("lapack")
         lwork = int(lapack.dsytrf_lwork(n)[0])
         for i, a in enumerate(stack):
             lu, pivots[i], _ = lapack.dsytrf(a.T, lwork=lwork)  # a.T's upper triangle is a's lower
@@ -139,6 +143,7 @@ def band_slogdet(stack):
     m, n, width = stack.shape
     kl = (width - 1) // 3
     diag, pivots = np.ones((m, n)), np.zeros((m, n), dtype=np.int32)
+    lapack = _scipy("lapack")
     for k, band in enumerate(stack):
         lu, pivots[k], info = lapack.dgbtrf(band.T, kl, kl, overwrite_ab=1)
         _lapack_check(min(info, 0), "dgbtrf")
@@ -170,6 +175,7 @@ def near_null(matrix, tol):
     n = len(matrix)
     if not n:
         return 0.0, np.zeros(0), np.zeros((0, 0))
+    lapack = _scipy("lapack")
     c, d, e, tau, info = lapack.dsytrd(matrix, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
     _lapack_check(info, "dsytrd")
     e = e if n > 1 else np.zeros(1)  # the wrappers take an off-diagonal of at least one entry
@@ -478,34 +484,38 @@ def log_warnings(messages):
         logging.getLogger("spectruss").warning(message)
 
 
-def __getattr__(name):
-    """Import scipy.optimize on the first read of the attribute optimize and bind it here.
+# The scipy modules bound on first read, by attribute name: imported with the
+# package, they would take most of every start-up's time and half its memory.
+_SCIPY = {"lapack": "scipy.linalg.lapack", "optimize": "scipy.optimize"}
 
-    Imported with the package, it would add about a third to every start-up.
+
+def __getattr__(name):
+    """Import _SCIPY[name] on the first read of the attribute name (lapack or optimize)
+    and bind it here.
+
     A module __getattr__ (PEP 562) is consulted only for names not yet bound.
     """
-    if name != "optimize":
+    if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import optimize
+    module = importlib.import_module(_SCIPY[name])
+    globals()[name] = module
+    return module
 
-    globals()["optimize"] = optimize
-    return optimize
 
+def _scipy(name):
+    """The module attribute name (lapack or optimize): its scipy module, or whatever has replaced it.
 
-def _optimize():
-    """The module attribute optimize: scipy.optimize, or whatever has replaced it.
-
-    A bare name inside the module never consults __getattr__, so
-    _golden and modulus_minima read it through the module.
+    A bare name inside the module never consults __getattr__, so its users
+    read it through the module.
     """
-    return sys.modules[__name__].optimize
+    return getattr(sys.modules[__name__], name)
 
 
 def _golden(f, bracket, tol):
     """The golden-section minimum of f in bracket (a, b, c), to about tol; b if it holds none."""
     b = bracket[1]
     try:
-        res = _optimize().minimize_scalar(
+        res = _scipy("optimize").minimize_scalar(
             f, bracket=bracket, method="golden",
             options={"xtol": tol / max(abs(b), 1e-30), "maxiter": 200},
         )
@@ -547,7 +557,7 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
             # method's tolerance has a term relative to |t|, which x would make
             # ~1e-8 relative to omega, too coarse for the zero test
             x0, width = grid[end], grid[inner] - grid[end]
-            res = _optimize().minimize_scalar(
+            res = _scipy("optimize").minimize_scalar(
                 lambda t: scalar(x0 + t * width), bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": xtol_at(x0) / abs(width)},
             )

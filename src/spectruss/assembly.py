@@ -20,9 +20,12 @@ So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
 vector [diag_r, off_r] to the structurally nonzero entries, applied to one
 coefficient column per frequency. The pattern is built on first use per truss
 and anchor reduction, and kept with the truss; the same path serves one
-matrix or a batch, at every size. The sweeps evaluate these
-matrices in chunks whose stacks stay within `_roots.BATCH_BYTES`, so memory
-does not grow with the number of frequencies evaluated at once: FEM through
+matrix or a batch, at every size. scipy.sparse loads at the first pattern
+build (_build_pattern, _Pattern.lift), never on import: the rod-span frames,
+which scattering's transmission matrices share, need numpy only. The sweeps
+evaluate these matrices in chunks whose stacks stay within
+`_roots.BATCH_BYTES`, so memory does not grow with the number of frequencies
+evaluated at once: FEM through
 `_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
 which borders the rods near a resonance (spectrum). Each counted matrix is
 factored once, as LDL^T, for its inertia, sign and log|det|; the root polish
@@ -42,12 +45,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from . import _roots
 from .model import Truss
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass
@@ -87,6 +93,8 @@ class _Pattern:
     @cached_property
     def lift(self) -> sparse.csr_array:
         """Block-diagonal map from the frames' coordinates to the joint coordinates."""
+        from scipy import sparse
+
         frames = list(self.frames.values())
         lift = np.zeros((sum(f.shape[0] for f in frames), self.size))
         row = col = 0
@@ -139,6 +147,8 @@ def _span_frames(truss: Truss):
 
 
 def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
+    from scipy import sparse
+
     dim = truss.dimension
     n_rods = len(truss.rods)
     local = np.arange(dim)

@@ -96,11 +96,11 @@ class Truss:
         self.rods = tuple(rods)
         self.materials = dict(materials)
         self.dimensionless = bool(dimensionless)
-        self._validate()
+        length = self._validate()
 
         self._joint_index = {j.id: i for i, j in enumerate(self.joints)}
         self._rod_index = {r.id: i for i, r in enumerate(self.rods)}
-        self._rod_table = self._build_rod_table()
+        self._rod_table = self._build_rod_table(length)
         self._neighbors = {j.id: [] for j in self.joints}
         for r in self.rods:
             a, b = r.joints
@@ -113,7 +113,8 @@ class Truss:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self) -> list:
+        """Raise TrussValidationError at the first fault; else return every rod's length, in rod order."""
         if not self.joints:
             raise TrussValidationError("truss has no joints")
         if not self.rods:
@@ -142,6 +143,7 @@ class Truss:
         pos = {j.id: np.array(j.position, dtype=float) for j in self.joints}
         pairs = set()
         rod_ids = set()
+        lengths = []
         for r in self.rods:
             if r.id in rod_ids:
                 raise TrussValidationError(f"duplicate rod id '{r.id}'")
@@ -162,8 +164,11 @@ class Truss:
                 raise TrussValidationError(f"rod '{r.id}': area must be a number, not {r.area!r}")
             if not (r.area > 0.0) or not math.isfinite(r.area):
                 raise TrussValidationError(f"rod '{r.id}': area must be a positive finite number")
-            if float(np.linalg.norm(pos[b] - pos[a])) <= 0.0:
+            length = np.linalg.norm(pos[b] - pos[a])
+            if length <= 0.0:
                 raise TrussValidationError(f"rod '{r.id}' has zero length")
+            lengths.append(length)
+        return lengths
 
     def _check_connected(self):
         start = self.joints[0].id
@@ -182,13 +187,17 @@ class Truss:
                 stacklevel=_caller_level(),
             )
 
-    def _build_rod_table(self) -> RodProperties:
+    def _build_rod_table(self, length) -> RodProperties:
         """Every RodProperties field as one read-only array over the rods, in rod
-        order (unit_vector of shape (rods, dim)): the truss's only copy of them."""
+        order (unit_vector of shape (rods, dim)): the truss's only copy of them.
+
+        length holds the rods' lengths as _validate computed them, one
+        np.linalg.norm per rod (norm(axis=1) rounds some differently).
+        """
         position = np.array([j.position for j in self.joints], dtype=float)
         ends = np.array([[self._joint_index[jid] for jid in r.joints] for r in self.rods])
         delta = position[ends[:, 1]] - position[ends[:, 0]]
-        length = np.array([np.linalg.norm(d) for d in delta])  # norm(axis=1) rounds some differently
+        length = np.array(length)
         wave = {name: (math.sqrt(m.youngs_modulus / m.density), math.sqrt(m.youngs_modulus * m.density))
                 for name, m in self.materials.items()}
         c, gamma = np.array([wave[r.material] for r in self.rods]).T.copy()

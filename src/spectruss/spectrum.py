@@ -96,6 +96,8 @@ class FrequencyWindow:
             raise ValueError(
                 f"need 0 < omega_min < omega_max, got ({self.omega_min}, {self.omega_max})"
             )
+        if not math.isfinite(self.omega_max):
+            raise ValueError(f"omega_max must be finite, got {self.omega_max}")
 
     def tol_at(self, omega: float) -> float:
         return DEFAULT_ROOT_RTOL * max(abs(omega), self.omega_min)

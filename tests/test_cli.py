@@ -334,6 +334,10 @@ def test_simulate_bad_impulse(capsys, square_file):
         (("simulate", "{square}", "--impulse", "12:1:-1.0", "--snapshot", "1.0",
           "--snapshot-prefix", "{tmp}/no/x_"),
          "error: cannot write snapshot '{tmp}/no/x_1.csv': No such file or directory"),
+        # every method is refused before it sweeps to an infinite upper end
+        *((("freqs", "{square}", "--omega-max", "inf", "--method", method),
+           "error: omega_max must be finite, got inf")
+          for method in ("laplacian", "fem-consistent", "reverberation")),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, square_file, tmp_path, argv, message):
@@ -386,3 +390,50 @@ def test_import_leaves_scipy_optimize_to_first_use(monkeypatch):
                                    lambda x: 1e-12)
     assert sorted(minima) == pytest.approx([math.pi, 2 * math.pi], abs=1e-9)
     assert sorted(methods) == ["bounded", "golden", "golden"]
+
+
+# Builds, writes, reads and subdivides the bridge, runs the wavefront simulator
+# with its views and `spectruss simulate` with a snapshot, then prints the
+# scipy modules loaded so far and the bridge's natural frequencies.
+NO_FACTORING = """
+import contextlib, io, json, sys
+from pathlib import Path
+import spectruss, spectruss.cli
+from spectruss import (FrequencyWindow, Impulse, builtin_structure, find_natural_frequencies,
+                       load_truss, simulate_wavefronts, subdivide, truss_to_json)
+
+tmp = Path(sys.argv[1])
+path = tmp / "bridge.json"
+path.write_text(truss_to_json(builtin_structure("bridge")))
+bridge = load_truss(path.read_text())
+subdivide(bridge, 2)
+sim = simulate_wavefronts(bridge, [Impulse("12", "toward_end", -1.0)], 2.0)
+sim.stress_profile(1.0), sim.active_fronts(1.0), sim.events
+with contextlib.redirect_stdout(io.StringIO()):
+    code = spectruss.cli.main(["simulate", str(path), "--impulse", "12:2:-1.0", "--t-max", "2.0",
+                               "--snapshot", "1.0", "--snapshot-prefix", str(tmp / "snap_")])
+assert code == 0 and (tmp / "snap_1.csv").exists()
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+roots = find_natural_frequencies(bridge, FrequencyWindow(0.05, 4.0)).omegas
+print(json.dumps({"scipy": loaded, "roots": [float(w).hex() for w in roots]}))
+"""
+
+
+def test_start_up_and_the_wavefront_simulator_load_no_scipy(tmp_path):
+    src = Path(spectruss.__file__).resolve().parents[1]
+
+    def run_script(prelude, directory):
+        directory.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude + NO_FACTORING, str(directory)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    lazy = run_script("", tmp_path / "lazy")
+    assert lazy["scipy"] == []
+    # the first sweep loads scipy, and finds what it finds with scipy loaded up front
+    eager = run_script("import scipy.linalg, scipy.sparse, scipy.optimize\n", tmp_path / "eager")
+    assert "scipy.linalg" in eager["scipy"]
+    assert lazy["roots"] == eager["roots"] and len(lazy["roots"]) > 0

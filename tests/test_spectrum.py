@@ -479,6 +479,7 @@ def test_forced_response_anchor_reactions(bridge):
          "mode carries no displacements; extract modes first"),
         (lambda t: solve_forced_response(t, 1.0, {"3": [1.0, 0.0, 0.0]}),
          "force vector for joint '3' must have 2 components"),
+        (lambda t: FrequencyWindow(0.05, math.inf), "omega_max must be finite, got inf"),
     ],
 )
 def test_invalid_spectrum_input_raises(bridge, call, message):
