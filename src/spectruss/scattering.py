@@ -38,12 +38,18 @@ benchmark run, so one path serves them all; a hub joint of many rods would
 make every event pay for its degree. Merging and ordering are those of one
 event at a time: clusters of arrivals within 1e-12 tau_min of their first,
 events in (cluster, joint id) order, arrivals summed in (time, rod id,
-launch) order, fronts launched in (event, rod) order.
+launch) order, fronts launched in (event, rod) order. One three-key sort
+puts a window's arrivals in that order; one bincount over (event, port)
+cells then sums them, which adds each cell's arrivals one by one from 0.0
+and so gives the floats of one-by-one addition. The record of an event's
+arrivals, by rod id, is read row by row off an events x ports grid marked
+at each arrival's place among its joint's rods in rod-id order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -255,9 +261,9 @@ class WavefrontSimulation:
                         grouped(rod, stress, arrivals), grouped(h.rod[first:], h.stress[first:], launches)))
 
     def _check_time(self, t: float) -> None:
-        """Refuse a time the run does not cover: nan, or past its horizon."""
-        if math.isnan(t):
-            raise ValueError("snapshot time must be a number, got nan")
+        """Refuse a time the run does not cover: not a number, nan, or past its horizon."""
+        if not _is_number(t) or math.isnan(t):
+            raise ValueError(f"snapshot time must be a number, got {t!r}")
         if t > self.t_max:
             raise ValueError(f"snapshot time {t} exceeds simulated horizon {self.t_max}")
 
@@ -458,9 +464,17 @@ def simulate_wavefronts(
     anchor, which inverts the velocity). Children whose |stress| falls below
     min_amplitude are dropped. Simultaneous arrivals at one joint merge into a
     single scattering event. Time advances one lookahead window at a time (see
-    the module docstring). More than front_cap pending arrivals raise
-    EventExplosionError.
+    the module docstring): its arrivals are summed per event and port by one
+    bincount in merge order, the floats of one-by-one addition, and each
+    event's arrivals are recorded by rod id off an events x ports grid. More
+    than front_cap pending arrivals raise EventExplosionError.
     """
+    for name, value in (("t_max", t_max), ("min_amplitude", min_amplitude)):
+        if not _is_number(value):  # a bool would count as 0 or 1, a string fail the comparisons below
+            raise ValueError(f"{name} must be a number, not {value!r}")
+    if not (isinstance(front_cap, numbers.Integral) and not isinstance(front_cap, bool)):
+        raise ValueError(f"front_cap must be an integer, not {front_cap!r}")
+    t_max = float(t_max)
     if not (t_max >= 0.0):
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if math.isinf(t_max):  # no horizon: the record could grow without end
@@ -475,6 +489,10 @@ def simulate_wavefronts(
     degree = np.diff(slots.start)
     padded = _transmission(truss)
     ports = np.arange(padded.shape[1])
+    # each slot's place among its joint's slots in rod-id order, and the slot at each place
+    at_place = np.lexsort((rod_rank[slots.rod], slots.joint))
+    by_rod = np.empty_like(at_place)
+    by_rod[at_place] = np.arange(at_place.size) - slots.start[slots.joint[at_place]]
 
     tau_min = truss.tau_min
     time_tol = 1e-12 * tau_min
@@ -531,18 +549,19 @@ def simulate_wavefronts(
         # the window's arrivals in the order the merge meets them: by cluster,
         # joint id and time, then rod id and launch
         joint = slots.joint[slot[take]]
-        order = np.lexsort((front[take], rod_rank[slots.rod[slot[take]]], t[take],
-                            joint_rank[joint], cluster))
+        # rods x fronts, like clusters x joints, stays far below 2**63 for any run that fits in memory
+        order = np.lexsort((rod_rank[slots.rod[slot[take]]] * len(columns[0]) + front[take], t[take],
+                            cluster * joint_rank.size + joint_rank[joint]))
         take, joint, cluster = take[order], joint[order], cluster[order]
         starts = np.concatenate(([True], (cluster[1:] != cluster[:-1]) | (joint[1:] != joint[:-1])))
         first, event = np.flatnonzero(starts), np.cumsum(starts) - 1
         ev_joint, ev_time, ev_cluster = joint[first], t[take[first]], cluster[first]
 
-        # one row per event, its joint's ports in neighbor order and zeros past its degree
-        cell = (event, slot[take] - slots.start[joint])
-        v_in, stress_in = np.zeros((2, first.size, ports.size))
-        np.add.at(v_in, cell, velocity[take])
-        np.add.at(stress_in, cell, stress[take])
+        # one row per event, its joint's ports in neighbor order and zeros past its degree;
+        # bincount adds each cell's arrivals one by one from 0.0, in the order above
+        cell = event * ports.size + slot[take] - slots.start[joint]
+        v_in, stress_in = (np.bincount(cell, weights=w[take], minlength=first.size * ports.size)
+                           .reshape(first.size, ports.size) for w in (velocity, stress))
         port_event, local = np.nonzero(ports < degree[ev_joint, None])
         port = slots.start[ev_joint[port_event]] + local
         v_out = np.matmul(padded[ev_joint], v_in[..., None])[port_event, local, 0]
@@ -561,13 +580,16 @@ def simulate_wavefronts(
         if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
             raise explosion()
 
-        # the window's events, each one's arrivals by rod id (the fronts they launched are recorded)
-        inc_event, inc_local = np.divmod(np.unique(event * ports.size + cell[1]), ports.size)
-        inc_rod = slots.rod[slots.start[ev_joint[inc_event]] + inc_local]
-        inc = np.lexsort((rod_rank[inc_rod], inc_event))
+        # the window's events, each one's arrivals by rod id (the fronts they launched are recorded):
+        # an events x ports grid marked at each arrival's place in rod-id order, read row by row
+        hit = np.zeros((first.size, ports.size), dtype=bool)
+        hit[event, by_rod[slot[take]]] = True
+        inc_event, place = np.nonzero(hit)
+        inc_start = slots.start[ev_joint[inc_event]]
+        inc_slot = at_place[inc_start + place]
         _append(event_columns, (ev_time, ev_joint, np.bincount(inc_event, minlength=first.size),
                                 np.bincount(child_event, minlength=first.size),
-                                inc_rod[inc], stress_in[inc_event[inc], inc_local[inc]]))
+                                slots.rod[inc_slot], stress_in[inc_event, inc_slot - inc_start]))
 
         rest = np.ones(t.size, dtype=bool)
         rest[take] = False

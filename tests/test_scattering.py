@@ -431,6 +431,17 @@ def test_matching_count_gives_the_secular_sign_and_log_det(bridge):
         (lambda t: simulate_wavefronts(t, [], 1.0, min_amplitude=-1.0), "min_amplitude must be >= 0, got -1.0"),
         (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=0), "front_cap must be >= 1, got 0"),
         (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=-5), "front_cap must be >= 1, got -5"),
+        # a bool is not a number, nor is a string; a front cap is a whole count
+        (lambda t: simulate_wavefronts(t, [], True), "t_max must be a number, not True"),
+        (lambda t: simulate_wavefronts(t, [], "2"), "t_max must be a number, not '2'"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, min_amplitude="0"), "min_amplitude must be a number, not '0'"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, min_amplitude=True), "min_amplitude must be a number, not True"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=True), "front_cap must be an integer, not True"),
+        (lambda t: simulate_wavefronts(t, [], 1.0, front_cap=2.5), "front_cap must be an integer, not 2.5"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).stress_profile(True),
+         "snapshot time must be a number, got True"),
+        (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).active_fronts("1.0"),
+         "snapshot time must be a number, got '1.0'"),
         (lambda t: simulate_wavefronts(t, [Impulse("12", TOWARD_END, -1.0)], 2.0).stress_profile(math.nan),
          "snapshot time must be a number, got nan"),
         # active_fronts refuses the times stress_profile refuses: fronts are in flight at 5.0
@@ -914,10 +925,32 @@ def _heap_simulation(truss, impulses, t_max, min_amplitude=0.0, front_cap=1_000_
     return events, [np.asarray(col) for col in columns], peak
 
 
+def _relabelled(truss):
+    """The truss with joints and rods renamed, last first, to f"n{7k + 3}" and f"r{7k + 3}",
+    and the rod renaming: "r10" < "r3", so a joint's neighbor (slot) order and its
+    rods' id order part where the two namings differ."""
+    joint_id = {j.id: f"n{7 * k + 3}" for k, j in enumerate(reversed(truss.joints))}
+    rod_id = {r.id: f"r{7 * k + 3}" for k, r in enumerate(reversed(truss.rods))}
+    joints = [Joint(joint_id[j.id], j.position, j.anchored) for j in truss.joints]
+    rods = [Rod(rod_id[r.id], tuple(map(joint_id.get, r.joints)), r.area, r.material) for r in truss.rods]
+    return Truss(truss.dimension, joints, rods, truss.materials), rod_id
+
+
+def _slots_apart_from_rod_ids(truss):
+    """The joints whose neighbor rods are not in rod-id order."""
+    return [j.id for j in truss.joints
+            if [r.id for _, r in truss.neighbors(j.id)] != sorted(r.id for _, r in truss.neighbors(j.id))]
+
+
 def _reference_cases():
     """(name, truss, impulses, t_max, min_amplitude) the windowed loop must match the heap on."""
     square, bridge = builtin_structure("square"), builtin_structure("bridge")
     lattice = braced_lattice(4)
+    # an event's arrivals are recorded by rod id, and summed at its ports in slot order:
+    # renamed so that the two orders part at some joints, which no other case does
+    bridge_r, bridge_rod = _relabelled(bridge)
+    lattice_r, lattice_rod = _relabelled(lattice)
+    assert _slots_apart_from_rod_ids(bridge_r) and _slots_apart_from_rod_ids(lattice_r)
     cases = [
         ("square", square, [fig2_impulse()], 6.0, 0.0),
         ("bridge", bridge, [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)],
@@ -928,6 +961,11 @@ def _reference_cases():
                                             Impulse("12", TOWARD_START, 0.2)], 6.0, 0.0),
         ("crossbar", _rect_with_crossbar(), [Impulse("12", TOWARD_END, -1.0)], 12.0, 0.3),
         ("lattice", lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 10.0, 1e-3),
+        ("bridge, renamed", bridge_r, [Impulse(bridge_rod["12"], TOWARD_START, -1.0),
+                                       Impulse(bridge_rod["34"], TOWARD_END, 0.5, 0.25)], 8.0, 0.0),
+        ("lattice, renamed", lattice_r, [Impulse(lattice_rod[lattice.rods[-1].id], TOWARD_START, -1.0),
+                                         Impulse(lattice_rod[lattice.rods[3].id], TOWARD_END, 0.5, 0.7)],
+         10.0, 1e-3),
     ]
     for k, truss in enumerate(_draws(40)):  # draws with mechanism joints among them
         tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
