@@ -263,6 +263,21 @@ def _parse_divisions(text: str):
     return values
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low; argparse refuses anything else with exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_snapshot_times(text: str):
     return [float(v) for v in text.split(",") if v]
 
@@ -282,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_window(p):
         p.add_argument("--omega-min", type=float, default=None)
         p.add_argument("--omega-max", type=float, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("freqs", help="natural frequencies in a window")
     p.add_argument("file")
     p.add_argument("--method", choices=METHODS, default="laplacian")
     p.add_argument("--divisions", type=int, default=1, help="rod subdivisions (FEM methods)")
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=_int_at_least(0), default=None)  # a negative slice would drop rows
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_window(p)
     p.set_defaults(func=cmd_freqs)
@@ -303,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="frequency vs subdivision table for all methods")
     p.add_argument("file")
     p.add_argument("--divisions", default="1,2,4,8")
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_int_at_least(0), default=5)
     add_window(p)
     p.set_defaults(func=cmd_compare)
 

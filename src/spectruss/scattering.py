@@ -44,13 +44,21 @@ cells then sums them, which adds each cell's arrivals one by one from 0.0
 and so gives the floats of one-by-one addition. The record of an event's
 arrivals, by rod id, is read row by row off an events x ports grid marked
 at each arrival's place among its joint's rods in rod-id order.
+
+A run keeps of each front only what the run decides: the slot it leaves by,
+its launch time and its stress (_FrontColumns). The slot fixes the rest, its
+rod, direction, launch position and transit time, and the views read those
+off _Slots; it arrives at its launch time plus the slot's transit. Each
+window copies its arrays once into columns that grow in place, their room
+doubling when full (_Growing). Per-window arrays kept in lists and joined
+once the run ends would copy as often, but their freed blocks stay resident:
+on the benchmark's lattice drive that raised a process's peak memory.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -207,26 +215,40 @@ class ScatterEvent(NamedTuple):
 class _FrontColumns:
     """Every front the simulator launched, in launch order, one array per field.
 
-    rod: rod index; sign: +1 toward the rod's second endpoint, -1 toward its
-    first; stress: the signed step it carries; t0, z0: launch time and
-    position along the rod; t_arrive: when it reaches the rod's far end.
+    port: the slot it leaves by (_Slots), which fixes its rod, its direction
+    (sign: +1 toward the rod's second endpoint), its launch position z0 and
+    its transit time; stress: the signed step it carries; t0: its launch
+    time, so it reaches the rod's far end at t0 + transit.
     """
 
-    rod: np.ndarray
-    sign: np.ndarray
+    port: np.ndarray
     stress: np.ndarray
     t0: np.ndarray
-    z0: np.ndarray
-    t_arrive: np.ndarray
 
     def __len__(self) -> int:
-        return self.rod.size
+        return self.port.size
 
 
-def _append(columns, values) -> None:
-    """Append each array of values to its array.array column, in the column's type."""
-    for col, v in zip(columns, values):
-        col.frombytes(np.asarray(v, dtype=col.typecode).tobytes())
+class _Growing:
+    """Columns of one length that a run extends a window at a time, in place: each
+    window's arrays are copied in once, and a column's room doubles when it is full."""
+
+    def __init__(self, *dtypes):
+        self.size, self.columns = 0, [np.empty(0, dtype) for dtype in dtypes]
+
+    def extend(self, *parts) -> None:
+        end = self.size + parts[0].size
+        for column, part in zip(self.columns, parts):
+            if end > column.size:  # unchecked: no view of a column exists before arrays() hands them out
+                column.resize(2 * end, refcheck=False)
+            column[self.size:end] = part
+        self.size = end
+
+    def arrays(self) -> list:
+        """The columns, cut to their length in place; the run extends them no further."""
+        for column in self.columns:
+            column.resize(self.size, refcheck=False)
+        return self.columns
 
 
 _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
@@ -234,7 +256,7 @@ _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 @dataclass
 class WavefrontSimulation:
-    """A run up to t_max, kept only as columns: every view is read off them."""
+    """A run up to t_max, kept only as columns: every view is read off them and the truss's slots."""
 
     truss: Truss
     t_max: float
@@ -247,7 +269,7 @@ class WavefrontSimulation:
     def events(self) -> list:
         """Every scattering event as a ScatterEvent, built on first access and kept."""
         time, joint, arrivals, launches, rod, stress = self._events
-        h = self._history
+        h, slots = self._history, _slots(self.truss)
         first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
         rod_ids = [r.id for r in self.truss.rods]
         joint_ids = [j.id for j in self.truss.joints]
@@ -258,7 +280,7 @@ class WavefrontSimulation:
             return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
 
         return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
-                        grouped(rod, stress, arrivals), grouped(h.rod[first:], h.stress[first:], launches)))
+                        grouped(rod, stress, arrivals), grouped(slots.rod[h.port[first:]], h.stress[first:], launches)))
 
     def _check_time(self, t: float) -> None:
         """Refuse a time the run does not cover: not a number, nan, or past its horizon."""
@@ -270,10 +292,11 @@ class WavefrontSimulation:
     def active_fronts(self, t: float):
         """Fronts still travelling at time t, as public Wavefront records."""
         self._check_time(t)
-        h = self._history
-        live = (h.t0 <= t) & (t < h.t_arrive)
-        rod, sign = h.rod[live], h.sign[live]
-        position = h.z0[live] + sign * self.truss._rod_table.wave_speed[rod] * (t - h.t0[live])
+        h, slots = self._history, _slots(self.truss)
+        live = (h.t0 <= t) & (t < h.t0 + slots.transit[h.port])
+        port = h.port[live]
+        rod, sign = slots.rod[port], slots.sign[port]
+        position = slots.z0[port] + sign * self.truss._rod_table.wave_speed[rod] * (t - h.t0[live])
         return [
             Wavefront(
                 rod=self.truss.rods[r].id,
@@ -303,18 +326,18 @@ class WavefrontSimulation:
         in blocks of at most _COVER_BLOCK (segment, span) pairs.
         """
         self._check_time(t)
-        h = self._history
+        h, slots, table = self._history, _slots(self.truss), self.truss._rod_table
         rods = len(self.truss.rods)
-        length = self.truss._rod_table.length
+        length = table.length
         front = np.flatnonzero(h.t0 <= t)  # launched, in launch order
-        rod, stress = h.rod[front], h.stress[front]
-        arrived = h.t_arrive[front] <= t
+        rod, stress = slots.rod[h.port[front]], h.stress[front]
+        arrived = h.t0[front] + table.transit_time[rod] <= t  # the slot's transit is its rod's
         flying = np.flatnonzero(~arrived)
         f = front[flying]
-        travelled = self.truss._rod_table.wave_speed[rod[flying]] * (t - h.t0[f])
-        forward = h.sign[f] > 0
-        lo = np.where(forward, h.z0[f], np.maximum(0.0, h.z0[f] - travelled))
-        hi = np.where(forward, np.minimum(length[rod[flying]], h.z0[f] + travelled), h.z0[f])
+        travelled = table.wave_speed[rod[flying]] * (t - h.t0[f])
+        forward, z0 = slots.sign[h.port[f]] > 0, slots.z0[h.port[f]]
+        lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))
+        hi = np.where(forward, np.minimum(length[rod[flying]], z0 + travelled), z0)
         swept = hi > lo
         flying, lo, hi = flying[swept], lo[swept], hi[swept]
 
@@ -466,8 +489,11 @@ def simulate_wavefronts(
     single scattering event. Time advances one lookahead window at a time (see
     the module docstring): its arrivals are summed per event and port by one
     bincount in merge order, the floats of one-by-one addition, and each
-    event's arrivals are recorded by rod id off an events x ports grid. More
-    than front_cap pending arrivals raise EventExplosionError.
+    event's arrivals are recorded by rod id off an events x ports grid. A
+    front is recorded as its slot, launch time and stress, and a pending
+    arrival as its time, arriving slot, front and velocity step; the rest is
+    read off the slots. More than front_cap pending arrivals raise
+    EventExplosionError.
     """
     for name, value in (("t_max", t_max), ("min_amplitude", min_amplitude)):
         if not _is_number(value):  # a bool would count as 0 or 1, a string fail the comparisons below
@@ -497,27 +523,21 @@ def simulate_wavefronts(
     tau_min = truss.tau_min
     time_tol = 1e-12 * tau_min
     horizon = t_max + time_tol
-    # the _FrontColumns: rod, sign, stress, t0, z0, t_arrive
-    columns = tuple(array(code) for code in "qbdddd")
-    # the simulation's _events: time, joint, arrivals, launches, rod, stress
-    event_columns = tuple(array(code) for code in "dqqqqd")
-
-    def explosion():
-        return EventExplosionError(
-            f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small"
-        )
+    # the _FrontColumns (port, stress, t0) and the simulation's _events: each
+    # event's (time, joint, arrivals, launches), each arrival's (rod, stress)
+    fronts, events, incoming = _Growing(int, float, float), _Growing(float, int, int, int), _Growing(int, float)
+    explosion = EventExplosionError(f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small")
 
     def launch(port, t0, velocity):
         """Record a front leaving by each slot of port at t0 with its velocity step
         (in the far joint's frame; its stress is Gamma * velocity) and return the
         pending arrivals of those that reach the far joint by the horizon: time,
-        slot at the far joint, front index, velocity step and stress step."""
-        stress = slots.impedance[port] * velocity
+        slot at the far joint, front index and velocity step."""
         t_arrive = t0 + slots.transit[port]
         live = np.flatnonzero(t_arrive <= horizon)
-        front = len(columns[0]) + live
-        _append(columns, (slots.rod[port], slots.sign[port], stress, t0, slots.z0[port], t_arrive))
-        return t_arrive[live], slots.far[port[live]], front, velocity[live], stress[live]
+        front = fronts.size + live
+        fronts.extend(port, slots.impedance[port] * velocity, t0)
+        return t_arrive[live], slots.far[port[live]], front, velocity[live]
 
     impulses = tuple(impulses)  # a generator too: it is read more than once below
     for imp in impulses:
@@ -536,10 +556,10 @@ def simulate_wavefronts(
     start_time = np.array([imp.start_time for imp in impulses], dtype=float)
     pending = launch(port, start_time, amplitude / slots.impedance[port])
     if pending[0].size > front_cap:
-        raise explosion()
+        raise explosion
 
     while pending[0].size:
-        t, slot, front, velocity, stress = pending
+        t, slot, front, velocity = pending
         limit = float(t.min()) + tau_min
         near = np.flatnonzero(t <= limit)
         near = near[np.argsort(t[near], kind="stable")]
@@ -548,20 +568,23 @@ def simulate_wavefronts(
         cluster = np.searchsorted(ends, np.arange(ends[-1]), side="right")
         # the window's arrivals in the order the merge meets them: by cluster,
         # joint id and time, then rod id and launch
-        joint = slots.joint[slot[take]]
+        arriving = slot[take]
+        joint = slots.joint[arriving]
         # rods x fronts, like clusters x joints, stays far below 2**63 for any run that fits in memory
-        order = np.lexsort((rod_rank[slots.rod[slot[take]]] * len(columns[0]) + front[take], t[take],
+        order = np.lexsort((rod_rank[slots.rod[arriving]] * fronts.size + front[take], t[take],
                             cluster * joint_rank.size + joint_rank[joint]))
-        take, joint, cluster = take[order], joint[order], cluster[order]
+        take, arriving, joint, cluster = take[order], arriving[order], joint[order], cluster[order]
         starts = np.concatenate(([True], (cluster[1:] != cluster[:-1]) | (joint[1:] != joint[:-1])))
         first, event = np.flatnonzero(starts), np.cumsum(starts) - 1
         ev_joint, ev_time, ev_cluster = joint[first], t[take[first]], cluster[first]
 
         # one row per event, its joint's ports in neighbor order and zeros past its degree;
-        # bincount adds each cell's arrivals one by one from 0.0, in the order above
-        cell = event * ports.size + slot[take] - slots.start[joint]
-        v_in, stress_in = (np.bincount(cell, weights=w[take], minlength=first.size * ports.size)
-                           .reshape(first.size, ports.size) for w in (velocity, stress))
+        # bincount adds each cell's arrivals one by one from 0.0, in the order above;
+        # an arrival's stress is Gamma * velocity, Gamma the rod's at either slot
+        cell = event * ports.size + arriving - slots.start[joint]
+        v_in, stress_in = (np.bincount(cell, weights=w, minlength=first.size * ports.size)
+                           .reshape(first.size, ports.size)
+                           for w in (velocity[take], slots.impedance[arriving] * velocity[take]))
         port_event, local = np.nonzero(ports < degree[ev_joint, None])
         port = slots.start[ev_joint[port_event]] + local
         v_out = np.matmul(padded[ev_joint], v_in[..., None])[port_event, local, 0]
@@ -572,28 +595,27 @@ def simulate_wavefronts(
         kept = np.flatnonzero(~((size <= noise_floor[port_event]) | (size < min_amplitude)))
 
         child, child_event = port[kept], port_event[kept]
-        fronts = len(columns[0])
         arrivals = launch(child, ev_time[child_event], -v_out[kept])
-        live = arrivals[2] - fronts  # the children that arrive by the horizon
+        live = arrivals[2] - (fronts.size - child.size)  # the children that arrive by the horizon
         pushes = np.bincount(ev_cluster[child_event[live]], minlength=len(ends))
         # pending at each cluster's end: before the window, less the pops, plus the pushes
         if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
-            raise explosion()
+            raise explosion
 
         # the window's events, each one's arrivals by rod id (the fronts they launched are recorded):
         # an events x ports grid marked at each arrival's place in rod-id order, read row by row
         hit = np.zeros((first.size, ports.size), dtype=bool)
-        hit[event, by_rod[slot[take]]] = True
+        hit[event, by_rod[arriving]] = True
         inc_event, place = np.nonzero(hit)
         inc_start = slots.start[ev_joint[inc_event]]
         inc_slot = at_place[inc_start + place]
-        _append(event_columns, (ev_time, ev_joint, np.bincount(inc_event, minlength=first.size),
-                                np.bincount(child_event, minlength=first.size),
-                                slots.rod[inc_slot], stress_in[inc_event, inc_slot - inc_start]))
+        events.extend(ev_time, ev_joint, np.bincount(inc_event, minlength=first.size),
+                      np.bincount(child_event, minlength=first.size))
+        incoming.extend(slots.rod[inc_slot], stress_in[inc_event, inc_slot - inc_start])
 
         rest = np.ones(t.size, dtype=bool)
         rest[take] = False
         pending = tuple(np.concatenate((old[rest], new)) for old, new in zip(pending, arrivals))
 
-    return WavefrontSimulation(truss, t_max, _FrontColumns(*map(np.asarray, columns)),
-                               tuple(map(np.asarray, event_columns)))
+    return WavefrontSimulation(truss, t_max, _FrontColumns(*fronts.arrays()),
+                               tuple(events.arrays() + incoming.arrays()))

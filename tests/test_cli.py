@@ -347,6 +347,34 @@ def test_input_errors_exit_2_with_one_line(capsys, square_file, tmp_path, argv, 
     assert err == message.format(tmp=tmp_path) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("freqs", "{bridge}", "--count", "-1"),
+        ("compare", "{bridge}", "--count", "-2"),
+        ("freqs", "{bridge}", "--count", "two"),
+        ("freqs", "{bridge}", "--threads", "0"),
+        ("freqs", "{bridge}", "--threads", "-3"),
+        ("compare", "{bridge}", "--threads", "0"),
+        ("bench", "{bridge}", "--threads", "0"),
+    ],
+)
+def test_parser_refuses_a_negative_count_and_threads_below_one(capsys, bridge_file, argv):
+    # a negative --count sliced rows off the end, and --threads 0 ran serially, both with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(bridge=bridge_file) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    low = 0 if argv[2] == "--count" else 1
+    assert f"argument {argv[2]}: must be an integer >= {low}, got {argv[3]!r}" in err
+
+
+def test_a_zero_count_prints_the_header_only(capsys, bridge_file):
+    code, out, _ = run(capsys, "freqs", bridge_file, "--count", "0")
+    assert (code, out) == (0, "index,omega,kind\n")
+
+
 def test_verify_builtins(capsys):
     for name in ("square", "bridge"):
         code, out, _ = run(capsys, "verify", "--builtin", name)
