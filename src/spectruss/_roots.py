@@ -31,6 +31,7 @@ from __future__ import annotations
 import importlib
 import logging
 import math
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +44,12 @@ BATCH_BYTES = 16 * 2**20
 
 def _concatenate(parts):
     return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def check_threads(threads):
+    """Refuse a thread count that is not an integer >= 1; batched_eval would run 0, -1 or 2.5 serially."""
+    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
 
 
 def batched_eval(func, xs: np.ndarray, threads: int = 1):

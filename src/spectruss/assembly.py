@@ -43,6 +43,7 @@ solve_forced_response alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _roots
-from .model import Truss
+from .model import Truss, _is_number
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -229,12 +230,22 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     return build
 
 
+def _frequency(omega) -> float:
+    """omega as a float, if it is a finite number > 0; else ValueError. A bool or a string
+    is no number (_is_number): True would be taken for omega = 1."""
+    if not _is_number(omega):
+        raise ValueError(f"omega must be a number, not {omega!r}")
+    if not (omega > 0.0):  # nan too
+        raise ValueError(f"omega must be > 0, got {omega}")
+    if math.isinf(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+    return float(omega)
+
+
 def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> AssembledMatrix:
     """D(omega) in rod-span frames, unbordered: its entries diverge at a rod resonance."""
-    if not (omega > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega}")
     pattern = _pattern(truss, reduce_anchors)
-    entries = laplacian_evaluator(truss, pattern)([omega])[0]
+    entries = laplacian_evaluator(truss, pattern)([_frequency(omega)])[0]
     return AssembledMatrix(entries, dict(pattern.index_map))
 
 

@@ -85,7 +85,9 @@ def fem_frequencies(
     sweep: transverse directions at joints whose rods are collinear (every
     interior subdivision joint) carry no axial stiffness, and in joint
     coordinates the consistent-mass determinant would be identically zero.
+    threads must be an integer >= 1.
     """
+    _roots.check_threads(threads)
     if divisions < 1:
         raise ValueError(f"divisions must be >= 1, got {divisions}")
     fine = truss

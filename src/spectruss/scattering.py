@@ -177,7 +177,9 @@ def _matching_eval(truss: Truss):
 
 
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
-    """Frequencies where the matching system is singular: one counting sweep of _matching_eval."""
+    """Frequencies where the matching system is singular: one counting sweep of _matching_eval.
+    threads must be an integer >= 1."""
+    _roots.check_threads(threads)
     func, count = _matching_eval(truss)
     return _roots.window_roots(func, count, window, threads=threads)
 

@@ -21,7 +21,10 @@ for the pole whose band holds one omega alike. One routine reads modes off a
 null space, from a partial symmetric eigensolve (_roots.near_null: one
 tridiagonal reduction, bisection for the spectrum's ends and the eigenvalues
 within MODE_TOL of zero, eigenvectors for those only): of D at a regular
-root (of B if a rod is near its resonance), of B at a pole. There a mode either moves the joints, its
+root (of B if a rod is near its resonance), of B at a pole. The poles a
+sweep checks are built together, one bordered stack per border width, and
+each one's modes read off its own B (_pole_modes), as resonant_mode_check
+and extract_modes read one pole's. There a mode either moves the joints, its
 displacements u meeting each resonant rod's end-motion constraint
 
     (-1)^n e^T u_a - e^T u_b = 0        (Q^T u = 0)
@@ -46,6 +49,7 @@ import numpy as np
 from . import _roots
 from .assembly import (
     _assemble,
+    _frequency,
     _pattern,
     _span_frames,
     _spectral_coefficients,
@@ -195,11 +199,17 @@ def _pole_at(truss: Truss, omega: float):
 
     Chained are each rod's nearest resonance n*pi/tau: a resonance more than
     half a band above the one below starts a pole, so these alone find the
-    poles near omega.
+    poles near omega. A band holds omega only within half a band of its
+    pole, one of those resonances, so where none with n >= 1 lies within
+    two half bands of omega (a margin for rounding) there is no pole to
+    chain.
     """
     taus = truss._rod_table.transit_time
-    n = np.rint(omega * taus / math.pi).astype(int)
-    poles = _chain(n * math.pi / taus, np.arange(taus.size), n)
+    n = np.rint(omega * taus / math.pi)
+    resonances = n * math.pi / taus
+    if not ((np.abs(resonances - omega) <= 2.0 * _half_band(omega)) & (n > 0)).any():
+        return None
+    poles = _chain(resonances, np.arange(taus.size), n.astype(int))
     # the first pole whose band reaches omega holds it, unless that band starts above omega
     found = next((pole for pole in poles if pole[3][1] >= omega), None)
     return found if found and found[3][0] <= omega else None
@@ -269,12 +279,10 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
 
 
 def _bordered_at(truss: Truss, omega: float, reduce_anchors: bool):
-    """(pattern, B, c, near) at one omega > 0, B and c as stacks of one: the sweep's D,
+    """(pattern, B, c, near) at one omega, a finite number > 0, B and c as stacks of one: the sweep's D,
     bordered (_border_builder) at the rods near marks, those within BORDER_RADIUS of a resonance."""
-    if not (omega > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega}")
     pattern, build = _border_builder(truss, reduce_anchors)
-    omegas = np.array([float(omega)])
+    omegas = np.array([_frequency(omega)])
     near, n = _near_resonances(truss._rod_table.transit_time, omegas)
     return pattern, *build(omegas, near, n), near[0]
 
@@ -340,15 +348,19 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     is the rise of J across its band. Every segment and band end is counted
     in one call, and each counted point's record (J, sign, log|det|), from
     one LDL^T, is kept in one dict that the count stage, the polish and the
-    poles' rises all read. Each pole is dispatched to
-    resonant_mode_check, except where that rise is 0 in a truss without
-    mechanism joints (at mechanism joints the count near a pole is not yet
-    trusted). A count that falls, or a rise that differs from the modes
+    poles' rises all read. Every pole is checked for modes, except where
+    that rise is 0 in a truss without mechanism joints (at mechanism joints
+    the count near a pole is not yet trusted): _pole_modes takes the checked
+    poles' records from _window_poles, builds their bordered D by one call
+    per border width and gives the modes resonant_mode_check gives at each
+    one. A count that falls, or a rise that differs from the modes
     found at the pole, is reported in the warnings and logged through
     logging.getLogger("spectruss"). Output is sorted by frequency, one mode
     per rise of J: a multiple regular root, its interval narrower than the
     root tolerance, is listed as often as J rises across it.
+    threads must be an integer >= 1.
     """
+    _roots.check_threads(threads)
     poles = _window_poles(truss, window)
     bands = [band for *_, band in poles]
     segments = _segments(window, bands)
@@ -361,15 +373,13 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     )
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
-    for pole, _, _, (lo, hi) in poles:
-        rise = known[hi][0] - known[lo][0]
-        if rise == 0 and not mechanisms:
-            continue
-        found = resonant_mode_check(truss, pole)
+    rises = [known[hi][0] - known[lo][0] for *_, (lo, hi) in poles]
+    checked = [(pole, rise) for pole, rise in zip(poles, rises) if rise or mechanisms]
+    for (pole, rise), found in zip(checked, _pole_modes(truss, [pole for pole, _ in checked])):
         modes.extend(found)
         if rise != len(found):
             warnings.append(
-                f"count rises by {rise} across the pole at {pole:.10g}, "
+                f"count rises by {rise} across the pole at {pole[0]:.10g}, "
                 f"but {len(found)} resonant modes were found there"
             )
     modes.sort(key=lambda m: m.omega)
@@ -398,12 +408,13 @@ def _anchor_rows(truss: Truss, index_map, forces):
     }
 
 
-def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
+def _null_modes(truss: Truss, full, bordered, near, omega: float, cutoff: float, order=None):
     """Modes at omega from the null space of D bordered at the rods within BORDER_RADIUS of a resonance.
 
-    B (_bordered_at) is built on the unreduced pattern, so the anchored
-    rows of [F | Q] give reactions. Without those rows and columns B is
-    symmetric, and the eigenvectors of its eigenvalues at or below
+    bordered is B at omega, one matrix of a stack that _border_builder
+    builds on the unreduced pattern full, bordered at the rods near marks;
+    so the anchored rows of [F | Q] give reactions. Without those rows and
+    columns B is symmetric, and the eigenvectors of its eigenvalues at or below
     cutoff * max |eigenvalue| span its null space, each a displacement u and
     border amplitudes xi with F u + Q xi = 0. With a border, the right
     singular vectors of the null space's u-block split it: those of singular
@@ -428,10 +439,9 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     that move the joints comes from one full eigh, as it may lie outside
     that window.
     """
-    full, (bordered,), _, near = _bordered_at(truss, omega, False)
     free = _pattern(truss, reduce_anchors=True)
     kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
-    matrix = bordered[kept][:, kept]
+    matrix = bordered.take(kept, axis=0).take(kept, axis=1)  # faster than fancy indexing or np.ix_
     smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
     svals = np.abs(values)  # B's singular values within MODE_TOL
     chosen = svals <= cutoff * smax
@@ -492,25 +502,53 @@ def _null_modes(truss: Truss, omega: float, cutoff: float, order=None):
     return modes
 
 
-def extract_modes(truss: Truss, omega_star: float):
-    """Null-space mode shapes of the anchored structure's D(omega*).
+def _pole_modes(truss: Truss, poles):
+    """The modes at each of the poles, given as _chain's records (omega, rods, orders, band): a list per pole.
 
-    In a pole's band (_pole_at) they are the pole's, resonant_mode_check's;
-    a pole without one raises NotARootError. Elsewhere one unreduced D(omega*),
+    Every pole's D is bordered (_border_builder, on the unreduced pattern) at
+    the rods within BORDER_RADIUS of a resonance there, and the poles of one
+    border width are built by one call, in stacks within _roots.BATCH_BYTES;
+    each pole's modes are read off its own B (_null_modes) at the cutoff
+    1e-13: the pole's omega is exact, so its null singular values are
+    round-off (~1e-16 s_max), and MODE_TOL, for a root polished to the
+    sweep's tolerance, would also take in regular roots beside the pole.
+    """
+    pattern, build = _border_builder(truss, False)
+    omegas = np.array([pole[0] for pole in poles], dtype=float)
+    near, n = _near_resonances(truss._rod_table.transit_time, omegas)
+    widths = near.sum(axis=1)
+    modes = [None] * len(poles)
+    for k in np.unique(widths):
+        at = np.flatnonzero(widths == k)
+        step = max(1, _roots.BATCH_BYTES // (8 * (pattern.size + k) ** 2))
+        for chunk in (at[i : i + step] for i in range(0, at.size, step)):
+            for i, matrix in zip(chunk, build(omegas[chunk], near[chunk], n[chunk])[0]):
+                omega, _, orders, _ = poles[i]
+                modes[i] = _null_modes(truss, pattern, matrix, near[i], omega, 1e-13, min(orders))
+    return modes
+
+
+def extract_modes(truss: Truss, omega_star: float):
+    """Null-space mode shapes of the anchored structure's D(omega*), omega* a finite number > 0.
+
+    In a pole's band (_pole_at) they are the pole's (_pole_modes, as
+    resonant_mode_check gives them); a pole without one raises
+    NotARootError. Elsewhere one unreduced D(omega*),
     in rod-span frames (the identity at anchors), serves both the null space
     (its free block, the matrix the sweep solves) and the anchor forces (its
     anchored rows). Rods within BORDER_RADIUS of a resonance are bordered, as
     in the sweep, so a root beside a pole is taken from the finite B. Shapes
     are in joint coordinates.
     """
-    if not (omega_star > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega_star}")
-    if _pole_at(truss, omega_star) is not None:
-        modes = resonant_mode_check(truss, omega_star)
-        if not modes:
-            raise NotARootError(omega_star)
-        return modes
-    return _null_modes(truss, omega_star, MODE_TOL)
+    omega_star = _frequency(omega_star)
+    pole = _pole_at(truss, omega_star)
+    if pole is None:
+        pattern, (matrix,), _, near = _bordered_at(truss, omega_star, False)
+        return _null_modes(truss, pattern, matrix, near, omega_star, MODE_TOL)
+    (modes,) = _pole_modes(truss, [pole])
+    if not modes:
+        raise NotARootError(omega_star)
+    return modes
 
 
 def resonant_mode_check(truss: Truss, omega_pole: float):
@@ -526,13 +564,12 @@ def resonant_mode_check(truss: Truss, omega_pole: float):
     absorbs the forces of the rest. Kind "interior": the joints stay at rest
     and the resonant rods vibrate as sin(n*pi*z/L), scaled by rod_amplitudes,
     with end forces that balance at every free joint (Q xi = 0). The motions
-    are those of the rod-span frames, as in the sweep.
+    are those of the rod-span frames, as in the sweep, and the modes those
+    the sweep finds at the pole (_pole_modes). omega_pole must be a finite
+    number > 0.
     """
-    # the pole's omega is exact, so its null singular values are round-off
-    # (~1e-16 s_max); MODE_TOL, for a root polished to the sweep's tolerance,
-    # would also take in regular roots beside the pole
-    found = _pole_at(truss, omega_pole)
-    return [] if found is None else _null_modes(truss, found[0], 1e-13, order=min(found[2]))
+    pole = _pole_at(truss, _frequency(omega_pole))
+    return [] if pole is None else _pole_modes(truss, [pole])[0]
 
 
 def anchor_forces(truss: Truss, mode: ModeResult) -> dict:

@@ -334,6 +334,9 @@ def test_simulate_bad_impulse(capsys, square_file):
         (("simulate", "{square}", "--impulse", "12:1:-1.0", "--snapshot", "1.0",
           "--snapshot-prefix", "{tmp}/no/x_"),
          "error: cannot write snapshot '{tmp}/no/x_1.csv': No such file or directory"),
+        # an omega that is no finite number > 0: inf raised LinAlgError from the eigensolve
+        (("modes", "{square}", "--omega", "inf"), "error: omega must be finite, got inf"),
+        (("modes", "{square}", "--omega", "nan"), "error: omega must be > 0, got nan"),
         # every method is refused before it sweeps to an infinite upper end
         *((("freqs", "{square}", "--omega-max", "inf", "--method", method),
            "error: omega_max must be finite, got inf")

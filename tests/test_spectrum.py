@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import align_sign, braced_lattice, mode_vector, random_truss
 from spectruss import (
@@ -32,7 +34,7 @@ from spectruss import (
 )
 from spectruss import _roots
 from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
-from spectruss.spectrum import MODE_TOL, _pole_at, _rise, _segments, _window_poles
+from spectruss.spectrum import MODE_TOL, _chain, _pole_at, _rise, _segments, _window_poles
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -487,6 +489,50 @@ def test_invalid_spectrum_input_raises(bridge, call, message):
         call(bridge)
 
 
+_BAD_OMEGAS = [
+    (math.inf, "omega must be finite, got inf"),
+    (math.nan, "omega must be > 0, got nan"),
+    (-1, "omega must be > 0, got -1"),
+    (0, "omega must be > 0, got 0"),
+    (True, "omega must be a number, not True"),  # not taken for omega = 1
+    ("3", "omega must be a number, not '3'"),
+]
+
+
+@pytest.mark.parametrize("omega, message", _BAD_OMEGAS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(laplacian_determinant, id="laplacian_determinant"),
+        pytest.param(lambda t, omega: solve_forced_response(t, omega, {"3": [0.0, 1.0]}),
+                     id="solve_forced_response"),
+        pytest.param(assemble_laplacian, id="assemble_laplacian"),
+        pytest.param(extract_modes, id="extract_modes"),
+        pytest.param(resonant_mode_check, id="resonant_mode_check"),
+    ],
+)
+def test_single_omega_entry_points_refuse_what_is_no_finite_number_above_zero(bridge, call, omega, message):
+    # at inf these returned nan or raised LinAlgError, and resonant_mode_check
+    # returned [] with RuntimeWarnings for each of these values
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bridge, omega)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        pytest.param(find_natural_frequencies, id="network"),
+        pytest.param(lambda t, w, threads: fem_frequencies(t, w, threads=threads), id="fem"),
+        pytest.param(reverberation_frequencies, id="reverberation"),
+    ],
+)
+def test_sweeps_refuse_a_thread_count_that_is_no_integer_of_at_least_one(bridge, sweep, threads):
+    # 0 and -1 ran serially, 2.5 and True were taken as counts
+    with pytest.raises(ValueError, match=re.escape(f"threads must be an integer >= 1, got {threads!r}")):
+        sweep(bridge, FrequencyWindow(0.05, 4.0), threads=threads)
+
+
 def test_sweep_independent_of_thread_count(bridge, monkeypatch):
     # a window to omega = 10 gives the bridge count and polish calls of 8 points
     # or more, which batched_eval splits over two threads; the side-8 lattice's
@@ -751,8 +797,8 @@ def test_pole_whose_count_disagrees_with_its_modes_is_a_warning(bridge, monkeypa
     lo, hi = _bands(bridge, _default_window(bridge))[0]
     assert np.ptp(_wittrick_williams_count(bridge, [lo, hi])) == 3
 
-    original = spectrum.resonant_mode_check
-    monkeypatch.setattr(spectrum, "resonant_mode_check", lambda *args: original(*args)[:-1])
+    original = spectrum._pole_modes
+    monkeypatch.setattr(spectrum, "_pole_modes", lambda *args: [found[:-1] for found in original(*args)])
     sweep = find_natural_frequencies(bridge, _default_window(bridge))
     assert sweep.warnings == [
         "count rises by 3 across the pole at 3.141592654, but 2 resonant modes were found there"
@@ -892,13 +938,13 @@ def test_resonance_check_skipped_where_the_count_shows_no_mode(square, monkeypat
     from spectruss import spectrum
 
     checked = []
-    original = spectrum.resonant_mode_check
+    original = spectrum._pole_modes
 
-    def check(truss, omega):
-        checked.append(omega)
-        return original(truss, omega)
+    def check(truss, poles):
+        checked.extend(omega for omega, *_ in poles)
+        return original(truss, poles)
 
-    monkeypatch.setattr(spectrum, "resonant_mode_check", check)
+    monkeypatch.setattr(spectrum, "_pole_modes", check)
     window = FrequencyWindow(0.05, 1.2 * math.pi)
     sweep = find_natural_frequencies(square, window)
     assert [p.omega for p in pole_set(square, window)] == pytest.approx([math.pi / math.sqrt(2), math.pi])
@@ -1038,6 +1084,88 @@ def test_a_pole_borders_its_neighbours_rods_and_lists_only_its_bands_modes():
     (mode,) = resonant_mode_check(star, first.omega)
     assert mode.kind == "interior" and mode.omega == first.omega
     assert [m.kind for m in extract_modes(star, first.omega)] == ["interior"]
+
+
+def _pole_at_by_full_chain(truss, omega):
+    """_pole_at without its early exit: every rod's nearest resonance chained."""
+    taus = truss._rod_table.transit_time
+    n = np.rint(omega * taus / math.pi).astype(int)
+    poles = _chain(n * math.pi / taus, np.arange(taus.size), n)
+    found = next((pole for pole in poles if pole[3][1] >= omega), None)
+    return found if found and found[3][0] <= omega else None
+
+
+_LOOKUP_TRUSSES = [
+    builtin_structure("square"), builtin_structure("bridge"), _tuned_star([0.0, 0.6, 1.4]), *_draws(8)
+]
+
+
+@given(
+    truss=st.sampled_from(_LOOKUP_TRUSSES),
+    rod=st.integers(0, 100),
+    order=st.integers(1, 3),
+    step=st.integers(-4, 4),
+)
+def test_pole_lookup_exits_early_exactly_where_the_full_chain_finds_no_pole(truss, rod, order, step):
+    # omega = r*(1 + step*2.5e-11) around a resonance r: a half band is
+    # 5e-11 r, so steps -2..2 lie in or at the edge of r's band and +-4 at
+    # the early exit's margin of two half bands
+    tau = truss._rod_table.transit_time[rod % len(truss.rods)]
+    omega = order * math.pi / tau * (1.0 + step * 2.5e-11)
+    assert _pole_at(truss, omega) == _pole_at_by_full_chain(truss, omega)
+
+
+@given(truss=st.sampled_from(_LOOKUP_TRUSSES), omega=st.floats(1e-3, 20.0))
+def test_pole_lookup_matches_the_full_chain_at_any_omega(truss, omega):
+    assert _pole_at(truss, omega) == _pole_at_by_full_chain(truss, omega)
+
+
+def _same_modes(found, expected):
+    """Mode lists equal in omega, kind, order and every array by its bytes."""
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert (a.omega, a.kind, a.resonant_order) == (b.omega, b.kind, b.resonant_order)
+        for x, y in ((a.displacements, b.displacements), (a.anchor_forces, b.anchor_forces)):
+            assert list(x) == list(y)
+            assert all(x[key].tobytes() == y[key].tobytes() for key in x)
+        assert a.rod_amplitudes == b.rod_amplitudes
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-build-per-width", "one-pole-per-build"])
+def test_sweeps_pole_modes_equal_those_checked_one_at_a_time(monkeypatch, budget):
+    # the sweep reads every checked pole's modes off one bordered build per
+    # border width (or, with a one-byte batch budget, one build per pole);
+    # resonant_mode_check builds one pole at a time. The x2 and x3 subdivisions
+    # have mechanism joints, so every pole of theirs is checked, and the x3
+    # square's checked poles have border widths 3 and 12
+    from spectruss import spectrum
+
+    if budget is not None:
+        monkeypatch.setattr(_roots, "BATCH_BYTES", budget)
+    batches = []
+    original = spectrum._pole_modes
+
+    def record(truss, poles):
+        found = original(truss, poles)
+        batches.append((poles, found))
+        return found
+
+    monkeypatch.setattr(spectrum, "_pole_modes", record)
+    square, bridge = builtin_structure("square"), builtin_structure("bridge")
+    trusses = [square, bridge, subdivide(bridge, 2), subdivide(square, 2), subdivide(square, 3), *_draws(40)]
+    for truss in trusses:
+        find_natural_frequencies(truss, _default_window(truss))
+    assert len(batches) == len(trusses)
+    x3_poles = np.array([omega for omega, *_ in batches[4][0]])
+    near, _ = spectrum._near_resonances(trusses[4]._rod_table.transit_time, x3_poles)
+    assert sorted(near.sum(axis=1)) == [3, 12]
+    checked = 0
+    for truss, (poles, found) in zip(trusses, batches):
+        assert len(found) == len(poles)
+        for (omega, *_), modes in zip(poles, found):
+            _same_modes(modes, resonant_mode_check(truss, omega))
+            checked += 1
+    assert checked > 300
 
 
 def test_network_sweep_logs_its_warnings(caplog):
