@@ -46,12 +46,6 @@ def _concatenate(parts):
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def check_threads(threads):
-    """Refuse a thread count that is not an integer >= 1; batched_eval would run 0, -1 or 2.5 serially."""
-    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool) and threads >= 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
 def batched_eval(func, xs: np.ndarray, threads: int = 1):
     """Evaluate func over xs, optionally split across a thread pool.
 
@@ -64,6 +58,18 @@ def batched_eval(func, xs: np.ndarray, threads: int = 1):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(func, chunks))
     return _concatenate(parts)
+
+
+def threaded(threads, *evaluators):
+    """The evaluators, each calling batched_eval, the one place that splits work over threads.
+
+    Each sweep wraps its (func, count) so where it makes them, and the root
+    search takes them as plain evaluators. threads must be an integer >= 1:
+    batched_eval would run 0, -1 or 2.5 serially.
+    """
+    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    return [lambda xs, func=func: batched_eval(func, xs, threads) for func in evaluators]
 
 
 def _chunked(build, point_bytes, reduce, budget=None):
@@ -324,14 +330,14 @@ def unitary_determinant(build, point_bytes: int, delay: float):
     return _chunked(build, point_bytes, secular), _chunked(build, point_bytes, winding)
 
 
-def record_counts(count, xs, known, threads=1):
-    """count's counts at xs, by batched_eval; each point's (count, sign, log|det|) is put in known."""
-    values = batched_eval(count, xs, threads)
+def record_counts(count, xs, known):
+    """count's counts at xs; each point's (count, sign, log|det|) is put in known."""
+    values = count(xs)
     known.update(zip(xs.tolist(), zip(*(v.tolist() for v in values))))
     return values[0]
 
 
-def find_brackets(count, segments, tol_at, threads=1, known=None):
+def find_brackets(count, segments, tol_at, known=None):
     """Count stage of the sweep: one-root brackets, multiple roots and warnings.
 
     count(xs) -> (counts, sign, log|det|) must rise by one at every simple
@@ -340,7 +346,7 @@ def find_brackets(count, segments, tol_at, threads=1, known=None):
     Wittrick-Williams count less its constant rod term) or of K - w^2 M, or a
     winding count. Every counted point's record is put in the dict known, x
     -> (count, sign, log|det|), which the caller may pre-fill: the segment
-    ends it lacks are counted in one batched_eval call. Then every interval
+    ends it lacks are counted in one call. Then every interval
     that holds two or more roots is halved, one call per level, until it
     holds one root (a bracket) or is narrower than tol_at, where _even_roots
     reports its roots. An interval whose count falls is reported in the
@@ -355,7 +361,7 @@ def find_brackets(count, segments, tol_at, threads=1, known=None):
     ends = np.ravel(segments).tolist()
     missing = [x for x in dict.fromkeys(ends) if x not in known]
     if missing:
-        record_counts(count, np.array(missing), known, threads)
+        record_counts(count, np.array(missing), known)
     lo, hi = np.array(segments, dtype=float).T
     n_lo, n_hi = np.reshape([known[x][0] for x in ends], (-1, 2)).T
     roots, brackets, falls = [], [], []
@@ -376,7 +382,7 @@ def find_brackets(count, segments, tol_at, threads=1, known=None):
         if not split.any():
             break
         lo, hi, n_lo, n_hi, mid = (a[split] for a in (lo, hi, n_lo, n_hi, mid))
-        n_mid = record_counts(count, mid, known, threads)
+        n_mid = record_counts(count, mid, known)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         n_lo, n_hi = np.concatenate([n_lo, n_mid]), np.concatenate([n_mid, n_hi])
     return roots, brackets, [message for _, message in sorted(falls)]
@@ -412,13 +418,13 @@ def _secant_step(a, b, c, width, shrunk, tol):
     return x
 
 
-def bisect_brackets(func, brackets, tol_at, known, threads=1):
+def bisect_brackets(func, brackets, tol_at, known):
     """The root of each one-root bracket (lo, hi), to tol_at(x); in bracket order.
 
     func(xs) -> (sign, log|f|). Both ends of every bracket are in the dict
     known, x -> (count, sign, log|f|), as find_brackets records them, so the
     polish evaluates only the points it adds. Brent's safeguarded secant
-    (_secant_step) on each bracket, all brackets in one batched_eval call per
+    (_secant_step) on each bracket, all brackets in one call of func per
     step: b is the end of smaller |f|, a the end across the root and c the
     point the secant pairs with b (the previous b, or the newest point if
     that is not the best). The count stage has put one root and no pole in
@@ -450,7 +456,7 @@ def bisect_brackets(func, brackets, tol_at, known, threads=1):
                 state[i][3:] = previous, width
         if not stepping:
             return roots
-        sign, logf = batched_eval(func, np.array(xs), threads)
+        sign, logf = func(np.array(xs))
         for i, new in zip(stepping, zip(xs, sign.tolist(), logf.tolist())):
             a, b = state[i][:2]
             if a[1] * new[1] >= 0:  # then b is the end across the root from the new point
@@ -460,7 +466,7 @@ def bisect_brackets(func, brackets, tol_at, known, threads=1):
         active = stepping
 
 
-def sign_sweep_roots(func, count, segments, tol_at, threads=1, known=None):
+def sign_sweep_roots(func, count, segments, tol_at, known=None):
     """Sorted roots of det over (lo, hi) segments, k times a k-fold one, and warnings.
 
     The count stage (find_brackets) covers every segment and records each
@@ -471,16 +477,14 @@ def sign_sweep_roots(func, count, segments, tol_at, threads=1, known=None):
     poles belong on seams.
     """
     known = {} if known is None else known
-    roots, brackets, warnings = find_brackets(count, segments, tol_at, threads, known)
-    roots.extend(bisect_brackets(func, brackets, tol_at, known, threads))
+    roots, brackets, warnings = find_brackets(count, segments, tol_at, known)
+    roots.extend(bisect_brackets(func, brackets, tol_at, known))
     return sorted(roots), warnings
 
 
-def window_roots(func, count, window, threads=1):
+def window_roots(func, count, window):
     """sign_sweep_roots over a pole-free FrequencyWindow as one segment, each root once; logs warnings."""
-    roots, warnings = sign_sweep_roots(
-        func, count, [(window.omega_min, window.omega_max)], window.tol_at, threads=threads
-    )
+    roots, warnings = sign_sweep_roots(func, count, [(window.omega_min, window.omega_max)], window.tol_at)
     log_warnings(warnings)
     return dedupe_sorted(roots, window.tol_at)
 
@@ -540,7 +544,7 @@ def dedupe_sorted(values, tol_at):
     return out
 
 
-def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
+def modulus_minima(func_log, lo, hi, n_points, xtol_at):
     """Refined local minima of log|f| on [lo, hi] via golden-section.
 
     No sweep calls this grid search, nor _golden; tests keep it as the
@@ -551,7 +555,7 @@ def modulus_minima(func_log, lo, hi, n_points, xtol_at, threads=1):
     decides which of them are actual zeros.
     """
     grid = np.linspace(lo, hi, max(int(n_points), 3))
-    (vals,) = batched_eval(lambda xs: (func_log(xs),), grid, threads)
+    vals = func_log(grid)
     interior = np.nonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
 
     def scalar(x):

@@ -125,17 +125,15 @@ def _span_frames(truss: Truss):
 
     def build():
         dim = truss.dimension
-        units = truss._rod_table.unit_vector
+        ends = truss._rod_ends
+        # each rod end's direction, away from its joint, port by port
+        directions = ends.sign[:, None] * truss._rod_table.unit_vector[ends.rod]
         frames = []
         mechanisms = []
-        for joint in truss.joints:
+        for j, joint in enumerate(truss.joints):
             frame = np.eye(dim)
             if not joint.anchored:
-                vecs = [
-                    units[truss._rod_index[rod.id]] * (1.0 if rod.joints[0] == joint.id else -1.0)
-                    for _, rod in truss.neighbors(joint.id)
-                ]
-                u, s, _ = np.linalg.svd(np.array(vecs).reshape(-1, dim).T, full_matrices=True)
+                u, s, _ = np.linalg.svd(directions[ends.start[j] : ends.start[j + 1]].T, full_matrices=True)
                 rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
                 if rank < dim:
                     mechanisms.append(joint.id)
@@ -164,7 +162,7 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     padded = np.zeros((len(frames), dim, dim))
     for i, f in enumerate(frames):
         padded[i, :, : f.shape[1]] = f
-    ends = np.array([[truss._joint_index[jid] for jid in rod.joints] for rod in truss.rods])
+    ends = truss._rod_ends.rod_joints
     units = truss._rod_table.unit_vector
     pa, pb = np.matmul(units[:, None, None, :], padded[ends])[:, :, 0, :].transpose(1, 0, 2)
     ja, jb = ends.T
@@ -193,7 +191,9 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
 
 
 def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
-    """The truss's pattern in rod-span frames, built once and kept."""
+    """The truss's pattern in rod-span frames, built once and kept: one for both values
+    of reduce_anchors where no joint is anchored, as both give the same entries."""
+    reduce_anchors = reduce_anchors and truss._cached("anchored", lambda: bool(truss.anchored_joints))
     return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
 
 
@@ -230,16 +230,21 @@ def laplacian_evaluator(truss: Truss, pattern: _Pattern):
     return build
 
 
-def _frequency(omega) -> float:
-    """omega as a float, if it is a finite number > 0; else ValueError. A bool or a string
+def _finite(omega) -> float:
+    """omega as a float, if it is a finite number; else ValueError. A bool or a string
     is no number (_is_number): True would be taken for omega = 1."""
     if not _is_number(omega):
         raise ValueError(f"omega must be a number, not {omega!r}")
-    if not (omega > 0.0):  # nan too
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if math.isinf(omega):
+    if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     return float(omega)
+
+
+def _frequency(omega) -> float:
+    """omega as a float, if it is a finite number (_finite) > 0; else ValueError."""
+    if _is_number(omega) and not (omega > 0.0):  # nan too
+        raise ValueError(f"omega must be > 0, got {omega}")
+    return _finite(omega)
 
 
 def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> AssembledMatrix:

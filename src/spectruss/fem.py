@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _roots
-from .assembly import AssembledMatrix, _assemble, _pattern, _span_frames, assemble_stiffness
-from .model import Truss, subdivide
+from .assembly import AssembledMatrix, _assemble, _finite, _pattern, _span_frames, assemble_stiffness
+from .model import Truss, _check_count, subdivide
 from .spectrum import FrequencyWindow
 
 MASS_KINDS = ("consistent", "lumped")
@@ -53,18 +53,17 @@ def _free_basis(truss: Truss):
     return _pattern(truss, True).lift.toarray(), list(_span_frames(truss)[1])
 
 
-def fem_determinant(
-    truss: Truss, omega: float, kind: str = "consistent", reduce_anchors: bool = True
-) -> float:
-    """det(K - w^2 M) of the builders' K and M, reduced or not, as laplacian_determinant takes det D.
+def fem_determinant(truss: Truss, omega: float, kind: str = "consistent") -> float:
+    """det(K - w^2 M) of the anchored structure's K and M, as laplacian_determinant takes det D.
 
     They are in rod-span frames: at a mechanism joint the transverse
     directions carry no stiffness, and the determinant in joint coordinates
     would vanish at every omega; on a truss without one every frame is the
-    identity.
+    identity. omega must be a finite number; the determinant is even in it.
     """
-    k = assemble_stiffness(truss, reduce_anchors).entries
-    m = assemble_mass(truss, kind, reduce_anchors).entries
+    omega = _finite(omega)
+    k = assemble_stiffness(truss).entries
+    m = assemble_mass(truss, kind).entries
     return float(np.linalg.det(k - omega**2 * m))
 
 
@@ -85,15 +84,13 @@ def fem_frequencies(
     sweep: transverse directions at joints whose rods are collinear (every
     interior subdivision joint) carry no axial stiffness, and in joint
     coordinates the consistent-mass determinant would be identically zero.
-    threads must be an integer >= 1.
+    divisions and threads must be integers >= 1.
     """
-    _roots.check_threads(threads)
-    if divisions < 1:
-        raise ValueError(f"divisions must be >= 1, got {divisions}")
+    _check_count(divisions, "divisions")
     fine = truss
     if divisions > 1:  # kept with the truss; at 1 the entry would hold the truss itself
         fine = truss._cached(("subdivide", divisions), lambda: subdivide(truss, divisions))
     k = fine._cached("fem_stiffness", lambda: assemble_stiffness(fine).entries)
     m = assemble_mass(fine, kind).entries
-    func, count = _roots.determinant(lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes)
-    return _roots.window_roots(func, count, window, threads=threads)
+    evaluators = _roots.determinant(lambda w: k[None] - w[:, None, None] ** 2 * m[None], k.nbytes)
+    return _roots.window_roots(*_roots.threaded(threads, *evaluators), window)

@@ -8,6 +8,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +80,32 @@ class RodProperties:
     unit_vector: np.ndarray
 
 
+class _RodEnds(NamedTuple):
+    """Every rod end of a truss, one port each, joint by joint, each joint's in neighbor-id order.
+
+    rod_joints holds each rod's first and second joint index, (rods, 2).
+    Joint j's k-th neighbor, in the order of Truss.neighbors, is reached by
+    port start[j] + k; the wave methods' slots and the joints' T follow this
+    order, and the rod-span frames read each joint's rod directions off it.
+    Built once per truss, at construction, every array read-only.
+    """
+
+    rod_joints: np.ndarray
+    start: np.ndarray  # each joint's first port, then the port count
+    joint: np.ndarray  # the joint a port belongs to
+    neighbor: np.ndarray  # the joint at the rod's other end
+    rod: np.ndarray  # rod index
+    sign: np.ndarray  # +1 where the rod starts at the port's joint, -1 where it ends there
+
+
 class Truss:
     """Immutable truss structure: joints, rods and materials.
 
     All joints share one global coordinate frame; rod direction vectors obey
     e_ba = -e_ab in that frame. Instances are safe to share across threads.
-    The rod table (_build_rod_table) is built at construction; matrix patterns
-    and bases are built on first use and kept with the instance (see _cached).
+    The rod-end table (_RodEnds) and the rod table (_build_rod_table) are
+    built at construction; matrix patterns and bases are built on first use
+    and kept with the instance (see _cached).
     """
 
     def __init__(self, dimension, joints, rods, materials, dimensionless=False):
@@ -100,14 +120,8 @@ class Truss:
 
         self._joint_index = {j.id: i for i, j in enumerate(self.joints)}
         self._rod_index = {r.id: i for i, r in enumerate(self.rods)}
+        self._rod_ends = self._build_rod_ends()
         self._rod_table = self._build_rod_table(length)
-        self._neighbors = {j.id: [] for j in self.joints}
-        for r in self.rods:
-            a, b = r.joints
-            self._neighbors[a].append((b, r))
-            self._neighbors[b].append((a, r))
-        for jid in self._neighbors:
-            self._neighbors[jid].sort(key=lambda pair: pair[0])
         self._check_connected()
         self._derived = {}
 
@@ -170,15 +184,25 @@ class Truss:
             lengths.append(length)
         return lengths
 
+    def _build_rod_ends(self) -> _RodEnds:
+        """The _RodEnds: rod end e = 2 * rod + k, k = 0 at the rod's first joint and 1 at
+        its second, sorted by joint, then by neighbor id (_ranks)."""
+        rod_joints = np.array([[self._joint_index[jid] for jid in r.joints] for r in self.rods])
+        joint, neighbor = rod_joints.ravel(), rod_joints[:, ::-1].ravel()
+        ends = np.lexsort((_ranks([j.id for j in self.joints])[neighbor], joint))
+        table = _RodEnds(rod_joints, np.searchsorted(joint[ends], np.arange(len(self.joints) + 1)),
+                         joint[ends], neighbor[ends], ends // 2, 1 - 2 * (ends % 2))
+        for column in table:
+            column.setflags(write=False)
+        return table
+
     def _check_connected(self):
-        start = self.joints[0].id
-        seen = {start}
-        stack = [start]
+        ends, seen, stack = self._rod_ends, {0}, [0]
         while stack:
-            for other, _ in self._neighbors[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
+            j = stack.pop()
+            fresh = set(ends.neighbor[ends.start[j] : ends.start[j + 1]].tolist()) - seen
+            seen |= fresh
+            stack.extend(fresh)
         if len(seen) != len(self.joints):
             warnings.warn(
                 f"truss graph is disconnected ({len(seen)} of {len(self.joints)} "
@@ -195,7 +219,7 @@ class Truss:
         np.linalg.norm per rod (norm(axis=1) rounds some differently).
         """
         position = np.array([j.position for j in self.joints], dtype=float)
-        ends = np.array([[self._joint_index[jid] for jid in r.joints] for r in self.rods])
+        ends = self._rod_ends.rod_joints
         delta = position[ends[:, 1]] - position[ends[:, 0]]
         length = np.array(length)
         wave = {name: (math.sqrt(m.youngs_modulus / m.density), math.sqrt(m.youngs_modulus * m.density))
@@ -224,7 +248,9 @@ class Truss:
 
     def neighbors(self, joint_id: str) -> tuple:
         """(neighbor joint id, connecting rod) pairs, sorted by neighbor id."""
-        return tuple(self._neighbors[joint_id])
+        ends, j = self._rod_ends, self._joint_index[joint_id]
+        ports = range(ends.start[j], ends.start[j + 1])
+        return tuple((self.joints[ends.neighbor[p]].id, self.rods[ends.rod[p]]) for p in ports)
 
     @property
     def free_joints(self) -> tuple:
@@ -259,6 +285,13 @@ class Truss:
         return sum(self._rod_masses().tolist())
 
 
+def _ranks(ids) -> np.ndarray:
+    """Each id's position among the ids sorted as strings."""
+    rank = np.empty(len(ids), dtype=int)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 def _caller_level() -> int:
     """The stacklevel of the first frame outside the package, for a warnings.warn in the
     function calling this one: the code that built the truss, through load_truss too."""
@@ -274,6 +307,15 @@ def _caller_level() -> int:
 def _is_number(value) -> bool:
     """A real number and not a bool: float() would take a boolean for 0 or 1 and parse a string."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str) -> None:
+    """Refuse a count that is not an integer >= 1 with ValueError: a bool would count as
+    0 or 1, and range() fails on 2.0."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _number(value, name: str) -> float:
@@ -401,8 +443,7 @@ def subdivide(truss: Truss, n: int) -> Truss:
     Interior joints are unanchored and named '{rod id}#{k}'; segment rods are
     named '{rod id}/{k}'. Original joints, anchors and ids are preserved.
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
+    _check_count(n, "subdivision count")
     if n == 1:
         return truss
 

@@ -58,7 +58,6 @@ on the benchmark's lattice drive that raised a process's peak memory.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,8 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _roots
-from .assembly import _span_frames
-from .model import Truss, _is_number
+from .assembly import _finite, _span_frames
+from .model import Truss, _check_count, _is_number, _ranks
 from .spectrum import FrequencyWindow
 
 TOWARD_END = "toward_end"  # toward the rod's second endpoint
@@ -154,8 +153,8 @@ def matching_evaluator(truss: Truss):
 
 
 def reverberation_determinant(truss: Truss, omega: float) -> float:
-    """|det| of the global amplitude-matching system at one frequency."""
-    matrix = matching_evaluator(truss)([omega])[0]
+    """|det| of the global amplitude-matching system at one frequency, a finite number."""
+    matrix = matching_evaluator(truss)([_finite(omega)])[0]
     sign, logabs = np.linalg.slogdet(matrix)
     return float(abs(sign) * np.exp(logabs))
 
@@ -179,9 +178,7 @@ def _matching_eval(truss: Truss):
 def reverberation_frequencies(truss: Truss, window: FrequencyWindow, threads: int = 1):
     """Frequencies where the matching system is singular: one counting sweep of _matching_eval.
     threads must be an integer >= 1."""
-    _roots.check_threads(threads)
-    func, count = _matching_eval(truss)
-    return _roots.window_roots(func, count, window, threads=threads)
+    return _roots.window_roots(*_roots.threaded(threads, *_matching_eval(truss)), window)
 
 
 # -- event-driven wavefront simulator -------------------------------------------
@@ -398,7 +395,8 @@ class _Slots(NamedTuple):
     Joint j's k-th neighbor rod is slot start[j] + k, the order of the rows
     and columns of its T. A front leaves a joint by a slot and arrives at the
     rod's slot at the other joint, far; the matching system's unknown of a
-    slot is the amplitude leaving by it. Built once per truss (_slots).
+    slot is the amplitude leaving by it. Built once per truss (_slots), its
+    first four columns those of the truss's rod-end table (model._RodEnds).
     """
 
     start: np.ndarray  # each joint's first slot, then the slot count
@@ -416,15 +414,10 @@ def _slots(truss: Truss) -> _Slots:
     """The truss's _Slots, built once and kept with it, every array read-only."""
 
     def build():
-        rows = []
-        for j, joint in enumerate(truss.joints):
-            for _, rod in truss.neighbors(joint.id):
-                rows.append((j, truss._rod_index[rod.id], 1 if rod.joints[0] == joint.id else -1))
-        joint, rod, sign = (np.array(col) for col in zip(*rows))
-        table = truss._rod_table
-        start = np.searchsorted(joint, np.arange(len(truss.joints) + 1))
+        ends, table = truss._rod_ends, truss._rod_table
+        rod, sign = ends.rod, ends.sign
         end = 2 * rod + (sign < 0)
-        slots = _Slots(start, joint, rod, sign, end, table.impedance[rod],
+        slots = _Slots(ends.start, ends.joint, rod, sign, end, table.impedance[rod],
                        np.where(sign > 0, 0.0, table.length[rod]), table.transit_time[rod],
                        np.argsort(end)[end ^ 1])
         for column in slots:
@@ -447,13 +440,6 @@ def _transmission(truss: Truss) -> np.ndarray:
         return stack
 
     return truss._cached("transmission", build)
-
-
-def _ranks(ids) -> np.ndarray:
-    """Each id's position among the ids sorted as strings."""
-    rank = np.empty(len(ids), dtype=int)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
 
 
 def _window_clusters(times, limit: float, tol: float) -> list:
@@ -500,8 +486,7 @@ def simulate_wavefronts(
     for name, value in (("t_max", t_max), ("min_amplitude", min_amplitude)):
         if not _is_number(value):  # a bool would count as 0 or 1, a string fail the comparisons below
             raise ValueError(f"{name} must be a number, not {value!r}")
-    if not (isinstance(front_cap, numbers.Integral) and not isinstance(front_cap, bool)):
-        raise ValueError(f"front_cap must be an integer, not {front_cap!r}")
+    _check_count(front_cap, "front_cap")
     t_max = float(t_max)
     if not (t_max >= 0.0):
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -509,8 +494,6 @@ def simulate_wavefronts(
         raise ValueError(f"t_max must be finite, got {t_max}")
     if not (min_amplitude >= 0.0):  # nan too, which would keep every child
         raise ValueError(f"min_amplitude must be >= 0, got {min_amplitude}")
-    if not (front_cap >= 1):
-        raise ValueError(f"front_cap must be >= 1, got {front_cap}")
     slots = _slots(truss)
     joint_rank = _ranks([joint.id for joint in truss.joints])
     rod_rank = _ranks([rod.id for rod in truss.rods])

@@ -56,7 +56,7 @@ from .assembly import (
     assemble_laplacian,
     laplacian_evaluator,
 )
-from .model import Truss
+from .model import Truss, _is_number
 
 # Relative singular-value cutoff for null-space membership at a polished root.
 MODE_TOL = 1e-7
@@ -96,6 +96,8 @@ class FrequencyWindow:
     omega_max: float
 
     def __post_init__(self):
+        if not (_is_number(self.omega_min) and _is_number(self.omega_max)):  # True would be taken for 1
+            raise ValueError(f"window ends must be numbers, got ({self.omega_min!r}, {self.omega_max!r})")
         if not (0.0 < self.omega_min < self.omega_max):
             raise ValueError(
                 f"need 0 < omega_min < omega_max, got ({self.omega_min}, {self.omega_max})"
@@ -360,17 +362,14 @@ def find_natural_frequencies(truss: Truss, window: FrequencyWindow, threads: int
     root tolerance, is listed as often as J rises across it.
     threads must be an integer >= 1.
     """
-    _roots.check_threads(threads)
+    func, count = _roots.threaded(threads, *_det_eval(truss))
     poles = _window_poles(truss, window)
     bands = [band for *_, band in poles]
     segments = _segments(window, bands)
     mechanisms = list(_span_frames(truss)[1])
-    func, count = _det_eval(truss)
     known = {}
-    _roots.record_counts(count, np.unique(np.ravel(segments + bands)), known, threads)
-    roots, warnings = _roots.sign_sweep_roots(
-        func, count, segments, window.tol_at, threads=threads, known=known
-    )
+    _roots.record_counts(count, np.unique(np.ravel(segments + bands)), known)
+    roots, warnings = _roots.sign_sweep_roots(func, count, segments, window.tol_at, known=known)
 
     modes = [ModeResult(omega=r, kind="regular") for r in roots]
     rises = [known[hi][0] - known[lo][0] for *_, (lo, hi) in poles]
@@ -408,20 +407,23 @@ def _anchor_rows(truss: Truss, index_map, forces):
     }
 
 
-def _null_modes(truss: Truss, full, bordered, near, omega: float, cutoff: float, order=None):
+def _null_modes(truss: Truss, full, bordered, near, omega: float, order=None):
     """Modes at omega from the null space of D bordered at the rods within BORDER_RADIUS of a resonance.
 
     bordered is B at omega, one matrix of a stack that _border_builder
     builds on the unreduced pattern full, bordered at the rods near marks;
     so the anchored rows of [F | Q] give reactions. Without those rows and
     columns B is symmetric, and the eigenvectors of its eigenvalues at or below
-    cutoff * max |eigenvalue| span its null space, each a displacement u and
-    border amplitudes xi with F u + Q xi = 0. With a border, the right
-    singular vectors of the null space's u-block split it: those of singular
-    value > MOVING_U move the joints, carried with their xi; the rest, those
-    past the u-block's rank included, have u = 0 and Q xi = 0. At a pole
-    (order given) they are kinds "resonant" and "interior", the latter with
-    xi as rod amplitudes. At a regular root only the moving ones are modes of
+    the cutoff times max |eigenvalue| span its null space, each a displacement
+    u and border amplitudes xi with F u + Q xi = 0. The cutoff is MODE_TOL at
+    a regular root, polished to the sweep's tolerance, and 1e-13 at a pole
+    (order given): the pole's omega is exact, so its null singular values are
+    round-off (~1e-16 s_max), and MODE_TOL would also take in regular roots
+    beside it. With a border, the right singular vectors of the null space's
+    u-block split it: those of singular value > MOVING_U move the joints,
+    carried with their xi; the rest, those past the u-block's rank included,
+    have u = 0 and Q xi = 0. At a pole they are kinds "resonant" and
+    "interior", the latter with xi as rod amplitudes. At a regular root only the moving ones are modes of
     D, kind "regular": beside a resonance c is small, and a u = 0 direction
     can fall below the cutoff without being a mode. Where a regular root
     has more than one, those nearest the null space are kept, as many as J
@@ -444,7 +446,7 @@ def _null_modes(truss: Truss, full, bordered, near, omega: float, cutoff: float,
     matrix = bordered.take(kept, axis=0).take(kept, axis=1)  # faster than fancy indexing or np.ix_
     smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
     svals = np.abs(values)  # B's singular values within MODE_TOL
-    chosen = svals <= cutoff * smax
+    chosen = svals <= (MODE_TOL if order is None else 1e-13) * smax
     if order is not None and not chosen.all():
         chosen[np.argsort(svals)[: _rise(truss, omega)]] = True
     null = vectors[:, chosen].T
@@ -508,10 +510,7 @@ def _pole_modes(truss: Truss, poles):
     Every pole's D is bordered (_border_builder, on the unreduced pattern) at
     the rods within BORDER_RADIUS of a resonance there, and the poles of one
     border width are built by one call, in stacks within _roots.BATCH_BYTES;
-    each pole's modes are read off its own B (_null_modes) at the cutoff
-    1e-13: the pole's omega is exact, so its null singular values are
-    round-off (~1e-16 s_max), and MODE_TOL, for a root polished to the
-    sweep's tolerance, would also take in regular roots beside the pole.
+    each pole's modes are read off its own B (_null_modes).
     """
     pattern, build = _border_builder(truss, False)
     omegas = np.array([pole[0] for pole in poles], dtype=float)
@@ -524,7 +523,7 @@ def _pole_modes(truss: Truss, poles):
         for chunk in (at[i : i + step] for i in range(0, at.size, step)):
             for i, matrix in zip(chunk, build(omegas[chunk], near[chunk], n[chunk])[0]):
                 omega, _, orders, _ = poles[i]
-                modes[i] = _null_modes(truss, pattern, matrix, near[i], omega, 1e-13, min(orders))
+                modes[i] = _null_modes(truss, pattern, matrix, near[i], omega, min(orders))
     return modes
 
 
@@ -544,7 +543,7 @@ def extract_modes(truss: Truss, omega_star: float):
     pole = _pole_at(truss, omega_star)
     if pole is None:
         pattern, (matrix,), _, near = _bordered_at(truss, omega_star, False)
-        return _null_modes(truss, pattern, matrix, near, omega_star, MODE_TOL)
+        return _null_modes(truss, pattern, matrix, near, omega_star)
     (modes,) = _pole_modes(truss, [pole])
     if not modes:
         raise NotARootError(omega_star)
@@ -598,15 +597,16 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
 # -- single-frequency solves ----------------------------------------------------
 
 
-def laplacian_determinant(truss: Truss, omega: float, reduce_anchors: bool = True) -> float:
-    """det D(omega) in rod-span frames, bordered as in the sweep: det B / prod(c).
+def laplacian_determinant(truss: Truss, omega: float) -> float:
+    """det D(omega) of the anchored structure in rod-span frames, bordered as in the sweep:
+    det B / prod(c).
 
     On a truss without mechanism joints every frame is the identity, so this
     is det D in joint coordinates; at a mechanism joint it is that of D on
     the directions its rods span, so it vanishes at the natural frequencies
     only. A force outside that span moves nothing (solve_forced_response).
     """
-    _, stack, corner, _ = _bordered_at(truss, omega, reduce_anchors)
+    _, stack, corner, _ = _bordered_at(truss, omega, True)
     sign, logabs = _roots._unborder(corner, *np.linalg.slogdet(stack))
     return float(sign[0] * np.exp(logabs[0]))
 

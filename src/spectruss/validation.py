@@ -254,7 +254,7 @@ def verify_square(truss=None):
     worst = 0.0
     for w in samples:
         expected = closed_form_square_det(cfg, w)
-        actual = spectrum.laplacian_determinant(truss, w, reduce_anchors=False)
+        actual = spectrum.laplacian_determinant(truss, w)
         worst = max(worst, abs(actual - expected) / max(abs(expected), 1e-300))
     checks.append(CheckResult("square det(D) vs closed form, max rel err", 0.0, worst, worst <= 1e-10))
 
@@ -265,7 +265,7 @@ def verify_square(truss=None):
     worst = 0.0
     for w in samples:
         expected = closed_form_square_det(cfg_rand, w)
-        actual = spectrum.laplacian_determinant(truss_rand, w, reduce_anchors=False)
+        actual = spectrum.laplacian_determinant(truss_rand, w)
         worst = max(worst, abs(actual - expected) / max(abs(expected), 1e-300))
     checks.append(
         CheckResult("square det(D) vs closed form, random impedances", 0.0, worst, worst <= 1e-10)

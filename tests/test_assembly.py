@@ -111,7 +111,7 @@ def test_bridge_reduced_stiffness_positive_definite(bridge):
 
 def test_determinant_matches_closed_form(square):
     cfg = SquareClosedForm.unit()
-    got = laplacian_determinant(square, 0.7, reduce_anchors=False)
+    got = laplacian_determinant(square, 0.7)
     assert got == pytest.approx(closed_form_square_det(cfg, 0.7), rel=1e-10)
 
 
@@ -355,6 +355,15 @@ def _fem_reference(truss, kind, reduce_anchors=True):
     references = _static_references(truss, reduce_anchors)
     lift = assembly._pattern(truss, reduce_anchors).lift.toarray()
     return lift.T @ references["stiffness"] @ lift, lift.T @ references[kind] @ lift
+
+
+def test_truss_without_anchors_builds_one_pattern(square, bridge):
+    # reducing the anchors of a truss that has none leaves every entry as it is
+    assert assembly._pattern(square, True) is assembly._pattern(square, False)
+    fine = subdivide(square, 2)  # with mechanism joints
+    assert assembly._pattern(fine, True) is assembly._pattern(fine, False)
+    reduced, full = assembly._pattern(bridge, True), assembly._pattern(bridge, False)
+    assert reduced is not full and reduced.size < full.size
 
 
 @pytest.mark.parametrize("reduce_anchors", [True, False])

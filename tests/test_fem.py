@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spectruss import (
     builtin_structure,
     fem_determinant,
     fem_frequencies,
+    reverberation_determinant,
     subdivide,
 )
 from spectruss.assembly import _pattern
@@ -103,7 +105,7 @@ def test_fem_determinant_in_rod_span_frames(square, bridge):
     from test_assembly import _fem_reference
 
     assert fem_determinant(square, 0.5) == -0.024319285390297412
-    assert fem_determinant(subdivide(square, 2), 0.5, reduce_anchors=False) != 0.0
+    assert fem_determinant(subdivide(square, 2), 0.5) != 0.0
     fine = subdivide(bridge, 2)
     for kind in ("consistent", "lumped"):
         k, m = _fem_reference(fine, kind)
@@ -112,8 +114,8 @@ def test_fem_determinant_in_rod_span_frames(square, bridge):
 
 
 def test_mass_kinds_differ(square):
-    d1 = fem_determinant(square, 1.0, "consistent", reduce_anchors=False)
-    d2 = fem_determinant(square, 1.0, "lumped", reduce_anchors=False)
+    d1 = fem_determinant(square, 1.0, "consistent")
+    d2 = fem_determinant(square, 1.0, "lumped")
     assert d1 != d2
 
 
@@ -207,3 +209,42 @@ def test_fem_roots_are_the_generalized_eigenvalues(kind):
         expected = [w for i, w in enumerate(omegas) if i == 0 or w - omegas[i - 1] > 1e-9 * w]
         found = fem_frequencies(truss, window, kind, divisions)
         assert found == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        (math.inf, "omega must be finite, got inf"),
+        (-math.inf, "omega must be finite, got -inf"),
+        (math.nan, "omega must be finite, got nan"),
+        (True, "omega must be a number, not True"),  # not taken for omega = 1
+        ("3", "omega must be a number, not '3'"),
+    ],
+)
+@pytest.mark.parametrize("determinant", [fem_determinant, reverberation_determinant])
+def test_determinants_refuse_what_is_no_finite_number(square, determinant, omega, message):
+    # fem_determinant returned nan at nan with a RuntimeWarning; both took True for 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        determinant(square, omega)
+
+
+@pytest.mark.parametrize("determinant", [fem_determinant, reverberation_determinant])
+def test_determinants_take_any_finite_omega_as_they_are_even_in_it(square, determinant):
+    assert determinant(square, 0) == determinant(square, 0.0)
+    assert determinant(square, -0.7) == pytest.approx(determinant(square, 0.7), rel=1e-12)
+    assert determinant(square, np.float64(0.7)) == determinant(square, 0.7)
+
+
+@pytest.mark.parametrize(
+    "divisions, message",
+    [
+        (True, "divisions must be an integer, not True"),  # swept the undivided truss
+        (2.0, "divisions must be an integer, not 2.0"),
+        ("2", "divisions must be an integer, not '2'"),
+        (0, "divisions must be >= 1, got 0"),
+        (-1, "divisions must be >= 1, got -1"),
+    ],
+)
+def test_fem_sweep_refuses_a_division_count_that_is_no_integer_of_at_least_one(bridge, divisions, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fem_frequencies(bridge, FrequencyWindow(0.05, 4.0), divisions=divisions)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import braced_lattice, random_truss
 from spectruss import (
     DisconnectedTrussWarning,
     Joint,
@@ -180,6 +181,7 @@ def test_unparsable_text_is_a_parse_error(text, message):
         (lambda: Material("steel", 0.0, 7850.0), "material 'steel': youngs_modulus must be > 0, got 0.0"),
         (lambda: Material("steel", 200e9, -1.0), "material 'steel': density must be > 0, got -1.0"),
         (lambda: subdivide(builtin_structure("square"), 0), "subdivision count must be >= 1, got 0"),
+        (lambda: subdivide(builtin_structure("square"), -1), "subdivision count must be >= 1, got -1"),
         (lambda: builtin_structure("bridge", scale=-2.0), "scale must be > 0, got -2.0"),
         (lambda: builtin_structure("tower"), "unknown builtin structure 'tower'"),
         (lambda: Truss(2.5, [], [], {}), "dimension must be 2 or 3, got 2.5"),
@@ -192,11 +194,20 @@ def test_unparsable_text_is_a_parse_error(text, message):
         (lambda: _two_joint_truss(_UNIT, length=True), "joint 'b': coordinate must be a number, not True"),
         (lambda: _two_joint_truss(_UNIT, area="1.5"), "rod 'ab': area must be a number, not '1.5'"),
         (lambda: _two_joint_truss(_UNIT, area=False), "rod 'ab': area must be a number, not False"),
+        # True returned the truss itself, 2.0 failed with TypeError inside range
+        (lambda: subdivide(builtin_structure("square"), True), "subdivision count must be an integer, not True"),
+        (lambda: subdivide(builtin_structure("square"), 2.0), "subdivision count must be an integer, not 2.0"),
+        (lambda: subdivide(builtin_structure("square"), "2"), "subdivision count must be an integer, not '2'"),
     ],
 )
 def test_invalid_arguments_raise_value_errors(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+def test_subdivide_takes_any_integer_type():
+    square = builtin_structure("square")
+    assert truss_to_json(subdivide(square, np.int64(2))) == truss_to_json(subdivide(square, 2))
 
 
 _UNIT = Material("m", 1.0, 1.0)
@@ -233,6 +244,39 @@ def test_disconnected_warns():
     with pytest.warns(DisconnectedTrussWarning) as loaded:
         load_truss(truss_to_json(truss))
     assert [record.filename for record in (*direct, *loaded)] == [__file__, __file__]
+
+
+def _isolated_joint_truss():
+    """Joints "b" and "a" joined by a rod, and a joint "c" with none, given first."""
+    joints = [Joint("c", (2.0, 0.0)), Joint("b", (1.0, 0.0)), Joint("a", (0.0, 0.0))]
+    return Truss(2, joints, [Rod("ba", ("b", "a"), 1.0, "m")], {"m": Material("m", 1.0, 1.0)})
+
+
+def test_rod_end_table_lists_each_joint_s_rods_in_neighbor_id_order():
+    # reference: every rod entered at both its joints, each joint's list sorted by
+    # neighbor id, as the truss kept them before its one rod-end table
+    with pytest.warns(DisconnectedTrussWarning, match=re.escape("(1 of 3 joints reachable")):
+        lone = _isolated_joint_truss()
+    rng = np.random.default_rng(0)
+    trusses = [lone, builtin_structure("bridge"), subdivide(builtin_structure("square"), 3), braced_lattice(4)]
+    for truss in trusses + [random_truss(rng) for _ in range(20)]:
+        reference = {j.id: [] for j in truss.joints}
+        for rod in truss.rods:
+            a, b = rod.joints
+            reference[a].append((b, rod))
+            reference[b].append((a, rod))
+        ends = truss._rod_ends
+        assert ends.rod_joints.tolist() == [[truss._joint_index[jid] for jid in r.joints] for r in truss.rods]
+        for k, joint in enumerate(truss.joints):
+            pairs = tuple(sorted(reference[joint.id], key=lambda pair: pair[0]))
+            assert truss.neighbors(joint.id) == pairs
+            ports = slice(ends.start[k], ends.start[k + 1])
+            assert ends.joint[ports].tolist() == [k] * len(pairs)
+            assert ends.neighbor[ports].tolist() == [truss._joint_index[other] for other, _ in pairs]
+            assert ends.rod[ports].tolist() == [truss._rod_index[rod.id] for _, rod in pairs]
+            assert ends.sign[ports].tolist() == [1 if rod.joints[0] == joint.id else -1 for _, rod in pairs]
+        assert ends.start[-1] == 2 * len(truss.rods)
+        assert not any(column.flags.writeable for column in ends)
 
 
 # -- derived rod quantities ------------------------------------------------------

@@ -482,6 +482,11 @@ def test_forced_response_anchor_reactions(bridge):
         (lambda t: solve_forced_response(t, 1.0, {"3": [1.0, 0.0, 0.0]}),
          "force vector for joint '3' must have 2 components"),
         (lambda t: FrequencyWindow(0.05, math.inf), "omega_max must be finite, got inf"),
+        # True was taken for 1, and strings failed the comparison with TypeError
+        (lambda t: FrequencyWindow(True, 3.0), "window ends must be numbers, got (True, 3.0)"),
+        (lambda t: FrequencyWindow(0.5, True), "window ends must be numbers, got (0.5, True)"),
+        (lambda t: FrequencyWindow("1", "2"), "window ends must be numbers, got ('1', '2')"),
+        (lambda t: FrequencyWindow(None, 2.0), "window ends must be numbers, got (None, 2.0)"),
     ],
 )
 def test_invalid_spectrum_input_raises(bridge, call, message):
@@ -535,12 +540,26 @@ def test_sweeps_refuse_a_thread_count_that_is_no_integer_of_at_least_one(bridge,
 
 def test_sweep_independent_of_thread_count(bridge, monkeypatch):
     # a window to omega = 10 gives the bridge count and polish calls of 8 points
-    # or more, which batched_eval splits over two threads; the side-8 lattice's
-    # polish factors by banded LU
+    # or more (the FEM sweeps' on 4 divisions), which batched_eval splits over two
+    # threads; the side-8 lattice's polish factors by banded LU. Every sweep hands
+    # its thread count to batched_eval alone, and the roots must not move.
     batched_eval = _roots.batched_eval
-    cases = [(bridge, FrequencyWindow(0.05, 10.0)), (braced_lattice(8), FrequencyWindow(0.05, 2.5))]
-    for truss, window in cases:
-        serial = find_natural_frequencies(truss, window, threads=1)
+    wide, lattice = FrequencyWindow(0.05, 10.0), braced_lattice(8)
+
+    def network(truss, window):
+        def sweep(threads):
+            return [(m.omega, m.kind) for m in find_natural_frequencies(truss, window, threads).modes]
+        return sweep
+
+    sweeps = [
+        network(bridge, wide),
+        network(lattice, FrequencyWindow(0.05, 2.5)),
+        *(lambda threads, kind=kind: fem_frequencies(bridge, wide, kind, 4, threads)
+          for kind in ("consistent", "lumped")),
+        lambda threads: reverberation_frequencies(bridge, wide, threads),
+    ]
+    for sweep in sweeps:
+        serial = sweep(1)
         calls = []
 
         def spy(func, xs, threads=1):
@@ -548,10 +567,11 @@ def test_sweep_independent_of_thread_count(bridge, monkeypatch):
             return batched_eval(func, xs, threads)
 
         monkeypatch.setattr(_roots, "batched_eval", spy)
-        threaded = find_natural_frequencies(truss, window, threads=2)
+        threaded = sweep(2)
         monkeypatch.setattr(_roots, "batched_eval", batched_eval)
-        assert any(threads == 2 and size >= 4 * threads for size, threads in calls)
-        assert [(m.omega, m.kind) for m in serial.modes] == [(m.omega, m.kind) for m in threaded.modes]
+        assert calls and all(threads == 2 for _, threads in calls)
+        assert any(size >= 4 * threads for size, threads in calls)
+        assert serial and threaded == serial
 
 
 def test_pole_bracket_discarded():
@@ -633,11 +653,11 @@ def test_polish_starts_from_the_counted_ends(bridge, monkeypatch):
 
     sweeps = []
 
-    def spied(func, count, segments, tol_at, threads=1, known=None):
+    def spied(func, count, segments, tol_at, known=None):
         known = {} if known is None else known
         counted, polished = list(known), []  # the network sweep pre-counts its ends
         sweeps.append((counted, polished))
-        return sign_sweep_roots(_spy(func, polished), _spy(count, counted), segments, tol_at, threads, known)
+        return sign_sweep_roots(_spy(func, polished), _spy(count, counted), segments, tol_at, known)
 
     monkeypatch.setattr(_roots, "sign_sweep_roots", spied)
     window = _default_window(bridge)
@@ -1264,11 +1284,11 @@ def test_a_force_outside_a_mechanism_joints_span_moves_nothing(bridge):
 def test_determinant_of_a_truss_with_mechanism_joints_is_regular(square):
     # det D in rod-span frames: non-zero off the roots, ~0 at one
     fine = subdivide(square, 2)
-    det = laplacian_determinant(fine, 0.5, reduce_anchors=False)
+    det = laplacian_determinant(fine, 0.5)
     assert np.isfinite(det) and det != 0.0
     root = 0.9201511845297538
-    near = laplacian_determinant(fine, root, reduce_anchors=False)
-    assert abs(near) <= 1e-9 * abs(laplacian_determinant(fine, root + 0.1, reduce_anchors=False))
+    near = laplacian_determinant(fine, root)
+    assert abs(near) <= 1e-9 * abs(laplacian_determinant(fine, root + 0.1))
 
 
 def test_consistent_fem_response_converges_to_the_network_response(bridge):

@@ -106,7 +106,7 @@ def test_det_equivalence_random_impedances(square):
                 for r in cfg.taus
             ):
                 continue
-            got = laplacian_determinant(truss, float(w), reduce_anchors=False)
+            got = laplacian_determinant(truss, float(w))
             assert got == pytest.approx(closed_form_square_det(cfg, float(w)), rel=1e-10)
 
 
