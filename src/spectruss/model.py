@@ -85,9 +85,13 @@ class _RodEnds(NamedTuple):
 
     rod_joints holds each rod's first and second joint index, (rods, 2).
     Joint j's k-th neighbor, in the order of Truss.neighbors, is reached by
-    port start[j] + k; the wave methods' slots and the joints' T follow this
-    order, and the rod-span frames read each joint's rod directions off it.
-    Built once per truss, at construction, every array read-only.
+    port start[j] + k: the order of the rows and columns of the joint's T.
+    A front leaves a joint by a port and arrives at the rod's port at the
+    other joint, far; the matching system's unknown of a port is the
+    amplitude leaving by it, numbered by its rod end. The rod-span frames
+    read each joint's rod directions off this table, and the wave methods
+    read a port's rod data off the rod table at its rod. Built once per
+    truss, at construction, every array read-only.
     """
 
     rod_joints: np.ndarray
@@ -96,6 +100,8 @@ class _RodEnds(NamedTuple):
     neighbor: np.ndarray  # the joint at the rod's other end
     rod: np.ndarray  # rod index
     sign: np.ndarray  # +1 where the rod starts at the port's joint, -1 where it ends there
+    end: np.ndarray  # rod end: 2 * rod where the rod starts at the port's joint, 2 * rod + 1 where it ends
+    far: np.ndarray  # the port at the rod's other end
 
 
 class Truss:
@@ -186,12 +192,14 @@ class Truss:
 
     def _build_rod_ends(self) -> _RodEnds:
         """The _RodEnds: rod end e = 2 * rod + k, k = 0 at the rod's first joint and 1 at
-        its second, sorted by joint, then by neighbor id (_ranks)."""
+        its second, sorted by joint, then by neighbor id (_ranks); the sort's permutation
+        is the ports' rod ends, and its inverse maps a rod end to its port."""
         rod_joints = np.array([[self._joint_index[jid] for jid in r.joints] for r in self.rods])
         joint, neighbor = rod_joints.ravel(), rod_joints[:, ::-1].ravel()
         ends = np.lexsort((_ranks([j.id for j in self.joints])[neighbor], joint))
         table = _RodEnds(rod_joints, np.searchsorted(joint[ends], np.arange(len(self.joints) + 1)),
-                         joint[ends], neighbor[ends], ends // 2, 1 - 2 * (ends % 2))
+                         joint[ends], neighbor[ends], ends // 2, 1 - 2 * (ends % 2), ends,
+                         np.argsort(ends)[ends ^ 1])
         for column in table:
             column.setflags(write=False)
         return table

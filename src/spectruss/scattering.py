@@ -15,15 +15,16 @@ L^{1/2} e_S^T = QR and no G^{-1}, so T^2 = I to round-off however nearly
 parallel the rods. A force couples through F too, by e_S^T G^{-1} F^T =
 L^{-1/2} Q R^{-T} F^T; its part outside F does not.
 
-Both wave methods read one rod-end layout, built once per truss and kept
-with it: a slot per rod end, joint by joint in neighbor order, which is the
-order of the joint's T, each slot knowing the rod's slot at the other joint
-(_Slots), and every joint's T in one stack zero-padded to the largest joint
-degree, read at (joint, leaving port, arriving port) (_transmission). The
-global matching system has one unknown per slot, the amplitude leaving by
-it, coupled through the per-rod phase factors exp(-i w tau); its singular
-frequencies coincide with the zeros of det(D) but over twice as many
-unknowns.
+Both wave methods read the truss's rod-end table (model._RodEnds): a port
+per rod end, joint by joint in neighbor order, which is the order of the
+joint's T, each port knowing its rod end and the rod's port at the other
+joint (far), and their rod data through each port's rod off the rod table.
+Every joint's T is kept in one stack zero-padded to the largest joint
+degree, built once per truss and read at (joint, leaving port, arriving
+port) (_transmission). The global matching system has one unknown per port,
+the amplitude leaving by it, coupled through the per-rod phase factors
+exp(-i w tau); its singular frequencies coincide with the zeros of det(D)
+but over twice as many unknowns.
 
 The wavefront simulator steps one lookahead window at a time (the lookahead
 of conservative discrete-event simulation, Chandy & Misra, IEEE TSE 5
@@ -45,14 +46,15 @@ and so gives the floats of one-by-one addition. The record of an event's
 arrivals, by rod id, is read row by row off an events x ports grid marked
 at each arrival's place among its joint's rods in rod-id order.
 
-A run keeps of each front only what the run decides: the slot it leaves by,
-its launch time and its stress (_FrontColumns). The slot fixes the rest, its
-rod, direction, launch position and transit time, and the views read those
-off _Slots; it arrives at its launch time plus the slot's transit. Each
-window copies its arrays once into columns that grow in place, their room
-doubling when full (_Growing). Per-window arrays kept in lists and joined
-once the run ends would copy as often, but their freed blocks stay resident:
-on the benchmark's lattice drive that raised a process's peak memory.
+A run keeps of each front only what the run decides: the port it leaves by,
+its launch time and its stress (_FrontColumns). The port fixes the rest, its
+rod and direction, and through the rod its launch position and transit time,
+which the views read off the rod-end and rod tables; it arrives at its
+launch time plus its rod's transit. Each window copies its arrays once into
+columns that grow in place, their room doubling when full (_Growing).
+Per-window arrays kept in lists and joined once the run ends would copy as
+often, but their freed blocks stay resident: on the benchmark's lattice
+drive that raised a process's peak memory.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ class TransmissionMatrix:
 def transmission_matrix(truss: Truss, joint_id: str) -> TransmissionMatrix:
     """T and the force coupling of one joint, in its frame F (see the module docstring)."""
     dim = truss.dimension
-    slots = _slots(truss)
+    ends = truss._rod_ends
     j = truss._joint_index[joint_id]
-    port = slice(slots.start[j], slots.start[j + 1])  # the joint's rods, in neighbor order
-    rod, table = slots.rod[port], truss._rod_table
-    e_mat = (slots.sign[port, None] * table.unit_vector[rod]).T  # dim x |N|, away from the joint
+    port = slice(ends.start[j], ends.start[j + 1])  # the joint's rods, in neighbor order
+    rod, table = ends.rod[port], truss._rod_table
+    e_mat = (ends.sign[port, None] * table.unit_vector[rod]).T  # dim x |N|, away from the joint
     root = np.sqrt(table.line_impedance[rod])  # Lambda^(1/2)
     frame = np.zeros((dim, 0)) if truss.joints[j].anchored else _span_frames(truss)[0][j]
     q, r = np.linalg.qr(root[:, None] * (frame.T @ e_mat).T)
@@ -126,20 +128,21 @@ def scatter(tm: TransmissionMatrix, incoming, force=None, omega=None):
 def matching_evaluator(truss: Truss):
     """Reusable batched builder of the complex matching system.
 
-    One unknown per slot (_Slots), the amplitude leaving by it, numbered by
-    the slot's rod end. Row of a slot: its amplitude minus its joint's T
-    applied to the amplitudes arriving at the joint, each the one that left
-    the far slot, delayed by exp(-i w tau). An anchor's T is -I, so each
-    incident rod reflects with F = -B.
+    One unknown per port of the rod-end table (model._RodEnds), the
+    amplitude leaving by it, numbered by the port's rod end. Row of a port:
+    its amplitude minus its joint's T applied to the amplitudes arriving at
+    the joint, each the one that left the far port, delayed by
+    exp(-i w tau). An anchor's T is -I, so each incident rod reflects with
+    F = -B.
     """
-    slots = _slots(truss)
-    size = slots.end.size
-    # each leaving slot's row of its joint's T, by port; exact zeros, the padding's too, drop out
-    row = _transmission(truss)[slots.joint, np.arange(size) - slots.start[slots.joint]]
+    ends = truss._rod_ends
+    size = ends.end.size
+    # each leaving port's row of its joint's T, by port; exact zeros, the padding's too, drop out
+    row = _transmission(truss)[ends.joint, np.arange(size) - ends.start[ends.joint]]
     leave, port = np.nonzero(row)
-    arrive = slots.start[slots.joint[leave]] + port
-    rows, cols = slots.end[leave], slots.end[slots.far[arrive]]
-    coeffs, taus = row[leave, port], slots.transit[arrive]
+    arrive = ends.start[ends.joint[leave]] + port
+    rows, cols = ends.end[leave], ends.end[ends.far[arrive]]
+    coeffs, taus = row[leave, port], truss._rod_table.transit_time[ends.rod[arrive]]
 
     def build(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
@@ -214,10 +217,11 @@ class ScatterEvent(NamedTuple):
 class _FrontColumns:
     """Every front the simulator launched, in launch order, one array per field.
 
-    port: the slot it leaves by (_Slots), which fixes its rod, its direction
-    (sign: +1 toward the rod's second endpoint), its launch position z0 and
-    its transit time; stress: the signed step it carries; t0: its launch
-    time, so it reaches the rod's far end at t0 + transit.
+    port: the port it leaves by (model._RodEnds), which fixes its rod and
+    its direction (sign: +1 toward the rod's second endpoint), so that it
+    is launched at the rod's first endpoint (sign > 0) or its second;
+    stress: the signed step it carries; t0: its launch time, so it reaches
+    the rod's far end at t0 plus the rod's transit time.
     """
 
     port: np.ndarray
@@ -255,7 +259,7 @@ _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 @dataclass
 class WavefrontSimulation:
-    """A run up to t_max, kept only as columns: every view is read off them and the truss's slots."""
+    """A run up to t_max, kept only as columns: every view is read off them and the truss's tables."""
 
     truss: Truss
     t_max: float
@@ -268,7 +272,7 @@ class WavefrontSimulation:
     def events(self) -> list:
         """Every scattering event as a ScatterEvent, built on first access and kept."""
         time, joint, arrivals, launches, rod, stress = self._events
-        h, slots = self._history, _slots(self.truss)
+        h, ends = self._history, self.truss._rod_ends
         first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
         rod_ids = [r.id for r in self.truss.rods]
         joint_ids = [j.id for j in self.truss.joints]
@@ -279,7 +283,7 @@ class WavefrontSimulation:
             return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
 
         return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
-                        grouped(rod, stress, arrivals), grouped(slots.rod[h.port[first:]], h.stress[first:], launches)))
+                        grouped(rod, stress, arrivals), grouped(ends.rod[h.port[first:]], h.stress[first:], launches)))
 
     def _check_time(self, t: float) -> None:
         """Refuse a time the run does not cover: not a number, nan, or past its horizon."""
@@ -291,11 +295,12 @@ class WavefrontSimulation:
     def active_fronts(self, t: float):
         """Fronts still travelling at time t, as public Wavefront records."""
         self._check_time(t)
-        h, slots = self._history, _slots(self.truss)
-        live = (h.t0 <= t) & (t < h.t0 + slots.transit[h.port])
-        port = h.port[live]
-        rod, sign = slots.rod[port], slots.sign[port]
-        position = slots.z0[port] + sign * self.truss._rod_table.wave_speed[rod] * (t - h.t0[live])
+        h, ends, table = self._history, self.truss._rod_ends, self.truss._rod_table
+        rod = ends.rod[h.port]
+        live = (h.t0 <= t) & (t < h.t0 + table.transit_time[rod])
+        rod, sign = rod[live], ends.sign[h.port[live]]
+        travelled = table.wave_speed[rod] * (t - h.t0[live])
+        position = np.where(sign > 0, travelled, table.length[rod] - travelled)  # launched at 0 or the length
         return [
             Wavefront(
                 rod=self.truss.rods[r].id,
@@ -325,18 +330,19 @@ class WavefrontSimulation:
         in blocks of at most _COVER_BLOCK (segment, span) pairs.
         """
         self._check_time(t)
-        h, slots, table = self._history, _slots(self.truss), self.truss._rod_table
+        h, ends, table = self._history, self.truss._rod_ends, self.truss._rod_table
         rods = len(self.truss.rods)
         length = table.length
         front = np.flatnonzero(h.t0 <= t)  # launched, in launch order
-        rod, stress = slots.rod[h.port[front]], h.stress[front]
-        arrived = h.t0[front] + table.transit_time[rod] <= t  # the slot's transit is its rod's
+        rod, stress = ends.rod[h.port[front]], h.stress[front]
+        arrived = h.t0[front] + table.transit_time[rod] <= t
         flying = np.flatnonzero(~arrived)
         f = front[flying]
         travelled = table.wave_speed[rod[flying]] * (t - h.t0[f])
-        forward, z0 = slots.sign[h.port[f]] > 0, slots.z0[h.port[f]]
-        lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))
-        hi = np.where(forward, np.minimum(length[rod[flying]], z0 + travelled), z0)
+        # a front heading to its rod's second endpoint was launched at 0, any other at the length
+        forward, far_end = ends.sign[h.port[f]] > 0, length[rod[flying]]
+        lo = np.where(forward, 0.0, np.maximum(0.0, far_end - travelled))
+        hi = np.where(forward, np.minimum(far_end, travelled), far_end)
         swept = hi > lo
         flying, lo, hi = flying[swept], lo[swept], hi[swept]
 
@@ -389,50 +395,12 @@ class WavefrontSimulation:
         return {r.id: segments[bounds[k]:bounds[k + 1]] for k, r in enumerate(self.truss.rods)}
 
 
-class _Slots(NamedTuple):
-    """Every rod end of the truss, one slot each, joint by joint, each joint's in neighbor order.
-
-    Joint j's k-th neighbor rod is slot start[j] + k, the order of the rows
-    and columns of its T. A front leaves a joint by a slot and arrives at the
-    rod's slot at the other joint, far; the matching system's unknown of a
-    slot is the amplitude leaving by it. Built once per truss (_slots), its
-    first four columns those of the truss's rod-end table (model._RodEnds).
-    """
-
-    start: np.ndarray  # each joint's first slot, then the slot count
-    joint: np.ndarray  # the joint a slot belongs to
-    rod: np.ndarray  # rod index
-    sign: np.ndarray  # +1 when the rod starts at the slot's joint: a front leaving heads to its end
-    end: np.ndarray  # rod end: 2 * rod where the rod starts at the slot's joint, 2 * rod + 1 where it ends
-    impedance: np.ndarray
-    z0: np.ndarray  # launch position along the rod
-    transit: np.ndarray
-    far: np.ndarray
-
-
-def _slots(truss: Truss) -> _Slots:
-    """The truss's _Slots, built once and kept with it, every array read-only."""
-
-    def build():
-        ends, table = truss._rod_ends, truss._rod_table
-        rod, sign = ends.rod, ends.sign
-        end = 2 * rod + (sign < 0)
-        slots = _Slots(ends.start, ends.joint, rod, sign, end, table.impedance[rod],
-                       np.where(sign > 0, 0.0, table.length[rod]), table.transit_time[rod],
-                       np.argsort(end)[end ^ 1])
-        for column in slots:
-            column.setflags(write=False)
-        return slots
-
-    return truss._cached("slots", build)
-
-
 def _transmission(truss: Truss) -> np.ndarray:
     """Every joint's T, in joint order, zero-padded to the largest joint degree:
     (joints, degree, degree), built once and kept with the truss, read-only."""
 
     def build():
-        degree = np.diff(_slots(truss).start)
+        degree = np.diff(truss._rod_ends.start)
         stack = np.zeros((degree.size, degree.max(), degree.max()))
         for j, joint in enumerate(truss.joints):
             stack[j, :degree[j], :degree[j]] = transmission_matrix(truss, joint.id).entries
@@ -478,10 +446,10 @@ def simulate_wavefronts(
     the module docstring): its arrivals are summed per event and port by one
     bincount in merge order, the floats of one-by-one addition, and each
     event's arrivals are recorded by rod id off an events x ports grid. A
-    front is recorded as its slot, launch time and stress, and a pending
-    arrival as its time, arriving slot, front and velocity step; the rest is
-    read off the slots. More than front_cap pending arrivals raise
-    EventExplosionError.
+    front is recorded as its port, launch time and stress, and a pending
+    arrival as its time, arriving port, front and velocity step; the rest is
+    read off the rod-end and rod tables. More than front_cap pending
+    arrivals raise EventExplosionError.
     """
     for name, value in (("t_max", t_max), ("min_amplitude", min_amplitude)):
         if not _is_number(value):  # a bool would count as 0 or 1, a string fail the comparisons below
@@ -494,16 +462,17 @@ def simulate_wavefronts(
         raise ValueError(f"t_max must be finite, got {t_max}")
     if not (min_amplitude >= 0.0):  # nan too, which would keep every child
         raise ValueError(f"min_amplitude must be >= 0, got {min_amplitude}")
-    slots = _slots(truss)
+    ends, table = truss._rod_ends, truss._rod_table
+    impedance, transit = table.impedance[ends.rod], table.transit_time[ends.rod]  # each port's rod's
     joint_rank = _ranks([joint.id for joint in truss.joints])
     rod_rank = _ranks([rod.id for rod in truss.rods])
-    degree = np.diff(slots.start)
+    degree = np.diff(ends.start)
     padded = _transmission(truss)
     ports = np.arange(padded.shape[1])
-    # each slot's place among its joint's slots in rod-id order, and the slot at each place
-    at_place = np.lexsort((rod_rank[slots.rod], slots.joint))
+    # each port's place among its joint's ports in rod-id order, and the port at each place
+    at_place = np.lexsort((rod_rank[ends.rod], ends.joint))
     by_rod = np.empty_like(at_place)
-    by_rod[at_place] = np.arange(at_place.size) - slots.start[slots.joint[at_place]]
+    by_rod[at_place] = np.arange(at_place.size) - ends.start[ends.joint[at_place]]
 
     tau_min = truss.tau_min
     time_tol = 1e-12 * tau_min
@@ -514,15 +483,15 @@ def simulate_wavefronts(
     explosion = EventExplosionError(f"more than {front_cap} live fronts; min_amplitude={min_amplitude} is too small")
 
     def launch(port, t0, velocity):
-        """Record a front leaving by each slot of port at t0 with its velocity step
+        """Record a front leaving by each of the ports port at t0 with its velocity step
         (in the far joint's frame; its stress is Gamma * velocity) and return the
         pending arrivals of those that reach the far joint by the horizon: time,
-        slot at the far joint, front index and velocity step."""
-        t_arrive = t0 + slots.transit[port]
+        port at the far joint, front index and velocity step."""
+        t_arrive = t0 + transit[port]
         live = np.flatnonzero(t_arrive <= horizon)
         front = fronts.size + live
-        fronts.extend(port, slots.impedance[port] * velocity, t0)
-        return t_arrive[live], slots.far[port[live]], front, velocity[live]
+        fronts.extend(port, impedance[port] * velocity, t0)
+        return t_arrive[live], ends.far[port[live]], front, velocity[live]
 
     impulses = tuple(impulses)  # a generator too: it is read more than once below
     for imp in impulses:
@@ -534,29 +503,29 @@ def simulate_wavefronts(
             value = getattr(imp, field)
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"impulse on rod '{imp.rod}': {field} must be a finite number, not {value!r}")
-    # an impulse toward a rod's end leaves by the slot at its first joint, rod end 2 * rod
+    # an impulse toward a rod's end leaves by the port at its first joint, rod end 2 * rod
     end = [2 * truss._rod_index[imp.rod] + (imp.direction == TOWARD_START) for imp in impulses]
-    port = np.argsort(slots.end)[np.array(end, dtype=int)]
+    port = np.argsort(ends.end)[np.array(end, dtype=int)]
     amplitude = np.array([imp.stress_amplitude for imp in impulses], dtype=float)
     start_time = np.array([imp.start_time for imp in impulses], dtype=float)
-    pending = launch(port, start_time, amplitude / slots.impedance[port])
+    pending = launch(port, start_time, amplitude / impedance[port])
     if pending[0].size > front_cap:
         raise explosion
 
     while pending[0].size:
-        t, slot, front, velocity = pending
+        t, far, front, velocity = pending
         limit = float(t.min()) + tau_min
         near = np.flatnonzero(t <= limit)
         near = near[np.argsort(t[near], kind="stable")]
-        ends = _window_clusters(t[near].tolist(), limit, time_tol)
-        take = near[:ends[-1]]
-        cluster = np.searchsorted(ends, np.arange(ends[-1]), side="right")
+        cluster_ends = _window_clusters(t[near].tolist(), limit, time_tol)
+        take = near[:cluster_ends[-1]]
+        cluster = np.searchsorted(cluster_ends, np.arange(cluster_ends[-1]), side="right")
         # the window's arrivals in the order the merge meets them: by cluster,
         # joint id and time, then rod id and launch
-        arriving = slot[take]
-        joint = slots.joint[arriving]
+        arriving = far[take]
+        joint = ends.joint[arriving]
         # rods x fronts, like clusters x joints, stays far below 2**63 for any run that fits in memory
-        order = np.lexsort((rod_rank[slots.rod[arriving]] * fronts.size + front[take], t[take],
+        order = np.lexsort((rod_rank[ends.rod[arriving]] * fronts.size + front[take], t[take],
                             cluster * joint_rank.size + joint_rank[joint]))
         take, arriving, joint, cluster = take[order], arriving[order], joint[order], cluster[order]
         starts = np.concatenate(([True], (cluster[1:] != cluster[:-1]) | (joint[1:] != joint[:-1])))
@@ -565,15 +534,15 @@ def simulate_wavefronts(
 
         # one row per event, its joint's ports in neighbor order and zeros past its degree;
         # bincount adds each cell's arrivals one by one from 0.0, in the order above;
-        # an arrival's stress is Gamma * velocity, Gamma the rod's at either slot
-        cell = event * ports.size + arriving - slots.start[joint]
+        # an arrival's stress is Gamma * velocity, Gamma the rod's at either port
+        cell = event * ports.size + arriving - ends.start[joint]
         v_in, stress_in = (np.bincount(cell, weights=w, minlength=first.size * ports.size)
                            .reshape(first.size, ports.size)
-                           for w in (velocity[take], slots.impedance[arriving] * velocity[take]))
+                           for w in (velocity[take], impedance[arriving] * velocity[take]))
         port_event, local = np.nonzero(ports < degree[ev_joint, None])
-        port = slots.start[ev_joint[port_event]] + local
+        port = ends.start[ev_joint[port_event]] + local
         v_out = np.matmul(padded[ev_joint], v_in[..., None])[port_event, local, 0]
-        sigma = -slots.impedance[port] * v_out  # outgoing waves leave the joint
+        sigma = -impedance[port] * v_out  # outgoing waves leave the joint
         # children at round-off of the incoming amplitude are not real fronts
         noise_floor = 1e-14 * np.abs(stress_in).max(axis=1)
         size = np.abs(sigma)
@@ -582,9 +551,9 @@ def simulate_wavefronts(
         child, child_event = port[kept], port_event[kept]
         arrivals = launch(child, ev_time[child_event], -v_out[kept])
         live = arrivals[2] - (fronts.size - child.size)  # the children that arrive by the horizon
-        pushes = np.bincount(ev_cluster[child_event[live]], minlength=len(ends))
+        pushes = np.bincount(ev_cluster[child_event[live]], minlength=len(cluster_ends))
         # pending at each cluster's end: before the window, less the pops, plus the pushes
-        if (t.size - np.array(ends) + np.cumsum(pushes)).max() > front_cap:
+        if (t.size - np.array(cluster_ends) + np.cumsum(pushes)).max() > front_cap:
             raise explosion
 
         # the window's events, each one's arrivals by rod id (the fronts they launched are recorded):
@@ -592,11 +561,11 @@ def simulate_wavefronts(
         hit = np.zeros((first.size, ports.size), dtype=bool)
         hit[event, by_rod[arriving]] = True
         inc_event, place = np.nonzero(hit)
-        inc_start = slots.start[ev_joint[inc_event]]
-        inc_slot = at_place[inc_start + place]
+        inc_start = ends.start[ev_joint[inc_event]]
+        inc_port = at_place[inc_start + place]
         events.extend(ev_time, ev_joint, np.bincount(inc_event, minlength=first.size),
                       np.bincount(child_event, minlength=first.size))
-        incoming.extend(slots.rod[inc_slot], stress_in[inc_event, inc_slot - inc_start])
+        incoming.extend(ends.rod[inc_port], stress_in[inc_event, inc_port - inc_start])
 
         rest = np.ones(t.size, dtype=bool)
         rest[take] = False

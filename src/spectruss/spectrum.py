@@ -66,10 +66,12 @@ DEFAULT_ROOT_RTOL = 1e-10  # root tolerance, relative to omega
 # and determinant lose accuracy (its count departs from B's up to ~3e-4 away).
 BORDER_RADIUS = 1e-3
 # Singular value of a null direction's displacement part above which it
-# moves the joints (_null_modes). At the poles of the test generator's first
-# 200 draws and of the benchmark trusses, and at their roots beside a pole,
-# those that move them read >= 0.97 and u = 0 directions <= 3e-15.
-MOVING_U = 0.5
+# moves the joints (_null_modes), at round-off scale: at the poles of the test
+# generator's first 200 draws and of the benchmark trusses, and at their roots
+# beside a pole, u = 0 directions read <= 3e-15. Those that move the joints
+# can read well below 1 beside a pole, where a rod of small Lambda makes its
+# border amplitude large against u: 0.36 at a root of a benchmark truss.
+MOVING_U = 1e-8
 
 
 class NotARootError(Exception):
@@ -614,12 +616,13 @@ def laplacian_determinant(truss: Truss, omega: float) -> float:
 def solve_forced_response(truss: Truss, omega: float, forces) -> dict:
     """Displacement amplitudes U of the free joints under applied forces P, D U = P.
 
-    `forces` maps free-joint ids to force vectors; omitted joints carry zero
-    force. D is the sweep's, in rod-span frames F: one LU solve of
-    B [u; xi] = [F^T p; 0] (_bordered_at) gives D u = F^T p, finite through
-    a rod resonance that is no natural frequency. A force component outside
-    a mechanism joint's span is dropped by F^T p and moves nothing, as in
-    scattering's force_coupling. U is lifted to joint coordinates. Raises
+    `forces` maps free-joint ids to force vectors of finite numbers (a bool
+    or a string is none); omitted joints carry zero force. D is the sweep's,
+    in rod-span frames F: one LU solve of B [u; xi] = [F^T p; 0]
+    (_bordered_at) gives D u = F^T p, finite through a rod resonance that
+    is no natural frequency. A force component outside a mechanism joint's
+    span is dropped by F^T p and moves nothing, as in scattering's
+    force_coupling. U is lifted to joint coordinates. Raises
     SingularAtFrequencyError where J rises across omega's band (_rise), a
     natural frequency, or where the residual on B exceeds 1e-9 of the load.
     """
@@ -629,9 +632,13 @@ def solve_forced_response(truss: Truss, omega: float, forces) -> dict:
     for jid, vec in forces.items():
         if jid not in pattern.index_map:
             raise ValueError(f"force applied to unknown or anchored joint '{jid}'")
-        vec = np.asarray(vec, dtype=float)
+        vec = np.asarray(vec, dtype=object)  # float() would take True for 1.0 and parse "1"
         if vec.shape != (dim,):
             raise ValueError(f"force vector for joint '{jid}' must have {dim} components")
+        bad = [x for x in vec if not (_is_number(x) and math.isfinite(x))]
+        if bad:
+            raise ValueError(f"force vector for joint '{jid}' must hold finite numbers, not {bad[0]!r}")
+        vec = vec.astype(float)
         frame = pattern.frames[jid]
         rhs[pattern.index_map[jid] : pattern.index_map[jid] + frame.shape[1]] = vec @ frame
     rise = _rise(truss, omega)

@@ -276,7 +276,14 @@ def test_rod_end_table_lists_each_joint_s_rods_in_neighbor_id_order():
             assert ends.rod[ports].tolist() == [truss._rod_index[rod.id] for _, rod in pairs]
             assert ends.sign[ports].tolist() == [1 if rod.joints[0] == joint.id else -1 for _, rod in pairs]
         assert ends.start[-1] == 2 * len(truss.rods)
-        assert not any(column.flags.writeable for column in ends)
+        # each port's rod end 2 * rod + k (k = 1 at the rod's second joint), and the rod's other port
+        port, end, far = np.arange(ends.start[-1]), ends.end, ends.far
+        assert sorted(end.tolist()) == port.tolist()
+        assert np.array_equal(end // 2, ends.rod) and np.array_equal(1 - 2 * (end % 2), ends.sign)
+        assert np.array_equal(far[far], port) and not np.any(far == port)
+        assert np.array_equal(ends.rod[far], ends.rod) and np.array_equal(ends.sign[far], -ends.sign)
+        assert np.array_equal(end[far], end ^ 1)
+        assert not any(column.flags.writeable for column in ends)  # end and far among them
 
 
 # -- derived rod quantities ------------------------------------------------------

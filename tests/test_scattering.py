@@ -38,7 +38,6 @@ from spectruss.scattering import (
     WavefrontSimulation,
     _FrontColumns,
     _matching_eval,
-    _slots,
     _transmission,
     _window_clusters,
     matching_evaluator,
@@ -1015,8 +1014,8 @@ def test_windowed_simulator_matches_the_heap_loop():
                 assert [r for r, _ in mine] == [r for r, _ in theirs], (name, want.time, want.joint)
                 diff = max((abs(a - b) for (_, a), (_, b) in zip(mine, theirs)), default=0.0)
                 assert diff <= 1e-12 * scale, (name, want.time, want.joint)
-        h, slots = sim._history, _slots(truss)
-        derived = (slots.rod[h.port], slots.sign[h.port], h.t0, slots.z0[h.port], h.t0 + slots.transit[h.port])
+        h, (rod, sign, z0, transit) = sim._history, _port_columns(truss)
+        derived = (rod[h.port], sign[h.port], h.t0, z0[h.port], h.t0 + transit[h.port])
         for got, want in zip(derived, columns[:2] + columns[3:]):
             assert np.array_equal(got, want), name
         assert np.max(np.abs(h.stress - columns[2]), initial=0.0) <= 1e-12 * scale, name
@@ -1100,18 +1099,25 @@ def _covering_sums(z_lo, z_hi, lo, hi, stress):
 _NO_EVENTS = tuple(np.empty(0, dtype=int) for _ in range(6))  # a simulation's _events: none
 
 
+def _port_columns(truss):
+    """Each port's rod, sign, launch position and transit time, read off the rod-end and rod tables:
+    a front heading to its rod's second endpoint (sign > 0) is launched at 0, any other at the length."""
+    ends, table = truss._rod_ends, truss._rod_table
+    return ends.rod, ends.sign, np.where(ends.sign > 0, 0.0, table.length[ends.rod]), table.transit_time[ends.rod]
+
+
 def _leaving_slot(truss, rod, sign):
-    """The slot a front on each rod leaves by: at the rod's first joint when it heads to its second (sign > 0)."""
-    return np.argsort(_slots(truss).end)[2 * rod + (sign < 0)]
+    """The port a front on each rod leaves by: at the rod's first joint when it heads to its second (sign > 0)."""
+    return np.argsort(truss._rod_ends.end)[2 * rod + (sign < 0)]
 
 
 def _per_rod_profile(sim, t):
     """stress_profile one rod at a time, every segment summing all of its rod's spans."""
-    h, slots = sim._history, _slots(sim.truss)
+    h, (port_rod, port_sign, port_z0, port_transit) = sim._history, _port_columns(sim.truss)
     length = sim.truss._rod_table.length
     launched = h.t0 <= t
     port, t0 = h.port[launched], h.t0[launched]
-    rod, sign, z0, t_arrive = slots.rod[port], slots.sign[port], slots.z0[port], t0 + slots.transit[port]
+    rod, sign, z0, t_arrive = port_rod[port], port_sign[port], port_z0[port], t0 + port_transit[port]
     travelled = sim.truss._rod_table.wave_speed[rod] * (np.minimum(t, t_arrive) - t0)
     forward = sign > 0
     lo = np.where(forward, z0, np.maximum(0.0, z0 - travelled))

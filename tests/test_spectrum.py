@@ -26,6 +26,7 @@ from spectruss import (
     fem_frequencies,
     find_natural_frequencies,
     laplacian_determinant,
+    load_truss,
     pole_set,
     resonant_mode_check,
     reverberation_frequencies,
@@ -34,7 +35,7 @@ from spectruss import (
 )
 from spectruss import _roots
 from spectruss.assembly import _pattern, _span_frames, laplacian_evaluator
-from spectruss.spectrum import MODE_TOL, _chain, _pole_at, _rise, _segments, _window_poles
+from spectruss.spectrum import BORDER_RADIUS, MODE_TOL, _chain, _pole_at, _rise, _segments, _window_poles
 from spectruss.validation import bridge_reference_modes, closed_form_square_condition, SquareClosedForm
 
 
@@ -952,6 +953,41 @@ def test_root_beside_a_pole_agrees_with_the_subdivided_sweep():
     assert abs(root - reference) <= window.tol_at(root)
 
 
+# the benchmark's random-trusses seed 31, case 15 (truss_to_json), a truss with
+# a mechanism joint j0 and a root 3.3e-4 rad from rod r3's resonance 6 pi
+_ROOT_BESIDE_A_THIN_ROD = """{
+  "dimension": 2, "dimensionless": false, "materials": {"m": {"youngs_modulus": 1.0, "density": 1.0}},
+  "joints": [
+    {"id": "j0", "position": [0.4975114500078701, 0.2874095241606207], "anchored": false},
+    {"id": "j1", "position": [0.45151537010373977, -0.8343828482070106], "anchored": false},
+    {"id": "j2", "position": [-0.2945131686071898, 0.03966614866846352], "anchored": false},
+    {"id": "j3", "position": [-0.14655771253951788, -0.9187648762545095], "anchored": false},
+    {"id": "j4", "position": [-0.6119450901984136, 0.890049296609253], "anchored": false},
+    {"id": "j5", "position": [-0.6748605504933636, 0.7041046649255505], "anchored": false}],
+  "rods": [
+    {"id": "r0", "joints": ["j0", "j1"], "area": 1.2969569366712022, "material": "m"},
+    {"id": "r1", "joints": ["j1", "j2"], "area": 1.50008013498326, "material": "m"},
+    {"id": "r2", "joints": ["j2", "j3"], "area": 1.7156533995538723, "material": "m"},
+    {"id": "r3", "joints": ["j3", "j4"], "area": 0.6827894142573048, "material": "m"},
+    {"id": "r4", "joints": ["j4", "j5"], "area": 1.0752688787857225, "material": "m"},
+    {"id": "r1_3", "joints": ["j1", "j3"], "area": 1.1238950105432675, "material": "m"},
+    {"id": "r3_5", "joints": ["j3", "j5"], "area": 1.8155301136860547, "material": "m"},
+    {"id": "r2_4", "joints": ["j2", "j4"], "area": 1.597120010208612, "material": "m"}]
+}"""
+
+
+def test_mode_beside_a_pole_that_moves_the_joints_less_than_its_rod_is_found():
+    # there r3 is bordered, and B's null vector has a displacement block of norm
+    # 0.36 against a border amplitude of 0.93, r3's Lambda being small: a split
+    # at 0.5 took it for a u = 0 direction, and extract_modes raised NotARootError
+    truss = load_truss(_ROOT_BESIDE_A_THIN_ROD)
+    (root,) = [w for w in find_natural_frequencies(truss, _default_window(truss)).omegas if abs(w - 10.0924) < 1e-3]
+    tau = truss.rod_properties("r3").transit_time
+    assert 0.0 < abs(root * tau - 6.0 * math.pi) < BORDER_RADIUS
+    (mode,) = extract_modes(truss, root)
+    assert mode.kind == "regular"
+
+
 def test_resonance_check_skipped_where_the_count_shows_no_mode(square, monkeypatch):
     # the square's diagonal resonates at pi/sqrt2 with no mode there: the
     # count across that pole's guard band does not rise, so only pi is checked
@@ -1264,6 +1300,21 @@ def test_forced_response_raises_at_every_matching_root_of_draw_47():
     for omega in omegas:
         with pytest.raises(SingularAtFrequencyError):
             solve_forced_response(truss, omega, forces)
+
+
+@pytest.mark.parametrize("component", [math.nan, math.inf, True, "1"])
+def test_forced_response_refuses_a_force_component_that_is_no_finite_number(bridge, component):
+    # nan and inf gave nan displacements with a RuntimeWarning; True and "1" were taken for 1.0
+    with pytest.raises(ValueError, match=re.escape(
+            f"force vector for joint '3' must hold finite numbers, not {component!r}")):
+        solve_forced_response(bridge, 1.0, {"3": [component, 0]})
+
+
+def test_forced_response_takes_numpy_float_and_integer_forces(bridge):
+    want = solve_forced_response(bridge, 1.0, {"3": [1.0, 2.0]})["3"]
+    for force in (np.array([1.0, 2.0]), np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32),
+                  [np.int64(1), np.float64(2.0)]):
+        assert np.array_equal(solve_forced_response(bridge, 1.0, {"3": force})["3"], want)
 
 
 def test_a_force_outside_a_mechanism_joints_span_moves_nothing(bridge):
