@@ -31,11 +31,12 @@ from __future__ import annotations
 import importlib
 import logging
 import math
-import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .model import _check_count
 
 # Largest stack of matrices, in bytes, that one determinant evaluation builds;
 # longer lists of frequencies are evaluated chunk by chunk.
@@ -64,11 +65,10 @@ def threaded(threads, *evaluators):
     """The evaluators, each calling batched_eval, the one place that splits work over threads.
 
     Each sweep wraps its (func, count) so where it makes them, and the root
-    search takes them as plain evaluators. threads must be an integer >= 1:
-    batched_eval would run 0, -1 or 2.5 serially.
+    search takes them as plain evaluators. threads must be an integer >= 1
+    (model._check_count): batched_eval would run 0, -1 or 2.5 serially.
     """
-    if not (isinstance(threads, numbers.Integral) and not isinstance(threads, bool) and threads >= 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_count(threads, "threads")
     return [lambda xs, func=func: batched_eval(func, xs, threads) for func in evaluators]
 
 
@@ -172,9 +172,10 @@ def _lapack_check(info, routine):
         raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
 
 
-def near_null(matrix, tol):
-    """(smax, values, vectors) of a symmetric matrix: smax = max |eigenvalue|, and the
-    eigenpairs of |eigenvalue| <= tol * smax, values ascending, vectors as columns.
+def near_null(matrix, tol, floor=0.0):
+    """(smax, values, vectors) of a symmetric matrix: smax = max |eigenvalue|, or floor
+    where that is larger, and the eigenpairs of |eigenvalue| <= tol * smax, values
+    ascending, vectors as columns.
 
     A partial eigensolve (Demmel, Applied Numerical Linear Algebra (1997)
     5.3): one Householder reduction to a tridiagonal T (dsytrd, on the lower
@@ -187,7 +188,7 @@ def near_null(matrix, tol):
     """
     n = len(matrix)
     if not n:
-        return 0.0, np.zeros(0), np.zeros((0, 0))
+        return floor, np.zeros(0), np.zeros((0, 0))
     lapack = _scipy("lapack")
     c, d, e, tau, info = lapack.dsytrd(matrix, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
     _lapack_check(info, "dsytrd")
@@ -198,7 +199,7 @@ def near_null(matrix, tol):
         _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, abstol, b"E")
         _lapack_check(info, "dstebz")
         ends.append(w[0])
-    smax = max(-ends[0], ends[1])
+    smax = max(-ends[0], ends[1], floor)
     bound = tol * smax
     # range 1: by value; order "B" groups them by split-off block, as dstein needs
     m, w, block, split, info = lapack.dstebz(d, e, 1, math.nextafter(-bound, -math.inf), bound, 0, 0, abstol, b"B")

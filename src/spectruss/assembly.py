@@ -18,12 +18,14 @@ joints those are the joint-coordinate ones. The blocks are
 
 So every matrix is `pattern @ coefficients`: a CSR map from the coefficient
 vector [diag_r, off_r] to the structurally nonzero entries, applied to one
-coefficient column per frequency. The pattern is built on first use per truss
-and anchor reduction, and kept with the truss; the same path serves one
-matrix or a batch, at every size. scipy.sparse loads at the first pattern
-build (_build_pattern, _Pattern.lift), never on import: the rod-span frames,
-which scattering's transmission matrices share, need numpy only. The sweeps
-evaluate these matrices in chunks whose stacks stay within
+coefficient column per frequency. Every matrix is the anchored structure's:
+an anchored joint has no coordinates, so its blocks drop out, and the
+reactions at the anchors are read off the rods' end data (spectrum). The
+pattern is built on first use, one per truss, and kept with it; the same
+path serves one matrix or a batch, at every size. scipy.sparse loads at the
+first pattern build (_build_pattern, _Pattern.lift), never on import: the
+rod-span frames, which scattering's transmission matrices share, need numpy
+only. The sweeps evaluate these matrices in chunks whose stacks stay within
 `_roots.BATCH_BYTES`, so memory does not grow with the number of frequencies
 evaluated at once: FEM through
 `_roots.determinant`, the network sweep through `_roots.bordered_determinant`,
@@ -75,18 +77,18 @@ class _Pattern:
     position rows[k] of the matrix's (size, width) storage: i * size + j for
     entry (i, j) of the square matrix, whose width is size, and
     j * width + 2 kl + i - j in the band storage of `band`. Joint j has frame
-    B_j = frames[j] at offset index_map[j]; `lift` maps these coordinates to
-    `dim` joint coordinates per joint, and `embedding` places them in the
-    unreduced system. `ends` = (index, value), each (2, rods, dim), holds
-    B_a^T e and B_b^T e of every rod as entries of a size-vector, padded to
-    dim with index size past each frame's width and at reduced-away joints.
+    B_j = frames[j] at offset index_map[j], free joints only: an anchored
+    joint does not move and has no coordinates. `lift` maps these coordinates
+    to `dim` joint coordinates per joint. `ends` = (index, value), each
+    (2, rods, dim), holds B_a^T e and B_b^T e of every rod as entries of a
+    size-vector, padded to dim with index size past each frame's width and at
+    anchored joints, where value keeps e itself (their frame is the identity).
     """
 
     index_map: dict
     size: int
     rows: np.ndarray
     scatter: sparse.csr_array
-    embedding: np.ndarray
     frames: dict
     width: int
     ends: tuple
@@ -145,7 +147,7 @@ def _span_frames(truss: Truss):
     return truss._cached("span_frames", build)
 
 
-def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
+def _build_pattern(truss: Truss) -> _Pattern:
     from scipy import sparse
 
     dim = truss.dimension
@@ -153,10 +155,10 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     local = np.arange(dim)
     frames = _span_frames(truss)[0]
     width = np.array([f.shape[1] for f in frames])
-    kept = np.array([not (reduce_anchors and j.anchored) for j in truss.joints])
-    offset = np.cumsum(np.where(kept, width, 0)) - width  # meaningful at kept joints only
-    size = int(width[kept].sum())
-    index_map = {j.id: int(offset[i]) for i, j in enumerate(truss.joints) if kept[i]}
+    free = np.array([not j.anchored for j in truss.joints])
+    offset = np.cumsum(np.where(free, width, 0)) - width  # meaningful at free joints only
+    size = int(width[free].sum())
+    index_map = {j.id: int(offset[i]) for i, j in enumerate(truss.joints) if free[i]}
 
     # B^T e at both ends of every rod, with the frames zero-padded to dim columns
     padded = np.zeros((len(frames), dim, dim))
@@ -175,26 +177,23 @@ def _build_pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
     columns = np.broadcast_to(coeff, (n_rods, 4, dim, dim))
     left, right = np.stack([pa, pb, pa, pb], axis=1), np.stack([pa, pb, pb, pa], axis=1)
     values = left[..., :, None] * right[..., None, :]
-    # blocks of reduced-away joints drop out, as do the exact zeros of the
+    # blocks of anchored joints drop out, as do the exact zeros of the
     # padding past each frame's width and those that axis-aligned rods leave
-    keep = kept[block_row] & kept[block_col] & (values != 0.0)
+    keep = free[block_row] & free[block_col] & (values != 0.0)
     rows, entry = np.unique(positions[keep], return_inverse=True)
     scatter = sparse.csr_array((values[keep], (entry, columns[keep])), shape=(rows.size, 2 * n_rods))
     scatter.sort_indices()
-    embedding = np.flatnonzero(np.repeat(kept, width))
-    kept_frames = {j.id: f for j, f, k in zip(truss.joints, frames, kept) if k}
+    free_frames = {j.id: f for j, f, k in zip(truss.joints, frames, free) if k}
     # B^T e of every rod end as (index, value), index size where it has no coordinate
-    valid = kept[ends.T][..., None] & (local < width[ends.T][..., None])
+    valid = free[ends.T][..., None] & (local < width[ends.T][..., None])
     index = np.where(valid, offset[ends.T][..., None] + local, size)
     rod_ends = (index, np.stack([pa, pb]))
-    return _Pattern(index_map, size, rows, scatter, embedding, kept_frames, size, rod_ends)
+    return _Pattern(index_map, size, rows, scatter, free_frames, size, rod_ends)
 
 
-def _pattern(truss: Truss, reduce_anchors: bool) -> _Pattern:
-    """The truss's pattern in rod-span frames, built once and kept: one for both values
-    of reduce_anchors where no joint is anchored, as both give the same entries."""
-    reduce_anchors = reduce_anchors and truss._cached("anchored", lambda: bool(truss.anchored_joints))
-    return truss._cached(("pattern", reduce_anchors), lambda: _build_pattern(truss, reduce_anchors))
+def _pattern(truss: Truss) -> _Pattern:
+    """The anchored structure's pattern in rod-span frames, built once and kept with the truss."""
+    return truss._cached("pattern", lambda: _build_pattern(truss))
 
 
 def _assemble(pattern: _Pattern, coefficients: np.ndarray) -> np.ndarray:
@@ -247,16 +246,18 @@ def _frequency(omega) -> float:
     return _finite(omega)
 
 
-def assemble_laplacian(truss: Truss, omega: float, reduce_anchors: bool = True) -> AssembledMatrix:
-    """D(omega) in rod-span frames, unbordered: its entries diverge at a rod resonance."""
-    pattern = _pattern(truss, reduce_anchors)
+def assemble_laplacian(truss: Truss, omega: float) -> AssembledMatrix:
+    """The anchored structure's D(omega) in rod-span frames, unbordered: its entries diverge
+    at a rod resonance."""
+    pattern = _pattern(truss)
     entries = laplacian_evaluator(truss, pattern)([_frequency(omega)])[0]
     return AssembledMatrix(entries, dict(pattern.index_map))
 
 
-def assemble_stiffness(truss: Truss, reduce_anchors: bool = True) -> AssembledMatrix:
-    """Static stiffness from the spring formula k = A*E/L (exact omega -> 0 limit), in rod-span frames."""
-    pattern = _pattern(truss, reduce_anchors)
+def assemble_stiffness(truss: Truss) -> AssembledMatrix:
+    """The anchored structure's static stiffness from the spring formula k = A*E/L (exact
+    omega -> 0 limit), in rod-span frames."""
+    pattern = _pattern(truss)
     k = truss._rod_table.spring_stiffness
     entries = _assemble(pattern, np.concatenate([k, -k])[:, None])[0]
     return AssembledMatrix(entries, dict(pattern.index_map))

@@ -27,11 +27,12 @@ from .spectrum import FrequencyWindow
 MASS_KINDS = ("consistent", "lumped")
 
 
-def assemble_mass(truss: Truss, kind: str = "consistent", reduce_anchors: bool = True) -> AssembledMatrix:
-    """Consistent or lumped mass matrix in rod-span frames, on the pattern of assemble_stiffness."""
+def assemble_mass(truss: Truss, kind: str = "consistent") -> AssembledMatrix:
+    """The anchored structure's consistent or lumped mass matrix in rod-span frames, on the
+    pattern of assemble_stiffness."""
     if kind not in MASS_KINDS:
         raise ValueError(f"mass kind must be one of {MASS_KINDS}, got {kind!r}")
-    pattern = _pattern(truss, reduce_anchors)
+    pattern = _pattern(truss)
     masses = truss._rod_masses()
     if kind == "consistent":
         entries = _assemble(pattern, np.concatenate([masses / 3.0, masses / 6.0])[:, None])[0]
@@ -45,12 +46,12 @@ def assemble_mass(truss: Truss, kind: str = "consistent", reduce_anchors: bool =
 
 
 def _free_basis(truss: Truss):
-    """Lift of the anchor-reduced pattern, dense, and the mechanism joint ids.
+    """Lift of the truss's pattern, dense, and the mechanism joint ids.
 
     Nothing in the package calls it; it is kept only because bench/tracing.py
     and bench/test_bench.py look the name up.
     """
-    return _pattern(truss, True).lift.toarray(), list(_span_frames(truss)[1])
+    return _pattern(truss).lift.toarray(), list(_span_frames(truss)[1])
 
 
 def fem_determinant(truss: Truss, omega: float, kind: str = "consistent") -> float:

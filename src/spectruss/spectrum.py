@@ -35,7 +35,11 @@ rods vibrating between them (kind "interior"). The relative singular-value
 cutoff is MODE_TOL at a polished root and 1e-13 at a pole, whose frequency
 is exact; there, where J rises across the pole's band by more than that
 null space holds, a root of the band off the pole's frequency, the nearest
-directions within MODE_TOL make up the difference.
+directions within MODE_TOL make up the difference. Both cutoffs are relative
+to B's max |eigenvalue|, or to the rods' force scale omega*Lambda where that
+has collapsed to round-off (_null_modes). Every B is the anchored
+structure's, the one the sweep factors: the anchors have no coordinates, and
+the reactions there are read off the rod ends (_reactions).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .assembly import (
     _pattern,
     _span_frames,
     _spectral_coefficients,
-    assemble_laplacian,
+    assemble_laplacian,  # unused here: the benchmark traces it as spectrum.assemble_laplacian
     laplacian_evaluator,
 )
 from .model import Truss, _is_number
@@ -229,7 +233,7 @@ def _near_resonances(taus, omegas):
     return (np.abs(y - n) < BORDER_RADIUS / math.pi) & (n > 0), n
 
 
-def _border_builder(truss: Truss, reduce_anchors: bool):
+def _border_builder(truss: Truss):
     """(pattern, build): build(omegas, near, n) -> (B, c), D bordered per point, batched.
 
     Point i is bordered at the rods near[i] marks, each resonant at
@@ -243,10 +247,11 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     analytic through the pole and its Schur complement on the border is D.
     The Lambda*omega scaling puts both blocks in force units. With no near
     given, or none marked, B is D itself, built by laplacian_evaluator. F is
-    on the rod-span pattern, reduced or not, and q is read off its ends:
-    those padded with index size, at reduced-away joints too, are dropped.
+    on the truss's one pattern, the anchored structure's, and q is read off
+    its ends: those padded with index size, at anchored joints too, are
+    dropped, so a rod between two anchors has only its corner.
     """
-    pattern = _pattern(truss, reduce_anchors)
+    pattern = _pattern(truss)
     table = truss._rod_table
     taus, lams = table.transit_time, table.line_impedance
     size = pattern.size
@@ -282,13 +287,14 @@ def _border_builder(truss: Truss, reduce_anchors: bool):
     return pattern, build
 
 
-def _bordered_at(truss: Truss, omega: float, reduce_anchors: bool):
-    """(pattern, B, c, near) at one omega, a finite number > 0, B and c as stacks of one: the sweep's D,
-    bordered (_border_builder) at the rods near marks, those within BORDER_RADIUS of a resonance."""
-    pattern, build = _border_builder(truss, reduce_anchors)
+def _bordered_at(truss: Truss, omega: float):
+    """(pattern, B, c, near, n) at one omega, a finite number > 0, B and c as stacks of one: the
+    sweep's D, bordered (_border_builder) at the rods near marks, those within BORDER_RADIUS
+    of a resonance n*pi."""
+    pattern, build = _border_builder(truss)
     omegas = np.array([_frequency(omega)])
     near, n = _near_resonances(truss._rod_table.transit_time, omegas)
-    return pattern, *build(omegas, near, n), near[0]
+    return pattern, *build(omegas, near, n), near[0], n[0]
 
 
 def _det_eval(truss: Truss):
@@ -308,7 +314,7 @@ def _det_eval(truss: Truss):
     (_roots.band_layout), built straight into band storage; bordered points
     and every other D by dense LU (slogdet).
     """
-    pattern, build = _border_builder(truss, True)
+    pattern, build = _border_builder(truss)
     taus = truss._rod_table.transit_time
     band = pattern.band
     func, negative = _roots.bordered_determinant(
@@ -401,29 +407,57 @@ def _unit_mode(truss: Truss, pattern, vec: np.ndarray) -> tuple:
     return vec, dict(zip(pattern.index_map, joint.reshape(-1, truss.dimension)))
 
 
-def _anchor_rows(truss: Truss, index_map, forces):
-    """Force vectors at anchored joints, read off the unreduced system's forces."""
-    dim = truss.dimension
-    return {
-        j.id: forces[index_map[j.id] : index_map[j.id] + dim].copy() for j in truss.anchored_joints
-    }
+def _reactions(truss: Truss, pattern, omega: float, vec: np.ndarray, rods=(), sigma=()) -> dict:
+    """Forces at the anchored joints, at the scale of vec = (u, xi): the anchored rows of [F | Q]
+    times u on the pattern and xi, the border amplitude of each of the rods, sigma = (-1)^n.
+
+    An anchor keeps the identity frame and does not move, so each rod r at an
+    anchor adds only its coupling to the far end: off_r e (q^T u), with
+    q = B^T e at the far end and e at the anchor both read off pattern.ends;
+    a rod between two anchors adds nothing. A bordered rod, whose off_r the
+    border takes over, adds Lambda_r*omega*s*xi_r*e instead, s = 1 at its
+    first end and -sigma at its second.
+    """
+    anchored = np.array([joint.anchored for joint in truss.joints])
+    if not anchored.any():
+        return {}
+    table = truss._rod_table
+    index, value = pattern.ends
+    k, r = np.nonzero(anchored[truss._rod_ends.rod_joints.T])  # the rod ends at anchors
+    u = np.append(vec[: pattern.size], 0.0)  # index size: no coordinate there
+    off = _spectral_coefficients(table.transit_time[r], table.line_impedance[r], np.array([omega]))[r.size :, 0]
+    scale = off * np.einsum("pd,pd->p", value[1 - k, r], u[index[1 - k, r]])
+    for slot, rod in enumerate(rods):
+        at = r == rod
+        s = np.where(k[at] == 0, 1.0, -sigma[slot])
+        scale[at] = omega * table.line_impedance[rod] * s * vec[pattern.size + slot]
+    total = np.zeros((len(truss.joints), truss.dimension))
+    np.add.at(total, truss._rod_ends.rod_joints[r, k], scale[:, None] * value[k, r])
+    return {truss.joints[i].id: total[i] for i in np.flatnonzero(anchored)}
 
 
-def _null_modes(truss: Truss, full, bordered, near, omega: float, order=None):
+def _null_modes(truss: Truss, bordered, omega: float, near, n, order=None):
     """Modes at omega from the null space of D bordered at the rods within BORDER_RADIUS of a resonance.
 
-    bordered is B at omega, one matrix of a stack that _border_builder
-    builds on the unreduced pattern full, bordered at the rods near marks;
-    so the anchored rows of [F | Q] give reactions. Without those rows and
-    columns B is symmetric, and the eigenvectors of its eigenvalues at or below
-    the cutoff times max |eigenvalue| span its null space, each a displacement
+    bordered is B at omega, the matrix the sweep factors there: one of a
+    stack that _border_builder builds, bordered at the rods near marks, each
+    resonant at n*pi (_near_resonances' row at omega). B is symmetric, and
+    the eigenvectors of its eigenvalues at or below the cutoff times
+    max |eigenvalue| span its null space, each a displacement
     u and border amplitudes xi with F u + Q xi = 0. The cutoff is MODE_TOL at
     a regular root, polished to the sweep's tolerance, and 1e-13 at a pole
     (order given): the pole's omega is exact, so its null singular values are
     round-off (~1e-16 s_max), and MODE_TOL would also take in regular roots
-    beside it. With a border, the right singular vectors of the null space's
-    u-block split it: those of singular value > MOVING_U move the joints,
-    carried with their xi; the rest, those past the u-block's rank included,
+    beside it. Where nothing lies below that cutoff and max |eigenvalue|
+    is below omega * max Lambda_r over the rods B holds (those with a free
+    end and the bordered ones), B's own scale has collapsed and that force
+    scale takes its place, in a second partial eigensolve: a rod between two
+    anchors puts only its corner c_r into B, so where every joint is
+    anchored B at a pole is diag(c), all round-off, and the lone coordinate
+    of a joint held by one rod from an anchor leaves B = Lambda*omega*cot(x),
+    round-off at its root. With a border, the right singular vectors of the
+    null space's u-block split it: those of singular value > MOVING_U move
+    the joints, carried with their xi; the rest, those past the u-block's rank included,
     have u = 0 and Q xi = 0. At a pole they are kinds "resonant" and
     "interior", the latter with xi as rod amplitudes. At a regular root only the moving ones are modes of
     D, kind "regular": beside a resonance c is small, and a u = 0 direction
@@ -437,24 +471,32 @@ def _null_modes(truss: Truss, full, bordered, near, omega: float, order=None):
     band (_pole_at) are below the cutoff. All of these come from one
     partial eigensolve (_roots.near_null), which gives max |eigenvalue| and
     the eigenpairs of |eigenvalue| <= MODE_TOL * max |eigenvalue| only.
-    Anchor forces are the anchored rows of [F | Q] times (u, xi). Where no
-    mode is below the cutoff, a pole gives [] and a regular root raises
+    Anchor forces are the anchored rows of [F | Q] times (u, xi), read off
+    the rod ends (_reactions). Where no mode is below the cutoff, a pole
+    gives [] and a regular root raises
     NotARootError, whose smallest relative singular value over the directions
     that move the joints comes from one full eigh, as it may lie outside
     that window.
     """
-    free = _pattern(truss, reduce_anchors=True)
-    kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
-    matrix = bordered.take(kept, axis=0).take(kept, axis=1)  # faster than fancy indexing or np.ix_
-    smax, values, vectors = _roots.near_null(matrix, MODE_TOL)
+    pattern = _pattern(truss)
+    size = pattern.size
+    rods = np.flatnonzero(near)
+    sigma = 1.0 - 2.0 * (n[rods] % 2)
+    cutoff = MODE_TOL if order is None else 1e-13
+    smax, values, vectors = _roots.near_null(bordered, MODE_TOL)
+    if not (np.abs(values) <= cutoff * smax).any():
+        holds = near | (pattern.ends[0] < size).any(axis=(0, 2))  # the rods with an entry in B
+        floor = omega * truss._rod_table.line_impedance[holds].max(initial=0.0)
+        if smax < floor:
+            smax, values, vectors = _roots.near_null(bordered, MODE_TOL, floor)
     svals = np.abs(values)  # B's singular values within MODE_TOL
-    chosen = svals <= (MODE_TOL if order is None else 1e-13) * smax
+    chosen = svals <= cutoff * smax
     if order is not None and not chosen.all():
         chosen[np.argsort(svals)[: _rise(truss, omega)]] = True
     null = vectors[:, chosen].T
     interior = null[:0]
-    if len(kept) > free.size:  # a border: split off the u = 0 directions
-        _, s, right = np.linalg.svd(null[:, : free.size].T)
+    if rods.size:  # a border: split off the u = 0 directions
+        _, s, right = np.linalg.svd(null[:, :size].T)
         s = np.concatenate([s, np.zeros(len(right) - s.size)])
         moving = s > MOVING_U
         null, interior = (right[moving] / s[moving, None]) @ null, right[~moving] @ null
@@ -463,44 +505,42 @@ def _null_modes(truss: Truss, full, bordered, near, omega: float, order=None):
     if order is None and len(null) > 1:
         rise = _rise(truss, omega)
         if 0 < rise < len(null):
-            residual = np.linalg.norm(null @ matrix, axis=1) / np.linalg.norm(null, axis=1)
+            residual = np.linalg.norm(null @ bordered, axis=1) / np.linalg.norm(null, axis=1)
             null = null[np.sort(np.argsort(residual)[:rise])]
     if not (len(null) or len(interior)):
         if order is not None:
             return []
         # the diagnostic needs the least |eigenvalue| among directions that move the joints,
         # which may lie outside the window: one full eigh, on this path only
-        values, vectors = np.linalg.eigh(matrix)
-        joints = np.linalg.norm(vectors[: free.size], axis=0) > MOVING_U
+        values, vectors = np.linalg.eigh(bordered)
+        joints = np.linalg.norm(vectors[:size], axis=0) > MOVING_U
         raise NotARootError(omega, float(np.abs(values[joints]).min(initial=smax) / smax) if smax else 0.0)
 
     kind = "regular" if order is None else "resonant"
-    rows = bordered[: full.size, kept]  # [F | Q] on every row, anchors included
     modes = []
     for vec in null:
-        vec, displacements = _unit_mode(truss, free, vec)
+        vec, displacements = _unit_mode(truss, pattern, vec)
         modes.append(
             ModeResult(
                 omega=omega,
                 kind=kind,
                 displacements=displacements,
-                anchor_forces=_anchor_rows(truss, full.index_map, rows @ vec),
+                anchor_forces=_reactions(truss, pattern, omega, vec, rods, sigma),
                 resonant_order=order,
             )
         )
-    rods = [rod.id for rod, hit in zip(truss.rods, near) if hit]
     for vec in interior:
-        xi = vec[free.size :] / np.linalg.norm(vec[free.size :])
+        xi = vec[size:] / np.linalg.norm(vec[size:])
         if next((x < 0 for x in xi if abs(x) > 1e-8), False):
             xi = -xi
         modes.append(
             ModeResult(
                 omega=omega,
                 kind="interior",
-                displacements={jid: np.zeros(truss.dimension) for jid in free.index_map},
-                anchor_forces=_anchor_rows(truss, full.index_map, rows[:, free.size :] @ xi),
+                displacements={jid: np.zeros(truss.dimension) for jid in pattern.index_map},
+                anchor_forces=_reactions(truss, pattern, omega, np.concatenate([np.zeros(size), xi]), rods, sigma),
                 resonant_order=order,
-                rod_amplitudes=dict(zip(rods, xi.tolist())),
+                rod_amplitudes=dict(zip((truss.rods[r].id for r in rods), xi.tolist())),
             )
         )
     return modes
@@ -509,12 +549,12 @@ def _null_modes(truss: Truss, full, bordered, near, omega: float, order=None):
 def _pole_modes(truss: Truss, poles):
     """The modes at each of the poles, given as _chain's records (omega, rods, orders, band): a list per pole.
 
-    Every pole's D is bordered (_border_builder, on the unreduced pattern) at
+    Every pole's D is bordered (_border_builder, as the sweep borders it) at
     the rods within BORDER_RADIUS of a resonance there, and the poles of one
     border width are built by one call, in stacks within _roots.BATCH_BYTES;
     each pole's modes are read off its own B (_null_modes).
     """
-    pattern, build = _border_builder(truss, False)
+    pattern, build = _border_builder(truss)
     omegas = np.array([pole[0] for pole in poles], dtype=float)
     near, n = _near_resonances(truss._rod_table.transit_time, omegas)
     widths = near.sum(axis=1)
@@ -525,7 +565,7 @@ def _pole_modes(truss: Truss, poles):
         for chunk in (at[i : i + step] for i in range(0, at.size, step)):
             for i, matrix in zip(chunk, build(omegas[chunk], near[chunk], n[chunk])[0]):
                 omega, _, orders, _ = poles[i]
-                modes[i] = _null_modes(truss, pattern, matrix, near[i], omega, min(orders))
+                modes[i] = _null_modes(truss, matrix, omega, near[i], n[i], min(orders))
     return modes
 
 
@@ -534,18 +574,17 @@ def extract_modes(truss: Truss, omega_star: float):
 
     In a pole's band (_pole_at) they are the pole's (_pole_modes, as
     resonant_mode_check gives them); a pole without one raises
-    NotARootError. Elsewhere one unreduced D(omega*),
-    in rod-span frames (the identity at anchors), serves both the null space
-    (its free block, the matrix the sweep solves) and the anchor forces (its
-    anchored rows). Rods within BORDER_RADIUS of a resonance are bordered, as
-    in the sweep, so a root beside a pole is taken from the finite B. Shapes
-    are in joint coordinates.
+    NotARootError. Elsewhere they are read off the D(omega*) the sweep
+    factors, in rod-span frames, with the anchor forces (_reactions). Rods
+    within BORDER_RADIUS of a resonance are bordered, as in the sweep, so a
+    root beside a pole is taken from the finite B. Shapes are in joint
+    coordinates.
     """
     omega_star = _frequency(omega_star)
     pole = _pole_at(truss, omega_star)
     if pole is None:
-        pattern, (matrix,), _, near = _bordered_at(truss, omega_star, False)
-        return _null_modes(truss, pattern, matrix, near, omega_star)
+        _, (matrix,), _, near, n = _bordered_at(truss, omega_star)
+        return _null_modes(truss, matrix, omega_star, near, n)
     (modes,) = _pole_modes(truss, [pole])
     if not modes:
         raise NotARootError(omega_star)
@@ -578,22 +617,20 @@ def anchor_forces(truss: Truss, mode: ModeResult) -> dict:
 
     A mode from the sweep or from extract_modes carries them already. For
     any other free-joint displacement state at a regular frequency -- a
-    forced-response result wrapped in a ModeResult -- they are recovered via
-    the anchored rows of the unreduced D, the displacements taken into its
-    rod-span frames.
+    forced-response result wrapped in a ModeResult -- they are recovered as
+    a mode's are (_reactions), on the unbordered D, the displacements taken
+    into its rod-span frames.
     """
     if mode.displacements is None:
         raise ValueError("mode carries no displacements; extract modes first")
     if mode.anchor_forces is not None:
         return dict(mode.anchor_forces)
-    if not truss.anchored_joints:
-        return {}
-    full = assemble_laplacian(truss, mode.omega, reduce_anchors=False)
-    frames = _pattern(truss, False).frames
-    vec = np.zeros(full.entries.shape[0])
+    pattern = _pattern(truss)
+    vec = np.zeros(pattern.size)
     for jid, u in mode.displacements.items():
-        vec[full.index_map[jid] : full.index_map[jid] + frames[jid].shape[1]] = u @ frames[jid]
-    return _anchor_rows(truss, full.index_map, full.entries @ vec)
+        frame = pattern.frames[jid]
+        vec[pattern.index_map[jid] : pattern.index_map[jid] + frame.shape[1]] = u @ frame
+    return _reactions(truss, pattern, _frequency(mode.omega), vec)
 
 
 # -- single-frequency solves ----------------------------------------------------
@@ -608,7 +645,7 @@ def laplacian_determinant(truss: Truss, omega: float) -> float:
     the directions its rods span, so it vanishes at the natural frequencies
     only. A force outside that span moves nothing (solve_forced_response).
     """
-    _, stack, corner, _ = _bordered_at(truss, omega, True)
+    _, stack, corner, _, _ = _bordered_at(truss, omega)
     sign, logabs = _roots._unborder(corner, *np.linalg.slogdet(stack))
     return float(sign[0] * np.exp(logabs[0]))
 
@@ -626,7 +663,7 @@ def solve_forced_response(truss: Truss, omega: float, forces) -> dict:
     SingularAtFrequencyError where J rises across omega's band (_rise), a
     natural frequency, or where the residual on B exceeds 1e-9 of the load.
     """
-    pattern, (matrix,), _, _ = _bordered_at(truss, omega, reduce_anchors=True)
+    pattern, (matrix,), *_ = _bordered_at(truss, omega)
     dim = truss.dimension
     rhs = np.zeros(len(matrix))
     for jid, vec in forces.items():

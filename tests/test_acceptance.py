@@ -129,7 +129,7 @@ def test_criterion_03_square_determinant_oracle():
             )
         ][:100]
         assert len(samples) == 100
-        dets = np.linalg.det(laplacian_evaluator(truss, _pattern(truss, False))(np.array(samples)))
+        dets = np.linalg.det(laplacian_evaluator(truss, _pattern(truss))(np.array(samples)))
         for w, got in zip(samples, dets):
             expected = closed_form_square_det(cfg, float(w))
             worst = max(worst, abs(got - expected) / abs(expected))
@@ -379,18 +379,18 @@ def test_criterion_09_property_suites():
     while tested < 100:
         truss = random_truss(rng)
         omega = float(rng.uniform(0.1, 2.0)) / truss.tau_min
-        d = assemble_laplacian(truss, omega, reduce_anchors=False).entries
+        d = assemble_laplacian(truss, omega).entries
         tested += 1
         worst_sym = max(worst_sym, float(np.max(np.abs(d - d.T)) / np.max(np.abs(d))))
     sym_ok = worst_sym <= 1e-10
 
     square = builtin_structure("square")
-    k = assemble_stiffness(square, reduce_anchors=False).entries
-    m = assemble_mass(square, "consistent", reduce_anchors=False).entries
+    k = assemble_stiffness(square).entries
+    m = assemble_mass(square, "consistent").entries
     tau_min = square.tau_min
 
     def remainder(omega):
-        d = assemble_laplacian(square, omega, reduce_anchors=False).entries
+        d = assemble_laplacian(square, omega).entries
         return np.max(np.abs(d - k + omega**2 * m))
 
     ratios = [
@@ -401,18 +401,24 @@ def test_criterion_09_property_suites():
     bridge = builtin_structure("bridge")
     trace_ok = True
     for truss in (square, bridge):
-        lumped = assemble_mass(truss, "lumped", reduce_anchors=False).entries
-        expected = truss.dimension * truss.total_rod_mass()
+        lumped = assemble_mass(truss, "lumped").entries
+        # half of each rod's mass on every coordinate of each of its ends that is no anchor
+        expected = truss.dimension * sum(
+            0.5 * mass
+            for rod, mass in zip(truss.rods, truss._rod_masses().tolist())
+            for jid in rod.joints
+            if not truss.joint(jid).anchored
+        )
         trace_ok &= abs(np.trace(lumped) - expected) <= 1e-12 * expected
 
     h = 1e-3 / tau_min
     fd_ok = True
     for truss in (square, bridge):
-        kk = assemble_stiffness(truss, reduce_anchors=False).entries
-        mm = assemble_mass(truss, "consistent", reduce_anchors=False).entries
+        kk = assemble_stiffness(truss).entries
+        mm = assemble_mass(truss, "consistent").entries
 
         def second(hh):
-            d = assemble_laplacian(truss, hh, reduce_anchors=False).entries
+            d = assemble_laplacian(truss, hh).entries
             return 2.0 * (d - kk) / hh**2
 
         got = -0.5 * (4.0 * second(h / 2.0) - second(h)) / 3.0

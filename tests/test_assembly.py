@@ -17,6 +17,7 @@ from spectruss import (
     RodProperties,
     SingularAtFrequencyError,
     Truss,
+    anchor_forces,
     assemble_laplacian,
     assemble_mass,
     assemble_stiffness,
@@ -44,27 +45,27 @@ def block(matrix, i, j, dim=2):
 
 def test_square_diagonal_block(square):
     w = 0.7
-    d = assemble_laplacian(square, w, reduce_anchors=False)
+    d = assemble_laplacian(square, w)
     cot = math.cos(w) / math.sin(w)
     assert np.allclose(block(d, "1", "1"), w * cot * np.eye(2), rtol=1e-14)
 
 
 def test_square_crossbar_block(square):
     w = 0.7
-    d = assemble_laplacian(square, w, reduce_anchors=False)
+    d = assemble_laplacian(square, w)
     csc = 1.0 / math.sin(w * math.sqrt(2.0))
     expected = 0.5 * w * csc * np.array([[-1.0, 1.0], [1.0, -1.0]])
     assert np.allclose(block(d, "2", "3"), expected, rtol=1e-14)
 
 
 def test_square_unconnected_block_zero(square):
-    d = assemble_laplacian(square, 0.7, reduce_anchors=False)
+    d = assemble_laplacian(square, 0.7)
     assert np.all(block(d, "1", "4") == 0.0)
 
 
 def test_static_limit_matches_stiffness(square):
-    d = assemble_laplacian(square, 1e-6, reduce_anchors=False)
-    k = assemble_stiffness(square, reduce_anchors=False)
+    d = assemble_laplacian(square, 1e-6)
+    k = assemble_stiffness(square)
     scale = np.max(np.abs(k.entries))
     assert np.max(np.abs(d.entries - k.entries)) <= 1e-9 * scale
 
@@ -77,9 +78,9 @@ def test_single_rod_stiffness_blocks():
         [Rod("ab", ("a", "b"), 1.0, "m")],
         {"m": mat},
     )
-    k = assemble_stiffness(truss, reduce_anchors=False)
+    k = assemble_stiffness(truss)
     # both ends span the rod's direction only; lifted back to joint coordinates
-    lift = assembly._pattern(truss, False).lift.toarray()
+    lift = assembly._pattern(truss).lift.toarray()
     joint = lift @ k.entries @ lift.T
     unit = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(joint[:2, :2], unit)
@@ -89,22 +90,22 @@ def test_single_rod_stiffness_blocks():
 
 def test_stiffness_from_richardson_extrapolation(square):
     # D(w) = K + w^2 C + O(w^4); (4 D(w/2) - D(w)) / 3 cancels the w^2 term
-    k = assemble_stiffness(square, reduce_anchors=False).entries
-    d1 = assemble_laplacian(square, 1e-3, reduce_anchors=False).entries
-    d2 = assemble_laplacian(square, 5e-4, reduce_anchors=False).entries
+    k = assemble_stiffness(square).entries
+    d1 = assemble_laplacian(square, 1e-3).entries
+    d2 = assemble_laplacian(square, 5e-4).entries
     extrapolated = (4.0 * d2 - d1) / 3.0
     assert np.max(np.abs(extrapolated - k)) <= 1e-10 * np.max(np.abs(k))
 
 
 def test_unanchored_stiffness_annihilates_translations(square):
-    k = assemble_stiffness(square, reduce_anchors=False).entries
+    k = assemble_stiffness(square).entries
     for direction in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         rigid = np.tile(direction, len(square.joints))
         assert np.max(np.abs(k @ rigid)) <= 1e-10 * np.max(np.abs(k))
 
 
 def test_bridge_reduced_stiffness_positive_definite(bridge):
-    k = assemble_stiffness(bridge, reduce_anchors=True)
+    k = assemble_stiffness(bridge)
     assert k.entries.shape == (6, 6)
     assert np.linalg.eigvalsh(k.entries).min() > 0.0
 
@@ -135,19 +136,19 @@ def test_symmetry_over_random_structures():
     for _ in range(100):
         truss = random_truss(rng)
         omega = float(rng.uniform(0.1, 2.0)) / truss.tau_min
-        d = assemble_laplacian(truss, omega, reduce_anchors=False).entries
+        d = assemble_laplacian(truss, omega).entries
         assert np.max(np.abs(d - d.T)) <= 1e-10 * np.max(np.abs(d))
 
 
 def test_taylor_remainder_ratio(square, bridge):
     # the x2 trusses' midpoints are mechanism joints: D, K and M in rod-span frames
     for truss in (square, bridge, subdivide(square, 2), subdivide(bridge, 2)):
-        k = assemble_stiffness(truss, reduce_anchors=False).entries
-        m = assemble_mass(truss, "consistent", reduce_anchors=False).entries
+        k = assemble_stiffness(truss).entries
+        m = assemble_mass(truss, "consistent").entries
         tau_min = truss.tau_min
 
         def remainder(omega):
-            d = assemble_laplacian(truss, omega, reduce_anchors=False).entries
+            d = assemble_laplacian(truss, omega).entries
             return np.max(np.abs(d - k + omega**2 * m))
 
         for x in (0.02, 0.01):
@@ -213,7 +214,7 @@ def test_forced_response_rejects_anchored_joint(bridge):
 def test_subdivision_keeps_static_limit(square):
     # sanity for the mechanism-free static path of a subdivided structure
     fine = subdivide(square, 3)
-    k = assemble_stiffness(fine, reduce_anchors=False)
+    k = assemble_stiffness(fine)
     assert np.allclose(k.entries, k.entries.T)
 
 
@@ -329,14 +330,14 @@ def test_rod_table_holds_every_rod_property_read_only():
             assert not props.unit_vector.flags.writeable
 
 
-def _static_references(truss, reduce_anchors):
-    """K, consistent M and lumped M (0.5 m I at both ends of every rod) in joint
-    coordinates, rod by rod."""
+def _static_references(truss):
+    """The anchored structure's K, consistent M and lumped M (0.5 m I at both ends of
+    every rod) in joint coordinates, rod by rod."""
     props = [truss.rod_properties(rod) for rod in truss.rods]
     k = [p.line_impedance / p.transit_time for p in props]
     masses = [truss.materials[rod.material].density * rod.area * p.length for rod, p in zip(truss.rods, props)]
     dim = truss.dimension
-    kept = [j.id for j in truss.joints if not (reduce_anchors and j.anchored)]
+    kept = [j.id for j in truss.joints if not j.anchored]
     index = {jid: dim * i for i, jid in enumerate(kept)}
     lumped = np.zeros((dim * len(kept), dim * len(kept)))
     for rod, m in zip(truss.rods, masses):
@@ -344,49 +345,54 @@ def _static_references(truss, reduce_anchors):
             if jid in index:
                 lumped[index[jid] : index[jid] + dim, index[jid] : index[jid] + dim] += 0.5 * m * np.eye(dim)
     return {
-        "stiffness": _reference(truss, reduce_anchors, k, [-x for x in k]),
-        "consistent": _reference(truss, reduce_anchors, [m / 3.0 for m in masses], [m / 6.0 for m in masses]),
+        "stiffness": _reference(truss, True, k, [-x for x in k]),
+        "consistent": _reference(truss, True, [m / 3.0 for m in masses], [m / 6.0 for m in masses]),
         "lumped": lumped,
     }
 
 
-def _fem_reference(truss, kind, reduce_anchors=True):
+def _fem_reference(truss, kind):
     """K and M of the kind from the block formulas, lifted into the rod-span frames: lift^T X lift."""
-    references = _static_references(truss, reduce_anchors)
-    lift = assembly._pattern(truss, reduce_anchors).lift.toarray()
+    references = _static_references(truss)
+    lift = assembly._pattern(truss).lift.toarray()
     return lift.T @ references["stiffness"] @ lift, lift.T @ references[kind] @ lift
 
 
-def test_truss_without_anchors_builds_one_pattern(square, bridge):
-    # reducing the anchors of a truss that has none leaves every entry as it is
-    assert assembly._pattern(square, True) is assembly._pattern(square, False)
-    fine = subdivide(square, 2)  # with mechanism joints
-    assert assembly._pattern(fine, True) is assembly._pattern(fine, False)
-    reduced, full = assembly._pattern(bridge, True), assembly._pattern(bridge, False)
-    assert reduced is not full and reduced.size < full.size
+def test_every_truss_builds_one_pattern(square, bridge):
+    # the sweep, the modes at roots and poles, the reactions and the builders
+    # all work on the anchored structure's one pattern, anchors or not
+    for truss in (square, subdivide(square, 2), bridge, subdivide(bridge, 2)):
+        sweep = find_natural_frequencies(truss, FrequencyWindow(0.05, 7.0))
+        for mode in sweep:
+            modes = extract_modes(truss, mode.omega)
+            anchor_forces(truss, dataclasses.replace(modes[0], anchor_forces=None))
+        assemble_laplacian(truss, 0.5), assemble_stiffness(truss), assemble_mass(truss)
+        assert [key for key in truss._derived if "pattern" in key] == ["pattern"]
+        size = sum(f.shape[1] for f in assembly._pattern(truss).frames.values())
+        assert assembly._pattern(truss).size == size
+    assert set(assembly._pattern(bridge).index_map) == {"2", "3", "4"}
 
 
-@pytest.mark.parametrize("reduce_anchors", [True, False])
-def test_pattern_matrices_match_block_formulas(reduce_anchors):
+def test_pattern_matrices_match_block_formulas():
     # the builders' and the sweeps' matrices are the block formulas in the
     # rod-span frame of each joint, lift^T X lift, on every truss: the draws'
     # mechanism joints, whose frames are narrower than dim, included
     narrow = 0
     for truss in _pattern_cases():
         omegas = np.array([0.31, 0.77, 1.9]) / truss.tau_min
-        pattern = assembly._pattern(truss, reduce_anchors)
+        pattern = assembly._pattern(truss)
         lift = pattern.lift.toarray()
         _assert_close(lift.T @ lift, np.eye(pattern.size))  # orthonormal frames
         narrow += sum(f.shape[1] < truss.dimension for f in pattern.frames.values())
         got = [
             *assembly.laplacian_evaluator(truss, pattern)(omegas),
-            *(assemble_laplacian(truss, w, reduce_anchors).entries for w in omegas),
-            assemble_stiffness(truss, reduce_anchors).entries,
-            assemble_mass(truss, "consistent", reduce_anchors).entries,
-            assemble_mass(truss, "lumped", reduce_anchors).entries,
+            *(assemble_laplacian(truss, w).entries for w in omegas),
+            assemble_stiffness(truss).entries,
+            assemble_mass(truss, "consistent").entries,
+            assemble_mass(truss, "lumped").entries,
         ]
-        dynamic = [_reference(truss, reduce_anchors, *_spectral(truss, w)) for w in omegas]
-        references = [*dynamic, *dynamic, *_static_references(truss, reduce_anchors).values()]
+        dynamic = [_reference(truss, True, *_spectral(truss, w)) for w in omegas]
+        references = [*dynamic, *dynamic, *_static_references(truss).values()]
         for matrix, reference in zip(got, references, strict=True):
             _assert_close(matrix, lift.T @ reference @ lift)
     assert narrow >= 10
@@ -402,27 +408,26 @@ def test_bordered_matrix_matches_block_formulas():
         orders = dict(zip(pole.rods, pole.orders))
         near = np.array([[rod.id in orders for rod in truss.rods]])
         n = np.array([[orders.get(rod.id, 0) for rod in truss.rods]], dtype=float)
-        lift = assembly._pattern(truss, False).lift.toarray()
-        free = assembly._pattern(truss, True)
-        full, build = spectrum._border_builder(truss, False)
+        pattern, build = spectrum._border_builder(truss)
+        lift = pattern.lift.toarray()
+        size = pattern.size
         for omega in pole.omega * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3]):
-            finite, border, corner = _bordered_reference(truss, omega, orders, False)
+            finite, border, corner = _bordered_reference(truss, omega, orders, True)
             bordered = build(np.array([omega]), near, n)[0][0]
-            assert full.size == lift.shape[1]
-            assert bordered.shape == (full.size + len(corner),) * 2
-            _assert_close(bordered[: full.size, : full.size], lift.T @ finite @ lift)
-            _assert_close(bordered[: full.size, full.size :], lift.T @ border)
-            assert np.array_equal(bordered[full.size :, : full.size], bordered[: full.size, full.size :].T)
-            got_corner = bordered[full.size :, full.size :]
+            assert size == lift.shape[1]
+            assert bordered.shape == (size + len(corner),) * 2
+            _assert_close(bordered[:size, :size], lift.T @ finite @ lift)
+            _assert_close(bordered[:size, size:], lift.T @ border)
+            assert np.array_equal(bordered[size:, :size], bordered[:size, size:].T)
+            got_corner = bordered[size:, size:]
             if omega == pole.omega:  # sin x is round-off: the corner vanishes
                 assert np.max(np.abs(got_corner)) <= 1e-13 * np.max(np.abs(border))
                 continue
             _assert_close(got_corner, np.diag(corner))
 
             # Schur identity: det B = det D * prod(corner), D the swept matrix
-            kept = np.concatenate([free.embedding, np.arange(full.size, len(bordered))])
-            swept = assembly.laplacian_evaluator(truss, free)(np.array([omega]))[0]
-            sign_b, log_b = np.linalg.slogdet(bordered[np.ix_(kept, kept)])
+            swept = assembly.laplacian_evaluator(truss, pattern)(np.array([omega]))[0]
+            sign_b, log_b = np.linalg.slogdet(bordered)
             sign_d, log_d = np.linalg.slogdet(swept)
             assert sign_b == sign_d * np.prod(np.sign(corner))
             assert abs(log_b - log_d - np.sum(np.log(np.abs(corner)))) <= 1e-9
@@ -466,7 +471,7 @@ def test_sweep_determinants_are_chunked_within_budget(
 ):
     lattice = braced_lattice(5)
     assert assembly._span_frames(lattice)[1] == ()  # no mechanism joints
-    network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice, True))
+    network = spectrum.laplacian_evaluator(lattice, assembly._pattern(lattice))
     k, m = assemble_stiffness(lattice).entries, assemble_mass(lattice).entries
 
     def fem(w):
@@ -519,7 +524,7 @@ def test_sweep_determinants_are_chunked_within_budget(
     band_sizes = _spy(monkeypatch, _roots, "band_slogdet")
     func, _ = spectrum._det_eval(lattice)
     omegas = np.linspace(0.06, 2.0, 150)  # below the first pole, pi/sqrt(2)
-    width = assembly._pattern(lattice, True).band.width
+    width = assembly._pattern(lattice).band.width
     assert omegas.size * 8 * 112 * width > 3 * _roots.BATCH_BYTES
     slogdet_sizes.clear()
     sign, logabs = func(omegas)
@@ -604,27 +609,26 @@ def test_memo_keeps_alternating_structures_apart():
                     extract_modes(fresh, omega)
                 )
     for truss in kept.values():
-        assert assembly._pattern(truss, True) is assembly._pattern(truss, True)
+        assert assembly._pattern(truss) is assembly._pattern(truss)
 
 
-@pytest.mark.parametrize("reduce_anchors", [True, False])
-def test_builders_are_the_block_formulas_without_mechanism_joints(reduce_anchors):
+def test_builders_are_the_block_formulas_without_mechanism_joints():
     # every frame is the identity there: the builders give the joint-coordinate
     # matrices, bit for bit
     cases = [t for t in _pattern_cases() if not assembly._span_frames(t)[1]]
     assert len(cases) >= 15
     for truss in cases:
         omega = 0.77 / truss.tau_min
-        references = _static_references(truss, reduce_anchors)
+        references = _static_references(truss)
         for got, expected in [
-            (assemble_laplacian(truss, omega, reduce_anchors), _reference(truss, reduce_anchors, *_spectral(truss, omega))),
-            (assemble_stiffness(truss, reduce_anchors), references["stiffness"]),
-            (assemble_mass(truss, "consistent", reduce_anchors), references["consistent"]),
-            (assemble_mass(truss, "lumped", reduce_anchors), references["lumped"]),
+            (assemble_laplacian(truss, omega), _reference(truss, True, *_spectral(truss, omega))),
+            (assemble_stiffness(truss), references["stiffness"]),
+            (assemble_mass(truss, "consistent"), references["consistent"]),
+            (assemble_mass(truss, "lumped"), references["lumped"]),
         ]:
             assert np.array_equal(got.entries, expected)
     fine = subdivide(builtin_structure("square"), 2)  # midpoints span one direction
-    assert assemble_stiffness(fine, reduce_anchors).entries.shape[0] < 2 * len(fine.joints)
+    assert assemble_stiffness(fine).entries.shape[0] < 2 * len(fine.joints)
 
 
 def test_memo_does_not_keep_the_truss_alive():
@@ -643,7 +647,7 @@ def test_memo_hands_every_thread_the_same_pattern():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(assembly._pattern, truss, True) for _ in range(64)]
+            futures = [pool.submit(assembly._pattern, truss) for _ in range(64)]
             patterns = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)

@@ -40,9 +40,9 @@ def test_shape_function_integrals_match_blocks():
         [Rod("ab", ("a", "b"), area, "m")],
         {"m": mat},
     )
-    m = assemble_mass(truss, "consistent", reduce_anchors=False)
+    m = assemble_mass(truss, "consistent")
     # both ends span the rod's direction only; lifted back to joint coordinates
-    lift = _pattern(truss, False).lift.toarray()
+    lift = _pattern(truss).lift.toarray()
     joint = lift @ m.entries @ lift.T
     unit = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(joint[:2, :2], diag_integral * unit, rtol=1e-12)
@@ -59,11 +59,22 @@ def test_single_rod_lumped_blocks():
         [Rod("ab", ("a", "b"), 1.0, "m")],
         {"m": mat},
     )
-    m = assemble_mass(truss, "lumped", reduce_anchors=False)
+    m = assemble_mass(truss, "lumped")
     # each end spans the rod's direction only: half the rod's mass on its one
     # coordinate, none across
     assert m.index_map == {"a": 0, "b": 1}
     assert np.array_equal(m.entries, 0.5 * np.eye(2))
+
+
+def _free_end_mass(truss):
+    """Half of each rod's mass at each of its ends that is no anchor: an anchored joint
+    has no coordinates, so the anchored structure's M drops the rest."""
+    return sum(
+        0.5 * mass
+        for rod, mass in zip(truss.rods, truss._rod_masses().tolist())
+        for jid in rod.joints
+        if not truss.joint(jid).anchored
+    )
 
 
 def test_lumped_trace_identity(square, bridge):
@@ -71,23 +82,24 @@ def test_lumped_trace_identity(square, bridge):
     # subdivision joint spans its rod's direction only, so the transverse
     # half-masses at a rod's n - 1 interior joints, (n - 1)/n of its mass, drop out
     for truss, coordinates in ((square, 2.0), (bridge, 2.0), (subdivide(square, 4), 2.0 - 0.75)):
-        m = assemble_mass(truss, "lumped", reduce_anchors=False)
-        expected = coordinates * truss.total_rod_mass()
+        m = assemble_mass(truss, "lumped")
+        expected = coordinates * _free_end_mass(truss)
         assert np.trace(m.entries) == pytest.approx(expected, rel=1e-12)
+    assert _free_end_mass(bridge) == 5.0  # joints 1 and 5 each end two of the 7 unit rods
 
 
 def test_consistent_trace_identity(square, bridge):
-    # the axial-only coupling gives integral N^2 at both ends: (2/3) m per rod
+    # the axial-only coupling gives integral N^2 at both ends: (1/3) m per free end
     for truss in (square, bridge, subdivide(square, 4)):
-        m = assemble_mass(truss, "consistent", reduce_anchors=False)
-        expected = (2.0 / 3.0) * truss.total_rod_mass()
+        m = assemble_mass(truss, "consistent")
+        expected = (2.0 / 3.0) * _free_end_mass(truss)
         assert np.trace(m.entries) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mass_matrices_symmetric_psd(square, bridge):
     for truss in (square, bridge):
         for kind in ("consistent", "lumped"):
-            m = assemble_mass(truss, kind, reduce_anchors=False).entries
+            m = assemble_mass(truss, kind).entries
             assert np.allclose(m, m.T)
             assert np.linalg.eigvalsh(m).min() >= -1e-12 * np.max(np.abs(m))
 
@@ -126,12 +138,12 @@ def test_consistent_mass_from_second_derivative(square, bridge):
         h = 1e-3 / truss.tau_min
 
         def second(hh):
-            k = assemble_stiffness(truss, reduce_anchors=False).entries
-            d = assemble_laplacian(truss, hh, reduce_anchors=False).entries
+            k = assemble_stiffness(truss).entries
+            d = assemble_laplacian(truss, hh).entries
             return 2.0 * (d - k) / hh**2  # D is even in omega
 
         estimate = (4.0 * second(h / 2.0) - second(h)) / 3.0
-        m = assemble_mass(truss, "consistent", reduce_anchors=False).entries
+        m = assemble_mass(truss, "consistent").entries
         got = -0.5 * estimate
         mask = np.abs(m) > 1e-12 * np.max(np.abs(m))
         assert np.max(np.abs(got[mask] - m[mask]) / np.abs(m[mask])) <= 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -139,7 +140,7 @@ def test_extract_modes_self_residual(square):
 
     omega = 0.9201511845297538
     modes = extract_modes(square, omega)
-    d = assemble_laplacian(square, omega, reduce_anchors=False)
+    d = assemble_laplacian(square, omega)
     for mode in modes:
         vec = mode_vector(mode, [j.id for j in square.joints])
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -177,10 +178,11 @@ def test_anchor_forces_resonant_zero(bridge):
 
 def test_anchor_forces_stored_equal_recomputed(bridge):
     # extract_modes stores the anchored rows of [F | Q] (u, xi); anchor_forces
-    # rebuilds D only for a mode that carries none, taking the x2 bridge's
-    # midpoint displacements into their rod-span frames
-    import dataclasses
-
+    # recovers them from the rod ends for a mode that carries none, taking the
+    # x2 bridge's midpoint displacements into their rod-span frames. Beside a
+    # pole the stored ones come from the bordered B and the recovered ones from
+    # D's diverging entries, so the lattice and the draws are compared at the
+    # roots where no rod is bordered
     for truss in (bridge, subdivide(bridge, 2)):
         (mode,) = extract_modes(truss, math.acos(-1.0 / 3.0))
         stored = anchor_forces(truss, mode)
@@ -190,6 +192,88 @@ def test_anchor_forces_stored_equal_recomputed(bridge):
         scale = max(np.max(np.abs(v)) for v in stored.values())
         for jid, force in stored.items():
             assert np.max(np.abs(force - recomputed[jid])) <= 1e-12 * scale
+    compared = 0
+    for truss in (braced_lattice(5), *_anchored_draws(20)):
+        sweep = find_natural_frequencies(truss, _reaction_window(truss))
+        for omega in (m.omega for m in sweep if m.kind == "regular" and not _bordered_orders(truss, m.omega)):
+            for mode in extract_modes(truss, omega):
+                recomputed = anchor_forces(truss, dataclasses.replace(mode, anchor_forces=None))
+                assert recomputed.keys() == mode.anchor_forces.keys() == {j.id for j in truss.anchored_joints}
+                tol = 1e-12 * max(1.0, omega * float(truss._rod_table.line_impedance.max()))
+                for jid, force in mode.anchor_forces.items():
+                    assert np.max(np.abs(force - recomputed[jid])) <= tol, (omega, jid)
+                compared += 1
+    assert compared >= 500
+
+
+def _anchored_draws(count):
+    """The test generator's first `count` draws, each with its first joint anchored and with its first two."""
+    out = []
+    for truss in _draws(count):
+        for k in (1, 2):
+            joints = [dataclasses.replace(j, anchored=i < k) for i, j in enumerate(truss.joints)]
+            out.append(Truss(truss.dimension, joints, truss.rods, truss.materials))
+    return out
+
+
+def _reaction_window(truss):
+    """A window over the first two resonances of the truss's fastest rod."""
+    return FrequencyWindow(0.05 / truss.tau_min, 2.2 * math.pi / truss.tau_min)
+
+
+def _bordered_orders(truss, omega):
+    """rod id -> n of each rod the sweep borders at omega: within BORDER_RADIUS of n*pi, n >= 1."""
+    orders = {}
+    for rod in truss.rods:
+        y = omega * (truss.rod_properties(rod).transit_time / math.pi)
+        if round(y) >= 1 and abs(y - round(y)) < BORDER_RADIUS / math.pi:
+            orders[rod.id] = round(y)
+    return orders
+
+
+def _reference_reactions(truss, mode):
+    """The anchored rows of test_assembly's block formulas, D unreduced and bordered as the
+    sweep borders it at mode.omega, times the mode's (u, xi): xi is an interior mode's
+    rod amplitudes, else the least-squares solution of B's other rows, F u + Q xi = 0 at
+    the free joints and Q^T u + C xi = 0."""
+    from test_assembly import _bordered_reference
+
+    dim, orders = truss.dimension, _bordered_orders(truss, mode.omega)
+    finite, border, corner = _bordered_reference(truss, mode.omega, orders, False)
+    border = border.reshape(len(finite), len(corner))  # no rod bordered: (size, 0)
+    u = np.concatenate([np.zeros(dim) if j.anchored else mode.displacements[j.id] for j in truss.joints])
+    anchored = np.repeat([j.anchored for j in truss.joints], dim)
+    if mode.kind == "interior":
+        xi = np.array([mode.rod_amplitudes[rid] for rid in orders])
+    elif orders:
+        system = np.vstack([border[~anchored], np.diag(corner)])
+        rhs = -np.concatenate([(finite @ u)[~anchored], border.T @ u])
+        xi = np.linalg.lstsq(system, rhs, rcond=1e-10)[0]
+    else:
+        xi = np.zeros(0)
+    forces = (finite @ u + border @ xi)[anchored].reshape(-1, dim)
+    return dict(zip((j.id for j in truss.anchored_joints), forces))
+
+
+def test_reactions_are_the_anchored_rows_of_the_unreduced_block_formulas(bridge):
+    # every mode is read off the anchored structure's B and its reactions off the
+    # rod ends; they equal those of an unreduced D built rod by rod, at regular
+    # roots, bordered ones included, and at the poles' resonant and interior modes
+    kinds = {"regular": 0, "resonant": 0, "interior": 0}
+    bordered = 0
+    for truss in (bridge, subdivide(bridge, 2), braced_lattice(5), *_anchored_draws(20)):
+        scale = float(truss._rod_table.line_impedance.max())
+        for omega in sorted({m.omega for m in find_natural_frequencies(truss, _reaction_window(truss))}):
+            bordered += bool(_bordered_orders(truss, omega))
+            for mode in extract_modes(truss, omega):
+                expected = _reference_reactions(truss, mode)
+                assert mode.anchor_forces.keys() == expected.keys()
+                for jid, force in expected.items():
+                    assert np.max(np.abs(mode.anchor_forces[jid] - force)) <= 1e-12 * max(1.0, omega * scale), (
+                        omega, mode.kind, jid)
+                kinds[mode.kind] += 1
+    assert kinds["regular"] >= 500 and kinds["resonant"] >= 10 and kinds["interior"] >= 10, kinds
+    assert bordered >= 20
 
 
 def test_resonant_bridge_matches_reference(bridge):
@@ -374,7 +458,7 @@ def test_anchored_truss_with_mechanism_joint():
         assert abs(mode.omega - want) <= window.tol_at(want)
 
     e_bd = truss.rod_properties(truss.rod("bd")).unit_vector
-    lift = _pattern(truss, True).lift  # D is in rod-span frames: e_bd at d
+    lift = _pattern(truss).lift  # D is in rod-span frames: e_bd at d
     for omega in result.omegas:
         d = assemble_laplacian(truss, omega).entries
         modes = extract_modes(truss, omega)
@@ -524,7 +608,16 @@ def test_single_omega_entry_points_refuse_what_is_no_finite_number_above_zero(br
         call(bridge, omega)
 
 
-@pytest.mark.parametrize("threads", [0, -1, 2.5, True])
+@pytest.mark.parametrize(
+    ("threads", "message"),
+    [
+        (0, "threads must be >= 1, got 0"),
+        (-1, "threads must be >= 1, got -1"),
+        (2.5, "threads must be an integer, not 2.5"),
+        (True, "threads must be an integer, not True"),
+    ],
+    ids=["0", "-1", "2.5", "True"],
+)
 @pytest.mark.parametrize(
     "sweep",
     [
@@ -533,9 +626,9 @@ def test_single_omega_entry_points_refuse_what_is_no_finite_number_above_zero(br
         pytest.param(reverberation_frequencies, id="reverberation"),
     ],
 )
-def test_sweeps_refuse_a_thread_count_that_is_no_integer_of_at_least_one(bridge, sweep, threads):
-    # 0 and -1 ran serially, 2.5 and True were taken as counts
-    with pytest.raises(ValueError, match=re.escape(f"threads must be an integer >= 1, got {threads!r}")):
+def test_sweeps_refuse_a_thread_count_that_is_no_integer_of_at_least_one(bridge, sweep, threads, message):
+    # 0 and -1 ran serially, 2.5 and True were taken as counts; the rule is model._check_count's
+    with pytest.raises(ValueError, match=re.escape(message)):
         sweep(bridge, FrequencyWindow(0.05, 4.0), threads=threads)
 
 
@@ -719,7 +812,7 @@ def _negative_count(truss, omegas):
     the rod-span frames."""
     from test_assembly import _reference, _spectral
 
-    lift = _pattern(truss, True).lift.toarray()
+    lift = _pattern(truss).lift.toarray()
     d = [lift.T @ _reference(truss, True, *_spectral(truss, w)) @ lift for w in omegas]
     return np.sum(np.linalg.eigvalsh(np.array(d)) < 0.0, axis=1)
 
@@ -732,7 +825,7 @@ def _wittrick_williams_count(truss, omegas):
     """
     from test_assembly import _bordered_reference
 
-    basis = _pattern(truss, True).lift.toarray()
+    basis = _pattern(truss).lift.toarray()
     taus = [truss.rod_properties(rod).transit_time for rod in truss.rods]
     counts = []
     for omega in omegas:
@@ -891,6 +984,71 @@ def test_star_at_pi_has_an_interior_mode_per_rod_past_its_free_coordinates(dim, 
     assert np.linalg.norm(border @ xis.T) <= 1e-12 * np.linalg.norm(border)
 
 
+def test_truss_whose_joints_are_all_anchored_has_each_rods_clamped_modes():
+    # D is 0 x 0, so J = J0 and each pole's B is its corner diag(c) alone, all
+    # round-off: each resonant rod's clamped mode is an interior mode, with the
+    # reactions Lambda*omega*xi*e at the rod's first end and -sigma times them at
+    # its second; the generic checks meet empty D, K and M
+    from spectruss.validation import verify_generic
+
+    joints = [
+        Joint("a", (0.0, 0.0), anchored=True),
+        Joint("b", (1.0, 0.0), anchored=True),
+        Joint("c", (0.0, 1.0), anchored=True),
+    ]
+    rods = [Rod("ab", ("a", "b"), 1.0, "unit"), Rod("bc", ("b", "c"), 1.0, "unit")]
+    truss = Truss(2, joints, rods, {"unit": Material("unit", 1.0, 1.0)})
+    window = FrequencyWindow(0.1, 7.0)
+    sweep = find_natural_frequencies(truss, window)
+    assert sweep.warnings == []
+    poles = pole_set(truss, window)
+    assert len(poles) == 5 and [m.omega for m in sweep] == [p.omega for p in poles]
+    counts = _wittrick_williams_count(truss, np.ravel(_bands(truss, window))).reshape(-1, 2)
+    assert [high - low for low, high in counts] == [1] * 5
+    for mode, pole in zip(sweep, poles):
+        (rid,), (n,) = pole.rods, pole.orders
+        assert (mode.kind, mode.resonant_order, mode.displacements) == ("interior", n, {})
+        assert mode.rod_amplitudes == {rid: 1.0}
+        rod = truss.rods[[r.id for r in truss.rods].index(rid)]
+        force = pole.omega * truss.rod_properties(rod).unit_vector
+        expected = {"a": np.zeros(2), "b": np.zeros(2), "c": np.zeros(2)}
+        expected[rod.joints[0]] = force
+        expected[rod.joints[1]] = (-1.0) ** (n + 1) * force
+        assert mode.anchor_forces.keys() == expected.keys()
+        for jid, value in expected.items():
+            assert np.max(np.abs(mode.anchor_forces[jid] - value)) <= 1e-12 * pole.omega
+        reference = _reference_reactions(truss, mode)
+        assert all(np.max(np.abs(reference[jid] - value)) <= 1e-12 * pole.omega for jid, value in expected.items())
+        (alone,) = resonant_mode_check(truss, pole.omega)
+        assert alone.rod_amplitudes == mode.rod_amplitudes
+    checks = verify_generic(truss)
+    assert len(checks) == 3 and all(check.passed for check in checks)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_joint_held_by_one_rod_from_an_anchor_has_its_quarter_wave_modes(dim):
+    # D is the one coordinate Lambda*omega*cot(omega*tau) of the free end, so at
+    # each quarter-wave root B's largest |eigenvalue| is itself round-off: the
+    # cutoff is taken relative to Lambda*omega, and the mode moves the free end
+    # along the rod, against the anchor's reaction -Lambda*omega*csc(omega*tau) e
+    position = (0.6, 0.8) if dim == 2 else (0.6, 0.0, 0.8)
+    joints = [Joint("a", (0.0,) * dim, anchored=True), Joint("b", position)]
+    truss = Truss(dim, joints, [Rod("ab", ("a", "b"), 2.0, "m")], {"m": Material("m", 3.0, 1.5)})
+    props = truss.rod_properties(truss.rods[0])
+    sweep = find_natural_frequencies(truss, FrequencyWindow(0.1, 12.0))
+    assert sweep.warnings == [] and sweep.mechanisms == ["b"]
+    assert [m.omega * props.transit_time / math.pi for m in sweep] == pytest.approx([0.5, 1.5, 2.5], rel=1e-9)
+    for root in sweep:
+        (mode,) = extract_modes(truss, root.omega)
+        u = mode.displacements["b"]
+        assert mode.kind == "regular" and np.allclose(np.abs(u), np.abs(props.unit_vector), atol=1e-12)
+        x = root.omega * props.transit_time
+        force = -props.line_impedance * root.omega / math.sin(x) * props.unit_vector * (props.unit_vector @ u)
+        tol = 1e-12 * root.omega * props.line_impedance
+        assert np.max(np.abs(mode.anchor_forces["a"] - force)) <= tol
+        assert np.max(np.abs(_reference_reactions(truss, mode)["a"] - force)) <= tol
+
+
 def _draws(count):
     """The test generator's first `count` draws."""
     rng = np.random.default_rng(0)
@@ -934,7 +1092,7 @@ def test_roots_within_the_pole_guard_are_found():
         inside = [m.omega for m in sweep if m.kind == "regular" and _pole_distance(truss, m.omega) < 1e-5]
         assert len(inside) == expected, k
         free = [j.id for j in truss.free_joints]
-        pattern = _pattern(truss, True)
+        pattern = _pattern(truss)
         for omega in inside:
             d = laplacian_evaluator(truss, pattern)([omega])[0]
             (mode,) = extract_modes(truss, omega)
@@ -1478,7 +1636,7 @@ def test_band_slogdet_matches_slogdet_on_random_banded_stacks():
 
 def test_band_slogdet_matches_slogdet_on_the_braced_lattice():
     lattice = braced_lattice(8)
-    pattern = _pattern(lattice, True)
+    pattern = _pattern(lattice)
     omegas = np.linspace(0.05, 1.2 * math.pi, 41)  # across poles, where D's entries are large
     dense = laplacian_evaluator(lattice, pattern)(omegas)
     band = laplacian_evaluator(lattice, pattern.band)(omegas)
@@ -1505,10 +1663,10 @@ def test_band_slogdet_of_singular_one_by_one_and_empty_stacks():
 def test_band_rule_takes_the_lattice_and_leaves_small_trusses_dense(square, bridge):
     # the rule reads n and kl off the swept pattern; the benchmark's lattice is
     # narrow, and every truss criterion 07 and the generator's draws sweep stays dense
-    assert _pattern(braced_lattice(8), True).band.width == 3 * 19 + 1
+    assert _pattern(braced_lattice(8)).band.width == 3 * 19 + 1
     rng = np.random.default_rng(0)
     dense = [square, bridge, braced_lattice(5), *(random_truss(rng) for _ in range(40))]
-    assert all(_pattern(truss, True).band is None for truss in dense)
+    assert all(_pattern(truss).band is None for truss in dense)
 
 
 def test_band_polish_finds_the_dense_polish_roots(monkeypatch):
