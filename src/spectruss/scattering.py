@@ -54,13 +54,18 @@ launch time plus its rod's transit. Each window copies its arrays once into
 columns that grow in place, their room doubling when full (_Growing).
 Per-window arrays kept in lists and joined once the run ends would copy as
 often, but their freed blocks stay resident: on the benchmark's lattice
-drive that raised a process's peak memory.
+drive that raised a process's peak memory. The event log is read off the
+event and front columns too, one block of events at a time (_EventLog):
+built whole and kept, the drive's 20,576 events took five times the memory
+of the columns they are read from.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -259,7 +264,8 @@ _COVER_BLOCK = 1 << 15  # (segment, span) pairs added at once
 
 @dataclass
 class WavefrontSimulation:
-    """A run up to t_max, kept only as columns: every view is read off them and the truss's tables."""
+    """A run up to t_max, kept only as columns: every view, the event log too, is read
+    off them and the truss's tables on each read, and keeps nothing it builds."""
 
     truss: Truss
     t_max: float
@@ -269,21 +275,16 @@ class WavefrontSimulation:
     _events: tuple
 
     @cached_property
-    def events(self) -> list:
-        """Every scattering event as a ScatterEvent, built on first access and kept."""
-        time, joint, arrivals, launches, rod, stress = self._events
-        h, ends = self._history, self.truss._rod_ends
-        first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
-        rod_ids = [r.id for r in self.truss.rods]
-        joint_ids = [j.id for j in self.truss.joints]
+    def events(self) -> Sequence[ScatterEvent]:
+        """Every scattering event, in order, as a read-only sequence of ScatterEvents.
 
-        def grouped(rods, stresses, counts):  # (rod id, stress) pairs, one tuple per event
-            pairs = list(zip(map(rod_ids.__getitem__, rods.tolist()), stresses.tolist()))
-            cut = np.cumsum(counts).tolist()
-            return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
-
-        return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
-                        grouped(rod, stress, arrivals), grouped(ends.rod[h.port[first:]], h.stress[first:], launches)))
+        The sequence is a view of the run's columns and keeps no event: an
+        index or a slice (a list) builds the events it names on each read,
+        and iteration builds them a block at a time. Events read twice are
+        equal, not identical; the view compares equal to a list of the same
+        events.
+        """
+        return _EventLog(self)
 
     def _check_time(self, t: float) -> None:
         """Refuse a time the run does not cover: not a number, nan, or past its horizon."""
@@ -393,6 +394,75 @@ class WavefrontSimulation:
         segments = list(zip(z_lo.tolist(), z_hi.tolist(), sigma.tolist()))
         bounds = np.searchsorted(seg_rod, np.arange(rods + 1)).tolist()
         return {r.id: segments[bounds[k]:bounds[k + 1]] for k, r in enumerate(self.truss.rods)}
+
+
+_EVENT_BLOCK = 1 << 7  # events an iteration of a run's log builds at once
+
+
+class _EventLog(Sequence):
+    """A run's scattering events, read off its columns (WavefrontSimulation.events).
+
+    Each event's arrivals and launched fronts are runs of the arrival columns
+    and of the front columns after the impulses', both in event order; their
+    offsets are taken once, here. An index or a slice builds only the events
+    it names, and iteration, either way, one block of _EVENT_BLOCK events at
+    a time, so reading the log holds one block of events, not the run's.
+    """
+
+    def __init__(self, sim: WavefrontSimulation):
+        time, joint, arrivals, launches, rod, stress = sim._events
+        h, ends = sim._history, sim.truss._rod_ends
+        first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
+        rod_ids = [r.id for r in sim.truss.rods]
+        self._time, self._joint = time, joint
+        self._joint_ids = [j.id for j in sim.truss.joints]
+        # per kind: each event's offsets (one more than events), keys, names by key, stresses
+        self._incoming = (np.concatenate(([0], np.cumsum(arrivals))), rod, rod_ids, stress)
+        self._outgoing = (np.concatenate(([0], np.cumsum(launches))), h.port[first:],
+                          [rod_ids[r] for r in ends.rod.tolist()], h.stress[first:])
+
+    def __len__(self) -> int:
+        return self._time.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            picked = range(len(self))[key]
+            return self._build(np.arange(picked.start, picked.stop, picked.step))
+        try:
+            k = operator.index(key)
+        except TypeError:
+            raise TypeError(f"event indices must be integers or slices, not {type(key).__name__}") from None
+        if not -len(self) <= k < len(self):
+            raise IndexError("event index out of range")
+        return self._build(np.array([k % len(self)]))[0]
+
+    def __iter__(self):
+        for a in range(0, len(self), _EVENT_BLOCK):
+            yield from self._build(np.arange(a, min(a + _EVENT_BLOCK, len(self))))
+
+    def __reversed__(self):
+        for b in range(len(self), 0, -_EVENT_BLOCK):
+            yield from self._build(np.arange(b - 1, max(b - _EVENT_BLOCK, 0) - 1, -1))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _EventLog)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _build(self, index: np.ndarray) -> list:
+        """The events at the indices index, in that order, as ScatterEvents."""
+
+        def grouped(at, keys, names, stresses):  # (rod id, stress) pairs, one tuple per event
+            lo, counts = at[index], at[index + 1] - at[index]
+            cut = np.cumsum(counts)
+            take = np.arange(counts.sum()) + np.repeat(lo - cut + counts, counts)
+            pairs = list(zip(map(names.__getitem__, keys[take].tolist()), stresses[take].tolist()))
+            cut = cut.tolist()
+            return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
+
+        return list(map(ScatterEvent, self._time[index].tolist(),
+                        map(self._joint_ids.__getitem__, self._joint[index].tolist()),
+                        grouped(*self._incoming), grouped(*self._outgoing)))
 
 
 def _transmission(truss: Truss) -> np.ndarray:

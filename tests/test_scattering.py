@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from conftest import braced_lattice, random_truss
 from spectruss import _roots
 from spectruss.assembly import _span_frames
 from spectruss.scattering import (
+    _EVENT_BLOCK,
     TOWARD_END,
     TOWARD_START,
     ScatterEvent,
@@ -548,7 +550,7 @@ def truss_len(truss, rod_id):
 def test_a_run_is_kept_as_columns_until_its_events_are_read():
     # the simulator records arrays, not objects per event: a run adds fewer
     # objects for the collector to track than it has events, and its events
-    # are built once, on first access
+    # are a view of those arrays, made once, on first access
     lattice = braced_lattice(4)
     impulse = Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)
     gc.collect()
@@ -561,6 +563,113 @@ def test_a_run_is_kept_as_columns_until_its_events_are_read():
         gc.enable()
     assert added < len(sim.events)
     assert sim.events is sim.events
+
+
+def _eager_events(sim):
+    """Every event of the run built at once into a list: the reference for the view
+    that WavefrontSimulation.events returns."""
+    time, joint, arrivals, launches, rod, stress = sim._events
+    h, ends = sim._history, sim.truss._rod_ends
+    first = len(h) - int(launches.sum())  # the events' fronts follow the impulses', in launch order
+    rod_ids = [r.id for r in sim.truss.rods]
+    joint_ids = [j.id for j in sim.truss.joints]
+
+    def grouped(rods, stresses, counts):  # (rod id, stress) pairs, one tuple per event
+        pairs = list(zip(map(rod_ids.__getitem__, rods.tolist()), stresses.tolist()))
+        cut = np.cumsum(counts).tolist()
+        return [tuple(pairs[a:b]) for a, b in zip([0] + cut, cut)]
+
+    return list(map(ScatterEvent, time.tolist(), map(joint_ids.__getitem__, joint.tolist()),
+                    grouped(rod, stress, arrivals), grouped(ends.rod[h.port[first:]], h.stress[first:], launches)))
+
+
+def _view_cases():
+    """(name, simulation) whose event logs the view must read as the eager reference builds them."""
+    square, bridge = builtin_structure("square"), builtin_structure("bridge")
+    lattice = braced_lattice(5)
+    runs = [
+        ("square", square, [fig2_impulse()], 6.0, 0.0),
+        ("bridge", bridge, [Impulse("12", TOWARD_START, -1.0), Impulse("34", TOWARD_END, 0.5, 0.25)], 8.0, 0.0),
+        ("no impulse", square, [], 1.0, 0.0),
+        ("past the horizon", square, [Impulse("12", TOWARD_END, 1.0, 1.5)], 1.0, 0.0),
+        # pruned: some events launch nothing
+        ("crossbar", _rect_with_crossbar(), [Impulse("12", TOWARD_END, -1.0)], 12.0, 0.3),
+        # many blocks, the last one short
+        ("lattice", lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 20.0, 1e-3),
+    ]
+    runs += [case for case in _reference_cases() if case[0] in ("bridge, renamed", "lattice, renamed")]
+    for k, truss in enumerate(_draws(20)):
+        tau = max(truss.rod_properties(rod).transit_time for rod in truss.rods)
+        runs.append((f"draw {k}", truss, [Impulse(truss.rods[0].id, TOWARD_END, -1.0)], 3.0 * tau, 0.0))
+    return [(name, simulate_wavefronts(truss, impulses, t_max, min_amplitude=min_amplitude))
+            for name, truss, impulses, t_max, min_amplitude in runs]
+
+
+def test_event_log_view_reads_the_events_the_eager_builder_builds():
+    # every event bit for bit (repr tells -0.0 from 0.0, and a numpy float from a
+    # Python one), read by iteration either way, by index and as one slice
+    cases = dict(_view_cases())
+    assert [len(cases[name].events) for name in ("no impulse", "past the horizon")] == [0, 0]
+    assert any(ev.outgoing == () for ev in cases["crossbar"].events)
+    assert len(cases["lattice"].events) > 8 * _EVENT_BLOCK and len(cases["lattice"].events) % _EVENT_BLOCK
+    for name, sim in cases.items():
+        want = repr(_eager_events(sim))
+        view = sim.events
+        assert repr(list(view)) == want, name
+        assert repr([view[k] for k in range(len(view))]) == want, name
+        assert repr(view[:]) == want, name
+        assert repr(list(reversed(view))[::-1]) == want, name
+
+
+def test_event_log_view_is_a_read_only_sequence(square):
+    sim = simulate_wavefronts(square, [fig2_impulse()], t_max=6.0)
+    view, want = sim.events, _eager_events(sim)
+    n = len(view)
+    assert isinstance(view, Sequence) and n == len(want) > 10
+    assert sim.events is view
+    assert [view[-k] for k in range(1, n + 1)] == list(reversed(view)) == want[::-1]
+    for k in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError):
+            view[k]
+    for key in (1.0, "0", None):
+        with pytest.raises(TypeError):
+            want[key]
+        with pytest.raises(TypeError):
+            view[key]
+    with pytest.raises(TypeError):
+        view[0] = want[0]
+    for key in (slice(None, None, 2), slice(1, None, 3), slice(-5, None), slice(None, -3, 4), slice(-2, -9, -2),
+                slice(None, None, -1), slice(5, 2), slice(n, None), slice(-1, -1), slice(2, 2 * n, 5)):
+        got = view[key]
+        assert type(got) is list and got == want[key], key
+    # read twice: equal events, built anew
+    assert list(view) == list(view) and view[0] == view[0] and view[0] is not view[0]
+    assert view == want and want == view and not view != want and not want != view
+    assert view == view and view == simulate_wavefronts(square, [fig2_impulse()], t_max=6.0).events
+    assert view != want[:-1] and want[1:] != view and view != want[::-1]
+    assert view != tuple(want) and view != []
+
+
+def test_reading_a_run_s_log_holds_one_block_of_events():
+    # iteration builds its events a block at a time and keeps none: its peak is
+    # a small part of what the run's events take when built at once
+    lattice = braced_lattice(5)
+    sim = simulate_wavefronts(lattice, [Impulse(lattice.rods[-1].id, TOWARD_START, -1.0)], 20.0,
+                              min_amplitude=1e-3)
+    assert len(sim._events[0]) >= 8 * _EVENT_BLOCK
+    tracemalloc.start()
+    try:
+        eager = _eager_events(sim)
+        size = tracemalloc.get_traced_memory()[0]
+        del eager
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read = sum(1 for _ in sim.events)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert read == len(sim._events[0])
+    assert peak <= size / 4, (peak, size)
 
 
 def test_a_run_under_a_profile_hook_keeps_the_same_record():
